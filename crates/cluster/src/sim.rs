@@ -552,6 +552,8 @@ struct Node {
     carried_fault_counts: [u64; hwsim::FaultKind::ALL.len()],
     carried_tags_lost: u64,
     carried_tags_corrupted: u64,
+    /// Graceful-degradation counters of dead incarnations.
+    carried_degrade: power_containers::DegradeStats,
     /// Attributed energy lost in crash loss windows, Joules.
     lost_energy_j: f64,
     /// In-flight requests killed by crashes on this node.
@@ -766,6 +768,12 @@ impl Node {
     /// frozen standby/provisioning node neither advances nor accrues.
     fn participates(&self) -> bool {
         matches!(self.scale, ScaleState::Active | ScaleState::Draining { .. })
+    }
+
+    /// Graceful-degradation counters across every incarnation, so the
+    /// fleet totals stay cumulative through crash restarts.
+    fn degrade_stats(&self) -> power_containers::DegradeStats {
+        self.carried_degrade + self.facility.borrow().degrade_stats()
     }
 
     /// Energy the facility attributed on this node (requests +
@@ -1601,6 +1609,7 @@ fn run_engine(
             carried_fault_counts: [0; hwsim::FaultKind::ALL.len()],
             carried_tags_lost: 0,
             carried_tags_corrupted: 0,
+            carried_degrade: power_containers::DegradeStats::default(),
             lost_energy_j: 0.0,
             lost_requests: 0,
             last_checkpoint: ManagerCheckpoint::empty(),
@@ -1758,6 +1767,7 @@ fn run_engine(
                     let ks = node.kernel.stats();
                     node.carried_tags_lost += ks.tags_lost;
                     node.carried_tags_corrupted += ks.tags_corrupted;
+                    node.carried_degrade += node.facility.borrow().degrade_stats();
                     let mut killed: Vec<u64> = node.outstanding.keys().copied().collect();
                     killed.sort_unstable();
                     node.outstanding.clear();
@@ -2222,6 +2232,7 @@ fn run_engine(
                     let ks = node.kernel.stats();
                     node.carried_tags_lost += ks.tags_lost;
                     node.carried_tags_corrupted += ks.tags_corrupted;
+                    node.carried_degrade += node.facility.borrow().degrade_stats();
                     node.incarnation += 1;
                     let tele = node.tele.clone();
                     let (kernel, facility, inboxes, reply_rx) = build_node_runtime(
@@ -2697,7 +2708,7 @@ fn run_engine(
                 }));
                 let degrade: u64 = nodes
                     .iter()
-                    .map(|n| n.facility.borrow().degrade_stats().drift_total())
+                    .map(|n| n.degrade_stats().drift_total())
                     .sum();
                 o.close_window(
                     t,
@@ -2778,7 +2789,7 @@ fn run_engine(
     }
     let mut cluster_degrade = nodes
         .iter()
-        .map(|n| n.facility.borrow().degrade_stats())
+        .map(Node::degrade_stats)
         .fold(power_containers::DegradeStats::default(), |acc, d| acc + d);
     cluster_degrade.requests_retried += retried;
     cluster_degrade.requests_shed += dropped;
