@@ -10,15 +10,8 @@
 //! ```text
 //! perf_report [--out PATH] [--run-all-before SECS] \
 //!             [--run-all-after SECS] [--run-all-jobs4 SECS] \
-//!             [--run-all-jobs N] [--run-all-shards N]
+//!             [--run-all-jobs N]
 //! ```
-//!
-//! The intra-cell shard scaling curve *is* measured in-process (a small
-//! megafleet cell at `--shards` 1/2/4/8): the cell is seconds, not
-//! minutes, and measuring it here keeps the committed curve tied to the
-//! host metadata (`host.cpus_logical`) that explains its shape — on a
-//! single-CPU host the curve is flat-to-slightly-worse and that is the
-//! correct result, not a regression.
 //!
 //! With no `--out`, the report is written to `BENCH_perf.json` in the
 //! repository root.
@@ -179,38 +172,17 @@ struct Harness {
     run_all_jobs4_s: Option<f64>,
     /// `--jobs` used for the passed-in `run_all` wall times.
     run_all_jobs: Option<usize>,
-    /// `--shards` used for the passed-in `run_all` wall times.
-    run_all_shards: Option<usize>,
     note: String,
 }
 
 /// Where the numbers were measured. `cpus_logical` is the machine's
 /// real logical-CPU count (`/proc/cpuinfo`); `cpus_available` is what
 /// this process may actually use (affinity/cgroup-limited) and is the
-/// number that bounds any `--jobs`/`--shards` wall-clock speedup.
+/// number that bounds any `--jobs` wall-clock speedup.
 #[derive(Serialize)]
 struct HostMeta {
     cpus_logical: usize,
     cpus_available: usize,
-}
-
-/// One point of the intra-cell shard scaling curve.
-#[derive(Serialize)]
-struct ShardPoint {
-    shards: usize,
-    cell_wall_ms: u64,
-    speedup_vs_serial: f64,
-}
-
-/// Wall time of one megafleet cell at increasing `--shards`, measured
-/// in-process (median of `samples` runs per point). Outcomes are
-/// byte-identical across the curve; only the wall time may move.
-#[derive(Serialize)]
-struct ShardCurve {
-    nodes: usize,
-    requests: u64,
-    samples: usize,
-    points: Vec<ShardPoint>,
 }
 
 /// The whole report.
@@ -222,7 +194,6 @@ struct Report {
     kernels: Vec<KernelPair>,
     refit_cost_vs_samples_seen: Vec<RefitScaling>,
     bank_selection_vs_live_slots: Vec<BankSelection>,
-    intra_cell_shard_scaling: ShardCurve,
     telemetry_tax: Vec<TelemetryTax>,
     obs_overhead: ObsOverhead,
     sched_overhead: SchedOverhead,
@@ -582,55 +553,6 @@ fn scratch_pair() -> KernelPair {
     )
 }
 
-/// Measures one megafleet cell at `--shards` 1/2/4/8: median-of-3 wall
-/// time per point, identical outcomes asserted across the curve.
-fn shard_curve() -> ShardCurve {
-    const NODES: usize = 48;
-    const REQUESTS: u64 = 30_000;
-    const RUNS: usize = 3;
-    experiments::prewarm_calibrations();
-    let mut lab = experiments::Lab::new();
-    let base = experiments::megafleet::cell_config(NODES, REQUESTS);
-    let cals = experiments::megafleet::cell_calibrations(&mut lab, &base);
-    let mut serial_ms = 0u64;
-    let mut reference: Option<String> = None;
-    let points = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|shards| {
-            let mut walls: Vec<u128> = (0..RUNS)
-                .map(|_| {
-                    let mut cfg = experiments::megafleet::cell_config(NODES, REQUESTS);
-                    cfg.shards = shards;
-                    let t0 = Instant::now();
-                    let outcome =
-                        cluster::run_cluster(&mut cluster::SimpleBalance::new(), &cfg, &cals);
-                    let wall = t0.elapsed();
-                    let digest = format!("{outcome:?}");
-                    match &reference {
-                        None => reference = Some(digest),
-                        Some(r) => assert_eq!(
-                            *r, digest,
-                            "shard curve outcome diverged at {shards} shards"
-                        ),
-                    }
-                    wall.as_millis()
-                })
-                .collect();
-            walls.sort_unstable();
-            let cell_wall_ms = walls[RUNS / 2] as u64;
-            if shards == 1 {
-                serial_ms = cell_wall_ms;
-            }
-            ShardPoint {
-                shards,
-                cell_wall_ms,
-                speedup_vs_serial: serial_ms as f64 / cell_wall_ms.max(1) as f64,
-            }
-        })
-        .collect();
-    ShardCurve { nodes: NODES, requests: REQUESTS, samples: RUNS, points }
-}
-
 fn tax(name: &str, baseline_ns: u64, disabled_ns: u64, enabled_ns: u64) -> TelemetryTax {
     let over = |ns: u64| ns as f64 / baseline_ns.max(1) as f64 - 1.0;
     TelemetryTax {
@@ -761,7 +683,7 @@ fn obs_overhead() -> ObsOverhead {
         ns_per_sample: monitor_ns,
     });
 
-    // End-to-end: the shard-curve megafleet cell, plane off vs on.
+    // End-to-end: a 48-node megafleet cell, plane off vs on.
     // Rounds interleave the two variants and the fastest round wins:
     // min-of-N discards scheduler noise that a small-sample median would
     // fold into the ratio.
@@ -868,7 +790,7 @@ fn sched_overhead() -> SchedOverhead {
         })
         .collect();
 
-    // End-to-end: the shard-curve megafleet cell under each scheduler,
+    // End-to-end: a 48-node megafleet cell under each scheduler,
     // interleaved rounds, fastest round per policy.
     const NODES: usize = 48;
     const REQUESTS: u64 = 30_000;
@@ -1034,7 +956,6 @@ fn main() {
         ],
         refit_cost_vs_samples_seen: refit_scaling(),
         bank_selection_vs_live_slots: bank_selection(),
-        intra_cell_shard_scaling: shard_curve(),
         telemetry_tax: vec![alignment_tax(), refit_tax()],
         obs_overhead: obs_overhead(),
         sched_overhead: sched_overhead(),
@@ -1044,11 +965,10 @@ fn main() {
             run_all_serial_after_s: arg_secs(&args, "--run-all-after"),
             run_all_jobs4_s: arg_secs(&args, "--run-all-jobs4"),
             run_all_jobs: arg_count(&args, "--run-all-jobs"),
-            run_all_shards: arg_count(&args, "--run-all-shards"),
             note: "harness times are wall-clock runs of `run_all` at full scale; \
                    the before run predates fault_sweep (~14 s of the after total), \
                    so the like-for-like serial speedup is larger than the raw ratio; \
-                   --jobs/--shards speedup requires multiple hardware threads \
+                   --jobs speedup requires multiple hardware threads \
                    (see host.cpus_available)"
                 .to_string(),
         },
@@ -1066,16 +986,6 @@ fn main() {
         eprintln!(
             "  bank window at {:>2} live slots: {:>6} ns (single {:>6} ns, {:+} ns)",
             b.live_slots, b.bank_ns, b.single_ns, b.overhead_ns
-        );
-    }
-    for p in &report.intra_cell_shard_scaling.points {
-        eprintln!(
-            "  megafleet cell ({} nodes, {} req) at {} shard(s): {:>6} ms ({:.2}x)",
-            report.intra_cell_shard_scaling.nodes,
-            report.intra_cell_shard_scaling.requests,
-            p.shards,
-            p.cell_wall_ms,
-            p.speedup_vs_serial
         );
     }
     for t in &report.telemetry_tax {

@@ -1,9 +1,9 @@
 //! The power-aware elastic autoscaler and its graceful-brownout ladder.
 //!
 //! [`Autoscaler`] is a *pure* controller: the engine hands it one
-//! [`FleetSample`] per evaluation interval at a tick barrier (on the
-//! driving thread, so decisions are byte-identical at every `--shards`
-//! and `--jobs` count) and receives back a [`ScaleDecision`] plus the
+//! [`FleetSample`] per evaluation interval at a tick barrier (so
+//! decisions are a deterministic function of the seeded run, identical
+//! at every `--jobs` count) and receives back a [`ScaleDecision`] plus the
 //! [`BrownoutLevel`] to hold. All actuation — provisioning standby
 //! nodes through the Down→WarmingUp→Healthy lifecycle, draining
 //! scale-in victims, shedding optional sessions, tightening admission,

@@ -11,7 +11,7 @@
 //!   heterogeneity-aware);
 //! * [`topology`] — heterogeneous fleet construction: arbitrary machine
 //!   mixes arranged into multi-stage serving tiers (web → app → db);
-//! * [`sim`] — the sharded N-node serving simulation: a tick-batched
+//! * [`sim`] — the N-node serving simulation: a tick-batched
 //!   dispatcher drives a deterministic open-loop load through the
 //!   pipeline, request tags propagate across node boundaries on the
 //!   socket path (and degrade under tag faults exactly as on one
@@ -31,10 +31,7 @@
 //! println!("total energy rate: {:.1} W", outcome.total_energy_rate_w());
 //! ```
 
-// `deny`, not `forbid`: the sharded engine carries one audited
-// exception (the `Send` bound on its per-node runtime bundle — see
-// `sim::Node`); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autoscale;

@@ -1,19 +1,17 @@
 //! The always-on observability plane of the cluster engine.
 //!
 //! Layered on `telemetry::obs`: the engine drives one [`ObsPlane`] per
-//! run from the dispatcher thread. Per-request latency lands in
-//! bounded-memory quantile sketches as requests complete; once per
-//! window the plane reads every node's cumulative active/attributed
-//! energy *in node order* (at a tick barrier, so the numbers are
-//! identical at any `--shards`/`--jobs` count), folds the deltas into
-//! time-bucketed rollups, and feeds the energy-SLO burn-rate monitor.
-//! Newly fired alerts are stamped with simulated time and emitted both
-//! into the telemetry stream (category `obs`, dispatcher track) and
-//! into [`ObsOutcome`].
+//! run from the dispatcher. Per-request latency lands in bounded-memory
+//! quantile sketches as requests complete; once per window the plane
+//! reads every node's cumulative active/attributed energy *in node
+//! order* at a tick barrier, folds the deltas into time-bucketed
+//! rollups, and feeds the energy-SLO burn-rate monitor. Newly fired
+//! alerts are stamped with simulated time and emitted both into the
+//! telemetry stream (category `obs`, dispatcher track) and into
+//! [`ObsOutcome`].
 //!
-//! Nothing here samples inside the shard threads: all observability
-//! state lives on the driving thread, which is what makes the plane
-//! deterministic by construction rather than by synchronization.
+//! The plane samples only at tick barriers, never mid-advance, so its
+//! output is a deterministic function of the seeded run.
 
 use crate::sim::DISPATCHER_TRACK;
 use simkern::{SimDuration, SimTime};

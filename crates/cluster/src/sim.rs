@@ -1,4 +1,4 @@
-//! The sharded N-node serving simulation (paper §3.4, §4.4, scaled).
+//! The N-node serving simulation (paper §3.4, §4.4, scaled).
 //!
 //! Each node is a full machine + kernel + facility running the worker
 //! pools of every application. Nodes are arranged into serving tiers
@@ -53,14 +53,14 @@ use crate::policy::{ArrivalView, DistributionPolicy, NodeView};
 use crate::topology::{generation_rank, Topology};
 use analysis::stats::Summary;
 use hwsim::{plan_node_faults, DutyCycle, FaultConfig, Machine, MachineSpec, NodeFaultWindow};
-use ossim::{ContextId, Kernel, KernelConfig, SocketId};
+use ossim::{ContextId, Kernel, KernelConfig, Segment, SocketId};
 use power_containers::{
     Approach, ConditioningPolicy, FacilityConfig, FacilityState, ManagerCheckpoint,
     PowerContainerFacility,
 };
 use simkern::{FxHashMap, SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use workloads::{
     AppEnv, Arrival, MachineCalibration, OpenLoopGen, RunStats, ServerApp, TrafficGen,
@@ -113,14 +113,6 @@ pub struct ClusterConfig {
     /// fault windows and per-node facility events on track `10 + n`.
     /// Disabled by default.
     pub telemetry: telemetry::Telemetry,
-    /// Intra-cell worker shards: the node set is partitioned into this
-    /// many contiguous chunks, and each chunk's kernels advance on
-    /// their own thread between tick barriers. Every dispatcher
-    /// decision, all cross-node traffic, and the telemetry/accounting
-    /// merges stay on the driving thread in node order, so records,
-    /// traces, and outcomes are byte-identical at every shard count
-    /// (`1` — the default — runs fully inline).
-    pub shards: usize,
     /// Self-calibrating model bank. When set, every node runs the
     /// `Recalibrated` approach with a per-regime [`ModelBank`]
     /// (keyed by machine generation × DVFS level × workload mix)
@@ -171,7 +163,6 @@ impl ClusterConfig {
             recovery: None,
             admission: None,
             telemetry: telemetry::Telemetry::disabled(),
-            shards: 1,
             model_bank: None,
             obs: None,
             sched: vec![ossim::SchedulerKind::RoundRobin],
@@ -180,8 +171,8 @@ impl ClusterConfig {
         }
     }
 
-    /// A config serving the paper's GAE-Vosao + RSA-crypto mix on an
-    /// arbitrary [`Topology`].
+    /// A config for any [`Topology`], serving the paper's GAE-Vosao +
+    /// RSA-crypto mix.
     pub fn sharded(topology: &Topology) -> ClusterConfig {
         ClusterConfig {
             nodes: topology.flat_specs(),
@@ -503,16 +494,133 @@ enum Lifecycle {
     WarmingUp { until: SimTime },
 }
 
-struct Node {
+/// One incarnation of a node: the kernel with the facility hooked in,
+/// the app worker pools, and the dispatcher's reply socket. A crash
+/// restart or a scale-out landing replaces it wholesale; everything
+/// that outlives an incarnation stays on [`Node`].
+struct Runtime {
     kernel: Kernel,
     facility: Rc<RefCell<FacilityState>>,
-    stats: Rc<RefCell<RunStats>>,
     /// Per-app worker inboxes, with a round-robin cursor each.
     inboxes: Vec<(Vec<SocketId>, usize)>,
     /// Dispatcher-side endpoint of this node's completion channel; the
     /// worker pools respond here while still bound, so replies carry
     /// the request tag back across the node boundary (§3.4).
     reply_rx: SocketId,
+}
+
+impl Runtime {
+    /// Boots incarnation `incarnation` of node `n` at `start`. The
+    /// incarnation salts every seed; incarnation 0 reduces exactly to
+    /// the legacy seed derivation, so crash-free runs are
+    /// byte-identical to the pre-recovery engine. `stats` and `tele`
+    /// are the node's, shared by all its incarnations.
+    fn boot(
+        bp: &Blueprint,
+        n: usize,
+        incarnation: u32,
+        start: SimTime,
+        stats: &Rc<RefCell<RunStats>>,
+        tele: &telemetry::Telemetry,
+    ) -> Runtime {
+        let cfg = bp.cfg;
+        let cal = &bp.cals[n];
+        let spec = &cfg.nodes[n];
+        let inc = incarnation as u64;
+        // With a model bank the node runs the full recalibration loop
+        // (meter alignment + per-regime refits); otherwise the legacy
+        // fixed ChipShare model, byte-identical to pre-bank runs.
+        let approach =
+            if cfg.model_bank.is_some() { Approach::Recalibrated } else { Approach::ChipShare };
+        let meter = (approach == Approach::Recalibrated).then(|| {
+            if spec.meters.iter().any(|m| m.name == "on-chip") { "on-chip" } else { "wattsup" }
+        });
+        let recalibrate_every = if meter == Some("wattsup") { 2 } else { 16 };
+        let model_bank = cfg.model_bank.clone().map(|mut bank| {
+            // Keep the bank's per-slot refit cadence in lockstep with the
+            // facility's per-meter cadence, as the workloads harness does.
+            bank.recalibrate_every = recalibrate_every;
+            bank
+        });
+        let facility = PowerContainerFacility::new(
+            cal.model_for(approach),
+            (approach == Approach::Recalibrated).then_some(&cal.set),
+            spec,
+            FacilityConfig {
+                approach,
+                meter,
+                meter_idle_w: meter.map(|m| cal.meter_idle(m)).unwrap_or(0.0),
+                align_every: if meter == Some("wattsup") { 4 } else { 16 },
+                recalibrate_every,
+                model_bank,
+                // Records feed the §3.4 response tagging: each completed
+                // request's cumulative energy flows back to the
+                // dispatcher for comprehensive accounting.
+                retain_records: true,
+                // A cluster-wide cap decomposes into per-node shares
+                // enforced by ordinary per-request conditioning.
+                conditioning: cfg.power_cap_w.map(|cap| {
+                    ConditioningPolicy::node_share(cap, spec.total_cores(), bp.total_cores)
+                }),
+                // The node's private sink, merged into the main one in
+                // node order at each tick barrier. (Kernel-level tracing
+                // stays off here: per-tick switch events across N nodes
+                // would dwarf the facility signal.)
+                telemetry: tele.clone(),
+                ..FacilityConfig::default()
+            },
+        );
+        let state = facility.state();
+        let mut machine = Machine::new(
+            spec.clone(),
+            cfg.seed.wrapping_add(n as u64).wrapping_add(inc.wrapping_mul(0xA076_1D64_78BD_642F)),
+        );
+        if cfg.faults.is_active() {
+            // Same fault profile on every node, decorrelated by seed.
+            machine.set_fault_config(FaultConfig {
+                seed: (cfg.faults.seed ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .wrapping_add(inc.wrapping_mul(0xE703_7ED1_A0B4_28DB)),
+                ..cfg.faults.clone()
+            });
+        }
+        // Kernel-level tracing stays off in cluster nodes; only the
+        // scheduling policy is taken from the cluster config.
+        let kernel_config = KernelConfig { sched: cfg.sched_for(n), ..KernelConfig::default() };
+        let mut kernel = Kernel::new(machine, kernel_config);
+        // A restarted incarnation boots at the crash instant: the empty
+        // kernel fast-forwards to `start` *before* the facility or any app
+        // task exists, so no incarnation ever replays (or re-accrues energy
+        // for) the interval it was dead. Incarnation 0 starts at zero and
+        // this is a no-op.
+        kernel.run_until(start);
+        kernel.install_hooks(Box::new(facility));
+        let (notify_tx, reply_rx) = kernel.new_socket_pair();
+        let mut inboxes = Vec::new();
+        for app in &bp.apps {
+            let env = AppEnv {
+                stats: Rc::clone(stats),
+                workers: cfg.workers_per_core * spec.total_cores(),
+                spec: spec.clone(),
+                seed: cfg
+                    .seed
+                    .wrapping_add(1000 + n as u64)
+                    .wrapping_add(inc.wrapping_mul(0x2545_F491_4F6C_DD1D)),
+                notify: Some(notify_tx),
+            };
+            inboxes.push((app.setup(&mut kernel, &env), 0usize));
+        }
+        Runtime { kernel, facility: state, inboxes, reply_rx }
+    }
+}
+
+/// One node across its whole life: the current incarnation's
+/// [`Runtime`] plus everything the dispatcher keeps across crash
+/// restarts and resizes.
+struct Node {
+    rt: Runtime,
+    /// Flat node index.
+    index: usize,
+    stats: Rc<RefCell<RunStats>>,
     /// Expected service seconds of each outstanding request, by serial.
     /// Keyed through the deterministic [`FxHashMap`]; every reader that
     /// iterates it sorts first.
@@ -541,9 +649,9 @@ struct Node {
     /// rebuilds the node (journaling the loss) before anything else
     /// touches it.
     pending_crash: bool,
-    /// Restart count; salts the rebuilt kernel's seeds so incarnations
-    /// draw decorrelated randomness (incarnation 0 reduces to the
-    /// legacy seeds exactly).
+    /// Incarnations booted after the first (crash restarts and
+    /// scale-out landings); salts the rebuilt kernel's seeds so
+    /// incarnations draw decorrelated randomness.
     incarnation: u32,
     crashes: u32,
     /// Active energy of dead incarnations, Joules.
@@ -556,7 +664,8 @@ struct Node {
     carried_degrade: power_containers::DegradeStats,
     /// Attributed energy lost in crash loss windows, Joules.
     lost_energy_j: f64,
-    /// In-flight requests killed by crashes on this node.
+    /// In-flight requests killed by crashes (or forced drains) on this
+    /// node.
     lost_requests: u64,
     /// Latest container-state journal entry.
     last_checkpoint: ManagerCheckpoint,
@@ -573,26 +682,208 @@ struct Node {
     uptime_s: f64,
     /// This node's private trace sink, shared only with this node's
     /// facility. The engine drains it into the main sink in node order
-    /// at every tick barrier and folds the metrics registry in at the
-    /// end, so the exported trace is identical at every shard count.
+    /// at every tick barrier and folds its metrics registry in at the
+    /// end. The per-node sinks define the trace contract: within a
+    /// tick, node events appear grouped by node index ahead of the
+    /// dispatcher's own, and a gauge that every node sets (the
+    /// facility sets some on each PMU interrupt) ends the run holding
+    /// the last node's value.
     tele: telemetry::Telemetry,
-    /// This node's trace track (`10 + node index`).
-    track: u32,
 }
 
-// SAFETY: a `Node` is a self-contained simulation: its kernel, the app
-// tasks inside it, the facility hooks, and the `stats`/`facility`
-// handles all point into one object graph built by
-// `build_node_runtime` for this node alone (the non-`Send` `Rc`s never
-// cross a node boundary), and `tele` is its private `Arc`-backed sink.
-// The engine moves whole nodes across shard threads at tick barriers
-// and never lets two threads touch one node concurrently: shards own
-// disjoint `&mut [Node]` chunks and the scope join is the
-// synchronization point before the driving thread resumes.
-#[allow(unsafe_code)]
-unsafe impl Send for Node {}
-
 impl Node {
+    /// Boots node `n` of tier `tier` for the start of the run:
+    /// incarnation 0 at time zero, active unless autoscaling holds it
+    /// in standby.
+    fn boot(bp: &Blueprint, n: usize, tier: usize, active: bool) -> Node {
+        let stats = Rc::new(RefCell::new(RunStats::new()));
+        let tele = if bp.cfg.telemetry.enabled() {
+            telemetry::Telemetry::recording()
+        } else {
+            telemetry::Telemetry::disabled()
+        };
+        let rt = Runtime::boot(bp, n, 0, SimTime::ZERO, &stats, &tele);
+        Node {
+            rt,
+            index: n,
+            stats,
+            outstanding: FxHashMap::default(),
+            outstanding_std: 0.0,
+            mean_service: bp.service[n].iter().sum::<f64>() / bp.apps.len() as f64,
+            injected: 0,
+            responses: 0,
+            tier,
+            fault_windows: Vec::new(),
+            next_window: 0,
+            active_window: None,
+            breaker: Breaker::new(),
+            lifecycle: Lifecycle::Healthy,
+            warmup: bp.cfg.faults.node_warmup_len,
+            pending_crash: false,
+            incarnation: 0,
+            crashes: 0,
+            carried_energy_j: 0.0,
+            carried_fault_counts: [0; hwsim::FaultKind::ALL.len()],
+            carried_tags_lost: 0,
+            carried_tags_corrupted: 0,
+            carried_degrade: power_containers::DegradeStats::default(),
+            lost_energy_j: 0.0,
+            lost_requests: 0,
+            last_checkpoint: ManagerCheckpoint::empty(),
+            next_checkpoint_at: bp.next_checkpoint(SimTime::ZERO),
+            checkpoints: 0,
+            last_health_check: SimTime::ZERO,
+            responses_at_check: 0,
+            scale: if active { ScaleState::Active } else { ScaleState::Standby },
+            active_since: active.then_some(SimTime::ZERO),
+            uptime_s: 0.0,
+            tele,
+        }
+    }
+
+    /// This node's trace track (`10 + node index`).
+    fn track(&self) -> u32 {
+        node_track(self.index)
+    }
+
+    /// Replaces the dead or frozen incarnation with a fresh one booted
+    /// at `at`: carries its energy, fault, tag and degradation counters
+    /// over, restores the container journal and re-journals it at once
+    /// (so a back-to-back crash cannot lose the same window twice), and
+    /// restarts the health probe at `now`. Returns the live containers
+    /// the restore force-released.
+    fn reincarnate(&mut self, bp: &Blueprint, at: SimTime, now: SimTime) -> u64 {
+        let m = self.rt.kernel.machine();
+        self.carried_energy_j += m.true_active_energy_j();
+        for (tot, c) in self.carried_fault_counts.iter_mut().zip(m.fault_log().counts()) {
+            *tot += c;
+        }
+        let ks = self.rt.kernel.stats();
+        self.carried_tags_lost += ks.tags_lost;
+        self.carried_tags_corrupted += ks.tags_corrupted;
+        self.carried_degrade += self.rt.facility.borrow().degrade_stats();
+        self.incarnation += 1;
+        self.rt = Runtime::boot(bp, self.index, self.incarnation, at, &self.stats, &self.tele);
+        let restored =
+            self.rt.facility.borrow_mut().containers_mut().restore(&self.last_checkpoint, at);
+        self.journal(at);
+        self.next_checkpoint_at = bp.next_checkpoint(now);
+        self.responses_at_check = self.responses;
+        self.last_health_check = now;
+        restored
+    }
+
+    /// Journals the container state at `at`.
+    fn journal(&mut self, at: SimTime) {
+        self.last_checkpoint = self.rt.facility.borrow().containers().checkpoint(at);
+        self.checkpoints += 1;
+    }
+
+    /// Kills every outstanding request (a crash or a forced drain):
+    /// returns their serials in order, empties the load estimate and
+    /// books them lost.
+    fn kill_outstanding(&mut self) -> Vec<u64> {
+        let mut killed: Vec<u64> = self.outstanding.keys().copied().collect();
+        killed.sort_unstable();
+        self.outstanding.clear();
+        self.outstanding_std = 0.0;
+        self.lost_requests += killed.len() as u64;
+        killed
+    }
+
+    /// Handles the crash window `w` that stopped this node's advance:
+    /// books the loss window (attributed energy since the last
+    /// checkpoint), kills the in-flight requests, reboots at the crash
+    /// instant and holds the breaker open until the window ends.
+    /// Returns the killed serials and the crash record.
+    fn restart_after_crash(
+        &mut self,
+        bp: &Blueprint,
+        w: NodeFaultWindow,
+        now: SimTime,
+    ) -> (Vec<u64>, CrashRecord) {
+        let checkpoint_age = w.start.duration_since(self.last_checkpoint.taken_at);
+        let lost_energy_j =
+            (self.attributed_energy_j() - self.last_checkpoint.attributed_energy_j()).max(0.0);
+        self.lost_energy_j += lost_energy_j;
+        let killed = self.kill_outstanding();
+        self.crashes += 1;
+        let restored_containers = self.reincarnate(bp, w.start, now);
+        self.breaker =
+            Breaker { state: BreakerState::Open { until: w.end }, backoff: PENALTY_BASE };
+        self.pending_crash = false;
+        let record = CrashRecord {
+            node: self.index,
+            at: w.start,
+            restarted_at: w.end,
+            lost_energy_j,
+            lost_requests: killed.len() as u64,
+            restored_containers,
+            checkpoint_age,
+        };
+        (killed, record)
+    }
+
+    /// Lands a provisioned node at `now`: the crash-restart path minus
+    /// the loss window. Fault windows that opened while the node was
+    /// frozen never happened for it; it warms up for `warmup`.
+    fn land(&mut self, bp: &Blueprint, now: SimTime, warmup: SimDuration) {
+        self.reincarnate(bp, now, now);
+        while self.next_window < self.fault_windows.len()
+            && self.fault_windows[self.next_window].start < now
+        {
+            self.next_window += 1;
+        }
+        self.active_window = None;
+        self.breaker = Breaker::new();
+        self.lifecycle = Lifecycle::WarmingUp { until: now + warmup };
+        self.scale = ScaleState::Active;
+        self.active_since = Some(now);
+    }
+
+    /// Freezes a draining node to standby at `now`, first killing its
+    /// stragglers when the drain is `forced`. The final checkpoint is
+    /// taken at the freeze instant, so the journaled loss is *exactly*
+    /// zero (attribution accrues into the same totals the checkpoint
+    /// snapshots — unlike a crash, which loses everything since the
+    /// last periodic journal entry); a forced drain's killed requests
+    /// keep their partial work attributed, so it loses requests but not
+    /// energy. Returns the killed serials and the journaled loss.
+    fn retire(&mut self, now: SimTime, forced: bool) -> (Vec<u64>, f64) {
+        let killed = if forced { self.kill_outstanding() } else { Vec::new() };
+        if self.active_window.take().is_some() {
+            self.tele.end_span(now, self.track());
+        }
+        self.journal(now);
+        self.next_checkpoint_at = SimTime::MAX;
+        // The live totals and the checkpoint sum the same per-container
+        // energies in different association orders, so a clean drain
+        // can read a few ULPs apart; below a nanojoule the checkpoint IS
+        // the state (a real crash loss window is joules).
+        let raw = self.attributed_energy_j() - self.last_checkpoint.attributed_energy_j();
+        let lost_energy_j = if raw < 1e-9 { 0.0 } else { raw };
+        self.close_uptime(now);
+        self.lifecycle = Lifecycle::Healthy;
+        self.breaker = Breaker::new();
+        self.scale = ScaleState::Standby;
+        (killed, lost_energy_j)
+    }
+
+    /// Ends the current active stretch (if any) at `now`.
+    fn close_uptime(&mut self, now: SimTime) {
+        if let Some(s) = self.active_since.take() {
+            self.uptime_s += now.duration_since(s).as_secs_f64();
+        }
+    }
+
+    /// `true` when the autoscaler may drain this node: active, healthy
+    /// and not mid-crash.
+    fn drainable(&self) -> bool {
+        self.scale == ScaleState::Active
+            && self.lifecycle == Lifecycle::Healthy
+            && !self.pending_crash
+    }
+
     /// Removes `serial` from the outstanding estimate.
     fn settle(&mut self, serial: u64) {
         if let Some(secs) = self.outstanding.remove(&serial) {
@@ -601,12 +892,23 @@ impl Node {
         self.responses += 1;
     }
 
-    /// Adds `serial` (with service estimate `secs`) to the outstanding
-    /// estimate.
-    fn assign(&mut self, serial: u64, secs: f64) {
+    /// Injects one stage of `fl` into this node as wire serial `serial`
+    /// (expected service `secs`), carrying `fl.wire` as the context tag:
+    /// the true identity at dispatch, whatever tag the previous stage's
+    /// reply carried at a hop.
+    fn inject(&mut self, fl: &InFlight, serial: u64, secs: f64, t: SimTime) {
+        if let Some(ctx) = fl.wire {
+            self.stats.borrow_mut().record_arrival(ctx, fl.label, t);
+            self.rt.facility.borrow_mut().containers_mut().set_label(ctx, fl.label, t);
+        }
         self.outstanding.insert(serial, secs);
         self.outstanding_std += secs / self.mean_service;
         self.injected += 1;
+        let (inbox_list, cursor) = &mut self.rt.inboxes[fl.app];
+        let inbox = inbox_list[*cursor % inbox_list.len()];
+        *cursor += 1;
+        let payload = (serial << 32) | fl.label as u64;
+        self.rt.kernel.inject_message(inbox, 512, fl.wire, payload);
     }
 
     /// Advances the node's kernel to `t`, applying any fault-window
@@ -636,7 +938,7 @@ impl Node {
                 Some(w) => {
                     match w.kind {
                         hwsim::FaultKind::NodeSlowdown => {
-                            self.kernel.run_until(boundary);
+                            self.rt.kernel.run_until(boundary);
                             self.set_all_duty(DutyCycle::FULL);
                         }
                         hwsim::FaultKind::NodeCrash => {
@@ -651,12 +953,12 @@ impl Node {
                         // the backlog.
                         _ => {}
                     }
-                    self.tele.end_span(w.end, self.track);
+                    self.tele.end_span(w.end, self.track());
                 }
                 None => {
                     let w = self.fault_windows[self.next_window];
                     self.next_window += 1;
-                    self.kernel.run_until(w.start);
+                    self.rt.kernel.run_until(w.start);
                     match w.kind {
                         hwsim::FaultKind::NodeSlowdown => {
                             self.set_all_duty(DutyCycle::at_most(w.factor));
@@ -664,12 +966,12 @@ impl Node {
                                 w.start,
                                 "cluster",
                                 "slowdown",
-                                self.track,
+                                self.track(),
                                 &[("factor", w.factor.into())],
                             );
                         }
                         hwsim::FaultKind::NodeCrash => {
-                            self.tele.begin_span(w.start, "cluster", "crash", self.track, &[]);
+                            self.tele.begin_span(w.start, "cluster", "crash", self.track(), &[]);
                             self.lifecycle = Lifecycle::Down { until: w.end };
                             self.pending_crash = true;
                             self.active_window = Some(w);
@@ -680,7 +982,7 @@ impl Node {
                                 w.start,
                                 "cluster",
                                 "blackout",
-                                self.track,
+                                self.track(),
                                 &[],
                             );
                         }
@@ -696,13 +998,13 @@ impl Node {
             Some(w) if w.kind != hwsim::FaultKind::NodeSlowdown
         );
         if !frozen {
-            self.kernel.run_until(t);
+            self.rt.kernel.run_until(t);
         }
     }
 
     fn set_all_duty(&mut self, duty: DutyCycle) {
-        for c in 0..self.kernel.machine().spec().total_cores() {
-            self.kernel.machine_mut().set_duty_cycle(hwsim::CoreId(c), duty);
+        for c in 0..self.rt.kernel.machine().spec().total_cores() {
+            self.rt.kernel.machine_mut().set_duty_cycle(hwsim::CoreId(c), duty);
         }
     }
 
@@ -722,7 +1024,7 @@ impl Node {
         match self.lifecycle {
             Lifecycle::Down { .. } => false,
             Lifecycle::WarmingUp { .. } => {
-                self.outstanding_std < self.kernel.machine().spec().total_cores() as f64
+                self.outstanding_std < self.rt.kernel.machine().spec().total_cores() as f64
                     && self.breaker.admits(now)
             }
             Lifecycle::Healthy => self.breaker.admits(now),
@@ -773,7 +1075,7 @@ impl Node {
     /// Graceful-degradation counters across every incarnation, so the
     /// fleet totals stay cumulative through crash restarts.
     fn degrade_stats(&self) -> power_containers::DegradeStats {
-        self.carried_degrade + self.facility.borrow().degrade_stats()
+        self.carried_degrade + self.rt.facility.borrow().degrade_stats()
     }
 
     /// Energy the facility attributed on this node (requests +
@@ -781,11 +1083,44 @@ impl Node {
     /// `workloads::RunOutcome::attributed_energy_j`. After a restart
     /// this reads the restored-checkpoint totals plus everything since.
     fn attributed_energy_j(&self) -> f64 {
-        let f = self.facility.borrow();
+        let f = self.rt.facility.borrow();
         let c = f.containers();
         c.total_energy_with_background_j()
             + c.total_request_io_energy_j()
             + c.background().io_energy_j()
+    }
+
+    /// Active energy drawn across every incarnation, Joules.
+    fn active_energy_j(&self) -> f64 {
+        self.carried_energy_j + self.rt.kernel.machine().true_active_energy_j()
+    }
+
+    /// This node's share of the run's outcome (`secs` is the run
+    /// length).
+    fn outcome(&self, secs: f64) -> NodeOutcome {
+        let m = self.rt.kernel.machine();
+        let cores = m.spec().total_cores();
+        let util = (0..cores)
+            .map(|c| m.counters(hwsim::CoreId(c)).core_utilization())
+            .sum::<f64>()
+            / cores as f64;
+        let active_energy_j = self.active_energy_j();
+        NodeOutcome {
+            machine: m.spec().name,
+            tier: self.tier,
+            active_energy_j,
+            attributed_energy_j: self.attributed_energy_j(),
+            energy_rate_w: active_energy_j / secs,
+            dispatched: self.injected,
+            completions: self.responses as usize,
+            in_flight: self.outstanding.len() as u64,
+            lost_requests: self.lost_requests,
+            lost_energy_j: self.lost_energy_j,
+            crashes: self.crashes as u64,
+            utilization: util,
+            uptime_s: self.uptime_s,
+            idle_energy_j: m.spec().truth.machine_idle_w() * self.uptime_s,
+        }
     }
 }
 
@@ -1028,7 +1363,7 @@ pub fn run_cluster(
         1,
         "run_cluster drives a single-tier cluster; use run_pipeline for multi-stage"
     );
-    run_engine(&mut [policy], cfg, cals)
+    Fleet::new(&mut [policy], cfg, cals).run()
 }
 
 /// Runs a multi-stage cluster, one policy per tier (`policies[t]`
@@ -1040,7 +1375,7 @@ pub fn run_pipeline(
 ) -> ClusterOutcome {
     let mut refs: Vec<&mut dyn DistributionPolicy> =
         policies.iter_mut().map(|p| p.as_mut() as &mut dyn DistributionPolicy).collect();
-    run_engine(&mut refs, cfg, cals)
+    Fleet::new(&mut refs, cfg, cals).run()
 }
 
 /// Incrementally maintained per-tier routing views: one dense
@@ -1193,112 +1528,6 @@ fn app_of(ctx_app: &[u8], ctx: ossim::ContextId) -> Option<usize> {
         .map(|&a| a as usize)
 }
 
-/// Chooses a node of `tier` for `req` via `policy`, applying the
-/// availability/reroute machinery. `views` is the tier's incrementally
-/// maintained routing slice (same order as `tier`). Returns the flat
-/// node index, or `None` when every node of the tier is unavailable
-/// (the caller sheds or retries).
-#[allow(clippy::too_many_arguments)]
-fn route(
-    policy: &mut dyn DistributionPolicy,
-    tier: &[usize],
-    views: &[NodeView],
-    nodes: &[Node],
-    req: ArrivalView,
-    t: SimTime,
-    tele: &telemetry::Telemetry,
-    rerouted: &mut u64,
-    decisions: &mut u64,
-) -> Option<usize> {
-    if tier.is_empty() {
-        // A fully drained tier (possible only transiently under
-        // autoscaling) routes nowhere; the caller sheds or retries.
-        return None;
-    }
-    *decisions += 1;
-    let mut chosen = tier[policy.choose(req, views)];
-    if !nodes[chosen].available(t) {
-        // Bounded retry: probe the tier's remaining nodes for the
-        // available one with the least outstanding work; if every node
-        // is unavailable, hand the request back to the caller rather
-        // than pile onto a degraded machine.
-        let alt = tier
-            .iter()
-            .copied()
-            .filter(|&i| i != chosen && nodes[i].available(t))
-            .min_by(|&a, &b| nodes[a].outstanding_std.total_cmp(&nodes[b].outstanding_std));
-        match alt {
-            Some(i) => {
-                tele.instant_on(
-                    t,
-                    "cluster",
-                    "reroute",
-                    DISPATCHER_TRACK,
-                    &[("from", (chosen as u64).into()), ("to", (i as u64).into())],
-                );
-                tele.add_count("cluster.rerouted", 1);
-                chosen = i;
-                *rerouted += 1;
-            }
-            None => return None,
-        }
-    }
-    Some(chosen)
-}
-
-/// Injects one stage of `serial` into `node`, with the given context
-/// tag on the wire (`Some` true identity at dispatch; whatever tag the
-/// previous stage's reply carried at a hop).
-fn inject_stage(
-    node: &mut Node,
-    app_idx: usize,
-    serial: u64,
-    label: u32,
-    wire_ctx: Option<ContextId>,
-    secs: f64,
-    t: SimTime,
-) {
-    if let Some(ctx) = wire_ctx {
-        node.stats.borrow_mut().record_arrival(ctx, label, t);
-        node.facility.borrow_mut().containers_mut().set_label(ctx, label, t);
-    }
-    node.assign(serial, secs);
-    let (inbox_list, cursor) = &mut node.inboxes[app_idx];
-    let inbox = inbox_list[*cursor % inbox_list.len()];
-    *cursor += 1;
-    let payload = (serial << 32) | label as u64;
-    node.kernel.inject_message(inbox, 512, wire_ctx, payload);
-}
-
-/// Sends `fl`'s current stage to `node` as the primary attempt with a
-/// fresh wire `serial`, arming the per-hop deadline and refreshing the
-/// node's routing view.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_attempt(
-    target: usize,
-    node: &mut Node,
-    views: &mut TierViews,
-    fl: &mut InFlight,
-    serial_req: &mut SerialMap,
-    req_id: u64,
-    serial: u64,
-    secs: f64,
-    recovery: Option<&RecoveryConfig>,
-    t: SimTime,
-) {
-    fl.node = target;
-    fl.serial = serial;
-    fl.sent_at = t;
-    fl.waiting = false;
-    fl.deadline = match recovery {
-        Some(rec) => t + hop_deadline(rec, secs),
-        None => SimTime::MAX,
-    };
-    serial_req.insert(serial, req_id);
-    inject_stage(node, fl.app, serial, fl.label, fl.wire, secs, t);
-    views.sync(target, node.outstanding_std);
-}
-
 /// Deadline of one hop with expected service time `secs`.
 fn hop_deadline(rec: &RecoveryConfig, secs: f64) -> SimDuration {
     SimDuration::from_secs_f64(secs * rec.hop_timeout_mult).max(rec.min_timeout)
@@ -1316,191 +1545,20 @@ fn retry_backoff(rec: &RecoveryConfig, seed: u64, req_id: u64, attempt: u32) -> 
     SimDuration::from_nanos(exp.saturating_add(rng.next_below(base)))
 }
 
-/// Counts and traces one typed shed.
-fn note_shed(
-    tele: &telemetry::Telemetry,
-    shed: &mut [u64; ShedReason::ALL.len()],
-    dropped: &mut u64,
-    t: SimTime,
-    reason: ShedReason,
-) {
-    shed[reason.index()] += 1;
-    *dropped += 1;
-    tele.instant_on(
-        t,
-        "cluster",
-        "shed",
-        DISPATCHER_TRACK,
-        &[("reason", (reason.index() as u64).into())],
-    );
-    tele.add_count("cluster.dropped", 1);
-    tele.add_count(reason.counter(), 1);
-}
-
-/// Parks `fl` in the retry queue with backoff + jitter.
-#[allow(clippy::too_many_arguments)]
-fn schedule_retry(
-    tele: &telemetry::Telemetry,
-    retry_queue: &mut BTreeMap<(SimTime, u64), ()>,
-    rec: &RecoveryConfig,
-    seed: u64,
-    req_id: u64,
-    fl: &mut InFlight,
-    retried: &mut u64,
-    t: SimTime,
-) {
-    fl.attempt += 1;
-    *retried += 1;
-    fl.waiting = true;
-    let delay = retry_backoff(rec, seed, req_id, fl.attempt);
-    retry_queue.insert((t + delay, req_id), ());
-    tele.instant_on(
-        t,
-        "cluster",
-        "retry",
-        DISPATCHER_TRACK,
-        &[("attempt", (fl.attempt as u64).into())],
-    );
-    tele.add_count("cluster.retried", 1);
-}
-
-/// Builds (or rebuilds, after a crash) node `n`'s kernel, facility and
-/// worker pools. `incarnation` salts every seed; incarnation 0 reduces
-/// exactly to the legacy seed derivation, so crash-free runs are
-/// byte-identical to the pre-recovery engine.
-/// Everything `build_node_runtime` hands back: the kernel, its
-/// facility state, the per-app worker inboxes, and the reply socket.
-type NodeRuntime = (Kernel, Rc<RefCell<FacilityState>>, Vec<(Vec<SocketId>, usize)>, SocketId);
-
-#[allow(clippy::too_many_arguments)]
-fn build_node_runtime(
-    n: usize,
-    incarnation: u32,
-    start: SimTime,
-    cfg: &ClusterConfig,
-    cal: &MachineCalibration,
-    apps: &[Box<dyn ServerApp>],
-    total_cores: usize,
-    stats: Rc<RefCell<RunStats>>,
-    tele: &telemetry::Telemetry,
-) -> NodeRuntime {
-    let spec = &cfg.nodes[n];
-    let inc = incarnation as u64;
-    // With a model bank the node runs the full recalibration loop
-    // (meter alignment + per-regime refits); otherwise the legacy
-    // fixed ChipShare model, byte-identical to pre-bank runs.
-    let approach =
-        if cfg.model_bank.is_some() { Approach::Recalibrated } else { Approach::ChipShare };
-    let meter = (approach == Approach::Recalibrated).then(|| {
-        if spec.meters.iter().any(|m| m.name == "on-chip") { "on-chip" } else { "wattsup" }
-    });
-    let recalibrate_every = if meter == Some("wattsup") { 2 } else { 16 };
-    let model_bank = cfg.model_bank.clone().map(|mut bank| {
-        // Keep the bank's per-slot refit cadence in lockstep with the
-        // facility's per-meter cadence, as the workloads harness does.
-        bank.recalibrate_every = recalibrate_every;
-        bank
-    });
-    let facility = PowerContainerFacility::new(
-        cal.model_for(approach),
-        (approach == Approach::Recalibrated).then_some(&cal.set),
-        spec,
-        FacilityConfig {
-            approach,
-            meter,
-            meter_idle_w: meter.map(|m| cal.meter_idle(m)).unwrap_or(0.0),
-            align_every: if meter == Some("wattsup") { 4 } else { 16 },
-            recalibrate_every,
-            model_bank,
-            // Records feed the §3.4 response tagging: each completed
-            // request's cumulative energy flows back to the
-            // dispatcher for comprehensive accounting.
-            retain_records: true,
-            // A cluster-wide cap decomposes into per-node shares
-            // enforced by ordinary per-request conditioning.
-            conditioning: cfg
-                .power_cap_w
-                .map(|cap| ConditioningPolicy::node_share(cap, spec.total_cores(), total_cores)),
-            // The node's private sink: shard threads record into it
-            // race-free, and the engine merges in node order at each
-            // tick barrier. (Kernel-level tracing stays off here:
-            // per-tick switch events across N nodes would dwarf the
-            // facility signal.)
-            telemetry: tele.clone(),
-            ..FacilityConfig::default()
-        },
-    );
-    let state = facility.state();
-    let mut machine = Machine::new(
-        spec.clone(),
-        cfg.seed.wrapping_add(n as u64).wrapping_add(inc.wrapping_mul(0xA076_1D64_78BD_642F)),
-    );
-    if cfg.faults.is_active() {
-        // Same fault profile on every node, decorrelated by seed.
-        machine.set_fault_config(FaultConfig {
-            seed: (cfg.faults.seed ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(inc.wrapping_mul(0xE703_7ED1_A0B4_28DB)),
-            ..cfg.faults.clone()
-        });
-    }
-    // Kernel-level tracing stays off in cluster nodes; only the
-    // scheduling policy is taken from the cluster config.
-    let kernel_config = KernelConfig { sched: cfg.sched_for(n), ..KernelConfig::default() };
-    let mut kernel = Kernel::new(machine, kernel_config);
-    // A restarted incarnation boots at the crash instant: the empty
-    // kernel fast-forwards to `start` *before* the facility or any app
-    // task exists, so no incarnation ever replays (or re-accrues energy
-    // for) the interval it was dead. Incarnation 0 starts at zero and
-    // this is a no-op.
-    kernel.run_until(start);
-    kernel.install_hooks(Box::new(facility));
-    let (notify_tx, reply_rx) = kernel.new_socket_pair();
-    let mut inboxes = Vec::new();
-    for app in apps {
-        let env = AppEnv {
-            stats: Rc::clone(&stats),
-            workers: cfg.workers_per_core * spec.total_cores(),
-            spec: spec.clone(),
-            seed: cfg
-                .seed
-                .wrapping_add(1000 + n as u64)
-                .wrapping_add(inc.wrapping_mul(0x2545_F491_4F6C_DD1D)),
-            notify: Some(notify_tx),
-        };
-        inboxes.push((app.setup(&mut kernel, &env), 0usize));
-    }
-    (kernel, state, inboxes, reply_rx)
-}
-
-/// Advances every node's kernel to the tick boundary `t`, splitting
-/// the fleet into `shards` contiguous chunks that run on their own
-/// scoped threads. Nodes never interact inside a tick — cross-node
-/// traffic moves only through the dispatcher at barriers — so each
-/// node computes bit-identical state regardless of which thread hosts
-/// it, and `shards <= 1` runs the very same per-node code inline.
-fn advance_shards(nodes: &mut [Node], t: SimTime, shards: usize) {
-    if shards <= 1 || nodes.len() <= 1 {
-        for node in nodes.iter_mut() {
-            node.advance_to(t);
-        }
-        return;
-    }
-    let chunk = nodes.len().div_ceil(shards.min(nodes.len()));
-    std::thread::scope(|scope| {
-        for part in nodes.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for node in part {
-                    node.advance_to(t);
-                }
-            });
-        }
-    });
+/// The available node of `members` other than `except` with the least
+/// outstanding work, if any.
+fn least_loaded(members: &[usize], nodes: &[Node], except: usize, t: SimTime) -> Option<usize> {
+    members
+        .iter()
+        .copied()
+        .filter(|&i| i != except && nodes[i].available(t))
+        .min_by(|&a, &b| nodes[a].outstanding_std.total_cmp(&nodes[b].outstanding_std))
 }
 
 /// Drains every node's private event log into the main sink, in node
-/// order — the barrier merge. Serial and sharded runs produce the same
-/// stream: within a tick, node events appear grouped by node index,
-/// followed by the dispatcher's own events for that tick.
+/// order — the barrier merge. Within a tick, node events therefore
+/// appear grouped by node index, followed by the dispatcher's own
+/// events for that tick.
 fn merge_node_events(main: &telemetry::Telemetry, nodes: &[Node]) {
     if !main.enabled() {
         return;
@@ -1510,598 +1568,715 @@ fn merge_node_events(main: &telemetry::Telemetry, nodes: &[Node]) {
     }
 }
 
-fn run_engine(
-    policies: &mut [&mut dyn DistributionPolicy],
-    cfg: &ClusterConfig,
-    cals: &[MachineCalibration],
-) -> ClusterOutcome {
-    assert_eq!(cals.len(), cfg.nodes.len(), "one calibration per node");
-    assert_eq!(policies.len(), cfg.tiers.len(), "one policy per tier");
-    assert!(!cfg.tick.is_zero(), "dispatcher tick must be positive");
-    {
-        // The tiers must partition the flat node list.
-        let mut seen = vec![false; cfg.nodes.len()];
-        for &i in cfg.tiers.iter().flatten() {
-            assert!(i < cfg.nodes.len(), "tier references unknown node {i}");
-            assert!(!seen[i], "node {i} appears in two tiers");
-            seen[i] = true;
+/// What every node incarnation boots from and the dispatcher prices
+/// requests with: the run's config and calibrations, the app mix, and
+/// constants derived from them once.
+struct Blueprint<'a> {
+    cfg: &'a ClusterConfig,
+    cals: &'a [MachineCalibration],
+    apps: Vec<Box<dyn ServerApp>>,
+    total_cores: usize,
+    /// Per-node service estimate per app, so dispatch does not clone
+    /// machine specs on the hot path.
+    service: Vec<Vec<f64>>,
+    checkpoint_every: SimDuration,
+    /// Crash faults are configured, so nodes journal checkpoints.
+    crashes_possible: bool,
+}
+
+impl Blueprint<'_> {
+    /// When a node that journaled (or rebooted) at `now` next
+    /// checkpoints: never without crash faults.
+    fn next_checkpoint(&self, now: SimTime) -> SimTime {
+        if self.crashes_possible {
+            now + self.checkpoint_every
+        } else {
+            SimTime::MAX
         }
-        assert!(seen.iter().all(|&s| s), "every node must belong to a tier");
-        assert!(cfg.tiers.iter().all(|t| !t.is_empty()), "tiers must be nonempty");
     }
+}
+
+/// The dispatcher's live requests, keyed by a stable request id. Every
+/// send (dispatch, hop, retry, hedge) uses a fresh wire serial, and
+/// `serial_req` resolves a serial back to its request (a serial absent
+/// there is stale). `inflight` iterations (timeouts, hedging) sort
+/// their harvest, so the deterministic FxHashMap is safe here.
+struct RequestBook {
+    inflight: FxHashMap<u64, InFlight>,
+    serial_req: SerialMap,
+    /// Requests parked for re-dispatch, by (due time, request id).
+    retry_queue: BTreeMap<(SimTime, u64), ()>,
+    /// Context ids are allocated sequentially from 1, so ctx → app is a
+    /// dense slab: `ctx_app[ctx - 1]`. A corrupted wire tag outside the
+    /// allocated range simply misses, exactly as with a map.
+    ctx_app: Vec<u8>,
+    next_serial: u64,
+    next_req: u64,
+    next_ctx: u64,
+}
+
+impl RequestBook {
+    fn new() -> RequestBook {
+        RequestBook {
+            inflight: FxHashMap::default(),
+            serial_req: SerialMap::new(),
+            retry_queue: BTreeMap::new(),
+            ctx_app: Vec::new(),
+            next_serial: 0,
+            next_req: 0,
+            next_ctx: 1,
+        }
+    }
+
+    fn fresh_serial(&mut self) -> u64 {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        debug_assert!(serial < u32::MAX as u64, "serial space exhausted");
+        serial
+    }
+
+    /// Opens the book on admitted arrival `a`: a fresh request id and a
+    /// fresh true context id, with no attempt sent yet.
+    fn open(&mut self, a: &Arrival) -> u64 {
+        let req_id = self.next_req;
+        self.next_req += 1;
+        let ctx = ContextId(self.next_ctx);
+        self.next_ctx += 1;
+        // `ctx` is exactly `ctx_app.len() + 1`, so a push keeps the
+        // slab aligned with the sequential id space.
+        debug_assert_eq!(self.next_ctx as usize, self.ctx_app.len() + 2);
+        self.ctx_app.push(a.app as u8);
+        self.inflight.insert(
+            req_id,
+            InFlight {
+                app: a.app,
+                label: a.label,
+                arrived: a.at,
+                stage: 0,
+                wire: Some(ctx),
+                node: 0,
+                serial: 0,
+                attempt: 0,
+                sent_at: a.at,
+                deadline: SimTime::MAX,
+                hedge: None,
+                waiting: false,
+            },
+        );
+        req_id
+    }
+}
+
+/// The run's counters and journals; each field lands in the
+/// [`ClusterOutcome`] field of the same name.
+#[derive(Default)]
+struct Ledger {
+    /// Per-app end-to-end response times, seconds.
+    response_by_app: Vec<Summary>,
+    dispatched: u64,
+    completed: usize,
+    rerouted: u64,
+    dropped: u64,
+    shed: [u64; ShedReason::ALL.len()],
+    lost_in_crash: u64,
+    retried: u64,
+    hedged: u64,
+    stale_replies: u64,
+    crash_log: Vec<CrashRecord>,
+    decisions: u64,
+    degradations_detected: u64,
+    scale_log: Vec<ScaleEvent>,
+    scale_outs: u64,
+    scale_ins: u64,
+    upgrades: u64,
+    brownout_engagements: u64,
+    brownout_releases: u64,
+    provisioning_energy_j: f64,
+    peak_power_w: f64,
+}
+
+impl Ledger {
+    /// Counts and traces one typed shed.
+    fn shed(&mut self, tele: &telemetry::Telemetry, t: SimTime, reason: ShedReason) {
+        self.shed[reason.index()] += 1;
+        self.dropped += 1;
+        tele.instant_on(
+            t,
+            "cluster",
+            "shed",
+            DISPATCHER_TRACK,
+            &[("reason", (reason.index() as u64).into())],
+        );
+        tele.add_count("cluster.dropped", 1);
+        tele.add_count(reason.counter(), 1);
+    }
+
+    /// Counts a request killed by a crash or a forced drain with no
+    /// retry budget left.
+    fn lose_in_crash(&mut self, tele: &telemetry::Telemetry) {
+        self.dropped += 1;
+        self.lost_in_crash += 1;
+        tele.add_count("cluster.lost_in_crash", 1);
+    }
+}
+
+/// The elasticity controller and its rolling-upgrade schedule.
+struct Elastic {
+    scaler: Autoscaler,
+    next_upgrade_at: Option<SimTime>,
+    upgrades_left: usize,
+}
+
+/// The cluster engine: nodes and their tier views, the request book,
+/// and the outcome ledger, advanced one dispatcher tick at a time on
+/// the calling thread ([`Fleet::tick`] lists the phases).
+struct Fleet<'a, 'p> {
+    bp: Blueprint<'a>,
+    /// One routing policy per tier.
+    policies: &'a mut [&'p mut dyn DistributionPolicy],
+    nodes: Vec<Node>,
+    views: TierViews,
+    /// Admission reads the *active* tier-0 core count, maintained
+    /// across resizes (equal to the static total without autoscaling).
+    tier0_active_cores: usize,
+    book: RequestBook,
+    ledger: Ledger,
+    arrivals: ArrivalGen,
+    /// The next arrival, not yet admitted.
+    pending: Option<Arrival>,
+    elastic: Option<Elastic>,
+    /// The observability plane; its window samples are read at tick
+    /// barriers in node order.
+    obs: Option<ObsPlane>,
+    /// Fleet active power sampled at this tick's barrier (0 unless a
+    /// power cap with admission control or autoscaling reads it).
+    fleet_power_w: f64,
+    /// Reusable scratch: drained segments, due-request harvests and obs
+    /// window samples live across ticks instead of being reallocated
+    /// per node per tick.
+    seg_buf: Vec<Segment>,
+    due_buf: Vec<u64>,
+    obs_samples: Vec<(f64, f64)>,
+}
+
+/// Checks the config against the calibrations and policies it runs
+/// with.
+fn validate(cfg: &ClusterConfig, cals: &[MachineCalibration], policies: usize) {
+    assert_eq!(cals.len(), cfg.nodes.len(), "one calibration per node");
+    assert_eq!(policies, cfg.tiers.len(), "one policy per tier");
+    assert!(!cfg.tick.is_zero(), "dispatcher tick must be positive");
+    // The tiers must partition the flat node list.
+    let mut seen = vec![false; cfg.nodes.len()];
+    for &i in cfg.tiers.iter().flatten() {
+        assert!(i < cfg.nodes.len(), "tier references unknown node {i}");
+        assert!(!seen[i], "node {i} appears in two tiers");
+        seen[i] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "every node must belong to a tier");
+    assert!(cfg.tiers.iter().all(|t| !t.is_empty()), "tiers must be nonempty");
     if let Some(ac) = cfg.autoscale.as_ref() {
         assert_eq!(cfg.tiers.len(), 1, "autoscaling drives a single-tier cluster");
-        assert!(
-            ac.initial_nodes <= cfg.tiers[0].len(),
-            "initial fleet larger than the topology"
-        );
+        assert!(ac.initial_nodes <= cfg.tiers[0].len(), "initial fleet larger than the topology");
     }
-    let apps: Vec<Box<dyn ServerApp>> = cfg.apps.iter().map(|k| k.app()).collect();
-    let total_cores: usize = cfg.nodes.iter().map(MachineSpec::total_cores).sum();
-    let tier_of: HashMap<usize, usize> = cfg
-        .tiers
-        .iter()
-        .enumerate()
-        .flat_map(|(t, ix)| ix.iter().map(move |&i| (i, t)))
-        .collect();
-    let checkpoint_every = cfg
-        .recovery
-        .as_ref()
-        .map(|r| r.checkpoint_every)
-        .unwrap_or(DEFAULT_CHECKPOINT_EVERY);
-    let crashes_possible = cfg.faults.node_crash_hz > 0.0;
-
-    // Initially active set: everything without autoscaling; the first
-    // `initial_nodes` flat indices with it. The topology sorts newest
-    // generation first, so the initial fleet is the newest machines and
-    // scale-out walks toward older standbys.
-    let initially_active: Vec<bool> = match cfg.autoscale.as_ref() {
-        Some(ac) => (0..cfg.nodes.len()).map(|n| n < ac.initial_nodes).collect(),
-        None => vec![true; cfg.nodes.len()],
-    };
-
-    let mut nodes: Vec<Node> = Vec::new();
-    for (n, spec) in cfg.nodes.iter().enumerate() {
-        let stats = Rc::new(RefCell::new(RunStats::new()));
-        let tele = if cfg.telemetry.enabled() {
-            telemetry::Telemetry::recording()
-        } else {
-            telemetry::Telemetry::disabled()
-        };
-        let (kernel, facility, inboxes, reply_rx) = build_node_runtime(
-            n,
-            0,
-            SimTime::ZERO,
-            cfg,
-            &cals[n],
-            &apps,
-            total_cores,
-            Rc::clone(&stats),
-            &tele,
-        );
-        let mean_service = apps
-            .iter()
-            .map(|a| service_secs(a.as_ref(), spec))
-            .sum::<f64>()
-            / apps.len() as f64;
-        nodes.push(Node {
-            kernel,
-            facility,
-            stats,
-            inboxes,
-            reply_rx,
-            outstanding: FxHashMap::default(),
-            outstanding_std: 0.0,
-            mean_service,
-            injected: 0,
-            responses: 0,
-            tier: tier_of[&n],
-            fault_windows: Vec::new(),
-            next_window: 0,
-            active_window: None,
-            breaker: Breaker::new(),
-            lifecycle: Lifecycle::Healthy,
-            warmup: cfg.faults.node_warmup_len,
-            pending_crash: false,
-            incarnation: 0,
-            crashes: 0,
-            carried_energy_j: 0.0,
-            carried_fault_counts: [0; hwsim::FaultKind::ALL.len()],
-            carried_tags_lost: 0,
-            carried_tags_corrupted: 0,
-            carried_degrade: power_containers::DegradeStats::default(),
-            lost_energy_j: 0.0,
-            lost_requests: 0,
-            last_checkpoint: ManagerCheckpoint::empty(),
-            next_checkpoint_at: if crashes_possible {
-                SimTime::ZERO + checkpoint_every
-            } else {
-                SimTime::MAX
-            },
-            checkpoints: 0,
-            last_health_check: SimTime::ZERO,
-            responses_at_check: 0,
-            scale: if initially_active[n] { ScaleState::Active } else { ScaleState::Standby },
-            active_since: initially_active[n].then_some(SimTime::ZERO),
-            uptime_s: 0.0,
-            tele,
-            track: node_track(n),
-        });
-    }
-    for w in plan_node_faults(&cfg.faults, nodes.len(), cfg.duration) {
-        nodes[w.node].fault_windows.push(w);
-    }
-
-    // Per-node service estimate per app, so dispatch does not clone
-    // machine specs on the hot path.
-    let service: Vec<Vec<f64>> = cfg
-        .nodes
-        .iter()
-        .map(|spec| apps.iter().map(|a| service_secs(a.as_ref(), spec)).collect())
-        .collect();
-    // Admission reads the *active* tier-0 core count, maintained across
-    // resizes (equal to the static total without autoscaling).
-    let mut tier0_active_cores: usize = cfg.tiers[0]
-        .iter()
-        .filter(|&&i| initially_active[i])
-        .map(|&i| cfg.nodes[i].total_cores())
-        .sum();
-
-    let rate = per_app_rate(cfg);
-    let end = SimTime::ZERO + cfg.duration;
-    // Both arrival sources offer the same mean per-app rates, so a
-    // fixed-fleet and an autoscaled run of one config face identical
-    // traffic (the traffic generator is itself deterministic in the
-    // seed alone).
-    let mut gen = match cfg.traffic.as_ref() {
-        Some(shape) => ArrivalGen::Traffic(Box::new(TrafficGen::new(
-            cfg.seed,
-            &vec![rate; apps.len()],
-            end,
-            shape,
-        ))),
-        None => ArrivalGen::Open(OpenLoopGen::new(cfg.seed, &vec![rate; apps.len()], end)),
-    };
-    let mut pending = gen.next(&apps);
-
-    // Live requests by stable request id; `serial_req` resolves a wire
-    // serial back to its request (a serial absent here is stale).
-    // `inflight` iterations (timeouts, hedging) sort their harvest, so
-    // the deterministic FxHashMap is safe here.
-    let mut inflight: FxHashMap<u64, InFlight> = FxHashMap::default();
-    let mut serial_req = SerialMap::new();
-    let mut retry_queue: BTreeMap<(SimTime, u64), ()> = BTreeMap::new();
-    // Context ids are allocated sequentially from 1, so ctx → app is a
-    // dense slab: `ctx_app[ctx - 1]`. A corrupted wire tag outside the
-    // allocated range simply misses, exactly as with a map.
     assert!(cfg.apps.len() <= u8::MAX as usize, "app index must fit u8");
-    let mut ctx_app: Vec<u8> = Vec::new();
-    let mut views = TierViews::new(cfg, initially_active.clone(), &nodes);
-    // Reusable scratch: drained segments and due-request harvests live
-    // across ticks instead of being reallocated per node per tick.
-    let mut seg_buf: Vec<ossim::Segment> = Vec::new();
-    let mut due_buf: Vec<u64> = Vec::new();
-    let mut summaries: Vec<Summary> = vec![Summary::new(); apps.len()];
-    let mut next_serial = 0u64;
-    let mut next_req = 0u64;
-    let mut next_ctx = 1u64;
-    let mut dispatched = 0u64;
-    let mut completed = 0usize;
-    let mut rerouted = 0u64;
-    let mut dropped = 0u64;
-    let mut shed = [0u64; ShedReason::ALL.len()];
-    let mut lost_in_crash = 0u64;
-    let mut retried = 0u64;
-    let mut hedged = 0u64;
-    let mut stale_replies = 0u64;
-    let mut crash_log: Vec<CrashRecord> = Vec::new();
-    let mut decisions = 0u64;
-    let mut degradations_detected = 0u64;
-    // Elasticity state: the pure controller, the resize journal, and
-    // the rolling-upgrade schedule cursor. All actuation happens on the
-    // driving thread at tick barriers.
-    let mut scaler = cfg.autoscale.map(Autoscaler::new);
-    let mut scale_log: Vec<ScaleEvent> = Vec::new();
-    let mut scale_outs = 0u64;
-    let mut scale_ins = 0u64;
-    let mut upgrades = 0u64;
-    let mut brownout_engagements = 0u64;
-    let mut brownout_releases = 0u64;
-    let mut provisioning_energy_j = 0.0f64;
-    let mut peak_power_w = 0.0f64;
-    let mut next_upgrade_at = cfg
-        .autoscale
-        .as_ref()
-        .and_then(|ac| ac.upgrade.as_ref().map(|up| SimTime::ZERO + up.start));
-    let mut upgrades_left =
-        cfg.autoscale.as_ref().and_then(|ac| ac.upgrade.as_ref()).map_or(0, |up| up.count);
-    // The observability plane lives entirely on this (driving) thread;
-    // its window samples are read at tick barriers in node order, so
-    // its output is byte-identical at every shard count.
-    let mut obs: Option<ObsPlane> = cfg.obs.as_ref().map(|oc| {
-        ObsPlane::new(
-            oc,
-            cfg.nodes.len(),
-            cfg.apps.iter().map(|k| k.name()).collect(),
-            cfg.power_cap_w,
-            cfg.duration,
-        )
-    });
-    let mut obs_samples: Vec<(f64, f64)> = Vec::new();
+}
 
-    let mut t = SimTime::ZERO;
-    loop {
-        t = (t + cfg.tick).min(end);
-        // 1. Advance every node to the tick boundary (once per tick, not
-        //    once per arrival — the batching that keeps dispatcher work
-        //    flat as the fleet grows), in parallel across the shard
-        //    threads. A node hitting a crash-window start stops there
-        //    with `pending_crash` set. The barrier merge then folds the
-        //    shard-local event logs back in node order, so phases 1.5+
-        //    observe exactly the serial engine's state and trace.
-        advance_shards(&mut nodes, t, cfg.shards);
-        merge_node_events(&cfg.telemetry, &nodes);
-        // 1.5 Crash processing: journal the loss window, carry the dead
-        //     incarnation's counters, rebuild the node, restore the
-        //     checkpoint, and requeue (or lose) the killed in-flights.
-        if crashes_possible {
-            for n in 0..nodes.len() {
-                if !nodes[n].pending_crash {
-                    continue;
+impl<'a, 'p> Fleet<'a, 'p> {
+    fn new(
+        policies: &'a mut [&'p mut dyn DistributionPolicy],
+        cfg: &'a ClusterConfig,
+        cals: &'a [MachineCalibration],
+    ) -> Fleet<'a, 'p> {
+        validate(cfg, cals, policies.len());
+        let apps: Vec<Box<dyn ServerApp>> = cfg.apps.iter().map(|k| k.app()).collect();
+        let service = cfg
+            .nodes
+            .iter()
+            .map(|spec| apps.iter().map(|a| service_secs(a.as_ref(), spec)).collect())
+            .collect();
+        let bp = Blueprint {
+            cfg,
+            cals,
+            total_cores: cfg.nodes.iter().map(MachineSpec::total_cores).sum(),
+            apps,
+            service,
+            checkpoint_every: cfg
+                .recovery
+                .as_ref()
+                .map(|r| r.checkpoint_every)
+                .unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+            crashes_possible: cfg.faults.node_crash_hz > 0.0,
+        };
+        // Initially active set: everything without autoscaling; the
+        // first `initial_nodes` flat indices with it. The topology sorts
+        // newest generation first, so the initial fleet is the newest
+        // machines and scale-out walks toward older standbys.
+        let initially_active: Vec<bool> = match cfg.autoscale.as_ref() {
+            Some(ac) => (0..cfg.nodes.len()).map(|n| n < ac.initial_nodes).collect(),
+            None => vec![true; cfg.nodes.len()],
+        };
+        let mut tier_of = vec![0usize; cfg.nodes.len()];
+        for (t, members) in cfg.tiers.iter().enumerate() {
+            for &i in members {
+                tier_of[i] = t;
+            }
+        }
+        let mut nodes: Vec<Node> = (0..cfg.nodes.len())
+            .map(|n| Node::boot(&bp, n, tier_of[n], initially_active[n]))
+            .collect();
+        for w in plan_node_faults(&cfg.faults, nodes.len(), cfg.duration) {
+            nodes[w.node].fault_windows.push(w);
+        }
+        let tier0_active_cores = cfg.tiers[0]
+            .iter()
+            .filter(|&&i| initially_active[i])
+            .map(|&i| cfg.nodes[i].total_cores())
+            .sum();
+        let rate = per_app_rate(cfg);
+        let end = SimTime::ZERO + cfg.duration;
+        // Both arrival sources offer the same mean per-app rates, so a
+        // fixed-fleet and an autoscaled run of one config face identical
+        // traffic (the traffic generator is itself deterministic in the
+        // seed alone).
+        let rates = vec![rate; bp.apps.len()];
+        let mut arrivals = match cfg.traffic.as_ref() {
+            Some(shape) => {
+                ArrivalGen::Traffic(Box::new(TrafficGen::new(cfg.seed, &rates, end, shape)))
+            }
+            None => ArrivalGen::Open(OpenLoopGen::new(cfg.seed, &rates, end)),
+        };
+        let pending = arrivals.next(&bp.apps);
+        let views = TierViews::new(cfg, initially_active, &nodes);
+        let elastic = cfg.autoscale.map(|ac| Elastic {
+            scaler: Autoscaler::new(ac),
+            next_upgrade_at: ac.upgrade.as_ref().map(|up| SimTime::ZERO + up.start),
+            upgrades_left: ac.upgrade.as_ref().map_or(0, |up| up.count),
+        });
+        let obs = cfg.obs.as_ref().map(|oc| {
+            ObsPlane::new(
+                oc,
+                cfg.nodes.len(),
+                cfg.apps.iter().map(|k| k.name()).collect(),
+                cfg.power_cap_w,
+                cfg.duration,
+            )
+        });
+        let ledger =
+            Ledger { response_by_app: vec![Summary::new(); bp.apps.len()], ..Ledger::default() };
+        Fleet {
+            bp,
+            policies,
+            nodes,
+            views,
+            tier0_active_cores,
+            book: RequestBook::new(),
+            ledger,
+            arrivals,
+            pending,
+            elastic,
+            obs,
+            fleet_power_w: 0.0,
+            seg_buf: Vec::new(),
+            due_buf: Vec::new(),
+            obs_samples: Vec::new(),
+        }
+    }
+
+    /// Runs the configured duration tick by tick, then settles and
+    /// closes the books.
+    fn run(mut self) -> ClusterOutcome {
+        let cfg = self.bp.cfg;
+        let end = SimTime::ZERO + cfg.duration;
+        let mut t = SimTime::ZERO;
+        loop {
+            t = (t + cfg.tick).min(end);
+            self.tick(t);
+            if t >= end {
+                break;
+            }
+        }
+        self.settle(end);
+        self.finish(end)
+    }
+
+    /// One dispatcher tick ending at the barrier `t`. The phases run in
+    /// this order, each seeing the state the previous ones left:
+    ///
+    /// 1. [`advance`](Fleet::advance) every node to `t`, then merge the
+    ///    per-node event logs;
+    /// 2. with crash faults on, [`restart_crashed`](Fleet::restart_crashed)
+    ///    nodes and [`journal_checkpoints`](Fleet::journal_checkpoints);
+    /// 3. [`drain_replies`](Fleet::drain_replies), forwarding
+    ///    mid-pipeline requests and completing the rest;
+    /// 4. with recovery on, [`expire_timeouts`](Fleet::expire_timeouts)
+    ///    and [`send_hedges`](Fleet::send_hedges);
+    /// 5. [`check_health`](Fleet::check_health);
+    /// 6. with recovery on, [`redispatch_retries`](Fleet::redispatch_retries);
+    /// 7. [`sample_fleet_power`](Fleet::sample_fleet_power), then with
+    ///    autoscaling on, elasticity:
+    ///    [`land_provisioned`](Fleet::land_provisioned),
+    ///    [`progress_drains`](Fleet::progress_drains),
+    ///    [`start_upgrades`](Fleet::start_upgrades),
+    ///    [`evaluate_scaler`](Fleet::evaluate_scaler);
+    /// 8. [`admit_arrivals`](Fleet::admit_arrivals) due by `t` and
+    ///    dispatch them into tier 0;
+    /// 9. [`close_obs_window`](Fleet::close_obs_window) when one is due.
+    fn tick(&mut self, t: SimTime) {
+        let cfg = self.bp.cfg;
+        self.advance(t);
+        if self.bp.crashes_possible {
+            self.restart_crashed(t);
+            self.journal_checkpoints(t);
+        }
+        self.drain_replies(t, Self::on_reply);
+        if let Some(rec) = cfg.recovery.as_ref() {
+            self.expire_timeouts(t);
+            if let Some(after) = rec.hedge_after {
+                self.send_hedges(after, t);
+            }
+        }
+        self.check_health(t);
+        if cfg.recovery.is_some() {
+            self.redispatch_retries(t);
+        }
+        self.sample_fleet_power();
+        if let Some(ac) = self.elastic.as_ref().map(|el| *el.scaler.config()) {
+            self.land_provisioned(&ac, t);
+            self.progress_drains(t);
+            self.start_upgrades(&ac, t);
+            self.evaluate_scaler(&ac, t);
+        }
+        self.admit_arrivals(t);
+        self.close_obs_window(t);
+    }
+
+    /// Advances every node to the tick boundary — once per tick, not
+    /// once per arrival, the batching that keeps dispatcher work flat
+    /// as the fleet grows — and merges their event logs. A node hitting
+    /// a crash-window start stops there with `pending_crash` set.
+    fn advance(&mut self, t: SimTime) {
+        for node in &mut self.nodes {
+            node.advance_to(t);
+        }
+        merge_node_events(&self.bp.cfg.telemetry, &self.nodes);
+    }
+
+    /// Crash processing: journals each crashed node's loss window,
+    /// reboots it, restores its checkpoint, and requeues (or loses) the
+    /// requests it killed.
+    fn restart_crashed(&mut self, t: SimTime) {
+        let cfg = self.bp.cfg;
+        for n in 0..self.nodes.len() {
+            let node = &mut self.nodes[n];
+            if !node.pending_crash {
+                continue;
+            }
+            let Some(w) = node.active_window else { continue };
+            let (killed, record) = node.restart_after_crash(&self.bp, w, t);
+            self.views.sync(n, 0.0);
+            cfg.telemetry.instant_on(
+                t,
+                "cluster",
+                "restore",
+                node_track(n),
+                &[
+                    ("restored", record.restored_containers.into()),
+                    ("lost_j", record.lost_energy_j.into()),
+                ],
+            );
+            cfg.telemetry.add_count("cluster.crashes", 1);
+            self.ledger.crash_log.push(record);
+            self.requeue_killed(killed, t);
+        }
+    }
+
+    /// Checkpoint journal: periodically snapshots every live node's
+    /// container state.
+    fn journal_checkpoints(&mut self, t: SimTime) {
+        for node in &mut self.nodes {
+            if t < node.next_checkpoint_at
+                || matches!(node.lifecycle, Lifecycle::Down { .. })
+                || !node.participates()
+            {
+                continue;
+            }
+            node.journal(t);
+            node.next_checkpoint_at = self.bp.next_checkpoint(t);
+        }
+    }
+
+    /// Requeues requests killed on a node by a crash or a forced drain:
+    /// a hedge copy dies silently, a primary promotes its hedge or
+    /// retries, and a request out of budget is lost to the crash.
+    fn requeue_killed(&mut self, killed: Vec<u64>, t: SimTime) {
+        for serial in killed {
+            let Some(req_id) = self.book.serial_req.remove(serial) else { continue };
+            let Some(fl) = self.book.inflight.get_mut(&req_id) else { continue };
+            if fl.serial != serial {
+                if fl.hedge.map(|(_, s)| s) == Some(serial) {
+                    fl.hedge = None;
                 }
-                let Some(w) = nodes[n].active_window else { continue };
-                let (killed, lost_e, restored, cp_age) = {
-                    let node = &mut nodes[n];
-                    let cp_age = w.start.duration_since(node.last_checkpoint.taken_at);
-                    let lost_e = (node.attributed_energy_j()
-                        - node.last_checkpoint.attributed_energy_j())
-                    .max(0.0);
-                    node.lost_energy_j += lost_e;
-                    let m = node.kernel.machine();
-                    node.carried_energy_j += m.true_active_energy_j();
-                    for (tot, c) in
-                        node.carried_fault_counts.iter_mut().zip(m.fault_log().counts())
-                    {
-                        *tot += c;
-                    }
-                    let ks = node.kernel.stats();
-                    node.carried_tags_lost += ks.tags_lost;
-                    node.carried_tags_corrupted += ks.tags_corrupted;
-                    node.carried_degrade += node.facility.borrow().degrade_stats();
-                    let mut killed: Vec<u64> = node.outstanding.keys().copied().collect();
-                    killed.sort_unstable();
-                    node.outstanding.clear();
-                    node.outstanding_std = 0.0;
-                    node.lost_requests += killed.len() as u64;
-                    node.crashes += 1;
-                    node.incarnation += 1;
-                    let tele = node.tele.clone();
-                    let (kernel, facility, inboxes, reply_rx) = build_node_runtime(
-                        n,
-                        node.incarnation,
-                        w.start,
-                        cfg,
-                        &cals[n],
-                        &apps,
-                        total_cores,
-                        Rc::clone(&node.stats),
-                        &tele,
-                    );
-                    node.kernel = kernel;
-                    node.facility = facility;
-                    node.inboxes = inboxes;
-                    node.reply_rx = reply_rx;
-                    let restored = node
-                        .facility
-                        .borrow_mut()
-                        .containers_mut()
-                        .restore(&node.last_checkpoint, w.start);
-                    // Re-journal the restored state immediately so a
-                    // back-to-back crash cannot lose the same window
-                    // twice.
-                    node.last_checkpoint =
-                        node.facility.borrow().containers().checkpoint(w.start);
-                    node.checkpoints += 1;
-                    node.next_checkpoint_at = t + checkpoint_every;
-                    node.breaker =
-                        Breaker { state: BreakerState::Open { until: w.end }, backoff: PENALTY_BASE };
-                    node.responses_at_check = node.responses;
-                    node.last_health_check = t;
-                    node.pending_crash = false;
-                    (killed, lost_e, restored, cp_age)
-                };
-                views.sync(n, 0.0);
-                crash_log.push(CrashRecord {
-                    node: n,
-                    at: w.start,
-                    restarted_at: w.end,
-                    lost_energy_j: lost_e,
-                    lost_requests: killed.len() as u64,
-                    restored_containers: restored,
-                    checkpoint_age: cp_age,
-                });
+                continue;
+            }
+            if let Some((hn, hs)) = fl.hedge.take() {
+                fl.node = hn;
+                fl.serial = hs;
+                continue;
+            }
+            self.retry_or_drop(req_id, None, t);
+        }
+    }
+
+    /// Drains every node's reply socket in node order, handing each
+    /// stage completion to `f` with the node that served it.
+    fn drain_replies(&mut self, t: SimTime, mut f: impl FnMut(&mut Self, usize, Segment, SimTime)) {
+        let mut segs = std::mem::take(&mut self.seg_buf);
+        for n in 0..self.nodes.len() {
+            let rx = self.nodes[n].rt.reply_rx;
+            segs.clear();
+            self.nodes[n].rt.kernel.drain_messages_into(rx, &mut segs);
+            for seg in segs.drain(..) {
+                f(self, n, seg, t);
+            }
+        }
+        self.seg_buf = segs;
+    }
+
+    /// One stage completion from node `n`: forwards a mid-pipeline
+    /// request to the next tier and completes one leaving the last.
+    /// A reply from a superseded attempt is recognized by its stale
+    /// serial and dropped (still settling the node's books).
+    fn on_reply(&mut self, n: usize, seg: Segment, t: SimTime) {
+        let serial = seg.payload >> 32;
+        self.nodes[n].settle(serial);
+        self.views.sync(n, self.nodes[n].outstanding_std);
+        let Some(req_id) = self.book.serial_req.get(serial) else {
+            self.ledger.stale_replies += 1;
+            return;
+        };
+        self.book.serial_req.remove(serial);
+        let Some(fl) = self.book.inflight.get_mut(&req_id) else { return };
+        if fl.serial == serial {
+            // Primary won; a hedge still out becomes stale.
+            if let Some((_, hs)) = fl.hedge.take() {
+                self.book.serial_req.remove(hs);
+            }
+        } else if fl.hedge.map(|(_, s)| s) == Some(serial) {
+            // Hedge won; the primary's late reply becomes stale.
+            self.book.serial_req.remove(fl.serial);
+            fl.hedge = None;
+        } else {
+            self.ledger.stale_replies += 1;
+            return;
+        }
+        fl.waiting = false;
+        let next_stage = fl.stage + 1;
+        if next_stage < self.bp.cfg.tiers.len() {
+            self.forward(req_id, next_stage, seg.ctx, t);
+        } else {
+            let (app, arrived) = (fl.app, fl.arrived);
+            self.note_completion(app, t.duration_since(arrived).as_secs_f64());
+            self.book.inflight.remove(&req_id);
+        }
+    }
+
+    /// Sends request `req_id` on to tier `stage`, carrying `wire`, the
+    /// tag observed on the previous stage's reply: a lost tag stays
+    /// lost, a corrupted one misattributes downstream stages. A dark
+    /// tier retries or sheds the request.
+    fn forward(&mut self, req_id: u64, stage: usize, wire: Option<ContextId>, t: SimTime) {
+        let cfg = self.bp.cfg;
+        cfg.telemetry.instant_on(
+            t,
+            "cluster",
+            "hop",
+            DISPATCHER_TRACK,
+            &[("to_tier", (stage as u64).into())],
+        );
+        let fl = &self.book.inflight[&req_id];
+        let req = ArrivalView { app: cfg.apps[fl.app], label: fl.label };
+        let target = self.route(stage, req, t);
+        let fl = self.book.inflight.get_mut(&req_id).expect("forwarded request is live");
+        fl.stage = stage;
+        fl.wire = wire;
+        match target {
+            Some(target) => {
+                fl.attempt = 0;
+                self.dispatch_attempt(req_id, target, t);
+            }
+            None => self.retry_or_drop(req_id, Some(ShedReason::NoHealthyNode), t),
+        }
+    }
+
+    /// Books one request through the last tier.
+    fn note_completion(&mut self, app: usize, latency_s: f64) {
+        self.ledger.response_by_app[app].record(latency_s);
+        if let Some(o) = self.obs.as_mut() {
+            o.note_completion(app, latency_s);
+        }
+        self.ledger.completed += 1;
+    }
+
+    /// Chooses a node of tier `stage` for `req` through the tier's
+    /// policy; an unavailable pick is steered to the least-loaded
+    /// available node of the tier. `None` when every node of the tier
+    /// is unavailable (the caller sheds or retries).
+    fn route(&mut self, stage: usize, req: ArrivalView, t: SimTime) -> Option<usize> {
+        let members = self.views.members(stage);
+        if members.is_empty() {
+            // A fully drained tier (possible only transiently under
+            // autoscaling) routes nowhere.
+            return None;
+        }
+        self.ledger.decisions += 1;
+        let chosen = members[self.policies[stage].choose(req, self.views.tier(stage))];
+        if self.nodes[chosen].available(t) {
+            return Some(chosen);
+        }
+        let alt = least_loaded(members, &self.nodes, chosen, t)?;
+        let tele = &self.bp.cfg.telemetry;
+        tele.instant_on(
+            t,
+            "cluster",
+            "reroute",
+            DISPATCHER_TRACK,
+            &[("from", (chosen as u64).into()), ("to", (alt as u64).into())],
+        );
+        tele.add_count("cluster.rerouted", 1);
+        self.ledger.rerouted += 1;
+        Some(alt)
+    }
+
+    /// Sends request `req_id`'s current stage to `target` as its
+    /// primary attempt, under a fresh wire serial: arms the per-hop
+    /// deadline and refreshes the node's routing view.
+    fn dispatch_attempt(&mut self, req_id: u64, target: usize, t: SimTime) {
+        let serial = self.book.fresh_serial();
+        let fl = self.book.inflight.get_mut(&req_id).expect("dispatched request is live");
+        let secs = self.bp.service[target][fl.app];
+        fl.node = target;
+        fl.serial = serial;
+        fl.sent_at = t;
+        fl.waiting = false;
+        fl.deadline = match self.bp.cfg.recovery.as_ref() {
+            Some(rec) => t + hop_deadline(rec, secs),
+            None => SimTime::MAX,
+        };
+        self.book.serial_req.insert(serial, req_id);
+        let node = &mut self.nodes[target];
+        node.inject(fl, serial, secs, t);
+        self.views.sync(target, node.outstanding_std);
+    }
+
+    /// Retries request `req_id` while its hop budget lasts; otherwise
+    /// gives it up: shed for `reason`, or lost to a crash when `reason`
+    /// is `None`.
+    fn retry_or_drop(&mut self, req_id: u64, reason: Option<ShedReason>, t: SimTime) {
+        let cfg = self.bp.cfg;
+        match cfg.recovery.as_ref() {
+            Some(rec) if self.book.inflight[&req_id].attempt < rec.max_retries => {
+                let fl = self.book.inflight.get_mut(&req_id).expect("retried request is live");
+                fl.attempt += 1;
+                fl.waiting = true;
+                self.ledger.retried += 1;
+                let delay = retry_backoff(rec, cfg.seed, req_id, fl.attempt);
+                self.book.retry_queue.insert((t + delay, req_id), ());
                 cfg.telemetry.instant_on(
                     t,
                     "cluster",
-                    "restore",
-                    nodes[n].track,
-                    &[("restored", restored.into()), ("lost_j", lost_e.into())],
+                    "retry",
+                    DISPATCHER_TRACK,
+                    &[("attempt", (fl.attempt as u64).into())],
                 );
-                cfg.telemetry.add_count("cluster.crashes", 1);
-                // Requeue the killed in-flights: a hedge copy dies
-                // silently, a primary promotes its hedge or retries,
-                // and a request out of budget is lost to the crash.
-                for serial in killed {
-                    let Some(req_id) = serial_req.remove(serial) else { continue };
-                    let Some(fl) = inflight.get_mut(&req_id) else { continue };
-                    if fl.serial != serial {
-                        if fl.hedge.map(|(_, s)| s) == Some(serial) {
-                            fl.hedge = None;
-                        }
-                        continue;
-                    }
-                    if let Some((hn, hs)) = fl.hedge.take() {
-                        fl.node = hn;
-                        fl.serial = hs;
-                        continue;
-                    }
-                    match cfg.recovery.as_ref() {
-                        Some(rec) if fl.attempt < rec.max_retries => {
-                            schedule_retry(
-                                &cfg.telemetry,
-                                &mut retry_queue,
-                                rec,
-                                cfg.seed,
-                                req_id,
-                                fl,
-                                &mut retried,
-                                t,
-                            );
-                        }
-                        _ => {
-                            inflight.remove(&req_id);
-                            dropped += 1;
-                            lost_in_crash += 1;
-                            cfg.telemetry.add_count("cluster.lost_in_crash", 1);
-                        }
-                    }
-                }
+                cfg.telemetry.add_count("cluster.retried", 1);
             }
-            // 1.75 Checkpoint journal: periodically snapshot every live
-            //      node's container state.
-            for node in nodes.iter_mut() {
-                if t < node.next_checkpoint_at
-                    || matches!(node.lifecycle, Lifecycle::Down { .. })
-                    || !node.participates()
-                {
-                    continue;
-                }
-                node.last_checkpoint = node.facility.borrow().containers().checkpoint(t);
-                node.checkpoints += 1;
-                node.next_checkpoint_at = t + checkpoint_every;
-            }
-        }
-        // 2. Drain stage completions; forward mid-pipeline requests to
-        //    the next tier (carrying the tag observed on the wire) and
-        //    finalize requests leaving the last tier. Replies from
-        //    superseded attempts are recognized by their stale serial
-        //    and dropped (still settling the serving node's books).
-        for n in 0..nodes.len() {
-            let rx = nodes[n].reply_rx;
-            seg_buf.clear();
-            nodes[n].kernel.drain_messages_into(rx, &mut seg_buf);
-            for seg in seg_buf.drain(..) {
-                let serial = seg.payload >> 32;
-                nodes[n].settle(serial);
-                views.sync(n, nodes[n].outstanding_std);
-                let Some(req_id) = serial_req.get(serial) else {
-                    stale_replies += 1;
-                    continue;
-                };
-                serial_req.remove(serial);
-                let Some(fl) = inflight.get_mut(&req_id) else { continue };
-                if fl.serial == serial {
-                    // Primary won; a hedge still out becomes stale.
-                    if let Some((_, hs)) = fl.hedge.take() {
-                        serial_req.remove(hs);
-                    }
-                } else if fl.hedge.map(|(_, s)| s) == Some(serial) {
-                    // Hedge won; the primary's late reply becomes stale.
-                    serial_req.remove(fl.serial);
-                    fl.hedge = None;
-                } else {
-                    stale_replies += 1;
-                    continue;
-                }
-                fl.waiting = false;
-                let next_stage = fl.stage + 1;
-                if next_stage < cfg.tiers.len() {
-                    let (app_idx, label) = (fl.app, fl.label);
-                    cfg.telemetry.instant_on(
-                        t,
-                        "cluster",
-                        "hop",
-                        DISPATCHER_TRACK,
-                        &[("to_tier", (next_stage as u64).into())],
-                    );
-                    let req = ArrivalView { app: cfg.apps[app_idx], label };
-                    match route(
-                        policies[next_stage],
-                        views.members(next_stage),
-                        views.tier(next_stage),
-                        &nodes,
-                        req,
-                        t,
-                        &cfg.telemetry,
-                        &mut rerouted,
-                        &mut decisions,
-                    ) {
-                        Some(target) => {
-                            fl.stage = next_stage;
-                            fl.attempt = 0;
-                            // Propagate the identity as observed on the
-                            // wire: a lost tag stays lost, a corrupted
-                            // one misattributes downstream stages.
-                            fl.wire = seg.ctx;
-                            let serial2 = next_serial;
-                            next_serial += 1;
-                            dispatch_attempt(
-                                target,
-                                &mut nodes[target],
-                                &mut views,
-                                fl,
-                                &mut serial_req,
-                                req_id,
-                                serial2,
-                                service[target][app_idx],
-                                cfg.recovery.as_ref(),
-                                t,
-                            );
-                        }
-                        None => match cfg.recovery.as_ref() {
-                            Some(rec) if fl.attempt < rec.max_retries => {
-                                fl.stage = next_stage;
-                                fl.wire = seg.ctx;
-                                schedule_retry(
-                                    &cfg.telemetry,
-                                    &mut retry_queue,
-                                    rec,
-                                    cfg.seed,
-                                    req_id,
-                                    fl,
-                                    &mut retried,
-                                    t,
-                                );
-                            }
-                            _ => {
-                                inflight.remove(&req_id);
-                                note_shed(
-                                    &cfg.telemetry,
-                                    &mut shed,
-                                    &mut dropped,
-                                    t,
-                                    ShedReason::NoHealthyNode,
-                                );
-                            }
-                        },
-                    }
-                } else {
-                    let latency_s = t.duration_since(fl.arrived).as_secs_f64();
-                    summaries[fl.app].record(latency_s);
-                    if let Some(o) = obs.as_mut() {
-                        o.note_completion(fl.app, latency_s);
-                    }
-                    completed += 1;
-                    inflight.remove(&req_id);
+            _ => {
+                self.book.inflight.remove(&req_id);
+                match reason {
+                    Some(reason) => self.ledger.shed(&cfg.telemetry, t, reason),
+                    None => self.ledger.lose_in_crash(&cfg.telemetry),
                 }
             }
         }
-        // 2.5 Timeouts: a primary past its deadline invalidates its
-        //     live serials (late replies become stale — the dedup
-        //     guarantee) and retries or sheds.
-        if let Some(rec) = cfg.recovery.as_ref() {
-            due_buf.clear();
-            due_buf.extend(
-                inflight
-                    .iter()
-                    .filter(|(_, fl)| !fl.waiting && fl.deadline <= t)
-                    .map(|(&id, _)| id),
+    }
+
+    /// The ids of live requests matching `due`, sorted (the map's order
+    /// is not part of the contract), in the reused scratch buffer; the
+    /// caller hands the buffer back to `due_buf` when done.
+    fn harvest_due(&mut self, due: impl Fn(&InFlight) -> bool) -> Vec<u64> {
+        let mut ids = std::mem::take(&mut self.due_buf);
+        ids.clear();
+        ids.extend(self.book.inflight.iter().filter(|(_, fl)| due(fl)).map(|(&id, _)| id));
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Timeouts: a primary past its deadline invalidates its live
+    /// serials (late replies become stale — the dedup guarantee) and
+    /// retries or is shed.
+    fn expire_timeouts(&mut self, t: SimTime) {
+        let due = self.harvest_due(|fl| !fl.waiting && fl.deadline <= t);
+        for &req_id in &due {
+            let Some(fl) = self.book.inflight.get_mut(&req_id) else { continue };
+            self.book.serial_req.remove(fl.serial);
+            if let Some((_, hs)) = fl.hedge.take() {
+                self.book.serial_req.remove(hs);
+            }
+            self.retry_or_drop(req_id, Some(ShedReason::RetriesExhausted), t);
+        }
+        self.due_buf = due;
+    }
+
+    /// Hedged sends: duplicates a hop that has waited `after` without
+    /// reply onto the least-loaded other node of its tier; the first
+    /// reply wins.
+    fn send_hedges(&mut self, after: SimDuration, t: SimTime) {
+        let cfg = self.bp.cfg;
+        let due = self.harvest_due(|fl| {
+            !fl.waiting
+                && fl.hedge.is_none()
+                && fl.deadline > t
+                && t.duration_since(fl.sent_at) >= after
+        });
+        for &req_id in &due {
+            let Some(fl) = self.book.inflight.get(&req_id) else { continue };
+            let Some(alt) = least_loaded(self.views.members(fl.stage), &self.nodes, fl.node, t)
+            else {
+                continue;
+            };
+            let serial = self.book.fresh_serial();
+            let fl = self.book.inflight.get_mut(&req_id).expect("hedged request is live");
+            fl.hedge = Some((alt, serial));
+            self.book.serial_req.insert(serial, req_id);
+            let node = &mut self.nodes[alt];
+            node.inject(fl, serial, self.bp.service[alt][fl.app], t);
+            self.views.sync(alt, node.outstanding_std);
+            self.ledger.hedged += 1;
+            cfg.telemetry.instant_on(
+                t,
+                "cluster",
+                "hedge",
+                DISPATCHER_TRACK,
+                &[("to", (alt as u64).into())],
             );
-            due_buf.sort_unstable();
-            for &req_id in due_buf.iter() {
-                let Some(fl) = inflight.get_mut(&req_id) else { continue };
-                serial_req.remove(fl.serial);
-                if let Some((_, hs)) = fl.hedge.take() {
-                    serial_req.remove(hs);
-                }
-                if fl.attempt >= rec.max_retries {
-                    inflight.remove(&req_id);
-                    note_shed(
-                        &cfg.telemetry,
-                        &mut shed,
-                        &mut dropped,
-                        t,
-                        ShedReason::RetriesExhausted,
-                    );
-                } else {
-                    schedule_retry(
-                        &cfg.telemetry,
-                        &mut retry_queue,
-                        rec,
-                        cfg.seed,
-                        req_id,
-                        fl,
-                        &mut retried,
-                        t,
-                    );
-                }
-            }
-            // 2.6 Hedged sends: duplicate a slow hop onto the least
-            //     loaded other node of its tier; first reply wins.
-            if let Some(h) = rec.hedge_after {
-                due_buf.clear();
-                due_buf.extend(
-                    inflight
-                        .iter()
-                        .filter(|(_, fl)| {
-                            !fl.waiting
-                                && fl.hedge.is_none()
-                                && fl.deadline > t
-                                && t.duration_since(fl.sent_at) >= h
-                        })
-                        .map(|(&id, _)| id),
-                );
-                due_buf.sort_unstable();
-                for &req_id in due_buf.iter() {
-                    let Some(fl) = inflight.get_mut(&req_id) else { continue };
-                    let alt = views
-                        .members(fl.stage)
-                        .iter()
-                        .copied()
-                        .filter(|&i| i != fl.node && nodes[i].available(t))
-                        .min_by(|&a, &b| {
-                            nodes[a].outstanding_std.total_cmp(&nodes[b].outstanding_std)
-                        });
-                    let Some(alt) = alt else { continue };
-                    let serial2 = next_serial;
-                    next_serial += 1;
-                    fl.hedge = Some((alt, serial2));
-                    serial_req.insert(serial2, req_id);
-                    inject_stage(
-                        &mut nodes[alt],
-                        fl.app,
-                        serial2,
-                        fl.label,
-                        fl.wire,
-                        service[alt][fl.app],
-                        t,
-                    );
-                    views.sync(alt, nodes[alt].outstanding_std);
-                    hedged += 1;
-                    cfg.telemetry.instant_on(
-                        t,
-                        "cluster",
-                        "hedge",
-                        DISPATCHER_TRACK,
-                        &[("to", (alt as u64).into())],
-                    );
-                    cfg.telemetry.add_count("cluster.hedged", 1);
-                }
-            }
+            cfg.telemetry.add_count("cluster.hedged", 1);
         }
-        // 3. Health checks and lifecycle timers (frozen standby /
-        //    provisioning nodes hold no work and skip both).
-        for (n, node) in nodes.iter_mut().enumerate() {
+        self.due_buf = due;
+    }
+
+    /// Health checks and lifecycle timers (frozen standby and
+    /// provisioning nodes hold no work and skip both).
+    fn check_health(&mut self, t: SimTime) {
+        let cfg = self.bp.cfg;
+        for (n, node) in self.nodes.iter_mut().enumerate() {
             if !node.participates() {
                 continue;
             }
             node.lifecycle_tick(t);
             if node.health_check(t) {
-                degradations_detected += 1;
+                self.ledger.degradations_detected += 1;
                 let open_ms = match node.breaker.state {
-                    BreakerState::Open { until } => {
-                        until.duration_since(t).as_secs_f64() * 1e3
-                    }
+                    BreakerState::Open { until } => until.duration_since(t).as_secs_f64() * 1e3,
                     _ => 0.0,
                 };
                 cfg.telemetry.instant_on(
@@ -2114,915 +2289,665 @@ fn run_engine(
                 cfg.telemetry.add_count("cluster.degradations", 1);
             }
         }
-        // 3.5 Re-dispatch requests whose backoff expired.
-        if let Some(rec) = cfg.recovery.as_ref() {
-            // Not a `while let`: under edition 2021 the scrutinee's
-            // borrow of `retry_queue` would live through the body,
-            // which removes from it.
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let Some((&(at, req_id), _)) = retry_queue.iter().next() else { break };
-                if at > t {
-                    break;
-                }
-                retry_queue.remove(&(at, req_id));
-                let Some(fl) = inflight.get_mut(&req_id) else { continue };
-                if !fl.waiting {
-                    continue;
-                }
-                let req = ArrivalView { app: cfg.apps[fl.app], label: fl.label };
-                match route(
-                    policies[fl.stage],
-                    views.members(fl.stage),
-                    views.tier(fl.stage),
-                    &nodes,
-                    req,
-                    t,
-                    &cfg.telemetry,
-                    &mut rerouted,
-                    &mut decisions,
-                ) {
-                    Some(target) => {
-                        let serial = next_serial;
-                        next_serial += 1;
-                        dispatch_attempt(
-                            target,
-                            &mut nodes[target],
-                            &mut views,
-                            fl,
-                            &mut serial_req,
-                            req_id,
-                            serial,
-                            service[target][fl.app],
-                            Some(rec),
-                            t,
-                        );
-                    }
-                    None if fl.attempt < rec.max_retries => {
-                        schedule_retry(
-                            &cfg.telemetry,
-                            &mut retry_queue,
-                            rec,
-                            cfg.seed,
-                            req_id,
-                            fl,
-                            &mut retried,
-                            t,
-                        );
-                    }
-                    None => {
-                        inflight.remove(&req_id);
-                        note_shed(
-                            &cfg.telemetry,
-                            &mut shed,
-                            &mut dropped,
-                            t,
-                            ShedReason::NoHealthyNode,
-                        );
-                    }
-                }
+    }
+
+    /// Re-dispatches requests whose retry backoff expired by `t`.
+    fn redispatch_retries(&mut self, t: SimTime) {
+        let cfg = self.bp.cfg;
+        while let Some((&(at, req_id), _)) = self.book.retry_queue.first_key_value() {
+            if at > t {
+                break;
+            }
+            self.book.retry_queue.pop_first();
+            let Some(fl) = self.book.inflight.get(&req_id) else { continue };
+            if !fl.waiting {
+                continue;
+            }
+            let (stage, req) = (fl.stage, ArrivalView { app: cfg.apps[fl.app], label: fl.label });
+            match self.route(stage, req, t) {
+                Some(target) => self.dispatch_attempt(req_id, target, t),
+                None => self.retry_or_drop(req_id, Some(ShedReason::NoHealthyNode), t),
             }
         }
-        // 3.7 Elasticity, all on the driving thread so resizes are
-        //     byte-identical at every --jobs/--shards count: sample the
-        //     fleet power, land provisioned nodes, progress drains,
-        //     fire the rolling-upgrade schedule, then run one
-        //     controller evaluation when due.
-        let fleet_power_w: f64 = if cfg.power_cap_w.is_some()
-            && (cfg.admission.is_some() || scaler.is_some())
-        {
-            // Only kernels that advance draw power: a frozen standby's
-            // machine still *reports* the instantaneous state it was
-            // built with (worker pools parked on cores), which would
-            // read as a permanently busy fleet.
-            nodes
-                .iter()
-                .filter(|nd| nd.participates())
-                .map(|nd| nd.kernel.machine().true_active_power_watts())
-                .sum()
-        } else {
-            0.0
-        };
-        peak_power_w = peak_power_w.max(fleet_power_w);
-        if let Some(sc) = scaler.as_mut() {
-            let ac = *sc.config();
-            // (a) Land provisioned nodes whose boot latency expired:
-            //     carry the dead stretch's counters, rebuild a fresh
-            //     incarnation at `t` (the crash-restart machinery,
-            //     minus the loss window), restore the retirement
-            //     checkpoint, and start warming up. Boot + warm-up
-            //     idle draw is charged to the provisioning transition.
-            for n in 0..nodes.len() {
-                let ScaleState::Provisioning { decided_at, ready, kind } = nodes[n].scale
-                else {
-                    continue;
-                };
-                if t < ready {
-                    continue;
-                }
-                {
-                    let node = &mut nodes[n];
-                    let m = node.kernel.machine();
-                    node.carried_energy_j += m.true_active_energy_j();
-                    for (tot, c) in
-                        node.carried_fault_counts.iter_mut().zip(m.fault_log().counts())
-                    {
-                        *tot += c;
-                    }
-                    let ks = node.kernel.stats();
-                    node.carried_tags_lost += ks.tags_lost;
-                    node.carried_tags_corrupted += ks.tags_corrupted;
-                    node.carried_degrade += node.facility.borrow().degrade_stats();
-                    node.incarnation += 1;
-                    let tele = node.tele.clone();
-                    let (kernel, facility, inboxes, reply_rx) = build_node_runtime(
-                        n,
-                        node.incarnation,
-                        t,
-                        cfg,
-                        &cals[n],
-                        &apps,
-                        total_cores,
-                        Rc::clone(&node.stats),
-                        &tele,
-                    );
-                    node.kernel = kernel;
-                    node.facility = facility;
-                    node.inboxes = inboxes;
-                    node.reply_rx = reply_rx;
-                    let _ = node
-                        .facility
-                        .borrow_mut()
-                        .containers_mut()
-                        .restore(&node.last_checkpoint, t);
-                    node.last_checkpoint =
-                        node.facility.borrow().containers().checkpoint(t);
-                    node.checkpoints += 1;
-                    node.next_checkpoint_at =
-                        if crashes_possible { t + checkpoint_every } else { SimTime::MAX };
-                    // Fault windows that opened while the node was
-                    // frozen never happened for it.
-                    while node.next_window < node.fault_windows.len()
-                        && node.fault_windows[node.next_window].start < t
-                    {
-                        node.next_window += 1;
-                    }
-                    node.active_window = None;
-                    node.breaker = Breaker::new();
-                    node.lifecycle = Lifecycle::WarmingUp { until: t + ac.warmup };
-                    node.responses_at_check = node.responses;
-                    node.last_health_check = t;
-                    node.scale = ScaleState::Active;
-                    node.active_since = Some(t);
-                }
-                let spec = &cfg.nodes[n];
-                let boot_j = spec.truth.machine_idle_w()
-                    * (ac.provision_delay + ac.warmup).as_secs_f64();
-                provisioning_energy_j += boot_j;
-                tier0_active_cores += spec.total_cores();
-                let tier = nodes[n].tier;
-                views.set_active(n, tier, true, cfg, &nodes);
-                scale_outs += 1;
-                scale_log.push(ScaleEvent {
-                    node: n,
-                    kind,
-                    decided_at,
-                    completed_at: t,
-                    lost_energy_j: 0.0,
-                    lost_requests: 0,
-                    forced: false,
-                    provision_energy_j: boot_j,
-                });
-                cfg.telemetry.instant_on(
-                    t,
-                    "cluster",
-                    kind.name(),
-                    DISPATCHER_TRACK,
-                    &[("node", (n as u64).into()), ("boot_j", boot_j.into())],
-                );
-                cfg.telemetry.add_count("autoscale.scale_out", 1);
+    }
+
+    /// Samples the fleet's active power for the cap-aware phases. Only
+    /// kernels that advance draw power: a frozen standby's machine
+    /// still *reports* the instantaneous state it was built with
+    /// (worker pools parked on cores), which would read as a
+    /// permanently busy fleet.
+    fn sample_fleet_power(&mut self) {
+        let cfg = self.bp.cfg;
+        self.fleet_power_w =
+            if cfg.power_cap_w.is_some() && (cfg.admission.is_some() || self.elastic.is_some()) {
+                self.nodes
+                    .iter()
+                    .filter(|nd| nd.participates())
+                    .map(|nd| nd.rt.kernel.machine().true_active_power_watts())
+                    .sum()
+            } else {
+                0.0
+            };
+        self.ledger.peak_power_w = self.ledger.peak_power_w.max(self.fleet_power_w);
+    }
+
+    /// Lands provisioned nodes whose boot latency expired: a fresh
+    /// incarnation restores the retirement checkpoint and starts
+    /// warming up, and the boot + warm-up idle draw is charged to the
+    /// provisioning transition.
+    fn land_provisioned(&mut self, ac: &AutoscaleConfig, t: SimTime) {
+        let cfg = self.bp.cfg;
+        for n in 0..self.nodes.len() {
+            let ScaleState::Provisioning { decided_at, ready, kind } = self.nodes[n].scale else {
+                continue;
+            };
+            if t < ready {
+                continue;
             }
-            // (b) Progress draining nodes. A node whose outstanding
-            //     work emptied retires cleanly: the final checkpoint is
-            //     taken at the freeze instant, so the journaled loss is
-            //     *exactly* zero (attribution accrues into the same
-            //     totals the checkpoint snapshots — unlike a crash,
-            //     which loses everything since the last periodic
-            //     journal entry). A node past its drain deadline
-            //     force-kills its stragglers — they re-enter the retry
-            //     machinery like crash victims — and retires anyway;
-            //     their partially-done work stays attributed, so even a
-            //     forced drain loses requests but not energy.
-            for (n, node) in nodes.iter_mut().enumerate() {
-                let ScaleState::Draining { decided_at, deadline, kind } = node.scale
-                else {
-                    continue;
-                };
-                if node.pending_crash {
-                    // The crash machinery owns this node this tick; the
-                    // rebuilt (emptied) node retires on a later tick.
-                    continue;
+            self.nodes[n].land(&self.bp, t, ac.warmup);
+            let spec = &cfg.nodes[n];
+            let boot_j =
+                spec.truth.machine_idle_w() * (ac.provision_delay + ac.warmup).as_secs_f64();
+            self.ledger.provisioning_energy_j += boot_j;
+            self.tier0_active_cores += spec.total_cores();
+            self.views.set_active(n, self.nodes[n].tier, true, cfg, &self.nodes);
+            self.ledger.scale_outs += 1;
+            self.ledger.scale_log.push(ScaleEvent {
+                node: n,
+                kind,
+                decided_at,
+                completed_at: t,
+                lost_energy_j: 0.0,
+                lost_requests: 0,
+                forced: false,
+                provision_energy_j: boot_j,
+            });
+            cfg.telemetry.instant_on(
+                t,
+                "cluster",
+                kind.name(),
+                DISPATCHER_TRACK,
+                &[("node", (n as u64).into()), ("boot_j", boot_j.into())],
+            );
+            cfg.telemetry.add_count("autoscale.scale_out", 1);
+        }
+    }
+
+    /// Progresses draining nodes: one whose outstanding work emptied
+    /// retires cleanly; one past its drain deadline force-kills its
+    /// stragglers, which re-enter the retry machinery like crash
+    /// victims, and retires anyway (see [`Node::retire`]).
+    fn progress_drains(&mut self, t: SimTime) {
+        let cfg = self.bp.cfg;
+        for n in 0..self.nodes.len() {
+            let node = &mut self.nodes[n];
+            let ScaleState::Draining { decided_at, deadline, kind } = node.scale else {
+                continue;
+            };
+            if node.pending_crash {
+                // The crash machinery owns this node this tick; the
+                // rebooted (emptied) node retires on a later tick.
+                continue;
+            }
+            let forced = t >= deadline && !node.outstanding.is_empty();
+            if !node.outstanding.is_empty() && !forced {
+                continue;
+            }
+            let (killed, lost_energy_j) = node.retire(t, forced);
+            let lost_requests = killed.len() as u64;
+            self.requeue_killed(killed, t);
+            self.ledger.scale_ins += 1;
+            self.ledger.scale_log.push(ScaleEvent {
+                node: n,
+                kind,
+                decided_at,
+                completed_at: t,
+                lost_energy_j,
+                lost_requests,
+                forced,
+                provision_energy_j: 0.0,
+            });
+            cfg.telemetry.instant_on(
+                t,
+                "cluster",
+                kind.name(),
+                DISPATCHER_TRACK,
+                &[
+                    ("node", (n as u64).into()),
+                    ("forced", (forced as u64).into()),
+                    ("lost_j", lost_energy_j.into()),
+                ],
+            );
+            cfg.telemetry.add_count("autoscale.scale_in", 1);
+        }
+    }
+
+    /// Takes active node `n` out of the routing views and starts
+    /// draining it.
+    fn start_drain(&mut self, n: usize, kind: ScaleKind, ac: &AutoscaleConfig, t: SimTime) {
+        let cfg = self.bp.cfg;
+        self.nodes[n].scale =
+            ScaleState::Draining { decided_at: t, deadline: t + ac.drain_deadline, kind };
+        self.tier0_active_cores -= cfg.nodes[n].total_cores();
+        self.views.set_active(n, self.nodes[n].tier, false, cfg, &self.nodes);
+    }
+
+    /// Starts provisioning standby node `n`.
+    fn start_provision(&mut self, n: usize, kind: ScaleKind, ac: &AutoscaleConfig, t: SimTime) {
+        self.nodes[n].scale =
+            ScaleState::Provisioning { decided_at: t, ready: t + ac.provision_delay, kind };
+    }
+
+    /// Rolling generation upgrades: at each scheduled slot, drains the
+    /// oldest active node (highest flat index — the topology sorts
+    /// newest first) and provisions the newest standby, as one paired
+    /// swap. A slot with no standby (elasticity bought them all) or no
+    /// healthy victim holds its place and retries next tick rather than
+    /// skipping the swap.
+    fn start_upgrades(&mut self, ac: &AutoscaleConfig, t: SimTime) {
+        let Some(up) = ac.upgrade else { return };
+        let cfg = self.bp.cfg;
+        while let Some(el) = self.elastic.as_mut() {
+            let due = el.upgrades_left > 0 && el.next_upgrade_at.is_some_and(|at| t >= at);
+            if !due {
+                break;
+            }
+            let victim = (0..self.nodes.len()).rev().find(|&i| self.nodes[i].drainable());
+            let fresh = (0..self.nodes.len()).find(|&i| self.nodes[i].scale == ScaleState::Standby);
+            let (Some(victim), Some(fresh)) = (victim, fresh) else { break };
+            el.next_upgrade_at = el.next_upgrade_at.map(|at| at + up.every);
+            el.upgrades_left -= 1;
+            self.start_drain(victim, ScaleKind::UpgradeIn, ac, t);
+            self.start_provision(fresh, ScaleKind::UpgradeOut, ac, t);
+            self.ledger.upgrades += 1;
+            cfg.telemetry.instant_on(
+                t,
+                "cluster",
+                "upgrade",
+                DISPATCHER_TRACK,
+                &[("out", (victim as u64).into()), ("in", (fresh as u64).into())],
+            );
+            cfg.telemetry.add_count("autoscale.upgrade", 1);
+        }
+    }
+
+    /// What the controller sees at `t`: node counts by elasticity
+    /// state, per-core outstanding work, and the power fraction of the
+    /// cap.
+    fn fleet_sample(&self, t: SimTime) -> FleetSample {
+        let (mut active, mut landing, mut draining, mut standby) = (0, 0, 0, 0);
+        let mut out_std = 0.0f64;
+        for node in &self.nodes {
+            match node.scale {
+                ScaleState::Active => {
+                    active += 1;
+                    out_std += node.outstanding_std;
+                    if matches!(node.lifecycle, Lifecycle::WarmingUp { .. }) {
+                        landing += 1;
+                    }
                 }
-                let forced = t >= deadline && !node.outstanding.is_empty();
-                if !node.outstanding.is_empty() && !forced {
-                    continue;
-                }
-                let (killed, lost_e) = {
-                    let mut killed: Vec<u64> = Vec::new();
-                    if forced {
-                        killed = node.outstanding.keys().copied().collect();
-                        killed.sort_unstable();
-                        node.outstanding.clear();
-                        node.outstanding_std = 0.0;
-                        node.lost_requests += killed.len() as u64;
+                ScaleState::Provisioning { .. } => landing += 1,
+                ScaleState::Draining { .. } => draining += 1,
+                ScaleState::Standby => standby += 1,
+            }
+        }
+        FleetSample {
+            now: t,
+            active,
+            landing,
+            draining,
+            standby,
+            util: if self.tier0_active_cores > 0 {
+                out_std / self.tier0_active_cores as f64
+            } else {
+                f64::INFINITY
+            },
+            power_frac: self.bp.cfg.power_cap_w.map_or(0.0, |cap| self.fleet_power_w / cap),
+        }
+    }
+
+    /// One controller evaluation when due: moves the brownout ladder
+    /// and starts the resize the controller decided.
+    fn evaluate_scaler(&mut self, ac: &AutoscaleConfig, t: SimTime) {
+        let cfg = self.bp.cfg;
+        if !self.elastic.as_ref().is_some_and(|el| el.scaler.due(t)) {
+            return;
+        }
+        let sample = self.fleet_sample(t);
+        let Some(el) = self.elastic.as_mut() else { return };
+        let prev_level = el.scaler.level();
+        let (decision, level) = el.scaler.decide(&sample);
+        if level != prev_level {
+            if level > prev_level {
+                self.ledger.brownout_engagements += 1;
+                cfg.telemetry.add_count("autoscale.brownout.engage", 1);
+            } else {
+                self.ledger.brownout_releases += 1;
+                cfg.telemetry.add_count("autoscale.brownout.release", 1);
+            }
+            cfg.telemetry.instant_on(
+                t,
+                "cluster",
+                "brownout",
+                DISPATCHER_TRACK,
+                &[("level", (level.index() as u64).into())],
+            );
+        }
+        // DVFS clamp: re-asserted on every active node each evaluation
+        // while the top rung holds (covering nodes that landed since),
+        // restored to full duty on release. A slowdown fault window in
+        // force is overridden until its own end boundary; the chaos
+        // rungs tolerate that interplay.
+        if level == BrownoutLevel::DvfsClamp {
+            for node in self.nodes.iter_mut().filter(|nd| nd.scale == ScaleState::Active) {
+                node.set_all_duty(DutyCycle::at_most(ac.brownout.dvfs_clamp));
+            }
+        } else if prev_level == BrownoutLevel::DvfsClamp {
+            for node in self.nodes.iter_mut().filter(|nd| nd.participates()) {
+                node.set_all_duty(DutyCycle::FULL);
+            }
+        }
+        match decision {
+            ScaleDecision::Out(k) => {
+                let mut started = 0usize;
+                for n in 0..self.nodes.len() {
+                    if started == k {
+                        break;
                     }
-                    if node.active_window.take().is_some() {
-                        node.tele.end_span(t, node.track);
-                    }
-                    node.last_checkpoint =
-                        node.facility.borrow().containers().checkpoint(t);
-                    node.checkpoints += 1;
-                    node.next_checkpoint_at = SimTime::MAX;
-                    // The live totals and the checkpoint sum the same
-                    // per-container energies in different association
-                    // orders, so a clean drain can read a few ULPs
-                    // apart; below a nanojoule the checkpoint IS the
-                    // state (a real crash loss window is joules).
-                    let raw = node.attributed_energy_j()
-                        - node.last_checkpoint.attributed_energy_j();
-                    let lost_e = if raw < 1e-9 { 0.0 } else { raw };
-                    if let Some(s) = node.active_since.take() {
-                        node.uptime_s += t.duration_since(s).as_secs_f64();
-                    }
-                    node.lifecycle = Lifecycle::Healthy;
-                    node.breaker = Breaker::new();
-                    node.scale = ScaleState::Standby;
-                    (killed, lost_e)
-                };
-                let killed_n = killed.len() as u64;
-                for serial in killed {
-                    let Some(req_id) = serial_req.remove(serial) else { continue };
-                    let Some(fl) = inflight.get_mut(&req_id) else { continue };
-                    if fl.serial != serial {
-                        if fl.hedge.map(|(_, s)| s) == Some(serial) {
-                            fl.hedge = None;
-                        }
+                    if self.nodes[n].scale != ScaleState::Standby {
                         continue;
                     }
-                    if let Some((hn, hs)) = fl.hedge.take() {
-                        fl.node = hn;
-                        fl.serial = hs;
-                        continue;
-                    }
-                    match cfg.recovery.as_ref() {
-                        Some(rec) if fl.attempt < rec.max_retries => {
-                            schedule_retry(
-                                &cfg.telemetry,
-                                &mut retry_queue,
-                                rec,
-                                cfg.seed,
-                                req_id,
-                                fl,
-                                &mut retried,
-                                t,
-                            );
-                        }
-                        _ => {
-                            inflight.remove(&req_id);
-                            dropped += 1;
-                            lost_in_crash += 1;
-                            cfg.telemetry.add_count("cluster.lost_in_crash", 1);
-                        }
-                    }
-                }
-                scale_ins += 1;
-                scale_log.push(ScaleEvent {
-                    node: n,
-                    kind,
-                    decided_at,
-                    completed_at: t,
-                    lost_energy_j: lost_e,
-                    lost_requests: killed_n,
-                    forced,
-                    provision_energy_j: 0.0,
-                });
-                cfg.telemetry.instant_on(
-                    t,
-                    "cluster",
-                    kind.name(),
-                    DISPATCHER_TRACK,
-                    &[
-                        ("node", (n as u64).into()),
-                        ("forced", (forced as u64).into()),
-                        ("lost_j", lost_e.into()),
-                    ],
-                );
-                cfg.telemetry.add_count("autoscale.scale_in", 1);
-            }
-            // (c) Rolling generation upgrades: at each scheduled slot,
-            //     drain the oldest active node (highest flat index —
-            //     the topology sorts newest first) and provision the
-            //     newest standby, as one paired swap.
-            if let Some(up) = ac.upgrade {
-                while upgrades_left > 0 && next_upgrade_at.is_some_and(|at| t >= at) {
-                    let victim = (0..nodes.len()).rev().find(|&i| {
-                        matches!(nodes[i].scale, ScaleState::Active)
-                            && nodes[i].lifecycle == Lifecycle::Healthy
-                            && !nodes[i].pending_crash
-                    });
-                    let fresh = (0..nodes.len())
-                        .find(|&i| matches!(nodes[i].scale, ScaleState::Standby));
-                    // A slot with no standby (elasticity bought them
-                    // all) or no healthy victim holds its place and
-                    // retries next tick rather than skipping the swap.
-                    let (Some(victim), Some(fresh)) = (victim, fresh) else { break };
-                    next_upgrade_at = next_upgrade_at.map(|at| at + up.every);
-                    upgrades_left -= 1;
-                    nodes[victim].scale = ScaleState::Draining {
-                        decided_at: t,
-                        deadline: t + ac.drain_deadline,
-                        kind: ScaleKind::UpgradeIn,
-                    };
-                    tier0_active_cores -= cfg.nodes[victim].total_cores();
-                    let tier = nodes[victim].tier;
-                    views.set_active(victim, tier, false, cfg, &nodes);
-                    nodes[fresh].scale = ScaleState::Provisioning {
-                        decided_at: t,
-                        ready: t + ac.provision_delay,
-                        kind: ScaleKind::UpgradeOut,
-                    };
-                    upgrades += 1;
+                    self.start_provision(n, ScaleKind::Out, ac, t);
+                    started += 1;
                     cfg.telemetry.instant_on(
                         t,
                         "cluster",
-                        "upgrade",
+                        "provision",
                         DISPATCHER_TRACK,
-                        &[("out", (victim as u64).into()), ("in", (fresh as u64).into())],
+                        &[("node", (n as u64).into())],
                     );
-                    cfg.telemetry.add_count("autoscale.upgrade", 1);
                 }
             }
-            // (d) One controller evaluation when due.
-            if sc.due(t) {
-                let mut active = 0usize;
-                let mut landing = 0usize;
-                let mut draining = 0usize;
-                let mut standby = 0usize;
-                let mut out_std = 0.0f64;
-                for node in nodes.iter() {
-                    match node.scale {
-                        ScaleState::Active => {
-                            active += 1;
-                            out_std += node.outstanding_std;
-                            if matches!(node.lifecycle, Lifecycle::WarmingUp { .. }) {
-                                landing += 1;
-                            }
-                        }
-                        ScaleState::Provisioning { .. } => landing += 1,
-                        ScaleState::Draining { .. } => draining += 1,
-                        ScaleState::Standby => standby += 1,
+            ScaleDecision::In(k) => {
+                let mut started = 0usize;
+                for n in (0..self.nodes.len()).rev() {
+                    if started == k {
+                        break;
                     }
-                }
-                let sample = FleetSample {
-                    now: t,
-                    active,
-                    landing,
-                    draining,
-                    standby,
-                    util: if tier0_active_cores > 0 {
-                        out_std / tier0_active_cores as f64
-                    } else {
-                        f64::INFINITY
-                    },
-                    power_frac: cfg.power_cap_w.map_or(0.0, |cap| fleet_power_w / cap),
-                };
-                let prev_level = sc.level();
-                let (decision, level) = sc.decide(&sample);
-                if level != prev_level {
-                    if level > prev_level {
-                        brownout_engagements += 1;
-                        cfg.telemetry.add_count("autoscale.brownout.engage", 1);
-                    } else {
-                        brownout_releases += 1;
-                        cfg.telemetry.add_count("autoscale.brownout.release", 1);
+                    if !self.nodes[n].drainable() {
+                        continue;
                     }
+                    self.start_drain(n, ScaleKind::In, ac, t);
+                    started += 1;
                     cfg.telemetry.instant_on(
                         t,
                         "cluster",
-                        "brownout",
+                        "drain",
                         DISPATCHER_TRACK,
-                        &[("level", (level.index() as u64).into())],
+                        &[("node", (n as u64).into())],
                     );
                 }
-                // DVFS clamp: re-asserted on every active node each
-                // evaluation while the top rung holds (covering nodes
-                // that landed since), restored to full duty on release.
-                // A slowdown fault window in force is overridden until
-                // its own end boundary; the chaos rungs tolerate that
-                // interplay.
-                if level == BrownoutLevel::DvfsClamp {
-                    for node in nodes.iter_mut() {
-                        if matches!(node.scale, ScaleState::Active) {
-                            node.set_all_duty(DutyCycle::at_most(ac.brownout.dvfs_clamp));
-                        }
-                    }
-                } else if prev_level == BrownoutLevel::DvfsClamp {
-                    for node in nodes.iter_mut() {
-                        if node.participates() {
-                            node.set_all_duty(DutyCycle::FULL);
-                        }
-                    }
-                }
-                match decision {
-                    ScaleDecision::Out(k) => {
-                        let mut started = 0usize;
-                        for (n, node) in nodes.iter_mut().enumerate() {
-                            if started == k {
-                                break;
-                            }
-                            if !matches!(node.scale, ScaleState::Standby) {
-                                continue;
-                            }
-                            node.scale = ScaleState::Provisioning {
-                                decided_at: t,
-                                ready: t + ac.provision_delay,
-                                kind: ScaleKind::Out,
-                            };
-                            started += 1;
-                            cfg.telemetry.instant_on(
-                                t,
-                                "cluster",
-                                "provision",
-                                DISPATCHER_TRACK,
-                                &[("node", (n as u64).into())],
-                            );
-                        }
-                    }
-                    ScaleDecision::In(k) => {
-                        let mut started = 0usize;
-                        for n in (0..nodes.len()).rev() {
-                            if started == k {
-                                break;
-                            }
-                            if !matches!(nodes[n].scale, ScaleState::Active)
-                                || nodes[n].lifecycle != Lifecycle::Healthy
-                                || nodes[n].pending_crash
-                            {
-                                continue;
-                            }
-                            nodes[n].scale = ScaleState::Draining {
-                                decided_at: t,
-                                deadline: t + ac.drain_deadline,
-                                kind: ScaleKind::In,
-                            };
-                            tier0_active_cores -= cfg.nodes[n].total_cores();
-                            let tier = nodes[n].tier;
-                            views.set_active(n, tier, false, cfg, &nodes);
-                            started += 1;
-                            cfg.telemetry.instant_on(
-                                t,
-                                "cluster",
-                                "drain",
-                                DISPATCHER_TRACK,
-                                &[("node", (n as u64).into())],
-                            );
-                        }
-                    }
-                    ScaleDecision::Hold => {}
-                }
             }
+            ScaleDecision::Hold => {}
         }
-        // 4. Admission control (brownout-aware: the ladder sheds
-        //    optional sessions first, then tightens the queue bound),
-        //    then dispatch the tick's batch of arrivals into tier 0.
-        let brownout = scaler.as_ref().map_or(BrownoutLevel::Normal, Autoscaler::level);
+    }
+
+    /// Admission control and dispatch of every arrival due by `t` into
+    /// tier 0. Brownout-aware: the ladder sheds optional sessions
+    /// first, then tightens the queue bound.
+    fn admit_arrivals(&mut self, t: SimTime) {
+        let cfg = self.bp.cfg;
+        let brownout = self.elastic.as_ref().map_or(BrownoutLevel::Normal, |el| el.scaler.level());
         let admission_scale = if brownout >= BrownoutLevel::TightenAdmission {
             cfg.autoscale.as_ref().map_or(1.0, |ac| ac.brownout.admission_tighten)
         } else {
             1.0
         };
-        while let Some(a) = pending {
+        while let Some(a) = self.pending {
             if a.at > t {
                 break;
             }
-            pending = gen.next(&apps);
-            dispatched += 1;
+            self.pending = self.arrivals.next(&self.bp.apps);
+            self.ledger.dispatched += 1;
             cfg.telemetry.add_count("cluster.dispatched", 1);
-            if brownout >= BrownoutLevel::ShedOptional && a.optional {
-                note_shed(
-                    &cfg.telemetry,
-                    &mut shed,
-                    &mut dropped,
-                    a.at,
-                    ShedReason::BrownoutOptional,
-                );
+            if let Some(reason) = self.refusal(&a, brownout, admission_scale) {
+                self.ledger.shed(&cfg.telemetry, a.at, reason);
                 continue;
             }
-            if let Some(adm) = cfg.admission.as_ref() {
-                let depth: f64 =
-                    views.members(0).iter().map(|&i| nodes[i].outstanding_std).sum();
-                if depth > adm.max_queue_per_core * tier0_active_cores as f64 * admission_scale
-                {
-                    note_shed(&cfg.telemetry, &mut shed, &mut dropped, a.at, ShedReason::QueueDepth);
-                    continue;
-                }
-                if let Some(cap) = cfg.power_cap_w {
-                    if fleet_power_w > adm.power_headroom * cap {
-                        note_shed(
-                            &cfg.telemetry,
-                            &mut shed,
-                            &mut dropped,
-                            a.at,
-                            ShedReason::PowerHeadroom,
-                        );
-                        continue;
+            let req = ArrivalView { app: cfg.apps[a.app], label: a.label };
+            let Some(target) = self.route(0, req, a.at) else {
+                self.ledger.shed(&cfg.telemetry, a.at, ShedReason::NoHealthyNode);
+                continue;
+            };
+            let req_id = self.book.open(&a);
+            self.dispatch_attempt(req_id, target, a.at);
+        }
+    }
+
+    /// Why the front door refuses arrival `a`, if it does: an optional
+    /// session under brownout, tier-0 queue depth past the (possibly
+    /// tightened) bound, or fleet power past the cap headroom.
+    fn refusal(&self, a: &Arrival, brownout: BrownoutLevel, scale: f64) -> Option<ShedReason> {
+        if brownout >= BrownoutLevel::ShedOptional && a.optional {
+            return Some(ShedReason::BrownoutOptional);
+        }
+        let cfg = self.bp.cfg;
+        let adm = cfg.admission.as_ref()?;
+        let depth: f64 = self.views.members(0).iter().map(|&i| self.nodes[i].outstanding_std).sum();
+        if depth > adm.max_queue_per_core * self.tier0_active_cores as f64 * scale {
+            return Some(ShedReason::QueueDepth);
+        }
+        match cfg.power_cap_w {
+            Some(cap) if self.fleet_power_w > adm.power_headroom * cap => {
+                Some(ShedReason::PowerHeadroom)
+            }
+            _ => None,
+        }
+    }
+
+    /// Observability window close: at the first tick at or past a
+    /// window boundary, reads every node's cumulative energy in node
+    /// order and feeds the rollups and burn-rate monitor. Only full
+    /// windows close; a trailing partial window is dropped.
+    fn close_obs_window(&mut self, t: SimTime) {
+        let Some(o) = self.obs.as_mut() else { return };
+        if !o.due(t) {
+            return;
+        }
+        self.obs_samples.clear();
+        self.obs_samples
+            .extend(self.nodes.iter().map(|n| (n.active_energy_j(), n.attributed_energy_j())));
+        let degrade: u64 = self.nodes.iter().map(|n| n.degrade_stats().drift_total()).sum();
+        o.close_window(
+            t,
+            &self.obs_samples,
+            self.ledger.completed as u64,
+            self.ledger.dropped,
+            degrade,
+            &self.bp.cfg.telemetry,
+        );
+    }
+
+    /// Final settle after the last tick: closes any fault window still
+    /// open, replays frozen backlogs so energy accounting covers the
+    /// whole run, and drains the last replies. Frozen standby and
+    /// provisioning nodes stay frozen: their kernels hold the state
+    /// journaled at retirement and accrue nothing.
+    fn settle(&mut self, end: SimTime) {
+        for node in &mut self.nodes {
+            node.advance_to(end);
+        }
+        for node in self.nodes.iter_mut().filter(|nd| nd.participates()) {
+            if node.active_window.take().is_some() {
+                node.tele.end_span(end, node.track());
+            }
+            node.rt.kernel.run_until(end);
+        }
+        merge_node_events(&self.bp.cfg.telemetry, &self.nodes);
+        self.drain_replies(end, Self::on_final_reply);
+    }
+
+    /// A reply drained after the last tick: completes a request leaving
+    /// the last tier; a mid-pipeline one can no longer run its next
+    /// stage and stays accounted as in flight.
+    fn on_final_reply(&mut self, n: usize, seg: Segment, end: SimTime) {
+        let serial = seg.payload >> 32;
+        self.nodes[n].settle(serial);
+        let Some(req_id) = self.book.serial_req.get(serial) else {
+            self.ledger.stale_replies += 1;
+            return;
+        };
+        let Some(fl) = self.book.inflight.get(&req_id) else { return };
+        if fl.serial != serial && fl.hedge.map(|(_, s)| s) != Some(serial) {
+            self.ledger.stale_replies += 1;
+            return;
+        }
+        self.book.serial_req.remove(serial);
+        if fl.stage + 1 < self.bp.cfg.tiers.len() {
+            return;
+        }
+        let (app, arrived) = (fl.app, fl.arrived);
+        self.note_completion(app, end.duration_since(arrived).as_secs_f64());
+        if let Some(fl) = self.book.inflight.remove(&req_id) {
+            self.book.serial_req.remove(fl.serial);
+            if let Some((_, hs)) = fl.hedge {
+                self.book.serial_req.remove(hs);
+            }
+        }
+    }
+
+    /// Closes the books: folds the per-node metrics into the main sink,
+    /// reports to the experiment harness ledgers, and assembles the
+    /// outcome.
+    fn finish(mut self, end: SimTime) -> ClusterOutcome {
+        let cfg = self.bp.cfg;
+        // Fold each node's private metrics registry (facility counters,
+        // gauges, histograms, span bookkeeping) into the main sink, in
+        // node order.
+        if cfg.telemetry.enabled() {
+            for node in &self.nodes {
+                cfg.telemetry.absorb(&node.tele);
+            }
+        }
+        self.report_to_harness();
+        // Nodes still active (or draining) at the end accrue uptime
+        // through `end`; a fixed fleet therefore reads exactly the run
+        // duration per node.
+        for node in &mut self.nodes {
+            node.close_uptime(end);
+        }
+        let secs = cfg.duration.as_secs_f64();
+        let per_node: Vec<NodeOutcome> = self.nodes.iter().map(|n| n.outcome(secs)).collect();
+        let idle_energy_j = per_node.iter().map(|n| n.idle_energy_j).sum();
+        let (energies, energy_by_ctx) = self.attribute_energy();
+        let mut fault_counts = [0u64; hwsim::FaultKind::ALL.len()];
+        let (mut tags_lost, mut tags_corrupted, mut crashes, mut checkpoints) = (0, 0, 0u64, 0);
+        for node in &self.nodes {
+            let live = node.rt.kernel.machine().fault_log().counts();
+            for (total, n) in fault_counts.iter_mut().zip(live) {
+                *total += n;
+            }
+            for (total, n) in fault_counts.iter_mut().zip(node.carried_fault_counts) {
+                *total += n;
+            }
+            let ks = node.rt.kernel.stats();
+            tags_lost += ks.tags_lost + node.carried_tags_lost;
+            tags_corrupted += ks.tags_corrupted + node.carried_tags_corrupted;
+            crashes += node.crashes as u64;
+            checkpoints += node.checkpoints;
+        }
+        if let Some(ix) =
+            hwsim::FaultKind::ALL.iter().position(|k| *k == hwsim::FaultKind::NodeCrash)
+        {
+            fault_counts[ix] += crashes;
+        }
+        let provenance = self.provenance();
+        let obs = self.obs.take().map(|o| Box::new(o.finish(provenance)));
+        if let Some(o) = obs.as_ref() {
+            workloads::note_obs(workloads::ObsDigest {
+                alerts: o.report.alerts.len() as u64,
+                p99_j_per_req: o
+                    .report
+                    .sketches
+                    .get("energy_j_per_req/fleet")
+                    .map(|s| s.quantile(0.99))
+                    .unwrap_or(0.0),
+            });
+        }
+        let l = self.ledger;
+        ClusterOutcome {
+            policy: self.policies[0].name(),
+            per_node,
+            response_by_app: cfg.apps.iter().copied().zip(l.response_by_app).collect(),
+            energy_by_app_j: cfg.apps.iter().copied().zip(energies).collect(),
+            energy_by_ctx,
+            dispatched: l.dispatched,
+            completed: l.completed,
+            rerouted: l.rerouted,
+            dropped: l.dropped,
+            shed: l.shed,
+            lost_in_crash: l.lost_in_crash,
+            retried: l.retried,
+            hedged: l.hedged,
+            stale_replies: l.stale_replies,
+            crashes,
+            checkpoints,
+            crash_log: l.crash_log,
+            in_flight: self.book.inflight.len() as u64,
+            decisions: l.decisions,
+            degradations_detected: l.degradations_detected,
+            tags_lost,
+            tags_corrupted,
+            fault_counts,
+            obs,
+            scale_log: l.scale_log,
+            scale_outs: l.scale_outs,
+            scale_ins: l.scale_ins,
+            upgrades: l.upgrades,
+            brownout_engagements: l.brownout_engagements,
+            brownout_releases: l.brownout_releases,
+            autoscale_evals: self.elastic.as_ref().map_or(0, |el| el.scaler.evals()),
+            provisioning_energy_j: l.provisioning_energy_j,
+            idle_energy_j,
+            peak_power_w: l.peak_power_w,
+        }
+    }
+
+    /// Reports the run's degradation decisions, offered requests and
+    /// elasticity digest to the experiment harness ledgers.
+    fn report_to_harness(&self) {
+        let l = &self.ledger;
+        let mut degrade = self
+            .nodes
+            .iter()
+            .map(Node::degrade_stats)
+            .fold(power_containers::DegradeStats::default(), |acc, d| acc + d);
+        degrade.requests_retried += l.retried;
+        degrade.requests_shed += l.dropped;
+        workloads::note_degrade(degrade);
+        workloads::note_requests(l.dispatched);
+        workloads::note_autoscale(workloads::AutoscaleDigest {
+            scale_outs: l.scale_outs,
+            scale_ins: l.scale_ins,
+            upgrades: l.upgrades,
+            brownout_engagements: l.brownout_engagements,
+            shed_optional: l.shed[ShedReason::BrownoutOptional.index()],
+        });
+    }
+
+    /// The comprehensive per-app energy accounting, resolved through
+    /// the dispatcher's ctx→app map over every node's container records
+    /// and still-live containers (labels are app-local and may collide
+    /// across apps). The energy per identity is exactly what the §3.4
+    /// response tag carries back from each serving machine; records
+    /// created under lost or corrupted identities simply fall out of
+    /// the per-app sums. Also feeds the obs plane's energy-per-request
+    /// sketches, and returns the per-request ledger when
+    /// [`ClusterConfig::retain_request_energy`] asks for it.
+    fn attribute_energy(&mut self) -> (Vec<f64>, Vec<CtxEnergy>) {
+        let ctx_app = &self.book.ctx_app;
+        let mut energies = vec![0.0f64; self.bp.apps.len()];
+        // ctx → (energy, node count, app index) — the app rides along so
+        // the obs feed below needs no second identity lookup per request.
+        let mut by_ctx: FxHashMap<u64, (f64, u32, u32)> = FxHashMap::default();
+        // The obs plane's energy-per-request sketches need the same
+        // per-ctx assembly `retain_request_energy` builds; without either
+        // consumer the per-ctx maps are skipped entirely.
+        let want_ctx = self.bp.cfg.retain_request_energy || self.obs.is_some();
+        if want_ctx {
+            let records = |n: &Node| n.rt.facility.borrow().containers().records().len();
+            by_ctx.reserve(self.nodes.iter().map(records).sum());
+        }
+        let mut seen_here: FxHashMap<u64, (f64, u32)> = FxHashMap::default();
+        for node in &self.nodes {
+            let facility = node.rt.facility.borrow();
+            seen_here.clear();
+            for r in facility.containers().records() {
+                if let Some(app_idx) = app_of(ctx_app, r.ctx) {
+                    energies[app_idx] += r.energy_j + r.io_energy_j;
+                    if want_ctx {
+                        seen_here.entry(r.ctx.0).or_insert((0.0, app_idx as u32)).0 +=
+                            r.energy_j + r.io_energy_j;
                     }
                 }
             }
-            let req = ArrivalView { app: cfg.apps[a.app], label: a.label };
-            let Some(target) = route(
-                policies[0],
-                views.members(0),
-                views.tier(0),
-                &nodes,
-                req,
-                a.at,
-                &cfg.telemetry,
-                &mut rerouted,
-                &mut decisions,
-            ) else {
-                note_shed(&cfg.telemetry, &mut shed, &mut dropped, a.at, ShedReason::NoHealthyNode);
-                continue;
-            };
-            let serial = next_serial;
-            next_serial += 1;
-            debug_assert!(serial < u32::MAX as u64, "serial space exhausted");
-            let req_id = next_req;
-            next_req += 1;
-            let ctx = ContextId(next_ctx);
-            next_ctx += 1;
-            // `ctx` is exactly `ctx_app.len() + 1`, so a push keeps the
-            // slab aligned with the sequential id space.
-            debug_assert_eq!(next_ctx as usize, ctx_app.len() + 2);
-            ctx_app.push(a.app as u8);
-            let mut fl = InFlight {
-                app: a.app,
-                label: a.label,
-                arrived: a.at,
-                stage: 0,
-                wire: Some(ctx),
-                node: target,
-                serial,
-                attempt: 0,
-                sent_at: a.at,
-                deadline: SimTime::MAX,
-                hedge: None,
-                waiting: false,
-            };
-            dispatch_attempt(
-                target,
-                &mut nodes[target],
-                &mut views,
-                &mut fl,
-                &mut serial_req,
-                req_id,
-                serial,
-                service[target][a.app],
-                cfg.recovery.as_ref(),
-                a.at,
-            );
-            inflight.insert(req_id, fl);
-        }
-        // 5. Observability window close: at the first tick at or past a
-        //    window boundary, read every node's cumulative energy in
-        //    node order and feed the rollups + burn-rate monitor. Only
-        //    full windows close; a trailing partial window is dropped.
-        if let Some(o) = obs.as_mut() {
-            if o.due(t) {
-                obs_samples.clear();
-                obs_samples.extend(nodes.iter().map(|n| {
-                    (
-                        n.carried_energy_j + n.kernel.machine().true_active_energy_j(),
-                        n.attributed_energy_j(),
-                    )
-                }));
-                let degrade: u64 = nodes
-                    .iter()
-                    .map(|n| n.degrade_stats().drift_total())
-                    .sum();
-                o.close_window(
-                    t,
-                    &obs_samples,
-                    completed as u64,
-                    dropped,
-                    degrade,
-                    &cfg.telemetry,
-                );
-            }
-        }
-        if t >= end {
-            break;
-        }
-    }
-    // Final settle: close any window still open, replay frozen backlogs
-    // so energy accounting covers the whole run, and drain the last
-    // responses.
-    advance_shards(&mut nodes, end, cfg.shards);
-    for node in &mut nodes {
-        // Frozen standby/provisioning nodes stay frozen: their kernels
-        // hold the state journaled at retirement and accrue nothing.
-        if !node.participates() {
-            continue;
-        }
-        if let Some(w) = node.active_window.take() {
-            let _ = w;
-            node.tele.end_span(end, node.track);
-        }
-        node.kernel.run_until(end);
-    }
-    merge_node_events(&cfg.telemetry, &nodes);
-    for node in nodes.iter_mut() {
-        let rx = node.reply_rx;
-        seg_buf.clear();
-        node.kernel.drain_messages_into(rx, &mut seg_buf);
-        for seg in seg_buf.drain(..) {
-            let serial = seg.payload >> 32;
-            node.settle(serial);
-            let Some(req_id) = serial_req.get(serial) else {
-                stale_replies += 1;
-                continue;
-            };
-            let Some(fl) = inflight.get(&req_id) else { continue };
-            let is_primary = fl.serial == serial;
-            let is_hedge = fl.hedge.map(|(_, s)| s) == Some(serial);
-            if !is_primary && !is_hedge {
-                stale_replies += 1;
-                continue;
-            }
-            serial_req.remove(serial);
-            if fl.stage + 1 < cfg.tiers.len() {
-                // The next stage can no longer run; the request stays
-                // accounted as in flight.
-                continue;
-            }
-            let latency_s = end.duration_since(fl.arrived).as_secs_f64();
-            summaries[fl.app].record(latency_s);
-            if let Some(o) = obs.as_mut() {
-                o.note_completion(fl.app, latency_s);
-            }
-            completed += 1;
-            if let Some(fl) = inflight.remove(&req_id) {
-                serial_req.remove(fl.serial);
-                if let Some((_, hs)) = fl.hedge {
-                    serial_req.remove(hs);
+            for (ctx, c) in facility.containers().iter_live() {
+                if let Some(app_idx) = app_of(ctx_app, ctx) {
+                    energies[app_idx] += c.total_energy_j();
+                    if want_ctx {
+                        seen_here.entry(ctx.0).or_insert((0.0, app_idx as u32)).0 +=
+                            c.total_energy_j();
+                    }
                 }
             }
-        }
-    }
-    // Fold each node's private metrics registry (facility counters,
-    // gauges, histograms, span bookkeeping) into the main sink, in node
-    // order — deterministic at every shard count.
-    if cfg.telemetry.enabled() {
-        for node in &nodes {
-            cfg.telemetry.absorb(&node.tele);
-        }
-    }
-    let mut cluster_degrade = nodes
-        .iter()
-        .map(Node::degrade_stats)
-        .fold(power_containers::DegradeStats::default(), |acc, d| acc + d);
-    cluster_degrade.requests_retried += retried;
-    cluster_degrade.requests_shed += dropped;
-    workloads::note_degrade(cluster_degrade);
-    workloads::note_requests(dispatched);
-    workloads::note_autoscale(workloads::AutoscaleDigest {
-        scale_outs,
-        scale_ins,
-        upgrades,
-        brownout_engagements,
-        shed_optional: shed[ShedReason::BrownoutOptional.index()],
-    });
-
-    let secs = cfg.duration.as_secs_f64();
-    // Close the books on uptime: nodes still active (or draining) at
-    // the end accrue through `end`; a fixed fleet therefore reads
-    // exactly the run duration per node.
-    for node in nodes.iter_mut() {
-        if let Some(s) = node.active_since.take() {
-            node.uptime_s += end.duration_since(s).as_secs_f64();
-        }
-    }
-    let per_node: Vec<NodeOutcome> = nodes
-        .iter()
-        .map(|n| {
-            let m = n.kernel.machine();
-            let cores = m.spec().total_cores();
-            let util = (0..cores)
-                .map(|c| m.counters(hwsim::CoreId(c)).core_utilization())
-                .sum::<f64>()
-                / cores as f64;
-            let active_energy_j = n.carried_energy_j + m.true_active_energy_j();
-            NodeOutcome {
-                machine: m.spec().name,
-                tier: n.tier,
-                active_energy_j,
-                attributed_energy_j: n.attributed_energy_j(),
-                energy_rate_w: active_energy_j / secs,
-                dispatched: n.injected,
-                completions: n.responses as usize,
-                in_flight: n.outstanding.len() as u64,
-                lost_requests: n.lost_requests,
-                lost_energy_j: n.lost_energy_j,
-                crashes: n.crashes as u64,
-                utilization: util,
-                uptime_s: n.uptime_s,
-                idle_energy_j: m.spec().truth.machine_idle_w() * n.uptime_s,
-            }
-        })
-        .collect();
-    let fleet_idle_energy_j: f64 = per_node.iter().map(|n| n.idle_energy_j).sum();
-
-    // The comprehensive per-app energy accounting, resolved through the
-    // dispatcher's ctx→app map over every node's container records and
-    // still-live containers (labels are app-local and may collide across
-    // apps). The energy per identity is exactly what the §3.4 response
-    // tag carries back from each serving machine; records created under
-    // lost or corrupted identities simply fall out of the per-app sums.
-    let mut energies = vec![0.0f64; apps.len()];
-    // ctx → (energy, node count, app index) — the app rides along so the
-    // obs feed below needs no second identity lookup per request.
-    let mut by_ctx: FxHashMap<u64, (f64, u32, u32)> = FxHashMap::default();
-    // The obs plane's energy-per-request sketches need the same per-ctx
-    // assembly `retain_request_energy` builds; without either consumer
-    // the per-ctx maps are skipped entirely.
-    let want_ctx = cfg.retain_request_energy || obs.is_some();
-    if want_ctx {
-        by_ctx.reserve(
-            nodes.iter().map(|n| n.facility.borrow().containers().records().len()).sum(),
-        );
-    }
-    let mut seen_here: FxHashMap<u64, (f64, u32)> = FxHashMap::default();
-    for node in &nodes {
-        let facility = node.facility.borrow();
-        seen_here.clear();
-        for r in facility.containers().records() {
-            if let Some(app_idx) = app_of(&ctx_app, r.ctx) {
-                energies[app_idx] += r.energy_j + r.io_energy_j;
-                if want_ctx {
-                    seen_here.entry(r.ctx.0).or_insert((0.0, app_idx as u32)).0 +=
-                        r.energy_j + r.io_energy_j;
-                }
+            for (&ctx, &(e, app_idx)) in seen_here.iter() {
+                let entry = by_ctx.entry(ctx).or_insert((0.0, 0, app_idx));
+                entry.0 += e;
+                entry.1 += 1;
             }
         }
-        for (ctx, c) in facility.containers().iter_live() {
-            if let Some(app_idx) = app_of(&ctx_app, ctx) {
-                energies[app_idx] += c.total_energy_j();
-                if want_ctx {
-                    seen_here.entry(ctx.0).or_insert((0.0, app_idx as u32)).0 +=
-                        c.total_energy_j();
-                }
+        if let Some(o) = self.obs.as_mut() {
+            // Sketch observation is commutative (integer bucket adds), so
+            // the map's iteration order is fine here — no sort needed.
+            for (_, &(energy_j, _, app_idx)) in by_ctx.iter() {
+                o.note_request_energy(Some(app_idx as usize), energy_j);
             }
         }
-        for (&ctx, &(e, app_idx)) in seen_here.iter() {
-            let entry = by_ctx.entry(ctx).or_insert((0.0, 0, app_idx));
-            entry.0 += e;
-            entry.1 += 1;
+        let mut energy_by_ctx: Vec<CtxEnergy> = Vec::new();
+        if self.bp.cfg.retain_request_energy {
+            energy_by_ctx = by_ctx
+                .into_iter()
+                .map(|(ctx, (energy_j, nodes, _))| CtxEnergy { ctx, energy_j, nodes })
+                .collect();
+            energy_by_ctx.sort_by_key(|c| c.ctx);
         }
-    }
-    if let Some(o) = obs.as_mut() {
-        // Sketch observation is commutative (integer bucket adds), so
-        // the map's iteration order is fine here — no sort needed.
-        for (_, &(energy_j, _, app_idx)) in by_ctx.iter() {
-            o.note_request_energy(Some(app_idx as usize), energy_j);
-        }
-    }
-    let mut energy_by_ctx: Vec<CtxEnergy> = Vec::new();
-    if cfg.retain_request_energy {
-        energy_by_ctx = by_ctx
-            .into_iter()
-            .map(|(ctx, (energy_j, nodes, _))| CtxEnergy { ctx, energy_j, nodes })
-            .collect();
-        energy_by_ctx.sort_by_key(|c| c.ctx);
+        (energies, energy_by_ctx)
     }
 
-    let response_by_app = cfg.apps.iter().copied().zip(summaries).collect();
-    let energy_by_app_j = cfg.apps.iter().copied().zip(energies).collect();
-    let mut fault_counts = [0u64; hwsim::FaultKind::ALL.len()];
-    let mut tags_lost = 0u64;
-    let mut tags_corrupted = 0u64;
-    let mut crashes = 0u64;
-    let mut checkpoints = 0u64;
-    for node in &nodes {
-        for (total, n) in
-            fault_counts.iter_mut().zip(node.kernel.machine().fault_log().counts())
-        {
-            *total += n;
+    /// Per-request energy provenance (empty unless the obs plane asks
+    /// for it): every retained container record and still-live
+    /// container becomes one node → incarnation → container leaf with
+    /// cpu/throttled/io segments. A record's incarnation is the number
+    /// of this node's crashes at or before its creation, so records
+    /// restored from a crash journal keep the incarnation they accrued
+    /// in.
+    fn provenance(&self) -> Vec<telemetry::obs::ProvenanceEntry> {
+        if !self.obs.as_ref().is_some_and(ObsPlane::wants_provenance) {
+            return Vec::new();
         }
-        for (total, n) in fault_counts.iter_mut().zip(node.carried_fault_counts) {
-            *total += n;
+        let mut crash_times: Vec<Vec<SimTime>> = vec![Vec::new(); self.nodes.len()];
+        for cr in &self.ledger.crash_log {
+            crash_times[cr.node].push(cr.at);
         }
-        let ks = node.kernel.stats();
-        tags_lost += ks.tags_lost + node.carried_tags_lost;
-        tags_corrupted += ks.tags_corrupted + node.carried_tags_corrupted;
-        crashes += node.crashes as u64;
-        checkpoints += node.checkpoints;
-    }
-    if let Some(ix) =
-        hwsim::FaultKind::ALL.iter().position(|k| *k == hwsim::FaultKind::NodeCrash)
-    {
-        fault_counts[ix] += crashes;
-    }
-    // Per-request energy provenance: every retained container record
-    // (and still-live container) becomes one node → incarnation →
-    // container leaf with cpu/throttled/io segments. A record's
-    // incarnation is the number of this node's crashes at or before its
-    // creation, so records restored from a crash journal keep the
-    // incarnation they accrued in.
-    let provenance: Vec<telemetry::obs::ProvenanceEntry> =
-        if obs.as_ref().is_some_and(ObsPlane::wants_provenance) {
-            let mut crash_times: Vec<Vec<SimTime>> = vec![Vec::new(); nodes.len()];
-            for cr in &crash_log {
-                crash_times[cr.node].push(cr.at);
+        let mut out = Vec::new();
+        for (n, node) in self.nodes.iter().enumerate() {
+            let f = node.rt.facility.borrow();
+            let inc_of = |created: SimTime| {
+                crash_times[n].iter().take_while(|&&ct| ct <= created).count() as u32
+            };
+            for r in f.containers().records() {
+                out.push(telemetry::obs::ProvenanceEntry {
+                    node: n as u32,
+                    incarnation: inc_of(r.created_at),
+                    ctx: r.ctx.0,
+                    label: r.label.map(i64::from).unwrap_or(-1),
+                    cpu_j: (r.energy_j - r.throttled_j).max(0.0),
+                    throttled_j: r.throttled_j,
+                    io_j: r.io_energy_j,
+                });
             }
-            let mut out = Vec::new();
-            for (n, node) in nodes.iter().enumerate() {
-                let f = node.facility.borrow();
-                let inc_of = |created: SimTime| {
-                    crash_times[n].iter().take_while(|&&ct| ct <= created).count() as u32
-                };
-                for r in f.containers().records() {
-                    out.push(telemetry::obs::ProvenanceEntry {
-                        node: n as u32,
-                        incarnation: inc_of(r.created_at),
-                        ctx: r.ctx.0,
-                        label: r.label.map(i64::from).unwrap_or(-1),
-                        cpu_j: (r.energy_j - r.throttled_j).max(0.0),
-                        throttled_j: r.throttled_j,
-                        io_j: r.io_energy_j,
-                    });
-                }
-                for (ctx, c) in f.containers().iter_live() {
-                    out.push(telemetry::obs::ProvenanceEntry {
-                        node: n as u32,
-                        incarnation: node.crashes,
-                        ctx: ctx.0,
-                        label: c.label().map(i64::from).unwrap_or(-1),
-                        cpu_j: (c.energy_j() - c.throttled_j()).max(0.0),
-                        throttled_j: c.throttled_j(),
-                        io_j: c.io_energy_j(),
-                    });
-                }
+            for (ctx, c) in f.containers().iter_live() {
+                out.push(telemetry::obs::ProvenanceEntry {
+                    node: n as u32,
+                    incarnation: node.crashes,
+                    ctx: ctx.0,
+                    label: c.label().map(i64::from).unwrap_or(-1),
+                    cpu_j: (c.energy_j() - c.throttled_j()).max(0.0),
+                    throttled_j: c.throttled_j(),
+                    io_j: c.io_energy_j(),
+                });
             }
-            out
-        } else {
-            Vec::new()
-        };
-    let obs_outcome = obs.map(|o| Box::new(o.finish(provenance)));
-    if let Some(o) = obs_outcome.as_ref() {
-        workloads::note_obs(workloads::ObsDigest {
-            alerts: o.report.alerts.len() as u64,
-            p99_j_per_req: o
-                .report
-                .sketches
-                .get("energy_j_per_req/fleet")
-                .map(|s| s.quantile(0.99))
-                .unwrap_or(0.0),
-        });
-    }
-    ClusterOutcome {
-        policy: policies[0].name(),
-        per_node,
-        response_by_app,
-        energy_by_app_j,
-        energy_by_ctx,
-        dispatched,
-        completed,
-        rerouted,
-        dropped,
-        shed,
-        lost_in_crash,
-        retried,
-        hedged,
-        stale_replies,
-        crashes,
-        checkpoints,
-        crash_log,
-        in_flight: inflight.len() as u64,
-        decisions,
-        degradations_detected,
-        tags_lost,
-        tags_corrupted,
-        fault_counts,
-        obs: obs_outcome,
-        scale_log,
-        scale_outs,
-        scale_ins,
-        upgrades,
-        brownout_engagements,
-        brownout_releases,
-        autoscale_evals: scaler.as_ref().map_or(0, Autoscaler::evals),
-        provisioning_energy_j,
-        idle_energy_j: fleet_idle_energy_j,
-        peak_power_w,
+        }
+        out
     }
 }

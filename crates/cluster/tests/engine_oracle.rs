@@ -12,9 +12,9 @@
 //! digest is meant to pin actually ran.
 
 use cluster::{
-    run_pipeline, AutoscaleConfig, ClusterConfig, ClusterOutcome, DistributionPolicy,
-    ObsConfig, RecoveryConfig, RollingUpgrade, ScaleKind, ShedReason, SimpleBalance, Topology,
-    AdmissionConfig,
+    run_pipeline, AdmissionConfig, AutoscaleConfig, ClusterConfig, ClusterOutcome,
+    DistributionPolicy, ObsConfig, RecoveryConfig, RollingUpgrade, ScaleKind, ShedReason,
+    SimpleBalance, Topology,
 };
 use hwsim::FaultConfig;
 use simkern::SimDuration;

@@ -1,8 +1,7 @@
 //! Observability-plane contracts at the engine level: the plane is
-//! opt-in, its report is byte-identical at every shard count (the
-//! window samples are read at tick barriers in node order), and the
-//! alert stream is a deterministic function of the seeded config —
-//! chaos cells included.
+//! opt-in, its report is byte-identical run to run (the window samples
+//! are read at tick barriers in node order), and the alert stream is a
+//! deterministic function of the seeded config — chaos cells included.
 
 use cluster::{
     run_pipeline, ClusterConfig, DistributionPolicy, ObsConfig, ObsOutcome, RecoveryConfig,
@@ -64,15 +63,13 @@ fn observed_chaos_config(seed: u64) -> ClusterConfig {
     cfg
 }
 
-/// Runs `cfg` at the given shard count and returns the plane's outcome.
-fn run_observed(cfg: &ClusterConfig, shards: usize) -> ObsOutcome {
-    let mut cfg = cfg.clone();
-    cfg.shards = shards;
-    let cals = cals_for(&cfg);
+/// Runs `cfg` and returns the plane's outcome.
+fn run_observed(cfg: &ClusterConfig) -> ObsOutcome {
+    let cals = cals_for(cfg);
     let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
         .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
         .collect();
-    let o = run_pipeline(&mut policies, &cfg, &cals);
+    let o = run_pipeline(&mut policies, cfg, &cals);
     *o.obs.expect("obs plane was enabled")
 }
 
@@ -104,7 +101,7 @@ fn clean_cell_reports_and_stays_silent() {
         tenants: 2,
         ..ObsConfig::standard()
     });
-    let obs = run_observed(&cfg, 1);
+    let obs = run_observed(&cfg);
     assert!(obs.report.alerts.is_empty(), "clean cell must not alert: {:?}", obs.report.alerts);
     let windows = obs.report.series["power_w/fleet"].total_count();
     assert!(
@@ -125,47 +122,38 @@ fn clean_cell_reports_and_stays_silent() {
 }
 
 /// The full observability artifact — report bytes, rendered report,
-/// and the folded provenance export — is byte-identical whether the
-/// cell runs serially or sharded, including shard counts past the node
-/// count, on a chaos cell where crashes roll attribution backwards.
+/// and the folded provenance export — is byte-identical run to run on
+/// a chaos cell where crashes roll attribution backwards.
 #[test]
-fn observed_chaos_cell_is_shard_invariant() {
+fn observed_chaos_cell_is_deterministic() {
     let cfg = observed_chaos_config(42);
-    let base = run_observed(&cfg, 1);
+    let base = run_observed(&cfg);
     assert!(
         !base.report.alerts.is_empty(),
         "the chaos cell is tuned to alert; silence means the rungs test nothing"
     );
-    for shards in [2, 8] {
-        let run = run_observed(&cfg, shards);
-        assert_eq!(
-            base.report.to_json(),
-            run.report.to_json(),
-            "obs report bytes diverged at {shards} shards"
-        );
-        assert_eq!(base.report.render(), run.report.render());
-        assert_eq!(
-            provenance_folded(&base.provenance),
-            provenance_folded(&run.provenance),
-            "provenance diverged at {shards} shards"
-        );
-    }
+    let run = run_observed(&cfg);
+    assert_eq!(base.report.to_json(), run.report.to_json(), "obs report bytes diverged");
+    assert_eq!(base.report.render(), run.report.render());
+    assert_eq!(
+        provenance_folded(&base.provenance),
+        provenance_folded(&run.provenance),
+        "provenance diverged"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Alert determinism: for any seed, the typed alert stream (kinds,
-    /// windows, sim-time stamps, values) is identical run-to-run and
-    /// across shard counts.
+    /// windows, sim-time stamps, values) and the report bytes are
+    /// identical run to run.
     #[test]
-    fn alert_stream_is_deterministic(seed in 0u64..1000, shards in 2usize..6) {
+    fn alert_stream_is_deterministic(seed in 0u64..1000) {
         let cfg = observed_chaos_config(seed);
-        let a = run_observed(&cfg, 1);
-        let b = run_observed(&cfg, 1);
+        let a = run_observed(&cfg);
+        let b = run_observed(&cfg);
         prop_assert_eq!(&a.report.alerts, &b.report.alerts, "rerun diverged");
-        let c = run_observed(&cfg, shards);
-        prop_assert_eq!(&a.report.alerts, &c.report.alerts, "alerts diverged at {} shards", shards);
-        prop_assert_eq!(a.report.to_json(), c.report.to_json());
+        prop_assert_eq!(a.report.to_json(), b.report.to_json());
     }
 }

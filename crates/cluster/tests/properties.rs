@@ -1,5 +1,5 @@
-//! Property-based tests for the distribution policies and the sharded
-//! cluster engine's conservation laws.
+//! Property-based tests for the distribution policies and the cluster
+//! engine's conservation laws.
 
 use cluster::{
     run_pipeline, ArrivalView, ClusterConfig, ClusterOutcome, DistributionPolicy,
@@ -194,8 +194,8 @@ fn assert_conservation(o: &ClusterOutcome) {
         o.completed as u64 + o.dropped + o.in_flight,
         "dispatched must equal completed + dropped + in_flight"
     );
-    // Per shard: every injection is either served or still queued; no
-    // request is counted on two shards at once.
+    // Per node: every injection is either served or still queued; no
+    // request is counted on two nodes at once.
     let mut stage_injections = 0u64;
     let mut stage_completions = 0u64;
     let mut still_queued = 0u64;
@@ -213,7 +213,7 @@ fn assert_conservation(o: &ClusterOutcome) {
     }
     // Stage totals tie out against the dispatcher's request ledger: a
     // request contributes one injection per stage it reached, and the
-    // requests still inside the pipeline are queued on exactly one shard.
+    // requests still inside the pipeline are queued on exactly one node.
     assert_eq!(stage_injections, stage_completions + still_queued);
     assert!(
         o.in_flight <= still_queued + o.in_flight,
@@ -226,7 +226,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// dispatched = completed + dropped (+ in flight), cluster-wide and
-    /// per shard, for any seed and small pipeline size.
+    /// per node, for any seed and small pipeline size.
     #[test]
     fn engine_conserves_requests(seed in 0u64..1000, n in 3usize..6) {
         assert_conservation(&run_small(n, seed));
@@ -259,12 +259,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Offered-request counts (and the rest of the outcome's counters)
-    /// are invariant under the intra-cell shard count even when
-    /// non-stationary traffic drives the elastic autoscaler: every
-    /// routing, admission, and resize decision stays on the driving
-    /// thread, so `--shards` can only change who advances kernels.
+    /// are identical run to run even when non-stationary traffic drives
+    /// the elastic autoscaler.
     #[test]
-    fn traffic_offered_counts_invariant_across_shards(seed in 0u64..1000) {
+    fn traffic_offered_counts_are_deterministic(seed in 0u64..1000) {
         use cluster::{run_cluster, AutoscaleConfig};
         use workloads::{Diurnal, TrafficShape};
 
@@ -282,16 +280,9 @@ proptest! {
         });
         base.autoscale = Some(AutoscaleConfig::standard(2, 3));
         let cals = cals_for(&base);
-        let outcomes: Vec<ClusterOutcome> = [1usize, 3]
-            .iter()
-            .map(|&shards| {
-                let mut cfg = base.clone();
-                cfg.shards = shards;
-                run_cluster(&mut SimpleBalance::new(), &cfg, &cals)
-            })
-            .collect();
-        let (a, b) = (&outcomes[0], &outcomes[1]);
-        prop_assert_eq!(a.dispatched, b.dispatched, "offered counts must not depend on --shards");
+        let a = &run_cluster(&mut SimpleBalance::new(), &base, &cals);
+        let b = &run_cluster(&mut SimpleBalance::new(), &base, &cals);
+        prop_assert_eq!(a.dispatched, b.dispatched, "offered counts must repeat run to run");
         prop_assert!(a.dispatched > 0, "the diurnal window must offer requests");
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.dropped, b.dropped);

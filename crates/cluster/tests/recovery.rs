@@ -1,5 +1,5 @@
 //! Crash/restart, retry, and admission-control behavior of the
-//! sharded serving engine: typed sheds when a whole tier is dark, the
+//! serving engine: typed sheds when a whole tier is dark, the
 //! recovery conservation laws (exact request accounting through
 //! crashes, retries and hedges — the dedup guarantee), and
 //! determinism with the full recovery machinery on.

@@ -5,10 +5,6 @@
 //! * `--jobs N` — run up to N experiments (and their sweep cells)
 //!   concurrently. Every experiment owns its seed, so `results/*.json`
 //!   are byte-identical at any job count.
-//! * `--shards N` — partition each cluster cell's node set across N
-//!   worker threads between dispatcher ticks (intra-cell parallelism,
-//!   orthogonal to `--jobs`). Results are byte-identical at any shard
-//!   count.
 //! * `--only a,b,c` — run only the named experiments.
 //! * `--trace DIR` — export deterministic telemetry traces from the
 //!   instrumented experiments (fig05, fault_sweep) under `DIR`, one
@@ -24,6 +20,9 @@
 //!   Calibration always runs round-robin so the shared calibration
 //!   cache stays scheduler-independent; `sched_sweep` ignores this flag
 //!   and sweeps all policies itself.
+//!
+//! Any other argument exits with status 2 and lists the known flags, so
+//! a stale or misspelt flag cannot silently run another configuration.
 //!
 //! Per-experiment status, wall time and graceful-degradation decisions
 //! are collected into a summary table; the process exits non-zero if any
@@ -124,6 +123,31 @@ const EXPERIMENTS: &[Experiment] = &[
     }),
 ];
 
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &["--quick", "--obs"];
+/// Flags that take a value, as `--flag V` or `--flag=V`.
+const VALUE_FLAGS: &[&str] = &["--jobs", "--only", "--trace", "--sched"];
+
+/// Exits with status 2 on any argument the harness does not know.
+fn reject_unknown_flags() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if VALUE_FLAGS.contains(&a) {
+            i += 2;
+        } else if SWITCHES.contains(&a)
+            || VALUE_FLAGS.iter().any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
+        {
+            i += 1;
+        } else {
+            eprintln!("error: unknown argument `{a}`");
+            eprintln!("known: --quick, --jobs N, --only a,b, --trace DIR, --obs, --sched NAME");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Parses `--only a,b,c` (repeatable, comma-separated) from process args.
 fn only_from_args() -> Option<Vec<String>> {
     let args: Vec<String> = std::env::args().collect();
@@ -146,10 +170,10 @@ fn only_from_args() -> Option<Vec<String>> {
 }
 
 fn main() {
+    reject_unknown_flags();
     let scale = Scale::from_args();
     let jobs = runner::jobs_from_args();
     runner::set_jobs(jobs);
-    runner::set_shards(runner::shards_from_args());
     runner::set_trace_dir(runner::trace_dir_from_args());
     runner::set_obs(runner::obs_from_args());
     runner::set_sched(runner::sched_from_args());

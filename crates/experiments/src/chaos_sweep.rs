@@ -1,4 +1,4 @@
-//! Chaos study: the sharded serving pipeline under randomized fault
+//! Chaos study: the multi-tier serving pipeline under randomized fault
 //! schedules with the full recovery machinery engaged.
 //!
 //! Sweeps a canonical ladder of seeded fault mixes — crashes at

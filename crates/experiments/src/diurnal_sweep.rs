@@ -25,10 +25,9 @@
 //!    beats the fixed fleet by at least 20 % J/request.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; intra-cell shard count comes from
-//! [`crate::runner::shards`]. Records and traces carry only simulated
-//! timestamps, so results are byte-identical at any `--jobs` and any
-//! `--shards` count.
+//! [`crate::runner::jobs`] workers. Records and traces carry only
+//! simulated timestamps, so results are byte-identical at any `--jobs`
+//! count.
 
 use crate::output::{banner, write_record, Table};
 use crate::{Lab, Scale};
@@ -162,7 +161,6 @@ pub fn cell_config(scale: Scale, scenario: &DiurnalScenario, autoscaled: bool) -
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(fleet_nodes(scale)));
     cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
-    cfg.shards = crate::runner::shards();
     cfg.volume = VOLUME;
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(4.0);

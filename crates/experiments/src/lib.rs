@@ -33,7 +33,7 @@
 //! | [`scale_sweep`] | extension: the serving pipeline across fleet sizes and caps |
 //! | [`chaos_sweep`] | extension: recovery invariants under randomized fault schedules |
 //! | [`drift_sweep`] | extension: the self-calibrating model bank across a regime-shift ladder |
-//! | [`megafleet`] | extension: intra-cell sharded capacity sweep (1000 nodes, 10⁶ requests) |
+//! | [`megafleet`] | extension: single-cell capacity sweep (1000 nodes, 10⁶ requests) |
 //! | [`obs_sweep`] | extension: energy-SLO burn-rate alerts over injected violations |
 //! | [`sched_sweep`] | extension: attribution conformance across pluggable schedulers |
 //! | [`diurnal_sweep`] | extension: diurnal/flash-crowd traffic, elastic autoscaler vs fixed fleet |

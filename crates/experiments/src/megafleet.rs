@@ -1,20 +1,17 @@
-//! Megafleet: intra-cell sharded simulation capacity study.
+//! Megafleet: single-cell simulation capacity study.
 //!
 //! Sweeps a (nodes × requests) grid of single-tier heterogeneous fleets
 //! ([`Topology::scaled_fleet`]) up to 1000 nodes and 10⁶ requests per
-//! cell, driving each cell through the tick-batched dispatcher with
-//! `--shards N` worker threads advancing disjoint node chunks between
-//! tick barriers. The point is capacity, not policy: every cell must
-//! conserve requests exactly (dispatched = completed + dropped +
-//! in-flight, per cluster and per node) and attribute (nearly) all
-//! measured active energy, no matter how large the fleet or how many
-//! shards advance it.
+//! cell, driving each cell through the tick-batched dispatcher. The
+//! point is capacity, not policy: every cell must conserve requests
+//! exactly (dispatched = completed + dropped + in-flight, per cluster
+//! and per node) and attribute (nearly) all measured active energy, no
+//! matter how large the fleet.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; intra-cell shard count comes from
-//! [`crate::runner::shards`]. The record carries no wall-clock values —
-//! per-cell wall time and throughput go to stderr — so `results/*.json`
-//! stay byte-identical at any `--jobs` *and* any `--shards` count.
+//! [`crate::runner::jobs`] workers. The record carries no wall-clock
+//! values — per-cell wall time and throughput go to stderr — so
+//! `results/*.json` stay byte-identical at any `--jobs` count.
 
 use crate::output::{banner, write_record, Table};
 use crate::{Lab, Scale};
@@ -90,7 +87,6 @@ pub fn cell_config(nodes: usize, requests: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(nodes));
     cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
-    cfg.shards = crate::runner::shards();
     let rate = offered_cluster_rate(&cfg);
     let secs = (requests as f64 / rate).max(0.25);
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
@@ -152,9 +148,8 @@ fn run_cell(nodes: usize, requests: u64, traced: bool, cals: &[MachineCalibratio
     }
     assert_cell_conserved(&format!("megafleet {nodes}x{requests}"), &outcome);
     eprintln!(
-        "[megafleet {nodes} nodes x {requests} req: {wall:.1?} wall, {:.0} req/s, shards {}]",
+        "[megafleet {nodes} nodes x {requests} req: {wall:.1?} wall, {:.0} req/s]",
         outcome.dispatched as f64 / wall.as_secs_f64().max(1e-9),
-        cfg.shards,
     );
     let attributed: f64 = outcome.per_node.iter().map(|n| n.attributed_energy_j).sum();
     let resp: Vec<f64> = outcome
@@ -181,7 +176,7 @@ fn run_cell(nodes: usize, requests: u64, traced: bool, cals: &[MachineCalibratio
 
 /// Runs the sweep and prints the grid.
 pub fn run(scale: Scale) -> Megafleet {
-    banner("megafleet", "sharded single-cell capacity sweep (nodes x requests)");
+    banner("megafleet", "single-cell capacity sweep (nodes x requests)");
     let mut lab = Lab::new();
     let cells = fleet_cells(scale);
     let tasks: Vec<_> = cells

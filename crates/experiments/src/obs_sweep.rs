@@ -11,7 +11,7 @@
 //! megafleet-scale always-on cell). Alert streams, sketches and rollups
 //! carry only simulated timestamps and merge in node order, so every
 //! cell's report — and this experiment's record — is byte-identical at
-//! any `--jobs`/`--shards` count.
+//! any `--jobs` count.
 //!
 //! Small rungs additionally collect per-request energy provenance
 //! (node → incarnation → container → cpu/throttled/io segment) and,
@@ -199,7 +199,6 @@ pub fn cell_config(scale: Scale, scenario: &ObsScenario) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(FLEET_NODES));
     cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
-    cfg.shards = crate::runner::shards();
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(min_secs(scale));
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);

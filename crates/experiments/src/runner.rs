@@ -23,13 +23,6 @@ use std::sync::Mutex;
 /// the fault sweep) when fanning out their cells.
 static JOBS: AtomicUsize = AtomicUsize::new(1);
 
-/// Process-wide intra-cell shard count: how many worker threads a
-/// single cluster cell partitions its node set across
-/// ([`cluster::ClusterConfig::shards`]). Orthogonal to [`jobs`], which
-/// fans out whole cells; results are byte-identical at every value of
-/// either.
-static SHARDS: AtomicUsize = AtomicUsize::new(1);
-
 /// Process-wide trace output directory (`--trace <dir>`); `None`
 /// disables tracing everywhere.
 static TRACE_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
@@ -224,33 +217,6 @@ pub fn jobs_from_args() -> usize {
         }
     }
     jobs.max(1)
-}
-
-/// Sets the process-wide intra-cell shard count (clamped to at least 1).
-pub fn set_shards(n: usize) {
-    SHARDS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide intra-cell shard count (default 1: each cell
-/// advances its nodes inline).
-pub fn shards() -> usize {
-    SHARDS.load(Ordering::SeqCst)
-}
-
-/// Parses `--shards N` / `--shards=N` from process args (default 1).
-pub fn shards_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut shards = 1usize;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--shards=") {
-            shards = v.parse().unwrap_or(1);
-        } else if a == "--shards" {
-            if let Some(v) = args.get(i + 1) {
-                shards = v.parse().unwrap_or(1);
-            }
-        }
-    }
-    shards.max(1)
 }
 
 /// Runs `tasks` on up to `jobs` scoped worker threads and returns each

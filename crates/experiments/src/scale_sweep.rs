@@ -1,4 +1,4 @@
-//! Scale study: the sharded serving pipeline across fleet sizes,
+//! Scale study: the multi-tier serving pipeline across fleet sizes,
 //! policies, and cluster power caps.
 //!
 //! Sweeps a (nodes × policy × cap) grid of three-tier serving fleets
@@ -203,7 +203,7 @@ pub(crate) fn profiled_ratios(lab: &mut Lab, scale: Scale) -> Vec<(WorkloadKind,
 
 /// Runs the sweep and prints the grid.
 pub fn run(scale: Scale) -> ScaleSweep {
-    banner("scale-sweep", "sharded serving pipeline across fleet sizes and caps");
+    banner("scale-sweep", "multi-tier serving pipeline across fleet sizes and caps");
     let mut lab = Lab::new();
     let ratios = profiled_ratios(&mut lab, scale);
     let sizes = fleet_sizes(scale);

@@ -23,7 +23,7 @@
 //! Cells are independent seeded simulations fanned out across
 //! [`crate::runner::jobs`] workers; no wall-clock value enters the
 //! record, so `results/sched_sweep.json` is byte-identical at any
-//! `--jobs`/`--shards` count. The sweep deliberately ignores the global
+//! `--jobs` count. The sweep deliberately ignores the global
 //! `--sched` flag: it sweeps all schedulers itself.
 
 use crate::output::{banner, pct, write_record, Table};

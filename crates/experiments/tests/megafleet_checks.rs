@@ -1,7 +1,7 @@
 //! Megafleet checks: the CI smoke cell (100 nodes × 10⁵ requests under
-//! a wall budget), shard invariance of the full experiment record, and
-//! the trace goldens for `pc-trace summarize` / `pc-trace schema` on
-//! the megafleet traces.
+//! a wall budget) and the trace goldens for `pc-trace summarize` /
+//! `pc-trace schema` on the megafleet traces. (`parallel_identity`
+//! checks that the record is byte-identical at any `--jobs` count.)
 //!
 //! Golden files live in `ci/`; regenerate them after a deliberate
 //! instrumentation change with:
@@ -66,11 +66,10 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Runs the quick megafleet sweep with tracing into a sandbox
-/// (pre-seeded with the committed calibration caches) at the given
-/// shard count; returns the sandbox root.
-fn traced_quick_sweep(shards: usize) -> PathBuf {
-    let tmp = std::env::temp_dir()
-        .join(format!("pc-megafleet-golden-{shards}-{}", std::process::id()));
+/// (pre-seeded with the committed calibration caches); returns the
+/// sandbox root.
+fn traced_quick_sweep() -> PathBuf {
+    let tmp = std::env::temp_dir().join(format!("pc-megafleet-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let results = tmp.join("results");
     std::fs::create_dir_all(&results).expect("create sandbox");
@@ -83,38 +82,22 @@ fn traced_quick_sweep(shards: usize) -> PathBuf {
         }
     }
     std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_shards(shards);
     experiments::runner::set_trace_dir(Some(tmp.join("traces")));
     let record = megafleet::run(Scale::Quick);
     experiments::runner::set_trace_dir(None);
-    experiments::runner::set_shards(1);
     assert!(record.conserved, "megafleet cells must conserve");
     assert!(record.largest_dispatched >= 100_000);
     tmp
 }
 
-/// The full experiment — records and telemetry traces — must be
-/// byte-identical whether cells run serially or sharded 4 ways, and the
-/// trace CLI output is pinned by goldens over the traced (smallest)
-/// cell: schema (exactly what CI's `schema --check` sees) and
-/// summarize.
+/// The trace CLI output is pinned by goldens over the traced
+/// (smallest) cell of the quick sweep: schema (exactly what CI's
+/// `schema --check` sees) and summarize.
 #[test]
-fn megafleet_record_and_traces_shard_invariant_and_match_goldens() {
-    // Serialized against other golden tests via the results-dir env var:
-    // each sandbox sets PC_RESULTS_DIR before running, so keep the two
-    // sweeps inside one test body.
-    let serial = traced_quick_sweep(1);
-    let sharded = traced_quick_sweep(4);
-    let record = |root: &Path| {
-        std::fs::read(root.join("results/megafleet.json")).expect("megafleet record")
-    };
-    assert_eq!(
-        record(&serial),
-        record(&sharded),
-        "megafleet.json differs between --shards 1 and --shards 4"
-    );
-    let trace_dir = |root: &Path| root.join("traces/megafleet");
-    let mut names: Vec<String> = std::fs::read_dir(trace_dir(&serial))
+fn megafleet_traces_match_goldens() {
+    let root = traced_quick_sweep();
+    let trace_dir = root.join("traces/megafleet");
+    let mut names: Vec<String> = std::fs::read_dir(&trace_dir)
         .expect("megafleet trace dir")
         .map(|e| e.expect("dir entry").file_name().to_string_lossy().to_string())
         .filter(|n| n.ends_with(".jsonl"))
@@ -123,22 +106,13 @@ fn megafleet_record_and_traces_shard_invariant_and_match_goldens() {
     // Only the grid's smallest cell is traced (a recording sink holds
     // every event in memory; the megacells would emit gigabytes).
     assert_eq!(names.len(), 1, "expected the smallest cell's trace, got {names:?}");
-    let mut merged = String::new();
-    for n in &names {
-        let a = std::fs::read_to_string(trace_dir(&serial).join(n)).expect("serial trace");
-        let b = std::fs::read_to_string(trace_dir(&sharded).join(n)).expect("sharded trace");
-        assert_eq!(a, b, "trace {n} differs between --shards 1 and --shards 4");
-        merged.push_str(&a);
-    }
-    check_golden("trace_schema_megafleet.golden", &telemetry::summary::schema(&merged));
-    let smallest =
-        std::fs::read_to_string(trace_dir(&serial).join(&names[0])).expect("smallest cell trace");
+    let smallest = std::fs::read_to_string(trace_dir.join(&names[0])).expect("smallest trace");
+    check_golden("trace_schema_megafleet.golden", &telemetry::summary::schema(&smallest));
     let s = telemetry::summary::summarize(&smallest);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
     check_golden(
         "trace_summarize_megafleet.golden",
         &telemetry::summary::render_summary(&s),
     );
-    let _ = std::fs::remove_dir_all(&serial);
-    let _ = std::fs::remove_dir_all(&sharded);
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,5 +1,5 @@
 //! Obs-sweep checks: the CI smoke rungs (alert contract under a wall
-//! budget), `--jobs`/`--shards` invariance of the record and of every
+//! budget), `--jobs` invariance of the record and of every
 //! per-rung artifact, and the goldens for `pc-trace schema` over the
 //! obs traces and `pc-obs report` over a rung's report.
 //!
@@ -79,11 +79,10 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Runs the full quick ladder with tracing into a sandbox (pre-seeded
-/// with the committed calibration caches) at the given job and shard
-/// counts; returns (sandbox dir, record JSON).
-fn traced_quick_ladder(jobs: usize, shards: usize) -> (PathBuf, String) {
-    let tmp = std::env::temp_dir()
-        .join(format!("pc-obs-golden-{jobs}-{shards}-{}", std::process::id()));
+/// with the committed calibration caches) at the given job count;
+/// returns (sandbox dir, record JSON).
+fn traced_quick_ladder(jobs: usize) -> (PathBuf, String) {
+    let tmp = std::env::temp_dir().join(format!("pc-obs-golden-{jobs}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let results = tmp.join("results");
     std::fs::create_dir_all(&results).expect("create sandbox");
@@ -97,33 +96,28 @@ fn traced_quick_ladder(jobs: usize, shards: usize) -> (PathBuf, String) {
     }
     std::env::set_var("PC_RESULTS_DIR", &results);
     experiments::runner::set_jobs(jobs);
-    experiments::runner::set_shards(shards);
     experiments::runner::set_trace_dir(Some(tmp.join("traces")));
     let record = obs_sweep::run(Scale::Quick);
     experiments::runner::set_trace_dir(None);
-    experiments::runner::set_shards(1);
     assert!(record.alerts_fired, "every alert rung must fire its expected kinds");
     assert!(record.controls_silent, "every control rung must stay silent");
     let json = std::fs::read_to_string(results.join("obs_sweep.json")).expect("record file");
     (tmp, json)
 }
 
-/// The ladder is byte-identical at any `--jobs` *and* `--shards`
-/// count — record, telemetry traces, `.obs.json` reports and `.folded`
+/// The ladder is byte-identical at any `--jobs` count — record,
+/// telemetry traces, `.obs.json` reports and `.folded`
 /// provenance alike — and the committed goldens pin the trace schema
 /// (union of every rung, exactly what CI's `schema --check` sees) and
 /// the rendered report of the cap-burn rung.
 #[test]
-fn obs_artifacts_match_goldens_at_any_job_and_shard_count() {
+fn obs_artifacts_match_goldens_at_any_job_count() {
     // Serialized against other golden tests via the results-dir env
     // var: each sandbox sets PC_RESULTS_DIR before running, so keep
     // both sweeps inside one test body.
-    let (tmp1, serial) = traced_quick_ladder(1, 1);
-    let (tmp4, fanned) = traced_quick_ladder(4, 4);
-    assert_eq!(
-        serial, fanned,
-        "obs_sweep record must be byte-identical at any --jobs/--shards"
-    );
+    let (tmp1, serial) = traced_quick_ladder(1);
+    let (tmp4, fanned) = traced_quick_ladder(4);
+    assert_eq!(serial, fanned, "obs_sweep record must be byte-identical at any --jobs");
     let dir = tmp4.join("traces/obs_sweep");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .expect("obs_sweep trace dir")
@@ -151,7 +145,7 @@ fn obs_artifacts_match_goldens_at_any_job_and_shard_count() {
         let body = std::fs::read_to_string(dir.join(n)).expect("read artifact");
         let other =
             std::fs::read_to_string(tmp1.join("traces/obs_sweep").join(n)).expect("serial artifact");
-        assert_eq!(body, other, "{n} must be byte-identical at any --jobs/--shards");
+        assert_eq!(body, other, "{n} must be byte-identical at any --jobs");
         if n.ends_with(".jsonl") {
             merged.push_str(&body);
         }

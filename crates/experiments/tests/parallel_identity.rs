@@ -5,10 +5,8 @@
 //! assembled in input order, and traces carry only simulated
 //! timestamps. This test runs a representative subset (including the
 //! parallelized sweeps fig05/fig08/fault_sweep/scale_sweep and the
-//! intra-cell-sharded megafleet) serially and with 4 workers × 2 shards
-//! into sandboxed results + trace directories and compares every
-//! produced file byte for byte — one run covering both axes of
-//! parallelism at once.
+//! megafleet) serially and with 4 workers into sandboxed results +
+//! trace directories and compares every produced file byte for byte.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -37,10 +35,10 @@ fn sandbox(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_all(results_dir: &Path, jobs: &str, shards: &str) {
+fn run_all(results_dir: &Path, jobs: &str) {
     let trace_dir = results_dir.join("traces");
     let status = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .args(["--quick", "--only", SUBSET, "--jobs", jobs, "--shards", shards])
+        .args(["--quick", "--only", SUBSET, "--jobs", jobs])
         .arg("--trace")
         .arg(&trace_dir)
         .env("PC_RESULTS_DIR", results_dir)
@@ -48,7 +46,7 @@ fn run_all(results_dir: &Path, jobs: &str, shards: &str) {
         .stderr(std::process::Stdio::null())
         .status()
         .expect("spawn run_all");
-    assert!(status.success(), "run_all --jobs {jobs} --shards {shards} failed: {status}");
+    assert!(status.success(), "run_all --jobs {jobs} failed: {status}");
 }
 
 /// All non-calibration JSON files in a directory, name → bytes.
@@ -92,8 +90,8 @@ fn traces(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 fn parallel_run_all_output_is_byte_identical_to_serial() {
     let serial_dir = sandbox("serial");
     let parallel_dir = sandbox("parallel");
-    run_all(&serial_dir, "1", "1");
-    run_all(&parallel_dir, "4", "2");
+    run_all(&serial_dir, "1");
+    run_all(&parallel_dir, "4");
     let serial = records(&serial_dir);
     let parallel = records(&parallel_dir);
     assert!(!serial.is_empty(), "serial run produced no records");
@@ -105,7 +103,7 @@ fn parallel_run_all_output_is_byte_identical_to_serial() {
     for (name, bytes) in &serial {
         assert_eq!(
             bytes, &parallel[name],
-            "{name} differs between serial and --jobs 4 --shards 2"
+            "{name} differs between serial and --jobs 4"
         );
     }
     // The telemetry traces must be deterministic too: only simulated
@@ -143,7 +141,7 @@ fn parallel_run_all_output_is_byte_identical_to_serial() {
     for (name, bytes) in &serial_traces {
         assert_eq!(
             bytes, &parallel_traces[name],
-            "trace {name} differs between serial and --jobs 4 --shards 2"
+            "trace {name} differs between serial and --jobs 4"
         );
     }
     let _ = std::fs::remove_dir_all(&serial_dir);
@@ -161,5 +159,29 @@ fn run_all_rejects_unknown_only_names() {
         .status()
         .expect("spawn run_all");
     assert_eq!(status.code(), Some(2), "unknown --only name must exit 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_all_rejects_unknown_flags() {
+    let dir = sandbox("reject-flags");
+    // A retired flag and a typo of a live one must both fail loudly
+    // (before any experiment runs) instead of running the default.
+    for args in [&["--quick", "--shards", "4"][..], &["--quick", "--job", "4"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .args(args)
+            .env("PC_RESULTS_DIR", &dir)
+            .output()
+            .expect("spawn run_all");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[1]), "{args:?}: error must name the flag: {stderr}");
+        assert!(stderr.contains("--jobs N"), "{args:?}: error must list the known flags");
+    }
+    let no_records = std::fs::read_dir(&dir).expect("sandbox").all(|e| {
+        let name = e.expect("dir entry").file_name().to_string_lossy().to_string();
+        name.starts_with("calibration-")
+    });
+    assert!(no_records, "a rejected invocation must not write records");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,5 +1,5 @@
 //! Sched-sweep checks: the CI smoke cells (with a wall-time budget),
-//! `--jobs`/`--shards` invariance of the record and traces, and the
+//! `--jobs` invariance of the record and traces, and the
 //! trace goldens for `pc-trace schema` / `pc-trace summarize` on the
 //! sched_sweep traces.
 //!
@@ -88,11 +88,10 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Runs the full quick sweep with tracing into a sandbox (pre-seeded
-/// with the committed calibration caches) at the given job and shard
-/// counts and returns (sandbox dir, record JSON).
-fn traced_quick_sweep(jobs: usize, shards: usize) -> (PathBuf, String) {
-    let tmp = std::env::temp_dir()
-        .join(format!("pc-sched-golden-{}-{jobs}-{shards}", std::process::id()));
+/// with the committed calibration caches) at the given job count and
+/// returns (sandbox dir, record JSON).
+fn traced_quick_sweep(jobs: usize) -> (PathBuf, String) {
+    let tmp = std::env::temp_dir().join(format!("pc-sched-golden-{}-{jobs}", std::process::id()));
     let _ = std::fs::remove_dir_all(&tmp);
     let results = tmp.join("results");
     std::fs::create_dir_all(&results).expect("create sandbox");
@@ -106,11 +105,9 @@ fn traced_quick_sweep(jobs: usize, shards: usize) -> (PathBuf, String) {
     }
     std::env::set_var("PC_RESULTS_DIR", &results);
     experiments::runner::set_jobs(jobs);
-    experiments::runner::set_shards(shards);
     experiments::runner::set_trace_dir(Some(tmp.join("traces")));
     let record = sched_sweep::run(Scale::Quick);
     experiments::runner::set_trace_dir(None);
-    experiments::runner::set_shards(1);
     assert!(record.attribution_bounded, "attribution bound must hold on the quick sweep");
     assert!(record.conserved, "conservation must hold under every scheduler");
     assert!(record.caps_held, "conditioning must hold under every scheduler");
@@ -119,19 +116,16 @@ fn traced_quick_sweep(jobs: usize, shards: usize) -> (PathBuf, String) {
     (tmp, json)
 }
 
-/// The sweep is byte-identical at any `--jobs`/`--shards` combination,
+/// The sweep is byte-identical at any `--jobs` count,
 /// and its traces match the committed goldens: the schema golden covers
 /// the union of every attribution cell (exactly what CI's
 /// `schema --check` sees), the summarize golden pins the priority
 /// scheduler's Stress cell (the one exercising starvation boosts).
 #[test]
 fn sched_traces_match_goldens_at_any_job_count() {
-    let (tmp1, serial) = traced_quick_sweep(1, 1);
-    let (tmp4, fanned) = traced_quick_sweep(4, 2);
-    assert_eq!(
-        serial, fanned,
-        "sched_sweep record must be byte-identical at any --jobs/--shards"
-    );
+    let (tmp1, serial) = traced_quick_sweep(1);
+    let (tmp4, fanned) = traced_quick_sweep(4);
+    assert_eq!(serial, fanned, "sched_sweep record must be byte-identical at any --jobs");
     let dir = tmp4.join("traces/sched_sweep");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .expect("sched_sweep trace dir")
@@ -149,7 +143,7 @@ fn sched_traces_match_goldens_at_any_job_count() {
         let body = std::fs::read_to_string(dir.join(n)).expect("read trace");
         let other = std::fs::read_to_string(tmp1.join("traces/sched_sweep").join(n))
             .expect("read serial trace");
-        assert_eq!(body, other, "{n} must be byte-identical at any --jobs/--shards");
+        assert_eq!(body, other, "{n} must be byte-identical at any --jobs");
         merged.push_str(&body);
     }
     check_golden("trace_schema_sched.golden", &telemetry::summary::schema(&merged));

@@ -10,7 +10,7 @@
 //! pc-obs alerts ... --fail-on-alert      # exit 1 if any alert fired
 //! ```
 //!
-//! Multiple input files merge key-wise (shard/cell artifacts fold into
+//! Multiple input files merge key-wise (per-cell artifacts fold into
 //! one fleet view), and every output is byte-deterministic for a given
 //! input set — `ci/obs_report.golden` pins the `report` rendering.
 

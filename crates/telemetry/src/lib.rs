@@ -360,10 +360,10 @@ impl Telemetry {
 
     /// Takes all events recorded so far out of the sink, leaving
     /// metrics and span bookkeeping in place. Paired with
-    /// [`Telemetry::append_events`], this is the shard-merge primitive:
-    /// a sharded engine drains each shard-local sink at every tick
-    /// barrier and appends in a fixed order, so the merged stream is
-    /// byte-identical at any shard count.
+    /// [`Telemetry::append_events`], this is the barrier-merge
+    /// primitive: the cluster engine drains each node's private sink at
+    /// every tick barrier and appends in node order, so the merged
+    /// stream is grouped by node within each tick.
     pub fn drain_events(&self) -> Vec<Event> {
         self.with_sink(|s| std::mem::take(&mut s.events)).unwrap_or_default()
     }
@@ -564,17 +564,17 @@ mod tests {
     #[test]
     fn absorb_merges_metrics_and_bookkeeping() {
         let main = Telemetry::recording();
-        let shard = Telemetry::recording();
+        let node = Telemetry::recording();
         main.add_count("c", 1);
-        shard.add_count("c", 2);
-        shard.set_gauge("g", 5.0);
+        node.add_count("c", 2);
+        node.set_gauge("g", 5.0);
         main.register_histogram("h", &[1.0, 2.0]);
-        shard.register_histogram("h", &[1.0, 2.0]);
+        node.register_histogram("h", &[1.0, 2.0]);
         main.observe("h", 0.5);
-        shard.observe("h", 1.5);
-        shard.end_span(SimTime::ZERO, 7); // unmatched
-        shard.instant(SimTime::from_millis(1), "k", "late", &[]);
-        main.absorb(&shard);
+        node.observe("h", 1.5);
+        node.end_span(SimTime::ZERO, 7); // unmatched
+        node.instant(SimTime::from_millis(1), "k", "late", &[]);
+        main.absorb(&node);
         let snap = main.snapshot();
         assert_eq!(snap.counter("c"), Some(3));
         assert_eq!(snap.gauge("g"), Some(5.0));
@@ -583,8 +583,8 @@ mod tests {
         assert_eq!(h.counts, vec![1, 1, 0]);
         assert_eq!(main.unmatched_ends(), 1);
         assert_eq!(main.event_count(), 1);
-        assert_eq!(shard.event_count(), 0);
-        assert_eq!(shard.snapshot().counter("c"), None);
+        assert_eq!(node.event_count(), 0);
+        assert_eq!(node.snapshot().counter("c"), None);
         // Absorbing a handle into itself is a no-op.
         main.absorb(&main.clone());
         assert_eq!(main.snapshot().counter("c"), Some(3));

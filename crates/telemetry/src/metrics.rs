@@ -110,9 +110,9 @@ impl MetricsRegistry {
     /// (`other` wins where both set a name), histograms merge
     /// bucket-wise (registering `other`'s bounds where absent here).
     ///
-    /// Used to fold per-shard registries into the run's main registry
-    /// in a caller-fixed order, so the merged snapshot is identical at
-    /// every shard count.
+    /// Used to fold per-node registries into the run's main registry
+    /// in a caller-fixed order, so the merged snapshot is
+    /// deterministic.
     pub fn absorb(&mut self, other: &MetricsRegistry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name).or_insert(0) += v;

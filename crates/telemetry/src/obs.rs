@@ -8,8 +8,8 @@
 //! time bucket regardless of request volume, and the
 //! [`BurnRateMonitor`] holds a handful of counters per rule. All state
 //! is keyed by the simulated clock and merges deterministically:
-//! merging shard-local aggregators in node order yields byte-identical
-//! output at any shard or job count.
+//! folding per-cell aggregators together (as `pc-obs` does across
+//! files) yields byte-identical output at any job count.
 //!
 //! The aggregate artifact is an [`ObsReport`] — a byte-stable JSON
 //! document of named sketches, named time series and typed alerts —
@@ -37,8 +37,8 @@ const BUCKET_SLOTS: usize = 2 * MAX_BUCKET_INDEX as usize + 1;
 /// the array *is* the memory bound), so the per-sample hot path is a
 /// single indexed increment. Bucket counts add under
 /// [`QuantileSketch::merge`], and merging is associative and
-/// commutative — the property the intra-cell shard merge relies on for
-/// byte-identical reports. Non-finite samples are dropped; zero and
+/// commutative, so merged reports are byte-identical whatever the
+/// merge order. Non-finite samples are dropped; zero and
 /// negative samples are counted in a dedicated zero bucket.
 #[derive(Clone)]
 pub struct QuantileSketch {
@@ -63,8 +63,8 @@ pub struct QuantileSketch {
 
 // The sketch deliberately carries no exact floating-point running sum:
 // float addition is not associative, so an exact sum would depend on
-// merge grouping and break the "merged shards are byte-identical to a
-// serial build" guarantee. Sums and means are instead derived from the
+// merge grouping and break the "a merged sketch is byte-identical to
+// a serial build" guarantee. Sums and means are instead derived from the
 // bucket state (within the sketch's relative error), which merges by
 // integer addition and is therefore associative, commutative, and
 // byte-stable under any merge topology.
@@ -348,7 +348,7 @@ pub struct RollupCell {
 /// A bounded time-bucketed series: one [`RollupCell`] per elapsed
 /// window of simulated time, independent of sample volume. Cells are
 /// sparse and merge cell-wise (counts/sums add, min/max fold), so
-/// shard-local rollups merged in node order are byte-identical to a
+/// partial rollups merged in a fixed order are byte-identical to a
 /// serially built rollup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rollup {
@@ -821,8 +821,8 @@ impl ObsReport {
     }
 
     /// Folds another report into this one key-wise (sketches and series
-    /// merge; alerts append). Used by the shard merge, where reports
-    /// are folded in node order.
+    /// merge; alerts append). Used by `pc-obs` to fold multi-file
+    /// inputs in argument order.
     pub fn merge(&mut self, other: &ObsReport) {
         for (k, s) in &other.sketches {
             self.sketches.entry(k.clone()).or_default().merge(s);
@@ -1141,7 +1141,7 @@ mod tests {
         let mut right = a.clone();
         right.merge(&bc);
         assert_eq!(left, right, "merge must be associative");
-        assert_eq!(left, serial, "merged shards must equal the serial sketch");
+        assert_eq!(left, serial, "merged parts must equal the serial sketch");
     }
 
     #[test]

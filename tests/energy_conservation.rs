@@ -204,26 +204,24 @@ fn scale_sweep_cell_conserves_energy_on_every_node() {
 }
 
 #[test]
-fn megafleet_cell_conserves_energy_on_every_node_at_any_shard_count() {
-    // The smallest megafleet cell, advanced serially and with the node
-    // set sharded across 4 worker threads: per-node attribution must
-    // balance identically either way (the engine's shard barriers move
-    // whole nodes, never samples), and requests must conserve exactly.
+fn megafleet_cell_conserves_energy_on_every_node() {
+    // The smallest megafleet cell, run twice: per-node attribution must
+    // balance on every node, bit-identically run to run, and requests
+    // must conserve exactly.
     let mut lab = Lab::new();
-    let mut serial_energy: Option<Vec<f64>> = None;
-    for shards in [1usize, 4] {
-        let mut cfg = experiments::megafleet::cell_config(48, 10_000);
-        cfg.shards = shards;
+    let mut first_energy: Option<Vec<f64>> = None;
+    for run in 0..2 {
+        let cfg = experiments::megafleet::cell_config(48, 10_000);
         let cals = experiments::megafleet::cell_calibrations(&mut lab, &cfg);
         let outcome = cluster::run_cluster(&mut cluster::SimpleBalance::new(), &cfg, &cals);
         experiments::megafleet::assert_cell_conserved(
-            &format!("megafleet 48-node shards={shards}"),
+            &format!("megafleet 48-node run {run}"),
             &outcome,
         );
         for (i, node) in outcome.per_node.iter().enumerate() {
             assert_energy_conserved(
                 &format!(
-                    "megafleet 48-node shards={shards} node {i} ({}, tier {})",
+                    "megafleet 48-node run {run} node {i} ({}, tier {})",
                     node.machine, node.tier
                 ),
                 node.attributed_energy_j,
@@ -232,11 +230,11 @@ fn megafleet_cell_conserves_energy_on_every_node_at_any_shard_count() {
             );
         }
         let energies: Vec<f64> = outcome.per_node.iter().map(|n| n.attributed_energy_j).collect();
-        match &serial_energy {
-            None => serial_energy = Some(energies),
-            Some(serial) => assert_eq!(
-                serial, &energies,
-                "per-node attributed energy must be bit-identical across shard counts"
+        match &first_energy {
+            None => first_energy = Some(energies),
+            Some(first) => assert_eq!(
+                first, &energies,
+                "per-node attributed energy must be bit-identical run to run"
             ),
         }
     }
