@@ -421,11 +421,6 @@ enum ScaleState {
 /// The dispatcher's trace track.
 pub(crate) const DISPATCHER_TRACK: u32 = 3;
 
-/// The trace track of node `n` (fault windows, per-node markers).
-fn node_track(n: usize) -> u32 {
-    10 + n as u32
-}
-
 /// Health-check period of the dispatcher's degraded-node detector.
 const HEALTH_CHECK_EVERY: SimDuration = SimDuration::from_millis(100);
 /// Initial breaker-open duration when a node is detected degraded.
@@ -741,9 +736,10 @@ impl Node {
         }
     }
 
-    /// This node's trace track (`10 + node index`).
+    /// This node's trace track (fault windows, per-node markers):
+    /// `10 + node index`.
     fn track(&self) -> u32 {
-        node_track(self.index)
+        10 + self.index as u32
     }
 
     /// Replaces the dead or frozen incarnation with a fresh one booted
@@ -1710,14 +1706,6 @@ impl Ledger {
         tele.add_count("cluster.dropped", 1);
         tele.add_count(reason.counter(), 1);
     }
-
-    /// Counts a request killed by a crash or a forced drain with no
-    /// retry budget left.
-    fn lose_in_crash(&mut self, tele: &telemetry::Telemetry) {
-        self.dropped += 1;
-        self.lost_in_crash += 1;
-        tele.add_count("cluster.lost_in_crash", 1);
-    }
 }
 
 /// The elasticity controller and its rolling-upgrade schedule.
@@ -1978,7 +1966,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 t,
                 "cluster",
                 "restore",
-                node_track(n),
+                self.nodes[n].track(),
                 &[
                     ("restored", record.restored_containers.into()),
                     ("lost_j", record.lost_energy_j.into()),
@@ -2194,7 +2182,11 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 self.book.inflight.remove(&req_id);
                 match reason {
                     Some(reason) => self.ledger.shed(&cfg.telemetry, t, reason),
-                    None => self.ledger.lose_in_crash(&cfg.telemetry),
+                    None => {
+                        self.ledger.dropped += 1;
+                        self.ledger.lost_in_crash += 1;
+                        cfg.telemetry.add_count("cluster.lost_in_crash", 1);
+                    }
                 }
             }
         }
