@@ -17,6 +17,7 @@
 //! repository root.
 
 use analysis::linreg::{LeastSquares, RollingLeastSquares};
+use experiments::runner::RunCtx;
 use analysis::xcorr::{find_alignment, find_alignment_naive};
 use ossim::ContextId;
 use pc_bench::{alignment_signals, refit_rows, HeapQueue, NaiveContainers, NaiveTrace};
@@ -638,7 +639,7 @@ fn refit_tax() -> TelemetryTax {
 /// delta of a megafleet-shaped cell with the plane off vs always on
 /// (fastest of 9 interleaved rounds each; the enabled run must stay
 /// alert-silent).
-fn obs_overhead() -> ObsOverhead {
+fn obs_overhead(ctx: &RunCtx) -> ObsOverhead {
     use telemetry::obs::{BurnRateMonitor, QuantileSketch, Rollup, SloRules, WindowSample};
     let mut aggregators = Vec::new();
 
@@ -690,11 +691,11 @@ fn obs_overhead() -> ObsOverhead {
     const NODES: usize = 48;
     const REQUESTS: u64 = 30_000;
     const RUNS: usize = 9;
-    let mut lab = experiments::Lab::new();
-    let base = experiments::megafleet::cell_config(NODES, REQUESTS);
+    let mut lab = experiments::Lab::new(ctx);
+    let base = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
     let cals = experiments::megafleet::cell_calibrations(&mut lab, &base);
     let wall_us = |obs: Option<cluster::ObsConfig>| {
-        let mut cfg = experiments::megafleet::cell_config(NODES, REQUESTS);
+        let mut cfg = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
         cfg.obs = obs;
         let t0 = Instant::now();
         let outcome = cluster::run_cluster(&mut cluster::SimpleBalance::new(), &cfg, &cals);
@@ -737,7 +738,7 @@ fn swept_kinds() -> Vec<ossim::SchedulerKind> {
 /// Measures the scheduler axis: per-decision dispatch cost through the
 /// trait object, and the megafleet-shaped cell's wall time per policy
 /// (fastest of `RUNS` interleaved rounds, like the obs measurement).
-fn sched_overhead() -> SchedOverhead {
+fn sched_overhead(ctx: &RunCtx) -> SchedOverhead {
     use ossim::{ContextId, TaskId};
     const CORES: usize = 4;
     const QUEUED: u32 = 16;
@@ -795,14 +796,14 @@ fn sched_overhead() -> SchedOverhead {
     const NODES: usize = 48;
     const REQUESTS: u64 = 30_000;
     const RUNS: usize = 9;
-    let mut lab = experiments::Lab::new();
-    let base = experiments::megafleet::cell_config(NODES, REQUESTS);
+    let mut lab = experiments::Lab::new(ctx);
+    let base = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
     let cals = experiments::megafleet::cell_calibrations(&mut lab, &base);
     let kinds = swept_kinds();
     let mut best: Vec<u128> = vec![u128::MAX; kinds.len()];
     for _ in 0..RUNS {
         for (i, kind) in kinds.iter().enumerate() {
-            let mut cfg = experiments::megafleet::cell_config(NODES, REQUESTS);
+            let mut cfg = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
             cfg.sched = vec![kind.clone()];
             let t0 = Instant::now();
             let outcome = cluster::run_cluster(&mut cluster::SimpleBalance::new(), &cfg, &cals);
@@ -833,7 +834,7 @@ fn sched_overhead() -> SchedOverhead {
 /// Measures the elasticity controller's price at steady state: the
 /// `decide` hot path alone, then the megafleet cell fixed vs floored
 /// (interleaved rounds, fastest each, like the obs measurement).
-fn autoscale_overhead() -> AutoscaleOverhead {
+fn autoscale_overhead(ctx: &RunCtx) -> AutoscaleOverhead {
     use cluster::{AutoscaleConfig, Autoscaler, FleetSample, ScaleDecision};
     const NODES: usize = 48;
     const REQUESTS: u64 = 30_000;
@@ -859,12 +860,12 @@ fn autoscale_overhead() -> AutoscaleOverhead {
         black_box(d);
     });
 
-    let mut lab = experiments::Lab::new();
-    let base = experiments::megafleet::cell_config(NODES, REQUESTS);
+    let mut lab = experiments::Lab::new(ctx);
+    let base = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
     let cals = experiments::megafleet::cell_calibrations(&mut lab, &base);
     let mut cell_evals = 0u64;
     let wall_us = |floored: bool, cell_evals: &mut u64| {
-        let mut cfg = experiments::megafleet::cell_config(NODES, REQUESTS);
+        let mut cfg = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
         if floored {
             // min == initial: no standby to provision, the floor blocks
             // every drain — the controller runs but never resizes.
@@ -938,6 +939,12 @@ fn main() {
         .unwrap_or_else(|| {
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json")
         });
+    // The end-to-end cells load their calibrations from (or cache them
+    // in) the harness results directory.
+    let results_dir = std::env::var_os("PC_RESULTS_DIR")
+        .filter(|d| !d.is_empty())
+        .map_or_else(|| experiments::output::DEFAULT_RESULTS_DIR.into(), PathBuf::from);
+    let ctx = RunCtx::new(experiments::Scale::Full, results_dir);
     eprintln!("measuring kernels ({SAMPLES} samples each, median reported)...");
     let report = Report {
         generated_by: "pc-bench perf_report".to_string(),
@@ -957,9 +964,9 @@ fn main() {
         refit_cost_vs_samples_seen: refit_scaling(),
         bank_selection_vs_live_slots: bank_selection(),
         telemetry_tax: vec![alignment_tax(), refit_tax()],
-        obs_overhead: obs_overhead(),
-        sched_overhead: sched_overhead(),
-        autoscale_overhead: autoscale_overhead(),
+        obs_overhead: obs_overhead(&ctx),
+        sched_overhead: sched_overhead(&ctx),
+        autoscale_overhead: autoscale_overhead(&ctx),
         harness: Harness {
             run_all_serial_before_s: arg_secs(&args, "--run-all-before"),
             run_all_serial_after_s: arg_secs(&args, "--run-all-after"),

@@ -15,8 +15,9 @@
 //!    maintenance operation's own events, high-frequency sampling
 //!    inflates the attributed activity.
 
-use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use ossim::ContextId;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -60,14 +61,14 @@ fn request_energies(outcome: &workloads::RunOutcome) -> BTreeMap<ContextId, f64>
 /// Ablation 1: per-request attribution distortion under naive socket
 /// tagging, as mean relative per-request energy difference vs the
 /// per-segment reference (same seed, same request stream).
-fn socket_tagging(lab: &mut Lab, scale: Scale) -> AblationRow {
+fn socket_tagging(lab: &mut Lab, ctx: &RunCtx) -> AblationRow {
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let run = |naive: bool| {
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = LoadLevel::Peak;
-        cfg.duration = SimDuration::from_secs(scale.run_secs());
+        cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
         cfg.naive_socket_tagging = naive;
         run_app(WorkloadKind::WeBWorK, &cfg, &cal)
     };
@@ -95,7 +96,7 @@ fn socket_tagging(lab: &mut Lab, scale: Scale) -> AblationRow {
 /// Ablations 2 and 3: validation error with a facility knob flipped.
 fn validation_ablation(
     lab: &mut Lab,
-    scale: Scale,
+    ctx: &RunCtx,
     kind: WorkloadKind,
     load: LoadLevel,
     mechanism: &str,
@@ -106,9 +107,9 @@ fn validation_ablation(
     let mut errors = [0.0f64; 2];
     for (i, enabled) in [true, false].into_iter().enumerate() {
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = load;
-        cfg.duration = SimDuration::from_secs(scale.run_secs());
+        cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
         tweak(&mut cfg, enabled);
         let outcome = run_app(kind, &cfg, &cal);
         errors[i] = outcome.validation_error();
@@ -125,14 +126,14 @@ fn validation_ablation(
 /// add to the books. Both runs model the observer effect (events are
 /// injected); only the subtraction differs, so the interesting quantity
 /// is the attributed-energy inflation, not the signed validation error.
-fn observer_effect(lab: &mut Lab, scale: Scale) -> AblationRow {
+fn observer_effect(lab: &mut Lab, ctx: &RunCtx) -> AblationRow {
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let run = |compensate: bool| {
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = LoadLevel::Peak;
-        cfg.duration = SimDuration::from_secs(scale.run_secs());
+        cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
         cfg.compensate_observer = compensate;
         cfg.sample_period = Some(SimDuration::from_micros(100));
         run_app(WorkloadKind::RsaCrypto, &cfg, &cal)
@@ -148,20 +149,20 @@ fn observer_effect(lab: &mut Lab, scale: Scale) -> AblationRow {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Ablations {
+pub fn run(ctx: &RunCtx) -> Ablations {
     banner("ablations", "design-choice ablations (tagging, Eq.3 idle check, observer effect)");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let rows = vec![
-        socket_tagging(&mut lab, scale),
+        socket_tagging(&mut lab, ctx),
         validation_ablation(
             &mut lab,
-            scale,
+            ctx,
             WorkloadKind::GaeVosao,
             LoadLevel::Half,
             "Eq. 3 idle-sibling staleness check",
             |cfg, enabled| cfg.sibling_idle_check = enabled,
         ),
-        observer_effect(&mut lab, scale),
+        observer_effect(&mut lab, ctx),
     ];
     let mut table = Table::new(["mechanism", "with", "without", "metric"]);
     for r in &rows {
@@ -174,6 +175,6 @@ pub fn run(scale: Scale) -> Ablations {
     }
     println!("{table}");
     let record = Ablations { rows };
-    write_record("ablations", &record);
+    ctx.write_record("ablations", &record);
     record
 }

@@ -8,8 +8,9 @@
 //! median). Flags are then scored against ground truth — which requests
 //! really were power viruses.
 
-use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use ossim::ContextId;
 use serde::Serialize;
 use simkern::{SimDuration, SimTime};
@@ -34,13 +35,14 @@ pub struct Anomaly {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Anomaly {
+pub fn run(ctx: &RunCtx) -> Anomaly {
+    let scale = ctx.scale;
     banner("anomaly", "online power-anomaly detection from live container reports");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = LoadLevel::Peak;
     cfg.duration = SimDuration::from_secs(scale.run_secs());
     let mut prepared = prepare_app(std::rc::Rc::from(WorkloadKind::GaeHybrid.app()), &cfg, &cal);
@@ -89,6 +91,6 @@ pub fn run(scale: Scale) -> Anomaly {
     table.row(["precision".to_string(), pct(precision)]);
     println!("{table}");
     let record = Anomaly { viruses, detected, false_positives, normals, recall, precision };
-    write_record("anomaly", &record);
+    ctx.write_record("anomaly", &record);
     record
 }

@@ -1,14 +1,16 @@
 //! Validates the regenerated results against the paper's qualitative
-//! claims. Reads the JSON records under `results/` (produce them with
-//! `run_all` first) and prints PASS/FAIL per claim; exits non-zero if any
-//! claim fails.
+//! claims. Reads the JSON records under `PC_RESULTS_DIR` (default: the
+//! checkout's `results/`; produce them with `run_all` first) and prints
+//! PASS/FAIL per claim; exits non-zero if any claim fails.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin run_all
 //! cargo run --release -p experiments --bin check_claims
 //! ```
 
+use experiments::output::DEFAULT_RESULTS_DIR;
 use serde_json::Value;
+use std::path::PathBuf;
 
 struct Checker {
     failures: u32,
@@ -27,13 +29,14 @@ impl Checker {
     }
 }
 
-fn load(id: &str) -> Option<Value> {
-    let path = experiments::output::results_dir().join(format!("{id}.json"));
-    let text = std::fs::read_to_string(&path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
 fn main() {
+    let results_dir = std::env::var_os("PC_RESULTS_DIR")
+        .filter(|d| !d.is_empty())
+        .map_or_else(|| PathBuf::from(DEFAULT_RESULTS_DIR), PathBuf::from);
+    let load = |id: &str| -> Option<Value> {
+        let text = std::fs::read_to_string(results_dir.join(format!("{id}.json"))).ok()?;
+        serde_json::from_str(&text).ok()
+    };
     let mut c = Checker { failures: 0, checks: 0 };
 
     if let Some(fig1) = load("fig1") {

@@ -7,7 +7,8 @@
 //!     --approach recalibrated --secs 10 --seed 7
 //! ```
 
-use experiments::{cache, Lab};
+use experiments::output::DEFAULT_RESULTS_DIR;
+use experiments::cache;
 use power_containers::Approach;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -90,10 +91,15 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let lab = Lab::new();
-    let spec = lab.spec(&args.machine);
+    let results_dir = std::env::var_os("PC_RESULTS_DIR")
+        .filter(|d| !d.is_empty())
+        .map_or_else(|| DEFAULT_RESULTS_DIR.into(), std::path::PathBuf::from);
+    let spec = hwsim::MachineSpec::all_machines()
+        .into_iter()
+        .find(|m| m.name == args.machine)
+        .unwrap_or_else(|| usage());
     eprintln!("[calibrating {} ...]", spec.name);
-    let cal = cache::calibration_for(&spec, experiments::SEED);
+    let cal = cache::calibration_for(&results_dir, &spec, experiments::SEED);
 
     let mut cfg = RunConfig::new(spec);
     cfg.seed = args.seed;

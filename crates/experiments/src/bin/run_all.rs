@@ -1,16 +1,18 @@
-//! Runs every experiment, regenerating all paper artifacts.
+//! Runs every registered experiment (or the `--only` subset),
+//! regenerating all paper artifacts.
 //!
 //! Flags:
 //! * `--quick` — fast smoke-test scale (used by tests and CI).
 //! * `--jobs N` — run up to N experiments (and their sweep cells)
 //!   concurrently. Every experiment owns its seed, so `results/*.json`
 //!   are byte-identical at any job count.
-//! * `--only a,b,c` — run only the named experiments.
+//! * `--only a,b,c` — run only the named experiments (registry names:
+//!   `fig05`, `scale_sweep`, ...).
 //! * `--trace DIR` — export deterministic telemetry traces from the
-//!   instrumented experiments (fig05, fault_sweep) under `DIR`, one
-//!   `.jsonl` + Perfetto-loadable `.trace.json` pair per sweep cell.
-//!   Traces carry only simulated timestamps, so they too are
-//!   byte-identical at any job count.
+//!   instrumented experiments under `DIR/<experiment>/`, one `.jsonl` +
+//!   Perfetto-loadable `.trace.json` pair per traced cell. Traces carry
+//!   only simulated timestamps, so they too are byte-identical at any
+//!   job count.
 //! * `--obs` — run every cluster experiment with the always-on
 //!   observability plane (streaming sketches + energy-SLO burn-rate
 //!   monitors); the summary table gains p99 energy-per-request and
@@ -21,201 +23,115 @@
 //!   cache stays scheduler-independent; `sched_sweep` ignores this flag
 //!   and sweeps all policies itself.
 //!
-//! Any other argument exits with status 2 and lists the known flags, so
-//! a stale or misspelt flag cannot silently run another configuration.
+//! Value flags accept `--flag V` or `--flag=V`. An unknown argument, a
+//! missing value or one that does not parse exits with status 2 and
+//! names the flag, so a stale or misspelt command line cannot silently
+//! run another configuration. Records go to `PC_RESULTS_DIR` when set,
+//! else to the checkout's `results/`.
 //!
 //! Per-experiment status, wall time and graceful-degradation decisions
 //! are collected into a summary table; the process exits non-zero if any
 //! experiment failed.
 
-use experiments::output::Table;
-use experiments::{runner, Scale};
+use experiments::output::{Table, DEFAULT_RESULTS_DIR};
+use experiments::registry::{self, Experiment, EXPERIMENTS};
+use experiments::runner::{self, RunCtx};
+use experiments::Scale;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// One registered experiment: display name plus its entry point.
-type Experiment = (&'static str, fn(Scale));
-
-/// Every experiment the harness knows, in canonical order.
-const EXPERIMENTS: &[Experiment] = &[
-    ("coefficients", |s| {
-        experiments::coefficients::run(s);
-    }),
-    ("overhead", |s| {
-        experiments::overhead::run(s);
-    }),
-    ("fig01", |s| {
-        experiments::fig01::run(s);
-    }),
-    ("fig02", |s| {
-        experiments::fig02::run(s);
-    }),
-    ("fig03", |s| {
-        experiments::fig03::run(s);
-    }),
-    ("fig04", |s| {
-        experiments::fig04::run(s);
-    }),
-    ("fig05", |s| {
-        experiments::fig05::run(s);
-    }),
-    ("fig06", |s| {
-        experiments::fig06::run(s);
-    }),
-    ("fig07", |s| {
-        experiments::fig07::run(s);
-    }),
-    ("fig08", |s| {
-        experiments::fig08::run(s);
-    }),
-    ("fig09", |s| {
-        experiments::fig09::run(s);
-    }),
-    ("fig10", |s| {
-        experiments::fig10::run(s);
-    }),
-    ("fig11", |s| {
-        experiments::fig11::run(s);
-    }),
-    ("fig12", |s| {
-        experiments::fig12::run(s);
-    }),
-    ("fig13", |s| {
-        experiments::fig13::run(s);
-    }),
-    ("fig14", |s| {
-        experiments::fig14::run(s);
-    }),
-    ("table1", |s| {
-        experiments::table1::run(s);
-    }),
-    ("ablations", |s| {
-        experiments::ablations::run(s);
-    }),
-    ("dvfs", |s| {
-        experiments::dvfs::run(s);
-    }),
-    ("anomaly", |s| {
-        experiments::anomaly::run(s);
-    }),
-    ("fault_sweep", |s| {
-        experiments::fault_sweep::run(s);
-    }),
-    ("scale_sweep", |s| {
-        experiments::scale_sweep::run(s);
-    }),
-    ("chaos_sweep", |s| {
-        experiments::chaos_sweep::run(s);
-    }),
-    ("drift_sweep", |s| {
-        experiments::drift_sweep::run(s);
-    }),
-    ("megafleet", |s| {
-        experiments::megafleet::run(s);
-    }),
-    ("obs_sweep", |s| {
-        experiments::obs_sweep::run(s);
-    }),
-    ("sched_sweep", |s| {
-        experiments::sched_sweep::run(s);
-    }),
-    ("diurnal_sweep", |s| {
-        experiments::diurnal_sweep::run(s);
-    }),
-];
-
-/// Flags that stand alone.
-const SWITCHES: &[&str] = &["--quick", "--obs"];
-/// Flags that take a value, as `--flag V` or `--flag=V`.
-const VALUE_FLAGS: &[&str] = &["--jobs", "--only", "--trace", "--sched"];
-
-/// Exits with status 2 on any argument the harness does not know.
-fn reject_unknown_flags() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if VALUE_FLAGS.contains(&a) {
-            i += 2;
-        } else if SWITCHES.contains(&a)
-            || VALUE_FLAGS.iter().any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('=')))
-        {
-            i += 1;
-        } else {
-            eprintln!("error: unknown argument `{a}`");
-            eprintln!("known: --quick, --jobs N, --only a,b, --trace DIR, --obs, --sched NAME");
-            std::process::exit(2);
-        }
-    }
+/// Exits with status 2 after naming what was wrong with the command line.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("known: --quick, --jobs N, --only a,b, --trace DIR, --obs, --sched rr|priority|cfs");
+    std::process::exit(2);
 }
 
-/// Parses `--only a,b,c` (repeatable, comma-separated) from process args.
-fn only_from_args() -> Option<Vec<String>> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut names = Vec::new();
-    let mut seen = false;
-    for (i, a) in args.iter().enumerate() {
-        let list = if let Some(v) = a.strip_prefix("--only=") {
-            Some(v)
-        } else if a == "--only" {
-            args.get(i + 1).map(|s| s.as_str())
-        } else {
-            None
+/// Parses the command line into the run's context plus the `--only`
+/// selection (`None`: every experiment). The only parser that builds a
+/// [`RunCtx`] from flags.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+    results_dir: PathBuf,
+) -> (RunCtx, Option<Vec<String>>) {
+    let mut ctx = RunCtx::new(Scale::Full, results_dir);
+    let mut only: Option<Vec<String>> = None;
+    while let Some(arg) = args.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f.to_string(), Some(v.to_string())),
+            None => (arg.clone(), None),
         };
-        if let Some(list) = list {
-            seen = true;
-            names.extend(list.split(',').filter(|s| !s.is_empty()).map(str::to_string));
+        match (flag.as_str(), inline) {
+            ("--quick", None) => ctx.scale = Scale::Quick,
+            ("--obs", None) => ctx.obs = true,
+            (name @ ("--jobs" | "--only" | "--trace" | "--sched"), inline) => {
+                let value = inline
+                    .or_else(|| args.next())
+                    .filter(|v| !v.is_empty() && !v.starts_with("--"))
+                    .unwrap_or_else(|| usage_error(&format!("`{name}` needs a value")));
+                let bad = || -> ! { usage_error(&format!("`{name}` cannot take `{value}`")) };
+                match name {
+                    "--jobs" => ctx.jobs = value.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| bad()),
+                    "--trace" => ctx.trace_dir = Some(PathBuf::from(&value)),
+                    "--sched" => ctx.sched = ossim::SchedulerKind::parse(&value).unwrap_or_else(|| bad()),
+                    _ => {
+                        let names = value.split(',').filter(|s| !s.is_empty());
+                        let list = only.get_or_insert_with(Vec::new);
+                        list.extend(names.map(str::to_string));
+                        if list.is_empty() {
+                            bad();
+                        }
+                    }
+                }
+            }
+            _ => usage_error(&format!("unknown argument `{arg}`")),
         }
     }
-    seen.then_some(names)
+    (ctx, only)
 }
 
 fn main() {
-    reject_unknown_flags();
-    let scale = Scale::from_args();
-    let jobs = runner::jobs_from_args();
-    runner::set_jobs(jobs);
-    runner::set_trace_dir(runner::trace_dir_from_args());
-    runner::set_obs(runner::obs_from_args());
-    runner::set_sched(runner::sched_from_args());
-    workloads::reset_degrade_ledger();
-    let only = only_from_args();
+    let results_dir = std::env::var_os("PC_RESULTS_DIR")
+        .filter(|d| !d.is_empty())
+        .map_or_else(|| PathBuf::from(DEFAULT_RESULTS_DIR), PathBuf::from);
+    let (ctx, only) = parse_args(std::env::args().skip(1), results_dir);
     if let Some(names) = &only {
         for name in names {
-            if !EXPERIMENTS.iter().any(|(n, _)| n == name) {
+            if registry::find(name).is_none() {
                 eprintln!("error: unknown experiment `{name}` in --only");
                 eprintln!(
                     "known: {}",
-                    EXPERIMENTS.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(", ")
+                    EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>().join(", ")
                 );
                 std::process::exit(2);
             }
         }
     }
+    workloads::reset_degrade_ledger();
     let selected: Vec<&Experiment> = EXPERIMENTS
         .iter()
-        .filter(|(name, _)| only.as_ref().is_none_or(|o| o.iter().any(|x| x == name)))
+        .filter(|e| only.as_ref().is_none_or(|o| o.iter().any(|x| x == e.name)))
         .collect();
     // Warm the calibration caches serially before fanning out, so
     // concurrent experiments load instead of redundantly recalibrating.
-    experiments::prewarm_calibrations();
+    experiments::prewarm_calibrations(&ctx);
     let t0 = Instant::now();
+    let ctx = &ctx;
     let tasks: Vec<_> = selected
         .iter()
-        .map(|(name, f)| {
-            let f = *f;
+        .map(|e| {
             move || -> Duration {
-                // Harness runs on this worker thread (and any sweep cells
-                // it fans out further report through their own scopes
-                // only if they re-enter; serial cells inherit this one)
-                // fold their DegradeStats under the experiment's name.
-                let _scope = workloads::DegradeScope::enter(name);
+                // Harness runs on this worker thread (and the sweep cells
+                // it fans out, which inherit this scope) fold their
+                // DegradeStats under the experiment's name.
+                let _scope = workloads::DegradeScope::enter(e.name);
                 let t = Instant::now();
-                f(scale);
+                (e.run)(ctx);
                 t.elapsed()
             }
         })
         .collect();
-    let outcomes = runner::run_parallel(jobs, tasks);
+    let outcomes = runner::run_parallel(ctx.jobs, tasks);
     let total = t0.elapsed();
     // Graceful-degradation decisions per experiment, harvested from the
     // ledger every harness run reports into (satellite of the telemetry
@@ -244,7 +160,8 @@ fn main() {
         "brownout",
     ]);
     let mut failed = 0usize;
-    for ((name, _), outcome) in selected.iter().zip(&outcomes) {
+    for (e, outcome) in selected.iter().zip(&outcomes) {
+        let name = &e.name;
         let (deg, retried, shed, drift) = match degraded.get(*name) {
             None => ("-".to_string(), "-".to_string(), "-".to_string(), "-".to_string()),
             Some(d) => (
@@ -321,8 +238,9 @@ fn main() {
     }
     println!();
     println!(
-        "== run_all summary: {} experiments, --jobs {jobs}, total {total:.1?} ==",
-        selected.len()
+        "== run_all summary: {} experiments, --jobs {}, total {total:.1?} ==",
+        selected.len(),
+        ctx.jobs
     );
     println!("{table}");
     eprintln!("[all experiments done in {total:.1?}]");

@@ -1,13 +1,13 @@
 //! Calibration caching.
 //!
 //! Offline calibration (§4.1) is deterministic per `(machine, seed)` but
-//! takes a couple of simulated minutes; experiment binaries cache the
-//! sample set as JSON under `results/` so repeated figures reuse it.
+//! takes a couple of simulated minutes; the harness caches the sample
+//! set as JSON in its results directory so repeated figures reuse it.
 
 use hwsim::MachineSpec;
 use power_containers::{CalibrationSample, CalibrationSet, MetricVector};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use workloads::{calibrate_machine, MachineCalibration};
 
 #[derive(Serialize, Deserialize)]
@@ -19,8 +19,8 @@ struct CachedCalibration {
     samples: Vec<(Vec<f64>, f64)>,
 }
 
-fn cache_path(spec: &MachineSpec, seed: u64) -> PathBuf {
-    crate::output::results_dir().join(format!("calibration-{}-{}.json", spec.name, seed))
+fn cache_path(dir: &Path, spec: &MachineSpec, seed: u64) -> PathBuf {
+    dir.join(format!("calibration-{}-{}.json", spec.name, seed))
 }
 
 fn rebuild(spec: &MachineSpec, cached: CachedCalibration) -> Option<MachineCalibration> {
@@ -45,10 +45,11 @@ fn rebuild(spec: &MachineSpec, cached: CachedCalibration) -> Option<MachineCalib
     Some(MachineCalibration { set, idle_by_meter, model_core_only, model_chipshare })
 }
 
-/// Loads the calibration for `(spec, seed)` from the cache, or runs the
-/// full §4.1 procedure and caches it.
-pub fn calibration_for(spec: &MachineSpec, seed: u64) -> MachineCalibration {
-    let path = cache_path(spec, seed);
+/// Loads the calibration for `(spec, seed)` from the cache in `dir` (a
+/// [`crate::runner::RunCtx::results_dir`]), or runs the full §4.1
+/// procedure and caches it there.
+pub fn calibration_for(dir: &Path, spec: &MachineSpec, seed: u64) -> MachineCalibration {
+    let path = cache_path(dir, spec, seed);
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(cached) = serde_json::from_str::<CachedCalibration>(&text) {
             if cached.machine == spec.name && cached.seed == seed {
@@ -75,7 +76,7 @@ pub fn calibration_for(spec: &MachineSpec, seed: u64) -> MachineCalibration {
             .map(|s| (s.metrics.as_array().to_vec(), s.active_watts))
             .collect(),
     };
-    if std::fs::create_dir_all(crate::output::results_dir()).is_ok() {
+    if std::fs::create_dir_all(dir).is_ok() {
         if let Ok(json) = serde_json::to_string(&cached) {
             // Atomic publish (write temp, rename): concurrent
             // experiment processes or workers must never observe a
@@ -92,17 +93,19 @@ pub fn calibration_for(spec: &MachineSpec, seed: u64) -> MachineCalibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Sandbox;
 
     #[test]
     fn cache_round_trips_calibration() {
+        let sandbox = Sandbox::new(crate::Scale::Quick);
+        let dir = &sandbox.ctx.results_dir;
         let spec = MachineSpec::sandybridge();
-        // Unusual seed to avoid clobbering real caches.
+        // A seed with no committed cache, so the first call calibrates.
         let seed = 0xDEAD_0001;
-        let path = cache_path(&spec, seed);
-        let _ = std::fs::remove_file(&path);
-        let fresh = calibration_for(&spec, seed);
+        let path = cache_path(dir, &spec, seed);
+        let fresh = calibration_for(dir, &spec, seed);
         assert!(path.exists(), "cache file written");
-        let cached = calibration_for(&spec, seed);
+        let cached = calibration_for(dir, &spec, seed);
         for (a, b) in fresh
             .model_chipshare
             .coefficients()
@@ -115,6 +118,5 @@ mod tests {
             fresh.meter_idle("wattsup"),
             cached.meter_idle("wattsup")
         );
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -19,11 +19,12 @@
 //!    (+ conditioning slack) even while nodes crash and restart.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; records and traces carry only
+//! [`RunCtx::jobs`] workers; records and traces carry only
 //! simulated timestamps, so results are byte-identical at any `--jobs`
 //! count.
 
-use crate::output::{banner, write_record, Table};
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use cluster::{
     offered_cluster_rate, run_pipeline, ClusterConfig, DistributionPolicy, RecoveryConfig,
@@ -170,14 +171,14 @@ fn chaos_cap_w(cores: usize) -> f64 {
 /// the CI smoke cell is exactly a sweep cell). Fault clocks are seeded
 /// per scenario from the workspace seed, so every rung sees a distinct
 /// but reproducible schedule.
-pub fn cell_config(scale: Scale, scenario: &ChaosScenario) -> ClusterConfig {
+pub fn cell_config(ctx: &RunCtx, scenario: &ChaosScenario) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(FLEET_NODES));
-    cfg.sched = vec![crate::runner::sched_kind()];
+    cfg.sched = vec![ctx.sched.clone()];
     cfg.seed = crate::SEED;
     let rate = offered_cluster_rate(&cfg);
     // Long enough that ~1 Hz per-node fault clocks reliably fire even
     // at Quick scale.
-    let secs = (target_requests(scale) / rate).max(1.2);
+    let secs = (target_requests(ctx.scale) / rate).max(1.2);
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
     if scenario.capped {
         cfg.power_cap_w = Some(chaos_cap_w(cfg.nodes.iter().map(hwsim::MachineSpec::total_cores).sum()));
@@ -199,7 +200,7 @@ pub fn cell_config(scale: Scale, scenario: &ChaosScenario) -> ClusterConfig {
         ..RecoveryConfig::standard()
     });
     cfg.admission = Some(AdmissionConfig::standard());
-    cfg.obs = crate::runner::obs_config();
+    cfg.obs = ctx.obs_config();
     cfg
 }
 
@@ -221,14 +222,14 @@ pub fn cell_calibrations(lab: &mut Lab, cfg: &ClusterConfig) -> Vec<MachineCalib
 
 /// Runs one rung of the ladder and checks its invariants. Shared with
 /// the CI smoke test.
-pub fn run_cell(scale: Scale, scenario: &ChaosScenario, cals: &[MachineCalibration]) -> ChaosSweepRow {
-    let mut cfg = cell_config(scale, scenario);
-    cfg.telemetry = crate::runner::trace_handle();
+pub fn run_cell(ctx: &RunCtx, scenario: &ChaosScenario, cals: &[MachineCalibration]) -> ChaosSweepRow {
+    let mut cfg = cell_config(ctx, scenario);
+    cfg.telemetry = ctx.trace_handle();
     let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
         .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
         .collect();
     let o = run_pipeline(&mut policies, &cfg, cals);
-    crate::runner::write_trace("chaos_sweep", &crate::runner::slug(scenario.name), &cfg.telemetry);
+    ctx.write_trace("chaos_sweep", &crate::runner::slug(scenario.name), &cfg.telemetry);
 
     // Invariant 1 — exact typed request conservation, cluster and node.
     let cluster_ok = o.dispatched == o.completed as u64 + o.dropped + o.in_flight
@@ -302,18 +303,18 @@ pub fn run_cell(scale: Scale, scenario: &ChaosScenario, cals: &[MachineCalibrati
 }
 
 /// Runs the ladder and prints the grid.
-pub fn run(scale: Scale) -> ChaosSweep {
+pub fn run(ctx: &RunCtx) -> ChaosSweep {
     banner("chaos-sweep", "crash/recovery invariants under randomized fault schedules");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
 
     let tasks: Vec<_> = SCENARIOS
         .iter()
         .map(|sc| {
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, sc));
-            move || run_cell(scale, sc, &cals)
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx, sc));
+            move || run_cell(ctx, sc, &cals)
         })
         .collect();
-    let rows: Vec<ChaosSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let rows: Vec<ChaosSweepRow> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("chaos-sweep cell failed: {e}"));
@@ -353,6 +354,6 @@ pub fn run(scale: Scale) -> ChaosSweep {
     );
 
     let record = ChaosSweep { rows, requests_conserved, energy_conserved, caps_held, faults_fired };
-    write_record("chaos_sweep", &record);
+    ctx.write_record("chaos_sweep", &record);
     record
 }

@@ -4,8 +4,9 @@
 //! paper lists it: the constant idle power plus each coefficient's
 //! maximum active-power impact `C·M_max` over the calibration set.
 
-use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use power_containers::{MetricVector, FEATURES};
 use serde::Serialize;
 
@@ -34,9 +35,9 @@ const PAPER_CMMAX: [Option<f64>; FEATURES] = [
 ];
 
 /// Runs the experiment.
-pub fn run(_scale: Scale) -> Coefficients {
+pub fn run(ctx: &RunCtx) -> Coefficients {
     banner("coefficients", "calibrated SandyBridge model (C·M_max form, §4.1)");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let cal = lab.calibration("sandybridge");
     let model = cal.model_chipshare.clone();
     // M_max per feature over the calibration samples.
@@ -66,6 +67,6 @@ pub fn run(_scale: Scale) -> Coefficients {
         idle_w: model.idle_w(),
         rows,
     };
-    write_record("coefficients", &record);
+    ctx.write_record("coefficients", &record);
     record
 }

@@ -25,11 +25,12 @@
 //!    beats the fixed fleet by at least 20 % J/request.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers. Records and traces carry only
+//! [`RunCtx::jobs`] workers. Records and traces carry only
 //! simulated timestamps, so results are byte-identical at any `--jobs`
 //! count.
 
-use crate::output::{banner, write_record, Table};
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use cluster::{
     offered_cluster_rate, run_cluster, AdmissionConfig, AutoscaleConfig, ClusterConfig,
@@ -157,9 +158,10 @@ pub fn shape_for(scenario: &DiurnalScenario, day: SimDuration) -> TrafficShape {
 /// the CI smoke job, so those cells are exactly sweep cells). The day
 /// length is sized from the full fleet's offered rate so the ladder
 /// issues `target_requests` per cell regardless of fleet size.
-pub fn cell_config(scale: Scale, scenario: &DiurnalScenario, autoscaled: bool) -> ClusterConfig {
+pub fn cell_config(ctx: &RunCtx, scenario: &DiurnalScenario, autoscaled: bool) -> ClusterConfig {
+    let scale = ctx.scale;
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(fleet_nodes(scale)));
-    cfg.sched = vec![crate::runner::sched_kind()];
+    cfg.sched = vec![ctx.sched.clone()];
     cfg.seed = crate::SEED;
     cfg.volume = VOLUME;
     let rate = offered_cluster_rate(&cfg);
@@ -193,7 +195,7 @@ pub fn cell_config(scale: Scale, scenario: &DiurnalScenario, autoscaled: bool) -
         }
         cfg.autoscale = Some(ac);
     }
-    cfg.obs = crate::runner::obs_config();
+    cfg.obs = ctx.obs_config();
     cfg
 }
 
@@ -298,24 +300,24 @@ pub struct DiurnalSweep {
 /// Runs one arm of one rung and checks its invariants. Shared with the
 /// CI smoke test.
 pub fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &DiurnalScenario,
     autoscaled: bool,
     cals: &[MachineCalibration],
 ) -> DiurnalRow {
-    let mut cfg = cell_config(scale, scenario, autoscaled);
+    let mut cfg = cell_config(ctx, scenario, autoscaled);
     // Tracing is restricted to the quick ladder: a recording sink holds
     // every event in memory, and a full-scale cell offers ~4×10⁵
     // requests.
-    if scale == Scale::Quick {
-        cfg.telemetry = crate::runner::trace_handle();
+    if ctx.scale == Scale::Quick {
+        cfg.telemetry = ctx.trace_handle();
     }
     let arm = if autoscaled { "autoscaled" } else { "fixed" };
     let t0 = std::time::Instant::now();
     let o = run_cluster(&mut SimpleBalance::new(), &cfg, cals);
     let wall = t0.elapsed();
-    if scale == Scale::Quick {
-        crate::runner::write_trace(
+    if ctx.scale == Scale::Quick {
+        ctx.write_trace(
             "diurnal_sweep",
             &crate::runner::slug(&format!("{}-{arm}", scenario.name)),
             &cfg.telemetry,
@@ -425,23 +427,24 @@ pub fn run_cell(
 }
 
 /// Runs the ladder (both arms per rung) and prints the comparison.
-pub fn run(scale: Scale) -> DiurnalSweep {
+pub fn run(ctx: &RunCtx) -> DiurnalSweep {
+    let scale = ctx.scale;
     banner(
         "diurnal-sweep",
         "diurnal traffic, flash-crowd survival, elastic autoscaler vs fixed fleet",
     );
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let tasks: Vec<_> = SCENARIOS
         .iter()
         .flat_map(|sc| {
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, sc, false));
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx, sc, false));
             [false, true].map(|autoscaled| {
                 let cals = cals.clone();
-                move || run_cell(scale, sc, autoscaled, &cals)
+                move || run_cell(ctx, sc, autoscaled, &cals)
             })
         })
         .collect();
-    let rows: Vec<DiurnalRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let rows: Vec<DiurnalRow> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("diurnal-sweep cell failed: {e}"));
@@ -541,6 +544,6 @@ pub fn run(scale: Scale) -> DiurnalSweep {
         pairs,
         rows,
     };
-    write_record("diurnal_sweep", &record);
+    ctx.write_record("diurnal_sweep", &record);
     record
 }

@@ -19,11 +19,12 @@
 //! bank's error returns to within 1.2× its steady-state level inside a
 //! bounded window, while the single-model baseline's post-shift error
 //! stays diverged (above that bound on average). Rungs are independent
-//! seeded simulations fanned out across [`crate::runner::jobs`] workers;
+//! seeded simulations fanned out across [`RunCtx::jobs`] workers;
 //! records and traces carry only simulated timestamps, so results are
 //! byte-identical at any `--jobs` count.
 
-use crate::output::{banner, pct, write_record, Table};
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use hwsim::{ChipId, FaultConfig, FreqScale, GroundTruthPower};
 use power_containers::{Approach, BankConfig};
@@ -321,12 +322,12 @@ fn fxhash(name: &str) -> u64 {
 /// smoke cell is exactly a sweep cell). The single and banked variants
 /// of a rung share a seed: identical arrival streams, only the metering
 /// engine differs.
-pub fn cell_config(scale: Scale, scenario: &DriftScenario, banked: bool) -> RunConfig {
+pub fn cell_config(ctx: &RunCtx, scenario: &DriftScenario, banked: bool) -> RunConfig {
     let mut cfg = RunConfig::new(hwsim::MachineSpec::sandybridge());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.approach = Approach::Recalibrated;
     cfg.load = LoadLevel::Half;
-    cfg.duration = SimDuration::from_secs(cell_secs(scale));
+    cfg.duration = SimDuration::from_secs(cell_secs(ctx.scale));
     cfg.seed = crate::SEED ^ fxhash(scenario.name);
     if banked {
         cfg.model_bank = Some(BankConfig::default());
@@ -341,14 +342,14 @@ pub fn cell_config(scale: Scale, scenario: &DriftScenario, banked: bool) -> RunC
 /// buckets, applies the rung's shifts at bucket boundaries, and records
 /// the per-bucket attribution error. Shared with the CI smoke test.
 pub fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &DriftScenario,
     banked: bool,
     cal: &workloads::MachineCalibration,
 ) -> DriftCell {
-    let mut cfg = cell_config(scale, scenario, banked);
-    cfg.telemetry = crate::runner::trace_handle();
-    let buckets = (cell_secs(scale) * 1000 / BUCKET_MS) as usize;
+    let mut cfg = cell_config(ctx, scenario, banked);
+    cfg.telemetry = ctx.trace_handle();
+    let buckets = (cell_secs(ctx.scale) * 1000 / BUCKET_MS) as usize;
     let mut prepared = prepare_app(Rc::from(WorkloadKind::GaeVosao.app()), &cfg, cal);
 
     // The phase driver runs for the whole cell at a constant rate; only
@@ -396,7 +397,7 @@ pub fn run_cell(
         (last_true, last_attr) = (te, ae);
     }
     let outcome = prepared.finish();
-    crate::runner::write_trace(
+    ctx.write_trace(
         "drift_sweep",
         &format!(
             "{}-{}",
@@ -475,9 +476,9 @@ pub fn apply_bound(cell: &mut DriftCell, bound: f64) {
 }
 
 /// Runs the ladder and prints the grid.
-pub fn run(scale: Scale) -> DriftSweep {
+pub fn run(ctx: &RunCtx) -> DriftSweep {
     banner("drift-sweep", "model bank vs single model across a regime-shift ladder");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let cal = lab.calibration("sandybridge");
 
     // Every (rung × engine) pair is an independent seeded simulation.
@@ -486,10 +487,10 @@ pub fn run(scale: Scale) -> DriftSweep {
         .flat_map(|sc| [(sc, false), (sc, true)])
         .map(|(sc, banked)| {
             let cal = cal.clone();
-            move || run_cell(scale, sc, banked, &cal)
+            move || run_cell(ctx, sc, banked, &cal)
         })
         .collect();
-    let cells: Vec<DriftCell> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let cells: Vec<DriftCell> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("drift-sweep cell failed: {e}"));
@@ -569,7 +570,7 @@ pub fn run(scale: Scale) -> DriftSweep {
     // Written before the acceptance asserts: a failed run still dumps
     // its full error curves for post-mortem inspection.
     let record = DriftSweep { rows, bank_recovered_all, single_stayed_diverged, bank_steady_ok };
-    write_record("drift_sweep", &record);
+    ctx.write_record("drift_sweep", &record);
     assert!(bank_recovered_all, "model bank failed to recover after a regime shift");
     assert!(
         single_stayed_diverged,

@@ -8,8 +8,9 @@
 //! attribution error stays within 2× of the clean-run error, with zero
 //! panics anywhere in the sweep.
 
-use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use hwsim::FaultConfig;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -44,20 +45,20 @@ pub struct FaultSweep {
 }
 
 fn sweep_point(
+    ctx: &RunCtx,
     spec: &hwsim::MachineSpec,
     cal: &workloads::MachineCalibration,
-    scale: Scale,
     scenario: &str,
     faults: FaultConfig,
 ) -> FaultSweepRow {
     let mut cfg = RunConfig::new(spec.clone());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.approach = power_containers::Approach::Recalibrated;
     cfg.load = LoadLevel::Half;
-    cfg.duration = SimDuration::from_secs(scale.run_secs());
+    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
     let dropout = faults.meter_dropout;
     cfg.faults = faults;
-    cfg.telemetry = crate::runner::trace_handle();
+    cfg.telemetry = ctx.trace_handle();
     let outcome = run_app(WorkloadKind::RsaCrypto, &cfg, cal);
     // Dropout rate keeps same-named scenarios (the meter-dropout rows)
     // from clobbering each other's trace files.
@@ -66,7 +67,7 @@ fn sweep_point(
         crate::runner::slug(scenario),
         crate::runner::slug(&format!("{:04.1}pct", dropout * 100.0))
     );
-    crate::runner::write_trace("fault_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("fault_sweep", &stem, &cfg.telemetry);
     let completions = outcome.stats.borrow().completions().len();
     FaultSweepRow {
         scenario: scenario.to_string(),
@@ -79,11 +80,11 @@ fn sweep_point(
 }
 
 /// Runs the sweep and prints the table. Sweep points are independent
-/// seeded simulations, so they fan out across [`crate::runner::jobs`]
+/// seeded simulations, so they fan out across [`RunCtx::jobs`]
 /// workers; rows keep the canonical order (clean first).
-pub fn run(scale: Scale) -> FaultSweep {
+pub fn run(ctx: &RunCtx) -> FaultSweep {
     banner("fault-sweep", "attribution accuracy under injected hardware faults");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let dropout = |rate: f64| FaultConfig {
@@ -113,10 +114,10 @@ pub fn run(scale: Scale) -> FaultSweep {
         .map(|(scenario, faults)| {
             let spec = spec.clone();
             let cal = cal.clone();
-            move || sweep_point(&spec, &cal, scale, scenario, faults)
+            move || sweep_point(ctx, &spec, &cal, scenario, faults)
         })
         .collect();
-    let rows: Vec<FaultSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let rows: Vec<FaultSweepRow> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("fault-sweep point failed: {e}"));
@@ -145,6 +146,6 @@ pub fn run(scale: Scale) -> FaultSweep {
         if within_bound { "HELD" } else { "EXCEEDED" }
     );
     let record = FaultSweep { clean_error, rows, within_bound };
-    write_record("fault_sweep", &record);
+    ctx.write_record("fault_sweep", &record);
     record
 }

@@ -7,8 +7,8 @@
 //! Linux scheduler spreads for performance), so early increments are
 //! visibly larger — the motivation for Eq. 2's `M_chipshare` term.
 
-use crate::output::{banner, write_record, Table};
-use crate::Scale;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use hwsim::{ActivityProfile, Machine, MachineSpec};
 use ossim::{Kernel, KernelConfig, Op, ScriptProgram};
 use serde::Serialize;
@@ -50,7 +50,7 @@ fn power_with_k_spinners(spec: &MachineSpec, k: usize, seed: u64) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(_scale: Scale) -> Fig1 {
+pub fn run(ctx: &RunCtx) -> Fig1 {
     banner("fig1", "incremental per-core power (chip maintenance step)");
     let mut machines = Vec::new();
     for spec in [MachineSpec::sandybridge(), MachineSpec::woodcrest()] {
@@ -68,7 +68,7 @@ pub fn run(_scale: Scale) -> Fig1 {
         machines.push(MachineSteps { machine: spec.name.to_string(), increments_w: increments });
     }
     let record = Fig1 { machines };
-    write_record("fig1", &record);
+    ctx.write_record("fig1", &record);
     record
 }
 

@@ -7,8 +7,9 @@
 //! ~1.2 s for the Wattsup meter — here the simulated delivery delays are
 //! exactly 1 ms and 1.2 s, so the correlation peak should land there.
 
-use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -36,6 +37,7 @@ pub struct Fig2 {
 }
 
 fn scan_meter(
+    ctx: &RunCtx,
     lab: &mut Lab,
     meter: &'static str,
     step: SimDuration,
@@ -45,7 +47,7 @@ fn scan_meter(
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec.clone());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.meter = Some(meter);
     cfg.align_step = Some(step);
     cfg.max_meter_delay = Some(max_delay);
@@ -76,11 +78,13 @@ fn scan_meter(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig2 {
+pub fn run(ctx: &RunCtx) -> Fig2 {
+    let scale = ctx.scale;
     banner("fig2", "measurement/model alignment cross-correlation");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let scans = vec![
         scan_meter(
+            ctx,
             &mut lab,
             "on-chip",
             SimDuration::from_millis(1),
@@ -88,6 +92,7 @@ pub fn run(scale: Scale) -> Fig2 {
             scale.run_secs().max(4),
         ),
         scan_meter(
+            ctx,
             &mut lab,
             "wattsup",
             SimDuration::from_millis(50),
@@ -106,6 +111,6 @@ pub fn run(scale: Scale) -> Fig2 {
     }
     println!("{table}");
     let record = Fig2 { scans };
-    write_record("fig2", &record);
+    ctx.write_record("fig2", &record);
     record
 }

@@ -4,8 +4,9 @@
 //! by the estimated delay should lay it on top of the model-estimate
 //! series. This experiment prints both series over a ~600 ms window.
 
-use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -33,13 +34,14 @@ pub struct Fig3 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig3 {
+pub fn run(ctx: &RunCtx) -> Fig3 {
+    let scale = ctx.scale;
     banner("fig3", "aligned measurement/model power traces (on-chip meter)");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.meter = Some("on-chip");
     cfg.align_step = Some(SimDuration::from_millis(1));
     cfg.max_meter_delay = Some(SimDuration::from_millis(20));
@@ -86,6 +88,6 @@ pub fn run(scale: Scale) -> Fig3 {
         points,
         mean_abs_diff_w,
     };
-    write_record("fig3", &record);
+    ctx.write_record("fig3", &record);
     record
 }

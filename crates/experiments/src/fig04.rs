@@ -5,8 +5,8 @@
 //! the context across sockets and forks and attributes power and energy
 //! to every stage, as in the paper's annotated timeline.
 
-use crate::output::{banner, write_record, Table};
-use crate::Scale;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use hwsim::Machine;
 use ossim::{Kernel, KernelConfig, TaskId};
 use power_containers::{Approach, FacilityConfig, PowerContainerFacility};
@@ -43,9 +43,9 @@ pub struct Fig4 {
 }
 
 /// Runs the experiment.
-pub fn run(_scale: Scale) -> Fig4 {
+pub fn run(ctx: &RunCtx) -> Fig4 {
     banner("fig4", "captured multi-stage WeBWorK request (per-stage power/energy)");
-    let mut lab = crate::Lab::new();
+    let mut lab = crate::Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
 
@@ -134,6 +134,6 @@ pub fn run(_scale: Scale) -> Fig4 {
         total_energy_j: container.energy_j + container.io_energy_j,
         response_ms: completion.response_secs() * 1e3,
     };
-    write_record("fig4", &record);
+    ctx.write_record("fig4", &record);
     record
 }

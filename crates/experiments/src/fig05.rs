@@ -1,8 +1,9 @@
 //! Fig. 5 — measured active power of every workload on every machine at
 //! peak and half load.
 
-use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -31,11 +32,12 @@ pub struct Fig5 {
 
 /// Runs the experiment. Cells (machine × workload × load) are
 /// independent seeded simulations, so they fan out across
-/// [`crate::runner::jobs`] workers; assembly and printing follow the
+/// [`RunCtx::jobs`] workers; assembly and printing follow the
 /// canonical sweep order regardless of completion order.
-pub fn run(scale: Scale) -> Fig5 {
+pub fn run(ctx: &RunCtx) -> Fig5 {
+    let scale = ctx.scale;
     banner("fig5", "measured active power per workload, machine, load");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let machines = ["woodcrest", "westmere", "sandybridge"];
     let mut tasks = Vec::new();
     for machine in machines {
@@ -47,17 +49,17 @@ pub fn run(scale: Scale) -> Fig5 {
                 let cal = cal.clone();
                 tasks.push(move || {
                     let mut cfg = RunConfig::new(spec);
-                    cfg.sched = crate::runner::sched_kind();
+                    cfg.sched = ctx.sched.clone();
                     cfg.load = load;
                     cfg.duration = SimDuration::from_secs(scale.run_secs() / 2 + 2);
-                    cfg.telemetry = crate::runner::trace_handle();
+                    cfg.telemetry = ctx.trace_handle();
                     let outcome = run_app(kind, &cfg, &cal);
                     let stem = format!(
                         "{machine}-{}-{}",
                         crate::runner::slug(kind.name()),
                         crate::runner::slug(load.name())
                     );
-                    crate::runner::write_trace("fig05", &stem, &cfg.telemetry);
+                    ctx.write_trace("fig05", &stem, &cfg.telemetry);
                     PowerCell {
                         machine: machine.to_string(),
                         workload: kind.name().to_string(),
@@ -69,7 +71,7 @@ pub fn run(scale: Scale) -> Fig5 {
             }
         }
     }
-    let cells: Vec<PowerCell> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let cells: Vec<PowerCell> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("fig5 cell failed: {e}"));
@@ -87,6 +89,6 @@ pub fn run(scale: Scale) -> Fig5 {
         println!("{table}");
     }
     let record = Fig5 { cells };
-    write_record("fig5", &record);
+    ctx.write_record("fig5", &record);
     record
 }

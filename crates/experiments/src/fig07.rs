@@ -6,8 +6,9 @@
 //! requests and power viruses.
 
 use crate::fig06::request_records;
-use crate::output::{banner, write_record};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::banner;
+use crate::runner::RunCtx;
 use analysis::hist::Histogram;
 use serde::Serialize;
 use workloads::{WorkloadKind, POWER_VIRUS_LABEL};
@@ -37,12 +38,12 @@ pub struct Fig7 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig7 {
+pub fn run(ctx: &RunCtx) -> Fig7 {
     banner("fig7", "request energy usage distributions (half load, SandyBridge)");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let mut distributions = Vec::new();
     for kind in [WorkloadKind::Solr, WorkloadKind::GaeHybrid] {
-        let records = request_records(&mut lab, kind, scale);
+        let records = request_records(ctx, &mut lab, kind);
         let energies: Vec<f64> =
             records.iter().map(|r| r.energy_j + r.io_energy_j).collect();
         let mut hist = Histogram::new(0.0, 2.0, 40);
@@ -77,6 +78,6 @@ pub fn run(scale: Scale) -> Fig7 {
         });
     }
     let record = Fig7 { distributions };
-    write_record("fig7", &record);
+    ctx.write_record("fig7", &record);
     record
 }

@@ -7,7 +7,8 @@
 //! Approach #2 (+ chip-share) 18/35/13%, Approach #3 (+ recalibration)
 //! 8/9/6%.
 
-use crate::output::{banner, pct, write_record, Table};
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use power_containers::Approach;
 use serde::Serialize;
@@ -46,12 +47,13 @@ fn approach_name(a: Approach) -> &'static str {
 
 /// Runs the experiment. Cells (machine × workload × load, with the
 /// three approaches evaluated inside a cell) are independent seeded
-/// simulations, so they fan out across [`crate::runner::jobs`] workers;
+/// simulations, so they fan out across [`RunCtx::jobs`] workers;
 /// assembly, worst-case reduction, and printing follow the canonical
 /// sweep order regardless of completion order.
-pub fn run(scale: Scale) -> Fig8 {
+pub fn run(ctx: &RunCtx) -> Fig8 {
+    let scale = ctx.scale;
     banner("fig8", "validation error of approaches #1/#2/#3");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let machines: &[&str] = match scale {
         Scale::Full => &["woodcrest", "westmere", "sandybridge"],
         Scale::Quick => &["sandybridge"],
@@ -76,7 +78,7 @@ pub fn run(scale: Scale) -> Fig8 {
                     let mut errors = [0.0f64; 3];
                     for (i, approach) in Approach::ALL.into_iter().enumerate() {
                         let mut cfg = RunConfig::new(spec.clone());
-                        cfg.sched = crate::runner::sched_kind();
+                        cfg.sched = ctx.sched.clone();
                         cfg.approach = approach;
                         cfg.load = load;
                         cfg.duration = SimDuration::from_secs(secs);
@@ -93,7 +95,7 @@ pub fn run(scale: Scale) -> Fig8 {
             }
         }
     }
-    let cells: Vec<ValidationCell> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let cells: Vec<ValidationCell> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("fig8 cell failed: {e}"));
@@ -128,6 +130,6 @@ pub fn run(scale: Scale) -> Fig8 {
         worst_case.push((machine.to_string(), worst));
     }
     let record = Fig8 { cells, worst_case };
-    write_record("fig8", &record);
+    ctx.write_record("fig8", &record);
     record
 }

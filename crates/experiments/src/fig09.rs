@@ -5,8 +5,9 @@
 //! finds almost a third of total active power attributable to background
 //! processing.
 
-use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -34,9 +35,10 @@ pub struct Fig9 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig9 {
+pub fn run(ctx: &RunCtx) -> Fig9 {
+    let scale = ctx.scale;
     banner("fig9", "GAE background processing share of active power");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cells = Vec::new();
@@ -50,7 +52,7 @@ pub fn run(scale: Scale) -> Fig9 {
     ]);
     for load in [LoadLevel::Peak, LoadLevel::Half] {
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = load;
         cfg.duration = SimDuration::from_secs(scale.run_secs());
         let outcome = run_app(WorkloadKind::GaeVosao, &cfg, &cal);
@@ -81,6 +83,6 @@ pub fn run(scale: Scale) -> Fig9 {
     }
     println!("{table}");
     let record = Fig9 { cells };
-    write_record("fig9", &record);
+    ctx.write_record("fig9", &record);
     record
 }

@@ -8,9 +8,10 @@
 //! error for containers vs ≤19% (CPU-proportional) and ≤56%
 //! (rate-proportional).
 
+use crate::Lab;
 use crate::mix::MixOverride;
-use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use serde::Serialize;
 use simkern::SimDuration;
 use std::collections::HashMap;
@@ -58,20 +59,20 @@ struct LabelProfile {
 }
 
 fn scenario(
+    ctx: &RunCtx,
     lab: &mut Lab,
     name: &str,
     kind: WorkloadKind,
     new_labels: Vec<u32>,
     new_mean_cycles: f64,
-    scale: Scale,
 ) -> PredictionScenario {
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
-    let secs = scale.run_secs();
+    let secs = ctx.scale.run_secs();
 
     // 1. Profile the original composition at peak load.
     let mut cfg = RunConfig::new(spec.clone());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = LoadLevel::Peak;
     cfg.duration = SimDuration::from_secs(secs);
     let orig = run_app(kind, &cfg, &cal);
@@ -118,7 +119,7 @@ fn scenario(
             new_mean_cycles,
         ));
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = LoadLevel::Fraction(fraction);
         cfg.duration = SimDuration::from_secs(secs);
         cfg.seed = crate::SEED + 17;
@@ -150,19 +151,20 @@ fn scenario(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig10 {
+pub fn run(ctx: &RunCtx) -> Fig10 {
     banner("fig10", "power prediction at new request compositions");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let scenarios = vec![
         scenario(
+            ctx,
             &mut lab,
             "RSA-crypto, largest key only",
             WorkloadKind::RsaCrypto,
             vec![2],
             RsaCrypto::cycles_for(2),
-            scale,
         ),
         scenario(
+            ctx,
             &mut lab,
             "WeBWorK, 10 most popular problem sets",
             WorkloadKind::WeBWorK,
@@ -173,7 +175,6 @@ pub fn run(scale: Scale) -> Fig10 {
                 // Stage mix mirrors the app's difficulty scaling.
                 mean_d * (7.0e6 + 5.0e6 + 4.0e6 + 5.0e6 + 3.0e6) + 3.3e6
             },
-            scale,
         ),
     ];
     for s in &scenarios {
@@ -204,6 +205,6 @@ pub fn run(scale: Scale) -> Fig10 {
         println!();
     }
     let record = Fig10 { scenarios };
-    write_record("fig10", &record);
+    ctx.write_record("fig10", &record);
     record
 }

@@ -7,8 +7,9 @@
 //! target and only the offenders are duty-cycle throttled, keeping the
 //! system at or below the target.
 
-use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use power_containers::ConditioningPolicy;
 use serde::Serialize;
 use simkern::{SimDuration, SimTime};
@@ -62,6 +63,7 @@ pub struct Fig11 {
 pub const SATURATING_LOAD: LoadLevel = LoadLevel::Fraction(1.3);
 
 fn run_once(
+    ctx: &RunCtx,
     lab: &mut Lab,
     policy_target: Option<f64>,
     measure_target: f64,
@@ -71,7 +73,7 @@ fn run_once(
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = SATURATING_LOAD;
     cfg.closed_loop = Some(2 * cfg.spec.total_cores());
     cfg.duration = duration;
@@ -121,9 +123,9 @@ fn run_once(
 
 /// Runs both the baseline and conditioned experiments (shared with
 /// Fig. 12).
-pub fn conditioning_data(scale: Scale) -> ConditioningData {
-    let mut lab = Lab::new();
-    let duration = SimDuration::from_secs(scale.run_secs().max(8));
+pub fn conditioning_data(ctx: &RunCtx) -> ConditioningData {
+    let mut lab = Lab::new(ctx);
+    let duration = SimDuration::from_secs(ctx.scale.run_secs().max(8));
     let virus_start = SimTime::from_secs(duration.as_secs_f64() as u64 * 2 / 5);
 
     // Establish the normal-operation power level at saturation, then set
@@ -131,7 +133,7 @@ pub fn conditioning_data(scale: Scale) -> ConditioningData {
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut probe_cfg = RunConfig::new(spec.clone());
-    probe_cfg.sched = crate::runner::sched_kind();
+    probe_cfg.sched = ctx.sched.clone();
     probe_cfg.load = SATURATING_LOAD;
     probe_cfg.closed_loop = Some(2 * probe_cfg.spec.total_cores());
     probe_cfg.duration = SimDuration::from_secs(3);
@@ -152,15 +154,15 @@ pub fn conditioning_data(scale: Scale) -> ConditioningData {
     };
     let target = spec.total_cores() as f64 * mean_normal_w * 1.06;
 
-    let baseline = run_once(&mut lab, None, target, duration, virus_start);
-    let conditioned = run_once(&mut lab, Some(target), target, duration, virus_start);
+    let baseline = run_once(ctx, &mut lab, None, target, duration, virus_start);
+    let conditioned = run_once(ctx, &mut lab, Some(target), target, duration, virus_start);
     ConditioningData { target_w: target, virus_start, baseline, conditioned }
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig11 {
+pub fn run(ctx: &RunCtx) -> Fig11 {
     banner("fig11", "power conditioning of power viruses (GAE, SandyBridge)");
-    let data = conditioning_data(scale);
+    let data = conditioning_data(ctx);
     let mut table = Table::new(["run", "peak after viruses (W)", "buckets above target"]);
     for (run, _) in [&data.baseline, &data.conditioned] {
         table.row([
@@ -187,6 +189,6 @@ pub fn run(scale: Scale) -> Fig11 {
         virus_start_s: data.virus_start.as_secs_f64(),
         runs: vec![data.baseline.0.clone(), data.conditioned.0.clone()],
     };
-    write_record("fig11", &record);
+    ctx.write_record("fig11", &record);
     record
 }

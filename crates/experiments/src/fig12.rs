@@ -7,8 +7,8 @@
 //! arrived while cores were idle and inherited a larger budget.
 
 use crate::fig11::conditioning_data;
-use crate::output::{banner, pct, write_record, Table};
-use crate::Scale;
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use analysis::stats::Summary;
 use serde::Serialize;
 use workloads::POWER_VIRUS_LABEL;
@@ -38,9 +38,9 @@ pub struct Fig12 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig12 {
+pub fn run(ctx: &RunCtx) -> Fig12 {
     banner("fig12", "original request power vs applied duty-cycle");
-    let data = conditioning_data(scale);
+    let data = conditioning_data(ctx);
     let outcome = &data.conditioned.1;
     let f = outcome.facility.borrow();
     let mut points = Vec::new();
@@ -94,6 +94,6 @@ pub fn run(scale: Scale) -> Fig12 {
         "full-machine alternative: 7/8 duty on all requests = {} slowdown for everyone",
         pct(record.full_machine_slowdown)
     );
-    write_record("fig12", &record);
+    ctx.write_record("fig12", &record);
     record
 }

@@ -5,8 +5,9 @@
 //! (RSA-crypto — strong affinity for the new machine) to 0.91 (Stress —
 //! nearly indifferent).
 
-use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use cluster::energy_affinity;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -33,9 +34,10 @@ pub struct Fig13 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig13 {
+pub fn run(ctx: &RunCtx) -> Fig13 {
+    let scale = ctx.scale;
     banner("fig13", "cross-machine energy usage ratio (SandyBridge / Woodcrest)");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let sb = lab.spec("sandybridge");
     let wc = lab.spec("woodcrest");
     let sb_cal = lab.calibration("sandybridge");
@@ -74,6 +76,6 @@ pub fn run(scale: Scale) -> Fig13 {
         .collect();
     println!("{table}");
     let record = Fig13 { rows };
-    write_record("fig13", &record);
+    ctx.write_record("fig13", &record);
     record
 }

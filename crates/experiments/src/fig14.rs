@@ -5,8 +5,9 @@
 //! The paper: workload-heterogeneity-aware distribution saves ~30% vs
 //! simple balance and ~25% vs machine-heterogeneity-aware.
 
-use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::Lab;
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use cluster::{
     energy_affinity, run_cluster, ClusterConfig, ClusterOutcome, DistributionPolicy,
     MachineHeterogeneityAware, SimpleBalance, WorkloadHeterogeneityAware,
@@ -40,8 +41,9 @@ pub struct Fig14 {
 }
 
 /// Runs the cluster under all three policies (shared with Table 1).
-pub fn cluster_outcomes(scale: Scale) -> Vec<ClusterOutcome> {
-    let mut lab = Lab::new();
+pub fn cluster_outcomes(ctx: &RunCtx) -> Vec<ClusterOutcome> {
+    let scale = ctx.scale;
+    let mut lab = Lab::new(ctx);
     let sb = lab.spec("sandybridge");
     let wc = lab.spec("woodcrest");
     let sb_cal = lab.calibration("sandybridge");
@@ -61,10 +63,10 @@ pub fn cluster_outcomes(scale: Scale) -> Vec<ClusterOutcome> {
         profile.iter().map(|r| (r.kind, r.ratio())).collect();
 
     let mut cfg = ClusterConfig::paper_setup();
-    cfg.sched = vec![crate::runner::sched_kind()];
+    cfg.sched = vec![ctx.sched.clone()];
     cfg.duration = SimDuration::from_secs(scale.run_secs());
     cfg.seed = crate::SEED;
-    cfg.obs = crate::runner::obs_config();
+    cfg.obs = ctx.obs_config();
     let cals = vec![sb_cal, wc_cal];
 
     let mut policies: Vec<Box<dyn DistributionPolicy>> = vec![
@@ -79,9 +81,9 @@ pub fn cluster_outcomes(scale: Scale) -> Vec<ClusterOutcome> {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig14 {
+pub fn run(ctx: &RunCtx) -> Fig14 {
     banner("fig14", "cluster energy rate under three distribution policies");
-    let outcomes = cluster_outcomes(scale);
+    let outcomes = cluster_outcomes(ctx);
     let mut policies = Vec::new();
     let mut table = Table::new([
         "policy",
@@ -129,6 +131,6 @@ pub fn run(scale: Scale) -> Fig14 {
         pct(saving_vs_machine)
     );
     let record = Fig14 { policies, saving_vs_simple, saving_vs_machine };
-    write_record("fig14", &record);
+    ctx.write_record("fig14", &record);
     record
 }

@@ -1,11 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (§4) from the simulated substrate.
 //!
-//! Each `figNN` module exposes a `run(scale)` function that executes the
-//! experiment, prints a paper-style text table, writes a JSON record
-//! under `results/`, and returns the data for programmatic checks. The
-//! corresponding `cargo run -p experiments --bin figNN` binaries are thin
-//! wrappers.
+//! Each `figNN` module exposes a `run(&RunCtx)` function that executes
+//! the experiment, prints a paper-style text table, writes a JSON record
+//! under the context's results directory, and returns the data for
+//! programmatic checks. Every experiment is listed once in
+//! [`registry::EXPERIMENTS`]; run one with
+//! `cargo run --release -p experiments --bin run_all -- --only figNN`.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -69,12 +70,15 @@ pub mod mix;
 pub mod obs_sweep;
 pub mod output;
 pub mod overhead;
+pub mod registry;
 pub mod runner;
 pub mod scale_sweep;
 pub mod sched_sweep;
 pub mod table1;
 
 use hwsim::MachineSpec;
+use runner::RunCtx;
+use std::path::PathBuf;
 use workloads::MachineCalibration;
 
 /// Experiment fidelity: `Full` reproduces the paper's durations; `Quick`
@@ -95,15 +99,6 @@ impl Scale {
             Scale::Quick => 4,
         }
     }
-
-    /// Parses `--quick` from process args.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
 }
 
 /// The root seed every experiment derives from (reproducibility).
@@ -112,16 +107,20 @@ pub const SEED: u64 = 42;
 /// Lazily calibrated machines shared by one experiment run.
 pub struct Lab {
     machines: Vec<(MachineSpec, Option<MachineCalibration>)>,
+    /// Where the calibration caches live (the context's results dir).
+    cache_dir: PathBuf,
 }
 
 impl Lab {
-    /// Creates a lab with the paper's three machines, none calibrated yet.
-    pub fn new() -> Lab {
+    /// Creates a lab with the paper's three machines, none calibrated
+    /// yet, caching calibrations in `ctx`'s results directory.
+    pub fn new(ctx: &RunCtx) -> Lab {
         Lab {
             machines: MachineSpec::all_machines()
                 .into_iter()
                 .map(|m| (m, None))
                 .collect(),
+            cache_dir: ctx.results_dir.clone(),
         }
     }
 
@@ -147,15 +146,9 @@ impl Lab {
             .unwrap_or_else(|| panic!("unknown machine {name}"));
         if entry.1.is_none() {
             eprintln!("[calibrating {name} ...]");
-            entry.1 = Some(cache::calibration_for(&entry.0, SEED));
+            entry.1 = Some(cache::calibration_for(&self.cache_dir, &entry.0, SEED));
         }
         entry.1.clone().expect("just calibrated")
-    }
-}
-
-impl Default for Lab {
-    fn default() -> Lab {
-        Lab::new()
     }
 }
 
@@ -164,8 +157,8 @@ impl Default for Lab {
 /// workers: each experiment builds its own [`Lab`], so without a warm
 /// cache several workers would redundantly re-run the expensive §4.1
 /// procedure for the same machine at once.
-pub fn prewarm_calibrations() {
+pub fn prewarm_calibrations(ctx: &RunCtx) {
     for spec in MachineSpec::all_machines() {
-        let _ = cache::calibration_for(&spec, SEED);
+        let _ = cache::calibration_for(&ctx.results_dir, &spec, SEED);
     }
 }

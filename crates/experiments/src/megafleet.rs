@@ -9,11 +9,12 @@
 //! matter how large the fleet.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers. The record carries no wall-clock
+//! [`RunCtx::jobs`] workers. The record carries no wall-clock
 //! values — per-cell wall time and throughput go to stderr — so
 //! `results/*.json` stay byte-identical at any `--jobs` count.
 
-use crate::output::{banner, write_record, Table};
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use cluster::{offered_cluster_rate, run_cluster, ClusterConfig, SimpleBalance, Topology};
 use serde::Serialize;
@@ -83,14 +84,14 @@ const ENERGY_TOL: f64 = 0.20;
 /// the CI smoke job, so those cells are exactly sweep cells). Duration
 /// is sized from the fleet's offered rate so the open-loop generator
 /// issues `requests` regardless of fleet size.
-pub fn cell_config(nodes: usize, requests: u64) -> ClusterConfig {
+pub fn cell_config(ctx: &RunCtx, nodes: usize, requests: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(nodes));
-    cfg.sched = vec![crate::runner::sched_kind()];
+    cfg.sched = vec![ctx.sched.clone()];
     cfg.seed = crate::SEED;
     let rate = offered_cluster_rate(&cfg);
     let secs = (requests as f64 / rate).max(0.25);
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
-    cfg.obs = crate::runner::obs_config();
+    cfg.obs = ctx.obs_config();
     cfg
 }
 
@@ -128,19 +129,25 @@ pub fn assert_cell_conserved(label: &str, outcome: &cluster::ClusterOutcome) {
     );
 }
 
-fn run_cell(nodes: usize, requests: u64, traced: bool, cals: &[MachineCalibration]) -> MegafleetRow {
-    let mut cfg = cell_config(nodes, requests);
+fn run_cell(
+    ctx: &RunCtx,
+    nodes: usize,
+    requests: u64,
+    traced: bool,
+    cals: &[MachineCalibration],
+) -> MegafleetRow {
+    let mut cfg = cell_config(ctx, nodes, requests);
     // Tracing is restricted to the grid's smallest cell: a recording
     // sink holds every event in memory and a 10⁶-request cell emits
     // gigabytes, while the smallest cell already pins the schema.
     if traced {
-        cfg.telemetry = crate::runner::trace_handle();
+        cfg.telemetry = ctx.trace_handle();
     }
     let t0 = std::time::Instant::now();
     let outcome = run_cluster(&mut SimpleBalance::new(), &cfg, cals);
     let wall = t0.elapsed();
     if traced {
-        crate::runner::write_trace(
+        ctx.write_trace(
             "megafleet",
             &format!("{nodes:04}nodes-{requests}req"),
             &cfg.telemetry,
@@ -175,19 +182,19 @@ fn run_cell(nodes: usize, requests: u64, traced: bool, cals: &[MachineCalibratio
 }
 
 /// Runs the sweep and prints the grid.
-pub fn run(scale: Scale) -> Megafleet {
+pub fn run(ctx: &RunCtx) -> Megafleet {
     banner("megafleet", "single-cell capacity sweep (nodes x requests)");
-    let mut lab = Lab::new();
-    let cells = fleet_cells(scale);
+    let mut lab = Lab::new(ctx);
+    let cells = fleet_cells(ctx.scale);
     let tasks: Vec<_> = cells
         .iter()
         .enumerate()
         .map(|(i, &(nodes, requests))| {
-            let cals = cell_calibrations(&mut lab, &cell_config(nodes, requests));
-            move || run_cell(nodes, requests, i == 0, &cals)
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx, nodes, requests));
+            move || run_cell(ctx, nodes, requests, i == 0, &cals)
         })
         .collect();
-    let rows: Vec<MegafleetRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let rows: Vec<MegafleetRow> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("megafleet cell failed: {e}"));
@@ -229,6 +236,6 @@ pub fn run(scale: Scale) -> Megafleet {
         conserved: true,
         rows,
     };
-    write_record("megafleet", &record);
+    ctx.write_record("megafleet", &record);
     record
 }

@@ -18,7 +18,8 @@
 //! when `--trace` is active, export each rung's `.obs.json` report and
 //! `.folded` flamegraph next to its trace.
 
-use crate::output::{banner, write_record, Table};
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use cluster::{
     offered_cluster_rate, run_pipeline, AdmissionConfig, ClusterConfig, DistributionPolicy,
@@ -195,9 +196,10 @@ fn cell_rules(scenario: &ObsScenario) -> SloRules {
 
 /// Builds one rung's cluster config (shared with the test suites, so
 /// the CI smoke cell is exactly a sweep cell).
-pub fn cell_config(scale: Scale, scenario: &ObsScenario) -> ClusterConfig {
+pub fn cell_config(ctx: &RunCtx, scenario: &ObsScenario) -> ClusterConfig {
+    let scale = ctx.scale;
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(FLEET_NODES));
-    cfg.sched = vec![crate::runner::sched_kind()];
+    cfg.sched = vec![ctx.sched.clone()];
     cfg.seed = crate::SEED;
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(min_secs(scale));
@@ -312,20 +314,20 @@ pub struct ObsSweep {
 /// Runs one rung and checks its alert contract. Shared with the CI
 /// smoke test; returns the outcome so tests can pin the report bytes.
 pub fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &ObsScenario,
     cals: &[MachineCalibration],
 ) -> (ObsSweepRow, ObsOutcome) {
-    let mut cfg = cell_config(scale, scenario);
-    cfg.telemetry = crate::runner::trace_handle();
+    let mut cfg = cell_config(ctx, scenario);
+    cfg.telemetry = ctx.trace_handle();
     let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
         .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
         .collect();
     let o = run_pipeline(&mut policies, &cfg, cals);
     let stem = crate::runner::slug(scenario.name);
-    crate::runner::write_trace("obs_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("obs_sweep", &stem, &cfg.telemetry);
     let obs = *o.obs.clone().expect("obs plane was enabled");
-    write_obs_artifacts(&stem, &obs);
+    write_obs_artifacts(ctx, &stem, &obs);
 
     let row = summarize_cell(scenario.name, cfg.duration.as_secs_f64(), &o, &obs, scenario);
     assert!(
@@ -392,18 +394,11 @@ fn summarize_cell(
 }
 
 /// Exports a rung's `.obs.json` report and `.folded` provenance next to
-/// its trace; a no-op unless `--trace` is active.
-fn write_obs_artifacts(stem: &str, obs: &ObsOutcome) {
-    let Some(root) = crate::runner::trace_dir() else { return };
-    let dir = root.join("obs_sweep");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
+/// its trace; a no-op unless tracing is on.
+fn write_obs_artifacts(ctx: &RunCtx, stem: &str, obs: &ObsOutcome) {
+    let Some(dir) = ctx.trace_subdir("obs_sweep") else { return };
     let write = |path: std::path::PathBuf, bytes: String| {
-        if let Err(e) = std::fs::write(&path, bytes) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
+        crate::runner::warn_on_err(&path, std::fs::write(&path, bytes));
     };
     write(dir.join(format!("{stem}.obs.json")), obs.report.to_json());
     if !obs.provenance.is_empty() {
@@ -414,9 +409,9 @@ fn write_obs_artifacts(stem: &str, obs: &ObsOutcome) {
 /// Runs the megafleet always-on cell: a clean scaled fleet with the
 /// standard plane enabled (no provenance), which must conserve requests
 /// and stay alert-silent.
-pub fn run_megafleet_cell(scale: Scale, lab: &mut Lab) -> ObsSweepRow {
-    let (nodes, requests) = megafleet_cell(scale);
-    let mut cfg = crate::megafleet::cell_config(nodes, requests);
+pub fn run_megafleet_cell(ctx: &RunCtx, lab: &mut Lab) -> ObsSweepRow {
+    let (nodes, requests) = megafleet_cell(ctx.scale);
+    let mut cfg = crate::megafleet::cell_config(ctx, nodes, requests);
     cfg.obs = Some(ObsConfig::standard());
     let cals = crate::megafleet::cell_calibrations(lab, &cfg);
     let mut policy = SimpleBalance::new();
@@ -445,22 +440,22 @@ pub fn run_megafleet_cell(scale: Scale, lab: &mut Lab) -> ObsSweepRow {
 }
 
 /// Runs the ladder and prints the grid.
-pub fn run(scale: Scale) -> ObsSweep {
+pub fn run(ctx: &RunCtx) -> ObsSweep {
     banner("obs-sweep", "energy-SLO burn-rate alerts over injected violations");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
 
     let tasks: Vec<_> = SCENARIOS
         .iter()
         .map(|sc| {
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, sc));
-            move || run_cell(scale, sc, &cals).0
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx, sc));
+            move || run_cell(ctx, sc, &cals).0
         })
         .collect();
-    let rows: Vec<ObsSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let rows: Vec<ObsSweepRow> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("obs-sweep cell failed: {e}"));
-    let megafleet = run_megafleet_cell(scale, &mut lab);
+    let megafleet = run_megafleet_cell(ctx, &mut lab);
 
     let mut table = Table::new([
         "scenario", "windows", "completed", "crashes", "cap-burn", "regress", "residual",
@@ -491,6 +486,6 @@ pub fn run(scale: Scale) -> ObsSweep {
     );
 
     let record = ObsSweep { rows, megafleet, alerts_fired, controls_silent };
-    write_record("obs_sweep", &record);
+    ctx.write_record("obs_sweep", &record);
     record
 }

@@ -1,11 +1,12 @@
 //! Output helpers: paper-style text tables plus JSON result records.
 //!
-//! Every experiment prints its rows to stdout and appends a JSON record
-//! under `results/` so EXPERIMENTS.md can be regenerated from the data.
+//! Every experiment prints its rows to stdout and writes a JSON record
+//! under its context's results directory so EXPERIMENTS.md can be
+//! regenerated from the data.
 
+use crate::runner::RunCtx;
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
@@ -84,39 +85,29 @@ pub fn banner(id: &str, title: &str) {
     println!("== {id}: {title} ==");
 }
 
-/// The directory experiment JSON records are written to: the
-/// `PC_RESULTS_DIR` environment variable when set (used by tests to
-/// sandbox runs), otherwise `results/` at the repository root.
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("PC_RESULTS_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
-    }
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("results")
-}
+/// The checkout's `results/` directory, resolved at compile time: where
+/// binaries write records and calibration caches unless
+/// `PC_RESULTS_DIR` says otherwise, and where [`crate::runner::Sandbox`]
+/// copies the committed calibration caches from.
+pub const DEFAULT_RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
 
-/// Writes an experiment's JSON record to `results/<id>.json`.
-/// Failures are reported but non-fatal (experiments still print).
-pub fn write_record<T: Serialize>(id: &str, record: &T) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{id}.json"));
-    match serde_json::to_string_pretty(record) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[record: {}]", path.display());
-            }
+impl RunCtx {
+    /// Writes an experiment's JSON record to `<results dir>/<id>.json`.
+    /// Failures are reported but non-fatal (experiments still print).
+    pub fn write_record<T: Serialize>(&self, id: &str, record: &T) {
+        let dir = &self.results_dir;
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("warning: cannot create {}: {e}", dir.display());
+            return;
         }
-        Err(e) => eprintln!("warning: cannot serialize record: {e}"),
+        let path = dir.join(format!("{id}.json"));
+        match serde_json::to_string_pretty(record) {
+            Ok(json) => match std::fs::write(&path, json) {
+                Ok(()) => println!("[record: {}]", path.display()),
+                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+            },
+            Err(e) => eprintln!("warning: cannot serialize record: {e}"),
+        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! least-squares recalibration, sub-µs duty-cycle register writes, and a
 //! 784-byte per-container state.
 
-use crate::output::{banner, write_record, Table};
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use crate::Scale;
 use hwsim::{ActivityProfile, CoreId, DutyCycle, Machine, MachineSpec};
 use ossim::{ContextId, KernelApi, KernelHooks, TaskId};
@@ -111,7 +112,8 @@ fn bench_duty_set(iters: u32) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Overhead {
+pub fn run(ctx: &RunCtx) -> Overhead {
+    let scale = ctx.scale;
     banner("overhead", "facility overhead (host-time microbenchmarks, §3.5)");
     let iters: u32 = match scale {
         Scale::Full => 200_000,
@@ -157,6 +159,6 @@ pub fn run(scale: Scale) -> Overhead {
         container_bytes,
         overhead_at_1khz,
     };
-    write_record("overhead", &record);
+    ctx.write_record("overhead", &record);
     record
 }

@@ -1,4 +1,14 @@
-//! Work-stealing parallel execution for independent experiment tasks.
+//! The harness context, trace export and work-stealing parallel
+//! execution.
+//!
+//! [`RunCtx`] carries every setting one harness run is configured with —
+//! scale, worker count, trace directory, observability switch, scheduling
+//! policy and results directory — and every experiment receives it
+//! explicitly. No harness setting is process-wide: two contexts (two
+//! tests in one process, say) run side by side without seeing each
+//! other's settings or files. Only binary `main`s build a context from
+//! the command line and `PC_RESULTS_DIR`; tests and examples build theirs
+//! through [`Sandbox`].
 //!
 //! Every experiment (and every cell of the workload × machine sweeps) is
 //! an independent simulation that owns its seed, so tasks can run on any
@@ -12,132 +22,197 @@
 //! on which thread, never what it computes (no shared mutable state, no
 //! time- or thread-dependent inputs), and assembly order is the input
 //! order, so `run_all --jobs N` must produce byte-identical
-//! `results/*.json` for every N. An integration test enforces this.
+//! `results/*.json` for every N. The conformance test enforces this for
+//! every registered experiment.
 
+use crate::Scale;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Process-wide worker count used by sweep experiments (fig. 5, fig. 8,
-/// the fault sweep) when fanning out their cells.
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Process-wide trace output directory (`--trace <dir>`); `None`
-/// disables tracing everywhere.
-static TRACE_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Process-wide observability-plane switch (`--obs`): when set, every
-/// cluster experiment runs with the always-on [`cluster::ObsConfig`],
-/// feeding the run_all p99-energy and alert columns.
-static OBS: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide kernel scheduling policy (`--sched rr|priority|cfs`):
-/// every workload- and cluster-level experiment boots its kernels with
-/// this policy. Calibration runs always stay round-robin so the shared
-/// calibration cache is scheduler-independent. Default: round-robin
-/// (byte-identical to the pre-trait kernels).
-static SCHED: Mutex<Option<ossim::SchedulerKind>> = Mutex::new(None);
-
-/// Sets the process-wide scheduling policy (`None` → round-robin).
-pub fn set_sched(kind: Option<ossim::SchedulerKind>) {
-    *SCHED.lock().unwrap_or_else(|e| e.into_inner()) = kind;
+/// Everything one harness run is configured with.
+#[derive(Debug, Clone)]
+pub struct RunCtx {
+    /// Experiment fidelity (`--quick`).
+    pub scale: Scale,
+    /// Workers sweep experiments fan their cells out across (`--jobs`;
+    /// 1 runs serially).
+    pub jobs: usize,
+    /// Where traced cells export their telemetry (`--trace`); `None`
+    /// disables tracing everywhere.
+    pub trace_dir: Option<PathBuf>,
+    /// Run every cluster experiment with the always-on observability
+    /// plane (`--obs`), feeding the run_all p99-energy and alert columns.
+    pub obs: bool,
+    /// Kernel scheduling policy experiments boot with (`--sched`).
+    /// Calibration always runs round-robin so the shared calibration
+    /// cache is scheduler-independent.
+    pub sched: ossim::SchedulerKind,
+    /// Where JSON records and calibration caches are read and written.
+    pub results_dir: PathBuf,
 }
 
-/// The process-wide scheduling policy experiments boot kernels with.
-pub fn sched_kind() -> ossim::SchedulerKind {
-    SCHED
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-        .unwrap_or(ossim::SchedulerKind::RoundRobin)
-}
+impl RunCtx {
+    /// A serial, untraced, round-robin context without the obs plane.
+    pub fn new(scale: Scale, results_dir: impl Into<PathBuf>) -> RunCtx {
+        RunCtx {
+            scale,
+            jobs: 1,
+            trace_dir: None,
+            obs: false,
+            sched: ossim::SchedulerKind::RoundRobin,
+            results_dir: results_dir.into(),
+        }
+    }
 
-/// Parses `--sched NAME` / `--sched=NAME` from process args. Returns
-/// `None` (round-robin) when absent; exits with an error on an unknown
-/// policy name so a typo cannot silently run the default.
-pub fn sched_from_args() -> Option<ossim::SchedulerKind> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut kind = None;
-    let mut parse = |v: &str| match ossim::SchedulerKind::parse(v) {
-        Some(k) => kind = Some(k),
-        None => {
-            eprintln!(
-                "error: unknown --sched policy `{v}` (expected one of: {})",
-                ossim::SchedulerKind::ALL_NAMES.join(", ")
+    /// The observability config cluster experiments should install:
+    /// standard always-on settings under `--obs`, else `None`.
+    /// Experiments that *are about* the obs plane (obs_sweep) build their
+    /// own per-rung configs instead.
+    pub fn obs_config(&self) -> Option<cluster::ObsConfig> {
+        self.obs.then(cluster::ObsConfig::standard)
+    }
+
+    /// A recording telemetry handle when tracing is on, else a disabled
+    /// one — experiments clone this into their [`workloads::RunConfig`]
+    /// (or [`cluster::ClusterConfig`]) without caring whether tracing is
+    /// on.
+    pub fn trace_handle(&self) -> telemetry::Telemetry {
+        if self.trace_dir.is_some() {
+            telemetry::Telemetry::recording()
+        } else {
+            telemetry::Telemetry::disabled()
+        }
+    }
+
+    /// Writes one traced cell under `<trace dir>/<experiment>/<stem>.jsonl`
+    /// plus the Perfetto-loadable `<stem>.trace.json`; a no-op when
+    /// tracing is disabled or the handle recorded nothing. Failures warn
+    /// but never sink the experiment.
+    pub fn write_trace(&self, experiment: &str, stem: &str, tele: &telemetry::Telemetry) {
+        if !tele.enabled() {
+            return;
+        }
+        // Span-hygiene hard check: a recorded cell with dangling span ends
+        // means some code path closed a span it never opened (or the track
+        // bookkeeping broke). That must fail the experiment loudly, naming
+        // the offender, not ship a silently malformed trace.
+        let unmatched = tele.unmatched_ends_by_track();
+        if !unmatched.is_empty() {
+            let detail: Vec<String> =
+                unmatched.iter().map(|(track, n)| format!("track {track}: {n}")).collect();
+            panic!(
+                "experiment `{experiment}` cell `{stem}`: unmatched span end(s) — {}",
+                detail.join(", ")
             );
-            std::process::exit(2);
         }
-    };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--sched=") {
-            parse(v);
-        } else if a == "--sched" {
-            if let Some(v) = args.get(i + 1) {
-                parse(v);
+        let Some(dir) = self.trace_subdir(experiment) else { return };
+        let jsonl = dir.join(format!("{stem}.jsonl"));
+        warn_on_err(&jsonl, tele.write_jsonl(&jsonl));
+        let chrome = dir.join(format!("{stem}.trace.json"));
+        warn_on_err(&chrome, tele.write_chrome_trace(&chrome));
+    }
+
+    /// Creates and returns `<trace dir>/<experiment>`; `None` when
+    /// tracing is off or the directory cannot be created (with a warning).
+    pub(crate) fn trace_subdir(&self, experiment: &str) -> Option<PathBuf> {
+        let dir = self.trace_dir.as_ref()?.join(experiment);
+        match std::fs::create_dir_all(&dir) {
+            Ok(()) => Some(dir),
+            Err(e) => {
+                eprintln!("warning: cannot create {}: {e}", dir.display());
+                None
             }
         }
     }
-    kind
 }
 
-/// Turns the process-wide observability plane on or off.
-pub fn set_obs(on: bool) {
-    OBS.store(on, Ordering::SeqCst);
+/// Reports a failed artifact write without sinking the experiment.
+pub(crate) fn warn_on_err(path: &Path, res: std::io::Result<()>) {
+    if let Err(e) = res {
+        eprintln!("warning: cannot write {}: {e}", path.display());
+    }
 }
 
-/// Whether `--obs` is active for this process.
-pub fn obs() -> bool {
-    OBS.load(Ordering::SeqCst)
+/// A [`RunCtx`] over a fresh temp directory seeded with the committed
+/// calibration caches, removed again on drop. Tests and examples run
+/// experiments through it, so nothing they write lands in the checkout
+/// and no two runs share a directory.
+pub struct Sandbox {
+    /// The context; its `results_dir` is the sandbox root. Set
+    /// `trace_dir` (e.g. to [`Sandbox::traces`]) or `jobs` as needed.
+    pub ctx: RunCtx,
+    /// The directory drop removes, kept apart from the public `ctx` so
+    /// redirecting the context can never point drop elsewhere.
+    root: PathBuf,
 }
 
-/// Parses `--obs` from process args.
-pub fn obs_from_args() -> bool {
-    std::env::args().any(|a| a == "--obs")
-}
-
-/// The observability config cluster experiments should install:
-/// standard always-on settings when `--obs` is active, else `None`.
-/// Experiments that *are about* the obs plane (obs_sweep) build their
-/// own per-rung configs instead.
-pub fn obs_config() -> Option<cluster::ObsConfig> {
-    obs().then(cluster::ObsConfig::standard)
-}
-
-/// Sets the process-wide trace output directory.
-pub fn set_trace_dir(dir: Option<PathBuf>) {
-    *TRACE_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir;
-}
-
-/// The trace output directory, if tracing is enabled.
-pub fn trace_dir() -> Option<PathBuf> {
-    TRACE_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Parses `--trace DIR` / `--trace=DIR` from process args.
-pub fn trace_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut dir = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--trace=") {
-            dir = Some(PathBuf::from(v));
-        } else if a == "--trace" {
-            if let Some(v) = args.get(i + 1) {
-                dir = Some(PathBuf::from(v));
+impl Sandbox {
+    /// Creates `<temp>/pc-run-<pid>-<n>` for the first free `n` and
+    /// copies the committed `calibration-*-<SEED>.json` caches into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory cannot be created or seeded.
+    pub fn new(scale: Scale) -> Sandbox {
+        let base = std::env::temp_dir();
+        let pid = std::process::id();
+        let root = (0..)
+            .map(|n| base.join(format!("pc-run-{pid}-{n}")))
+            .find(|dir| match std::fs::create_dir(dir) {
+                Ok(()) => true,
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => false,
+                Err(e) => panic!("cannot create sandbox {}: {e}", dir.display()),
+            })
+            .expect("an unused sandbox name");
+        let suffix = format!("-{}.json", crate::SEED);
+        let committed = Path::new(crate::output::DEFAULT_RESULTS_DIR);
+        for entry in std::fs::read_dir(committed).expect("committed results dir") {
+            let name = entry.expect("dir entry").file_name().to_string_lossy().to_string();
+            if name.starts_with("calibration-") && name.ends_with(&suffix) {
+                std::fs::copy(committed.join(&name), root.join(&name))
+                    .expect("copy calibration cache");
             }
         }
+        Sandbox { ctx: RunCtx::new(scale, &root), root }
     }
-    dir
+
+    /// `<sandbox>/traces`, the conventional trace directory.
+    pub fn traces(&self) -> PathBuf {
+        self.root.join("traces")
+    }
+
+    /// Every file written into the sandbox except the seeded calibration
+    /// caches, as sorted paths relative to the sandbox root.
+    pub fn outputs(&self) -> BTreeSet<String> {
+        let root = &self.root;
+        let mut out = BTreeSet::new();
+        let mut stack = vec![root.clone()];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).expect("readable sandbox") {
+                let path = entry.expect("dir entry").path();
+                let rel = path.strip_prefix(root).expect("under root").to_string_lossy().to_string();
+                if path.is_dir() {
+                    stack.push(path);
+                } else if !rel.starts_with("calibration-") {
+                    out.insert(rel);
+                }
+            }
+        }
+        out
+    }
+
+    /// The bytes of one of [`Sandbox::outputs`].
+    pub fn read(&self, output: &str) -> Vec<u8> {
+        std::fs::read(self.root.join(output)).expect("readable output")
+    }
 }
 
-/// A recording telemetry handle when `--trace` is active, else a
-/// disabled one — experiments clone this into their [`workloads::RunConfig`]
-/// (or [`cluster::ClusterConfig`]) without caring whether tracing is on.
-pub fn trace_handle() -> telemetry::Telemetry {
-    if trace_dir().is_some() {
-        telemetry::Telemetry::recording()
-    } else {
-        telemetry::Telemetry::disabled()
+impl Drop for Sandbox {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.root);
     }
 }
 
@@ -155,74 +230,11 @@ pub fn slug(s: &str) -> String {
     out.trim_matches('-').to_string()
 }
 
-/// Writes one traced cell under `<trace dir>/<experiment>/<stem>.jsonl`
-/// plus the Perfetto-loadable `<stem>.trace.json`; a no-op when tracing
-/// is disabled or the handle recorded nothing. Failures warn but never
-/// sink the experiment.
-pub fn write_trace(experiment: &str, stem: &str, tele: &telemetry::Telemetry) {
-    if !tele.enabled() {
-        return;
-    }
-    // Span-hygiene hard check: a recorded cell with dangling span ends
-    // means some code path closed a span it never opened (or the track
-    // bookkeeping broke). That must fail the experiment loudly, naming
-    // the offender, not ship a silently malformed trace.
-    let unmatched = tele.unmatched_ends_by_track();
-    if !unmatched.is_empty() {
-        let detail: Vec<String> =
-            unmatched.iter().map(|(track, n)| format!("track {track}: {n}")).collect();
-        panic!(
-            "experiment `{experiment}` cell `{stem}`: unmatched span end(s) — {}",
-            detail.join(", ")
-        );
-    }
-    let Some(root) = trace_dir() else { return };
-    let dir = root.join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let write = |path: &Path, res: std::io::Result<()>| {
-        if let Err(e) = res {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
-    };
-    let jsonl = dir.join(format!("{stem}.jsonl"));
-    write(&jsonl, tele.write_jsonl(&jsonl));
-    let chrome = dir.join(format!("{stem}.trace.json"));
-    write(&chrome, tele.write_chrome_trace(&chrome));
-}
-
-/// Sets the process-wide worker count (clamped to at least 1).
-pub fn set_jobs(n: usize) {
-    JOBS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide worker count (default 1: serial).
-pub fn jobs() -> usize {
-    JOBS.load(Ordering::SeqCst)
-}
-
-/// Parses `--jobs N` / `--jobs=N` from process args (default 1).
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = 1usize;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = v.parse().unwrap_or(1);
-        } else if a == "--jobs" {
-            if let Some(v) = args.get(i + 1) {
-                jobs = v.parse().unwrap_or(1);
-            }
-        }
-    }
-    jobs.max(1)
-}
-
-/// Runs `tasks` on up to `jobs` scoped worker threads and returns each
-/// task's output **in input order**. A panicking task yields
-/// `Err(panic message)` in its slot; the other tasks keep running. With
-/// `jobs <= 1` the tasks run inline on the caller's thread, in order.
+/// Runs `tasks` on up to `jobs` (normally [`RunCtx::jobs`]) scoped worker
+/// threads and returns each task's output **in input order**. A
+/// panicking task yields `Err(panic message)` in its slot; the other
+/// tasks keep running. With `jobs <= 1` the tasks run inline on the
+/// caller's thread, in order.
 pub fn run_parallel<T, F>(jobs: usize, tasks: Vec<F>) -> Vec<Result<T, String>>
 where
     T: Send,
@@ -333,5 +345,17 @@ mod tests {
     fn empty_task_list_is_fine() {
         let out: Vec<Result<(), String>> = run_parallel(4, Vec::<fn()>::new());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn sandboxes_are_distinct_seeded_and_removed_on_drop() {
+        let a = Sandbox::new(Scale::Quick);
+        let b = Sandbox::new(Scale::Quick);
+        assert_ne!(a.ctx.results_dir, b.ctx.results_dir);
+        let cache = format!("calibration-sandybridge-{}.json", crate::SEED);
+        assert!(a.ctx.results_dir.join(&cache).exists(), "caches are seeded");
+        let root = a.ctx.results_dir.clone();
+        drop(a);
+        assert!(!root.exists(), "the sandbox is removed on drop");
     }
 }

@@ -12,10 +12,11 @@
 //! actually holds.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; the record is free of wall-clock
+//! [`RunCtx::jobs`] workers; the record is free of wall-clock
 //! values, so results are byte-identical at any `--jobs` count.
 
-use crate::output::{banner, write_record, Table};
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use cluster::{
     energy_affinity, offered_cluster_rate, run_pipeline, ClusterConfig, DistributionPolicy,
@@ -114,18 +115,18 @@ pub(crate) fn make_policies(
 
 /// Builds one cell's cluster config (shared with the test suites, so the
 /// CI smoke cell is exactly a sweep cell).
-pub fn cell_config(scale: Scale, nodes: usize, cap_w: Option<f64>) -> ClusterConfig {
+pub fn cell_config(ctx: &RunCtx, nodes: usize, cap_w: Option<f64>) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(nodes));
-    cfg.sched = vec![crate::runner::sched_kind()];
+    cfg.sched = vec![ctx.sched.clone()];
     cfg.seed = crate::SEED;
     cfg.power_cap_w = cap_w;
     // Size the run so the open-loop generator offers the target request
     // count regardless of fleet size (bigger fleets absorb higher rates,
     // so they need less simulated time).
     let rate = offered_cluster_rate(&cfg);
-    let secs = (target_requests(scale) / rate).max(0.25);
+    let secs = (target_requests(ctx.scale) / rate).max(0.25);
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
-    cfg.obs = crate::runner::obs_config();
+    cfg.obs = ctx.obs_config();
     cfg
 }
 
@@ -136,15 +137,15 @@ pub fn cell_calibrations(lab: &mut Lab, cfg: &ClusterConfig) -> Vec<MachineCalib
 }
 
 fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     nodes: usize,
     kind: &str,
     cap_w: Option<f64>,
     ratios: &[(WorkloadKind, f64)],
     cals: &[MachineCalibration],
 ) -> ScaleSweepRow {
-    let mut cfg = cell_config(scale, nodes, cap_w);
-    cfg.telemetry = crate::runner::trace_handle();
+    let mut cfg = cell_config(ctx, nodes, cap_w);
+    cfg.telemetry = ctx.trace_handle();
     let mut policies = make_policies(kind, cfg.tiers.len(), ratios);
     let outcome = run_pipeline(&mut policies, &cfg, cals);
     let stem = format!(
@@ -155,7 +156,7 @@ fn run_cell(
             None => "uncapped".to_string(),
         }
     );
-    crate::runner::write_trace("scale_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("scale_sweep", &stem, &cfg.telemetry);
     let total_w = outcome.total_energy_rate_w();
     let resp: Vec<f64> = outcome
         .response_by_app
@@ -202,9 +203,10 @@ pub(crate) fn profiled_ratios(lab: &mut Lab, scale: Scale) -> Vec<(WorkloadKind,
 }
 
 /// Runs the sweep and prints the grid.
-pub fn run(scale: Scale) -> ScaleSweep {
+pub fn run(ctx: &RunCtx) -> ScaleSweep {
+    let scale = ctx.scale;
     banner("scale-sweep", "multi-tier serving pipeline across fleet sizes and caps");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let ratios = profiled_ratios(&mut lab, scale);
     let sizes = fleet_sizes(scale);
     let largest = *sizes.last().expect("nonempty size list");
@@ -227,11 +229,11 @@ pub fn run(scale: Scale) -> ScaleSweep {
         .into_iter()
         .map(|(n, kind, cap)| {
             let ratios = ratios.clone();
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, n, cap));
-            move || run_cell(scale, n, kind, cap, &ratios, &cals)
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx, n, cap));
+            move || run_cell(ctx, n, kind, cap, &ratios, &cals)
         })
         .collect();
-    let rows: Vec<ScaleSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
+    let rows: Vec<ScaleSweepRow> = crate::runner::run_parallel(ctx.jobs, tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("scale-sweep cell failed: {e}"));
@@ -269,6 +271,6 @@ pub fn run(scale: Scale) -> ScaleSweep {
     println!("power caps: {}", if caps_held { "HELD" } else { "EXCEEDED" });
 
     let record = ScaleSweep { rows, largest_nodes: largest, ordering_at_scale, caps_held };
-    write_record("scale_sweep", &record);
+    ctx.write_record("scale_sweep", &record);
     record
 }

@@ -21,12 +21,13 @@
 //!    survives swapping every node's scheduler.
 //!
 //! Cells are independent seeded simulations fanned out across
-//! [`crate::runner::jobs`] workers; no wall-clock value enters the
+//! [`RunCtx::jobs`] workers; no wall-clock value enters the
 //! record, so `results/sched_sweep.json` is byte-identical at any
 //! `--jobs` count. The sweep deliberately ignores the global
 //! `--sched` flag: it sweeps all schedulers itself.
 
-use crate::output::{banner, pct, write_record, Table};
+use crate::output::{banner, pct, Table};
+use crate::runner::RunCtx;
 use crate::{Lab, Scale};
 use cluster::run_pipeline;
 use ossim::SchedulerKind;
@@ -149,6 +150,7 @@ fn machines(scale: Scale) -> &'static [&'static str] {
 /// smoke cell is exactly a sweep cell). `bound`/`within_bound` are left
 /// zeroed — grading needs the RR baseline and happens at assembly.
 pub fn attribution_cell(
+    ctx: &RunCtx,
     kind: SchedulerKind,
     machine: &str,
     spec: hwsim::MachineSpec,
@@ -161,7 +163,7 @@ pub fn attribution_cell(
     cfg.approach = Approach::Recalibrated;
     cfg.load = LoadLevel::Peak;
     cfg.duration = SimDuration::from_secs(secs);
-    cfg.telemetry = crate::runner::trace_handle();
+    cfg.telemetry = ctx.trace_handle();
     let outcome = run_app(workload, &cfg, &cal);
     let stem = format!(
         "{}-{}-{}",
@@ -169,7 +171,7 @@ pub fn attribution_cell(
         crate::runner::slug(machine),
         crate::runner::slug(workload.name())
     );
-    crate::runner::write_trace("sched_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("sched_sweep", &stem, &cfg.telemetry);
     let sched = outcome.kernel.sched_stats();
     AttributionRow {
         sched: kind.name().to_string(),
@@ -214,13 +216,13 @@ fn conditioning_cell(
 }
 
 fn ordering_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     kind: SchedulerKind,
     policy: &str,
     ratios: &[(WorkloadKind, f64)],
     cals: &[workloads::MachineCalibration],
 ) -> OrderingRow {
-    let mut cfg = crate::scale_sweep::cell_config(scale, 4, None);
+    let mut cfg = crate::scale_sweep::cell_config(ctx, 4, None);
     // The sweep picks each node's scheduler itself, overriding the
     // global `--sched` choice `cell_config` threaded in.
     cfg.sched = vec![kind.clone()];
@@ -235,9 +237,10 @@ fn ordering_cell(
 }
 
 /// Runs the sweep and prints the three grids.
-pub fn run(scale: Scale) -> SchedSweep {
+pub fn run(ctx: &RunCtx) -> SchedSweep {
+    let scale = ctx.scale;
     banner("sched-sweep", "attribution conformance across pluggable schedulers");
-    let mut lab = Lab::new();
+    let mut lab = Lab::new(ctx);
     let kinds = swept_kinds();
     let secs = scale.run_secs();
 
@@ -253,7 +256,7 @@ pub fn run(scale: Scale) -> SchedSweep {
     let target_w = probe.measured_active_power_w() * 0.8;
     let ratios = crate::scale_sweep::profiled_ratios(&mut lab, scale);
     let fleet_cals =
-        crate::scale_sweep::cell_calibrations(&mut lab, &crate::scale_sweep::cell_config(scale, 4, None));
+        crate::scale_sweep::cell_calibrations(&mut lab, &crate::scale_sweep::cell_config(ctx, 4, None));
 
     // Fan out: attribution cells, then conditioning, then ordering —
     // one flat task list, reassembled positionally below.
@@ -270,13 +273,13 @@ pub fn run(scale: Scale) -> SchedSweep {
             for workload in WorkloadKind::ALL {
                 let (kind, spec, cal) = (kind.clone(), spec.clone(), cal.clone());
                 attr_tasks.push(move || {
-                    attribution_cell(kind, machine, spec, cal, workload, cell_secs)
+                    attribution_cell(ctx, kind, machine, spec, cal, workload, cell_secs)
                 });
             }
         }
     }
     let mut attribution: Vec<AttributionRow> =
-        crate::runner::run_parallel(crate::runner::jobs(), attr_tasks)
+        crate::runner::run_parallel(ctx.jobs, attr_tasks)
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("sched-sweep attribution cell failed: {e}"));
@@ -290,7 +293,7 @@ pub fn run(scale: Scale) -> SchedSweep {
         })
         .collect();
     let conditioning: Vec<ConditioningRow> =
-        crate::runner::run_parallel(crate::runner::jobs(), cond_tasks)
+        crate::runner::run_parallel(ctx.jobs, cond_tasks)
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("sched-sweep conditioning cell failed: {e}"));
@@ -299,10 +302,10 @@ pub fn run(scale: Scale) -> SchedSweep {
     for kind in &kinds {
         for &policy in crate::scale_sweep::POLICY_KINDS {
             let (kind, ratios, cals) = (kind.clone(), ratios.clone(), fleet_cals.clone());
-            ord_tasks.push(move || ordering_cell(scale, kind, policy, &ratios, &cals));
+            ord_tasks.push(move || ordering_cell(ctx, kind, policy, &ratios, &cals));
         }
     }
-    let ordering: Vec<OrderingRow> = crate::runner::run_parallel(crate::runner::jobs(), ord_tasks)
+    let ordering: Vec<OrderingRow> = crate::runner::run_parallel(ctx.jobs, ord_tasks)
         .into_iter()
         .collect::<Result<_, _>>()
         .unwrap_or_else(|e| panic!("sched-sweep ordering cell failed: {e}"));
@@ -394,7 +397,7 @@ pub fn run(scale: Scale) -> SchedSweep {
     };
     // Written before the acceptance asserts: a failed run still dumps
     // its record for inspection.
-    write_record("sched_sweep", &record);
+    ctx.write_record("sched_sweep", &record);
     assert!(
         record.attribution_bounded,
         "a scheduler pushed attribution error past 2x the round-robin baseline"

@@ -7,8 +7,8 @@
 //! 537/1728 ms vs well under 200 ms for the aware policies).
 
 use crate::fig14::cluster_outcomes;
-use crate::output::{banner, write_record, Table};
-use crate::Scale;
+use crate::output::{banner, Table};
+use crate::runner::RunCtx;
 use serde::Serialize;
 
 /// One policy's response times.
@@ -28,9 +28,9 @@ pub struct Table1 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Table1 {
+pub fn run(ctx: &RunCtx) -> Table1 {
     banner("table1", "average request response time per distribution policy");
-    let outcomes = cluster_outcomes(scale);
+    let outcomes = cluster_outcomes(ctx);
     let mut rows = Vec::new();
     let app_names: Vec<String> = outcomes[0]
         .response_by_app
@@ -53,6 +53,6 @@ pub fn run(scale: Scale) -> Table1 {
     }
     println!("{table}");
     let record = Table1 { rows };
-    write_record("table1", &record);
+    ctx.write_record("table1", &record);
     record
 }

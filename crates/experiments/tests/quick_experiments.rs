@@ -1,11 +1,14 @@
 //! Quick-scale runs of the heavier experiments: each must produce the
-//! paper's qualitative outcome even at reduced duration.
+//! paper's qualitative outcome even at reduced duration. Each runs in
+//! its own sandbox, so quick-scale records never overwrite the
+//! committed full-scale ones.
 
+use experiments::runner::Sandbox;
 use experiments::Scale;
 
 #[test]
 fn fig2_alignment_recovers_both_meter_delays() {
-    let record = experiments::fig02::run(Scale::Quick);
+    let record = experiments::fig02::run(&Sandbox::new(Scale::Quick).ctx);
     for scan in &record.scans {
         let err = (scan.estimated_delay_ms - scan.true_delay_ms).abs();
         assert!(
@@ -22,7 +25,7 @@ fn fig2_alignment_recovers_both_meter_delays() {
 
 #[test]
 fn fig9_background_share_is_substantial() {
-    let record = experiments::fig09::run(Scale::Quick);
+    let record = experiments::fig09::run(&Sandbox::new(Scale::Quick).ctx);
     let peak = &record.cells[0];
     assert!(
         (0.12..0.55).contains(&peak.background_share),
@@ -37,7 +40,7 @@ fn fig9_background_share_is_substantial() {
 
 #[test]
 fn fig13_rsa_prefers_the_new_machine_most() {
-    let record = experiments::fig13::run(Scale::Quick);
+    let record = experiments::fig13::run(&Sandbox::new(Scale::Quick).ctx);
     let rsa = record
         .rows
         .iter()
@@ -57,7 +60,7 @@ fn fig13_rsa_prefers_the_new_machine_most() {
 
 #[test]
 fn coefficients_recover_the_chipshare_term() {
-    let record = experiments::coefficients::run(Scale::Quick);
+    let record = experiments::coefficients::run(&Sandbox::new(Scale::Quick).ctx);
     let chipshare = record
         .rows
         .iter()

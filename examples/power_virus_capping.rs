@@ -8,7 +8,8 @@
 //! ```
 
 fn main() {
-    let data = experiments::fig11::conditioning_data(experiments::Scale::Quick);
+    let sandbox = experiments::runner::Sandbox::new(experiments::Scale::Quick);
+    let data = experiments::fig11::conditioning_data(&sandbox.ctx);
     println!("system active-power target: {:.1} W", data.target_w);
     println!("viruses arrive at t = {}", data.virus_start);
     println!(

@@ -8,7 +8,10 @@
 //! ```
 
 fn main() {
-    let record = experiments::fig04::run(experiments::Scale::Quick);
+    // The experiment writes its record into a throwaway sandbox, so the
+    // example never touches the committed `results/`.
+    let sandbox = experiments::runner::Sandbox::new(experiments::Scale::Quick);
+    let record = experiments::fig04::run(&sandbox.ctx);
     println!("\nstage summary (as in the paper's Fig. 4 annotations):");
     for s in &record.stages {
         println!(

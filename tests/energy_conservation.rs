@@ -11,6 +11,7 @@
 mod common;
 
 use common::assert_energy_conserved;
+use experiments::runner::{run_parallel, Sandbox};
 use experiments::{scale_sweep, Lab, Scale};
 use hwsim::FaultConfig;
 use simkern::SimDuration;
@@ -29,7 +30,9 @@ const CAP_TOL: f64 = 0.35;
 
 #[test]
 fn fig05_cells_conserve_energy() {
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     let mut tasks = Vec::new();
     for machine in ["woodcrest", "westmere", "sandybridge"] {
         let spec = lab.spec(machine);
@@ -52,7 +55,7 @@ fn fig05_cells_conserve_energy() {
             }
         }
     }
-    let cells = experiments::runner::run_parallel(experiments::runner::jobs(), tasks);
+    let cells = run_parallel(ctx.jobs, tasks);
     for cell in cells {
         let (label, attributed, measured) = cell.expect("fig05 cell must not panic");
         assert_energy_conserved(&label, attributed, measured, CLEAN_TOL);
@@ -64,7 +67,9 @@ fn fig05_cells_conserve_energy_under_every_scheduler() {
     // The scheduler decides who runs when; attribution samples what ran.
     // Swapping the kernel's pick-next policy must not unbalance the
     // energy ledger on any workload.
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut tasks = Vec::new();
@@ -85,7 +90,7 @@ fn fig05_cells_conserve_energy_under_every_scheduler() {
             });
         }
     }
-    let cells = experiments::runner::run_parallel(experiments::runner::jobs(), tasks);
+    let cells = run_parallel(ctx.jobs, tasks);
     for cell in cells {
         let (label, attributed, measured) = cell.expect("sched fig05 cell must not panic");
         assert_energy_conserved(&label, attributed, measured, CLEAN_TOL);
@@ -98,13 +103,15 @@ fn chaos_rung_conserves_energy_under_every_scheduler() {
     // crash-bearing chaos rung where every node runs the swept
     // scheduler. Crashes may lose the journaled window, but the ledger
     // must still balance per node under any pick-next policy.
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     let sc = experiments::chaos_sweep::SCENARIOS
         .iter()
         .find(|s| s.crash_hz > 0.0)
         .expect("a crash-bearing chaos scenario");
     for kind in experiments::sched_sweep::swept_kinds() {
-        let mut cfg = experiments::chaos_sweep::cell_config(Scale::Quick, sc);
+        let mut cfg = experiments::chaos_sweep::cell_config(ctx, sc);
         cfg.sched = vec![kind.clone()];
         let cals = experiments::chaos_sweep::cell_calibrations(&mut lab, &cfg);
         let mut policies: Vec<Box<dyn cluster::DistributionPolicy>> = (0..cfg.tiers.len())
@@ -132,7 +139,9 @@ fn chaos_rung_conserves_energy_under_every_scheduler() {
 
 #[test]
 fn fault_sweep_cells_conserve_energy() {
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let dropout = |rate: f64| FaultConfig {
@@ -180,9 +189,11 @@ fn scale_sweep_cell_conserves_energy_on_every_node() {
     // The smallest sweep cell, capped: requests hop across three tiers
     // and every node conditions against its share of the cluster cap —
     // attribution must still balance per node.
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     for cap in [None, Some(8.0 * 20.0)] {
-        let cfg = scale_sweep::cell_config(Scale::Quick, 4, cap);
+        let cfg = scale_sweep::cell_config(ctx, 4, cap);
         let cals = scale_sweep::cell_calibrations(&mut lab, &cfg);
         let mut policies: Vec<Box<dyn cluster::DistributionPolicy>> = (0..cfg.tiers.len())
             .map(|_| Box::new(cluster::SimpleBalance::new()) as Box<dyn cluster::DistributionPolicy>)
@@ -208,10 +219,12 @@ fn megafleet_cell_conserves_energy_on_every_node() {
     // The smallest megafleet cell, run twice: per-node attribution must
     // balance on every node, bit-identically run to run, and requests
     // must conserve exactly.
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     let mut first_energy: Option<Vec<f64>> = None;
     for run in 0..2 {
-        let cfg = experiments::megafleet::cell_config(48, 10_000);
+        let cfg = experiments::megafleet::cell_config(ctx, 48, 10_000);
         let cals = experiments::megafleet::cell_calibrations(&mut lab, &cfg);
         let outcome = cluster::run_cluster(&mut cluster::SimpleBalance::new(), &cfg, &cals);
         experiments::megafleet::assert_cell_conserved(
@@ -246,12 +259,14 @@ fn chaos_sweep_cells_conserve_energy_modulo_loss_windows() {
     // crash-journaled loss windows must cover its measured active
     // energy — crashes may *lose* attribution (the window since the
     // last checkpoint), but only the journaled amount.
-    let mut lab = Lab::new();
+    let sandbox = Sandbox::new(Scale::Quick);
+    let ctx = &sandbox.ctx;
+    let mut lab = Lab::new(ctx);
     for sc in experiments::chaos_sweep::SCENARIOS {
         if sc.crash_hz == 0.0 {
             continue;
         }
-        let cfg = experiments::chaos_sweep::cell_config(Scale::Quick, sc);
+        let cfg = experiments::chaos_sweep::cell_config(ctx, sc);
         let cals = experiments::chaos_sweep::cell_calibrations(&mut lab, &cfg);
         let mut policies: Vec<Box<dyn cluster::DistributionPolicy>> = (0..cfg.tiers.len())
             .map(|_| Box::new(cluster::SimpleBalance::new()) as Box<dyn cluster::DistributionPolicy>)

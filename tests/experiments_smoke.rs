@@ -1,11 +1,13 @@
 //! Smoke tests for the experiment harness: quick-scale versions of the
 //! cheaper figures must run and satisfy the paper's qualitative claims.
+//! Each runs in its own sandbox, so records never land in `results/`.
 
+use experiments::runner::Sandbox;
 use experiments::Scale;
 
 #[test]
 fn fig1_shows_maintenance_step_on_both_machines() {
-    let record = experiments::fig01::run(Scale::Quick);
+    let record = experiments::fig01::run(&Sandbox::new(Scale::Quick).ctx);
     let sb = &record.machines[0];
     assert_eq!(sb.machine, "sandybridge");
     assert!(
@@ -23,7 +25,7 @@ fn fig1_shows_maintenance_step_on_both_machines() {
 
 #[test]
 fn fig4_attributes_every_stage() {
-    let record = experiments::fig04::run(Scale::Quick);
+    let record = experiments::fig04::run(&Sandbox::new(Scale::Quick).ctx);
     assert_eq!(record.stages.len(), 5);
     for s in &record.stages {
         assert!(s.energy_j > 0.0, "stage {} got no energy", s.stage);
@@ -51,7 +53,7 @@ fn fig4_attributes_every_stage() {
 
 #[test]
 fn overhead_is_sub_10_microseconds_per_op() {
-    let record = experiments::overhead::run(Scale::Quick);
+    let record = experiments::overhead::run(&Sandbox::new(Scale::Quick).ctx);
     // The paper measures 0.95 µs on 2011 hardware; allow generous slack
     // for debug builds and CI noise, but the op must stay cheap.
     assert!(
