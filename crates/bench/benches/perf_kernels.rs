@@ -8,9 +8,10 @@
 //! * `refit_batch` / `refit_incremental` — from-scratch normal-equation
 //!   accumulation over all retained samples vs one rank-1 push into the
 //!   rolling window followed by an O(k³) solve.
-//! * `event_queue_heap` / `event_queue_bucket` — a same-instant
-//!   push/pop cascade over a backlog of future timers: every op pays
-//!   O(log backlog) in a binary heap, O(1) in the FIFO front bucket.
+//! * `event_queue_heap` / `event_queue_sorted` — a same-instant
+//!   push/pop cascade over a backlog of future timers: every op sifts
+//!   O(log backlog) entries in a binary heap; the latest-first sorted
+//!   `Vec` binary-searches each push and pops from its back.
 //! * `trace_scan` / `trace_cursor` — linear-scan windowed means vs the
 //!   cached prefix-sum cursor on a sliding query.
 
@@ -95,13 +96,13 @@ fn event_queue_heap(c: &mut Criterion) {
     });
 }
 
-fn event_queue_bucket(c: &mut Criterion) {
+fn event_queue_sorted(c: &mut Criterion) {
     let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..BACKLOG {
         q.push(SimTime::from_secs(3600 + i), i);
     }
     let mut t = 0u64;
-    c.bench_function("event_queue_bucket_cascade64", |b| {
+    c.bench_function("event_queue_sorted_cascade64", |b| {
         b.iter(|| {
             t += 1;
             let at = SimTime::from_micros(t);
@@ -157,7 +158,7 @@ criterion_group!(
     refit_batch,
     refit_incremental,
     event_queue_heap,
-    event_queue_bucket,
+    event_queue_sorted,
     trace_scan,
     trace_cursor
 );

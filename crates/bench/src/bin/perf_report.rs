@@ -387,14 +387,16 @@ fn bank_selection() -> Vec<BankSelection> {
 fn queue_pair() -> KernelPair {
     // A same-instant push/pop cascade (a handler scheduling follow-up
     // work at the instant being drained) over a backlog of future
-    // timers: the heap pays O(log backlog) per op, the bucket O(1).
+    // timers: the heap sifts O(log backlog) entries per op; the sorted
+    // `Vec` binary-searches each push and moves at most the few entries
+    // at the drained instant, and a pop moves nothing.
     const BURST: u64 = 64;
     const BACKLOG: u64 = 1024;
     let mut heap: HeapQueue<u64> = HeapQueue::new();
-    let mut bucket: EventQueue<u64> = EventQueue::new();
+    let mut sorted: EventQueue<u64> = EventQueue::new();
     for i in 0..BACKLOG {
         heap.push(SimTime::from_secs(3600 + i), i);
-        bucket.push(SimTime::from_secs(3600 + i), i);
+        sorted.push(SimTime::from_secs(3600 + i), i);
     }
     let mut t = 0u64;
     let before = median_ns(16, || {
@@ -412,19 +414,19 @@ fn queue_pair() -> KernelPair {
     let after = median_ns(16, || {
         t += 1;
         let at = SimTime::from_micros(t);
-        bucket.push(at, 0);
-        bucket.push(at, 1);
-        black_box(bucket.pop());
+        sorted.push(at, 0);
+        sorted.push(at, 1);
+        black_box(sorted.pop());
         for i in 0..BURST {
-            bucket.push(at, i);
-            black_box(bucket.pop());
+            sorted.push(at, i);
+            black_box(sorted.pop());
         }
-        black_box(bucket.pop());
+        black_box(sorted.pop());
     });
     pair(
         "event_queue_same_instant_cascade64",
         "binary heap with sequence tiebreak, O(log n) per op",
-        "FIFO front bucket for the active instant, O(1) per op",
+        "latest-first sorted Vec: binary-search push, pop from the back",
         before,
         after,
     )

@@ -95,7 +95,8 @@ pub fn refit_rows(n: usize) -> Vec<(Vec<f64>, f64)> {
 
 /// Reference ("before") event queue: a plain binary heap with an
 /// insertion sequence number for FIFO stability, the shape the
-/// simulation substrate used before the same-instant front bucket.
+/// simulation substrate used before its event queue became a sorted
+/// `Vec`.
 pub struct HeapQueue<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     events: Vec<Option<E>>,

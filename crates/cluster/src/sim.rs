@@ -508,14 +508,13 @@ impl Runtime {
     /// Boots incarnation `incarnation` of node `n` at `start`. The
     /// incarnation salts every seed; incarnation 0 reduces exactly to
     /// the legacy seed derivation, so crash-free runs are
-    /// byte-identical to the pre-recovery engine. `stats` and `tele`
-    /// are the node's, shared by all its incarnations.
+    /// byte-identical to the pre-recovery engine. `tele` is the node's,
+    /// shared by all its incarnations.
     fn boot(
         bp: &Blueprint,
         n: usize,
         incarnation: u32,
         start: SimTime,
-        stats: &Rc<RefCell<RunStats>>,
         tele: &telemetry::Telemetry,
     ) -> Runtime {
         let cfg = bp.cfg;
@@ -590,10 +589,14 @@ impl Runtime {
         kernel.run_until(start);
         kernel.install_hooks(Box::new(facility));
         let (notify_tx, reply_rx) = kernel.new_socket_pair();
+        // The apps' run statistics stay empty: the dispatcher times
+        // requests itself, and pool workers skip completions whose
+        // arrival was never recorded.
+        let stats = Rc::new(RefCell::new(RunStats::new()));
         let mut inboxes = Vec::new();
         for app in &bp.apps {
             let env = AppEnv {
-                stats: Rc::clone(stats),
+                stats: Rc::clone(&stats),
                 workers: cfg.workers_per_core * spec.total_cores(),
                 spec: spec.clone(),
                 seed: cfg
@@ -615,7 +618,6 @@ struct Node {
     rt: Runtime,
     /// Flat node index.
     index: usize,
-    stats: Rc<RefCell<RunStats>>,
     /// Expected service seconds of each outstanding request, by serial.
     /// Keyed through the deterministic [`FxHashMap`]; every reader that
     /// iterates it sorts first.
@@ -691,17 +693,15 @@ impl Node {
     /// incarnation 0 at time zero, active unless autoscaling holds it
     /// in standby.
     fn boot(bp: &Blueprint, n: usize, tier: usize, active: bool) -> Node {
-        let stats = Rc::new(RefCell::new(RunStats::new()));
         let tele = if bp.cfg.telemetry.enabled() {
             telemetry::Telemetry::recording()
         } else {
             telemetry::Telemetry::disabled()
         };
-        let rt = Runtime::boot(bp, n, 0, SimTime::ZERO, &stats, &tele);
+        let rt = Runtime::boot(bp, n, 0, SimTime::ZERO, &tele);
         Node {
             rt,
             index: n,
-            stats,
             outstanding: FxHashMap::default(),
             outstanding_std: 0.0,
             mean_service: bp.service[n].iter().sum::<f64>() / bp.apps.len() as f64,
@@ -759,7 +759,7 @@ impl Node {
         self.carried_tags_corrupted += ks.tags_corrupted;
         self.carried_degrade += self.rt.facility.borrow().degrade_stats();
         self.incarnation += 1;
-        self.rt = Runtime::boot(bp, self.index, self.incarnation, at, &self.stats, &self.tele);
+        self.rt = Runtime::boot(bp, self.index, self.incarnation, at, &self.tele);
         let restored =
             self.rt.facility.borrow_mut().containers_mut().restore(&self.last_checkpoint, at);
         self.journal(at);
@@ -894,7 +894,6 @@ impl Node {
     /// reply carried at a hop.
     fn inject(&mut self, fl: &InFlight, serial: u64, secs: f64, t: SimTime) {
         if let Some(ctx) = fl.wire {
-            self.stats.borrow_mut().record_arrival(ctx, fl.label, t);
             self.rt.facility.borrow_mut().containers_mut().set_label(ctx, fl.label, t);
         }
         self.outstanding.insert(serial, secs);

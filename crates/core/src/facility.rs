@@ -410,9 +410,9 @@ impl FacilityState {
         }
         // Machine-level traces for alignment/recalibration. Peripheral
         // device activity is folded in separately at I/O completion.
-        self.model_trace.add(now, watts, SimDuration::from_secs_f64(dt_secs));
-        self.metrics_trace
-            .add(now, metrics, SimDuration::from_secs_f64(dt_secs));
+        let dt = SimDuration::from_secs_f64(dt_secs);
+        self.model_trace.add(now, watts, dt);
+        self.metrics_trace.add(now, metrics, dt);
         // The maintenance operation itself perturbs the counters (§3.5).
         if self.config.observer_effect {
             api.machine.inject_events(core, &MAINTENANCE_BUNDLE);

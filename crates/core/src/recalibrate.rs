@@ -286,10 +286,13 @@ impl Recalibrator {
 }
 
 
-/// Median by sorting in place (ties broken toward the lower middle).
+/// The element at index `len / 2` of `values` sorted by
+/// [`f64::total_cmp`] (the upper middle for an even length), found by
+/// selection; `values` is left partially reordered. Equal under
+/// `total_cmp` means identical bits, so this is the sorting median bit
+/// for bit.
 fn median_of(values: &mut [f64]) -> f64 {
-    values.sort_by(f64::total_cmp);
-    values[values.len() / 2]
+    *values.select_nth_unstable_by(values.len() / 2, f64::total_cmp).1
 }
 
 #[cfg(test)]
@@ -489,5 +492,44 @@ mod tests {
         let err = (model.active_power(&m) - truth).abs() / truth;
         assert!(err < 0.05, "recovered fit error {err:.3}");
         assert_eq!(r.rejected_streak(), 0);
+    }
+
+    mod median {
+        use super::super::median_of;
+        use proptest::prelude::*;
+
+        /// Few distinct values, signed zeros and NaNs of both signs, so
+        /// ties and `total_cmp`'s ordering of them come up constantly.
+        fn arb_residual() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                prop::sample::select(vec![
+                    0.0,
+                    -0.0,
+                    1.5,
+                    -1.5,
+                    f64::NAN,
+                    -f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ]),
+                (-4i32..4).prop_map(f64::from),
+                -1e3f64..1e3,
+            ]
+        }
+
+        proptest! {
+            /// Selection returns the element a full `total_cmp` sort puts
+            /// at `len / 2`, bit for bit.
+            #[test]
+            fn selection_median_matches_sorting_median(
+                values in prop::collection::vec(arb_residual(), 1..300),
+            ) {
+                let mut sorted = values.clone();
+                sorted.sort_by(f64::total_cmp);
+                let want = sorted[sorted.len() / 2];
+                let got = median_of(&mut values.clone());
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "median of {:?}", values);
+            }
+        }
     }
 }

@@ -132,6 +132,10 @@ pub struct Machine {
     true_energy_j: f64,
     /// Lifetime true energy excluding idle power, in Joules.
     true_active_energy_j: f64,
+    /// True `(active, package)` power for the current core, chip and
+    /// device state, once computed. A setter that changes that state
+    /// clears it; the next integrated segment refills it.
+    power: Option<(f64, f64)>,
 }
 
 impl Machine {
@@ -153,6 +157,7 @@ impl Machine {
             faults: FaultInjector::disabled(),
             true_energy_j: 0.0,
             true_active_energy_j: 0.0,
+            power: None,
             spec,
         }
     }
@@ -174,7 +179,11 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn set_running(&mut self, core: CoreId, profile: Option<ActivityProfile>) {
-        self.cores[core.0].running = profile;
+        let c = &mut self.cores[core.0];
+        if c.running != profile {
+            self.power = None;
+        }
+        c.running = profile;
     }
 
     /// The profile `core` is currently running, if any.
@@ -189,7 +198,11 @@ impl Machine {
 
     /// Sets `core`'s duty-cycle modulation level.
     pub fn set_duty_cycle(&mut self, core: CoreId, duty: DutyCycle) {
-        self.cores[core.0].duty = duty;
+        let c = &mut self.cores[core.0];
+        if c.duty != duty {
+            self.power = None;
+            c.duty = duty;
+        }
     }
 
     /// `core`'s current duty-cycle level.
@@ -200,6 +213,7 @@ impl Machine {
     /// Sets a chip's DVFS operating point; affects every core on it.
     pub fn set_chip_freq(&mut self, chip: crate::ChipId, scale: FreqScale) {
         self.chip_freq[chip.0] = scale;
+        self.power = None;
     }
 
     /// A chip's current DVFS operating point.
@@ -236,6 +250,7 @@ impl Machine {
     pub fn swap_truth(&mut self, truth: crate::GroundTruthPower, generation: u32) {
         self.spec.truth = truth;
         self.generation = generation;
+        self.power = None;
     }
 
     /// The rate at which `core` executes non-halt cycles, in GHz,
@@ -284,8 +299,7 @@ impl Machine {
         // Round up to whole nanoseconds (and at least one) so a scheduled
         // deadline always advances simulated time past the threshold; a
         // zero-length deadline would fire without the counter moving.
-        let ns = (remaining / cycles_per_ns).ceil().max(1.0);
-        Some(SimDuration::from_nanos(ns as u64))
+        Some(SimDuration::covering_nanos(remaining / cycles_per_ns))
     }
 
     /// `true` if `core`'s PMU has reached its threshold.
@@ -296,7 +310,11 @@ impl Machine {
 
     /// Marks a peripheral device active or idle.
     pub fn set_device_active(&mut self, kind: DeviceKind, active: bool) {
-        self.devices[kind.index()].active = active;
+        let d = &mut self.devices[kind.index()];
+        if d.active != active {
+            self.power = None;
+            d.active = active;
+        }
     }
 
     /// `true` if the given device is currently active.
@@ -317,19 +335,41 @@ impl Machine {
 
     /// Instantaneous true *active* power (whole machine minus idle).
     pub fn true_active_power_watts(&self) -> f64 {
+        self.true_power().0
+    }
+
+    /// Instantaneous true package power (packages only, including package
+    /// idle but not platform or devices) — what an on-chip meter sees.
+    pub fn true_package_power_watts(&self) -> f64 {
+        self.true_power().1
+    }
+
+    /// True `(active, package)` power: the cached pair, or a fresh one.
+    fn true_power(&self) -> (f64, f64) {
+        self.power.unwrap_or_else(|| self.compute_true_power())
+    }
+
+    /// True `(active, package)` power from scratch, in one pass over the
+    /// cores. The two sums share every per-core and per-chip term and
+    /// each adds its terms in chip, then core order; active power then
+    /// adds the busy devices, package power starts from package idle.
+    fn compute_true_power(&self) -> (f64, f64) {
         let truth = &self.spec.truth;
         let mut active = 0.0;
-        for chip in 0..self.spec.chips {
-            let cores = self.spec.cores_of(crate::ChipId(chip));
-            let dvfs = self.chip_freq[chip].power_factor();
+        let mut pkg = truth.pkg_idle_w;
+        for (chip, scale) in self.chip_freq.iter().enumerate() {
+            let dvfs = scale.power_factor();
             let mut chip_busy = false;
-            for core in cores {
-                let c = &self.cores[core];
-                active += dvfs * truth.core_active_power(c.running.as_ref(), c.duty);
+            for c in &self.cores[self.spec.cores_of(crate::ChipId(chip))] {
+                let core = dvfs * truth.core_active_power(c.running.as_ref(), c.duty);
+                active += core;
+                pkg += core;
                 chip_busy |= c.running.is_some();
             }
             if chip_busy {
-                active += dvfs * truth.chip_maintenance_w;
+                let maintenance = dvfs * truth.chip_maintenance_w;
+                active += maintenance;
+                pkg += maintenance;
             }
         }
         if self.devices[DeviceKind::Disk.index()].active {
@@ -338,28 +378,7 @@ impl Machine {
         if self.devices[DeviceKind::Net.index()].active {
             active += truth.net_w;
         }
-        active
-    }
-
-    /// Instantaneous true package power (packages only, including package
-    /// idle but not platform or devices) — what an on-chip meter sees.
-    pub fn true_package_power_watts(&self) -> f64 {
-        let truth = &self.spec.truth;
-        let mut pkg = truth.pkg_idle_w;
-        for chip in 0..self.spec.chips {
-            let cores = self.spec.cores_of(crate::ChipId(chip));
-            let dvfs = self.chip_freq[chip].power_factor();
-            let mut chip_busy = false;
-            for core in cores {
-                let c = &self.cores[core];
-                pkg += dvfs * truth.core_active_power(c.running.as_ref(), c.duty);
-                chip_busy |= c.running.is_some();
-            }
-            if chip_busy {
-                pkg += dvfs * truth.chip_maintenance_w;
-            }
-        }
-        pkg
+        (active, pkg)
     }
 
     /// Lifetime true machine energy in Joules (idle included, noise-free).
@@ -500,19 +519,21 @@ impl Machine {
         }
         let secs = dt.as_secs_f64();
         let elapsed = self.spec.cycles_in(dt);
-        for (i, c) in self.cores.iter_mut().enumerate() {
+        for (chip, scale) in self.chip_freq.iter().enumerate() {
             // Elapsed cycles tick at the nominal (TSC-style) clock; busy
             // cycles scale with both duty-cycle gating and chip DVFS.
-            let freq = self.chip_freq[i / self.spec.cores_per_chip].fraction();
-            c.counters.elapsed_cycles += elapsed;
-            if let Some(p) = c.running {
-                let busy = elapsed * c.duty.fraction() * freq;
-                c.counters.nonhalt_cycles += busy;
-                c.counters.instructions += busy * p.ins * caps::INS_PER_CYCLE;
-                c.counters.flops += busy * p.flops * caps::FLOPS_PER_CYCLE;
-                c.counters.cache_refs += busy * p.cache * caps::CACHE_PER_CYCLE;
-                c.counters.mem_txns += busy * p.mem * caps::MEM_PER_CYCLE;
-                c.pmu_count += busy;
+            let freq = scale.fraction();
+            for c in &mut self.cores[self.spec.cores_of(crate::ChipId(chip))] {
+                c.counters.elapsed_cycles += elapsed;
+                if let Some(p) = c.running {
+                    let busy = elapsed * c.duty.fraction() * freq;
+                    c.counters.nonhalt_cycles += busy;
+                    c.counters.instructions += busy * p.ins * caps::INS_PER_CYCLE;
+                    c.counters.flops += busy * p.flops * caps::FLOPS_PER_CYCLE;
+                    c.counters.cache_refs += busy * p.cache * caps::CACHE_PER_CYCLE;
+                    c.counters.mem_txns += busy * p.mem * caps::MEM_PER_CYCLE;
+                    c.pmu_count += busy;
+                }
             }
         }
         for d in &mut self.devices {
@@ -520,9 +541,11 @@ impl Machine {
                 d.busy_seconds += secs;
             }
         }
-        let active = self.true_active_power_watts();
+        let (active, package) = match self.power {
+            Some(pair) => pair,
+            None => *self.power.insert(self.compute_true_power()),
+        };
         let machine = active + self.spec.truth.machine_idle_w();
-        let package = self.true_package_power_watts();
         self.true_energy_j += machine * secs;
         self.true_active_energy_j += active * secs;
         for m in &mut self.meters {
@@ -539,6 +562,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::MeterSpec;
+    use proptest::prelude::*;
 
     fn machine() -> Machine {
         Machine::new(MachineSpec::sandybridge(), 1)
@@ -807,6 +831,147 @@ mod tests {
         let id = a.find_meter("on-chip").unwrap();
         assert_eq!(a.pop_meter_reports(id), b.pop_meter_reports(id));
         assert_eq!(b.fault_log().total(), 0);
+    }
+
+    /// The two-pass sums `true_active_power_watts` and
+    /// `true_package_power_watts` computed before the power pair was
+    /// cached: the reference the cached pair must match bit for bit.
+    fn two_pass_power(m: &Machine) -> (f64, f64) {
+        let truth = &m.spec.truth;
+        let mut active = 0.0;
+        for chip in 0..m.spec.chips {
+            let dvfs = m.chip_freq[chip].power_factor();
+            let mut chip_busy = false;
+            for core in m.spec.cores_of(crate::ChipId(chip)) {
+                let c = &m.cores[core];
+                active += dvfs * truth.core_active_power(c.running.as_ref(), c.duty);
+                chip_busy |= c.running.is_some();
+            }
+            if chip_busy {
+                active += dvfs * truth.chip_maintenance_w;
+            }
+        }
+        if m.devices[DeviceKind::Disk.index()].active {
+            active += truth.disk_w;
+        }
+        if m.devices[DeviceKind::Net.index()].active {
+            active += truth.net_w;
+        }
+        let mut pkg = truth.pkg_idle_w;
+        for chip in 0..m.spec.chips {
+            let dvfs = m.chip_freq[chip].power_factor();
+            let mut chip_busy = false;
+            for core in m.spec.cores_of(crate::ChipId(chip)) {
+                let c = &m.cores[core];
+                pkg += dvfs * truth.core_active_power(c.running.as_ref(), c.duty);
+                chip_busy |= c.running.is_some();
+            }
+            if chip_busy {
+                pkg += dvfs * truth.chip_maintenance_w;
+            }
+        }
+        (active, pkg)
+    }
+
+    /// One state change or advance in [`power_cache_matches_recomputation`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        Run(usize, Option<ActivityProfile>),
+        Duty(usize, u8),
+        Freq(usize, f64),
+        Device(DeviceKind, bool),
+        Swap(usize),
+        Inject(usize, f64),
+        Advance(u64),
+    }
+
+    fn truths() -> [crate::GroundTruthPower; 3] {
+        [
+            crate::GroundTruthPower::sandybridge(),
+            crate::GroundTruthPower::woodcrest(),
+            crate::GroundTruthPower::westmere(),
+        ]
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        // Few distinct values, so setters often repeat the current one.
+        let profile = prop::sample::select(vec![
+            None,
+            Some(ActivityProfile::cpu_spin()),
+            Some(ActivityProfile::stress()),
+            Some(ActivityProfile::new(0.5, -0.0, 0.25, 0.0)),
+            Some(ActivityProfile::new(0.5, 0.0, 0.25, -0.0)),
+        ]);
+        prop_oneof![
+            (0usize..8, profile).prop_map(|(c, p)| Step::Run(c, p)),
+            (0usize..8, 6u8..=8).prop_map(|(c, d)| Step::Duty(c, d)),
+            (0usize..2, prop::sample::select(vec![0.5, 0.75, 1.0]))
+                .prop_map(|(chip, f)| Step::Freq(chip, f)),
+            (any::<bool>(), any::<bool>()).prop_map(|(disk, on)| {
+                Step::Device(if disk { DeviceKind::Disk } else { DeviceKind::Net }, on)
+            }),
+            (0usize..3).prop_map(Step::Swap),
+            (0usize..8, 0.0f64..5e6).prop_map(|(c, n)| Step::Inject(c, n)),
+            (0u64..3_000_000).prop_map(Step::Advance),
+        ]
+    }
+
+    proptest! {
+        /// After every setter, event injection and advance, the cached
+        /// `(active, package)` pair, the public readers and a from-scratch
+        /// recomputation all equal the two-pass sums bit for bit.
+        #[test]
+        fn power_cache_matches_recomputation(
+            spec in prop::sample::select(vec![
+                MachineSpec::sandybridge(),
+                MachineSpec::woodcrest(),
+                MachineSpec::westmere(),
+            ]),
+            steps in prop::collection::vec(arb_step(), 1..120),
+        ) {
+            let mut m = Machine::new(spec, 5);
+            let cores = m.spec().total_cores();
+            let chips = m.spec().chips;
+            let mut t = SimTime::ZERO;
+            for step in steps {
+                match step.clone() {
+                    Step::Run(c, p) => m.set_running(CoreId(c % cores), p),
+                    Step::Duty(c, d) => {
+                        m.set_duty_cycle(CoreId(c % cores), DutyCycle::new(d).expect("valid"));
+                    }
+                    Step::Freq(chip, f) => m.set_chip_freq(
+                        crate::ChipId(chip % chips),
+                        FreqScale::new(f).expect("valid"),
+                    ),
+                    Step::Device(kind, on) => m.set_device_active(kind, on),
+                    Step::Swap(i) => {
+                        let generation = m.generation() + 1;
+                        m.swap_truth(truths()[i].clone(), generation);
+                    }
+                    Step::Inject(c, n) => m.inject_events(
+                        CoreId(c % cores),
+                        &CounterBlock { nonhalt_cycles: n, instructions: n, ..CounterBlock::default() },
+                    ),
+                    Step::Advance(ns) => {
+                        t += SimDuration::from_nanos(ns);
+                        m.advance_to(t);
+                        if ns > 0 {
+                            prop_assert!(m.power.is_some(), "advance left the cache empty");
+                        }
+                    }
+                }
+                let (active, pkg) = two_pass_power(&m);
+                let fresh = m.compute_true_power();
+                prop_assert_eq!(fresh.0.to_bits(), active.to_bits(), "recomputed active after {:?}", step);
+                prop_assert_eq!(fresh.1.to_bits(), pkg.to_bits(), "recomputed package after {:?}", step);
+                if let Some(cached) = m.power {
+                    prop_assert_eq!(cached.0.to_bits(), active.to_bits(), "cached active after {:?}", step);
+                    prop_assert_eq!(cached.1.to_bits(), pkg.to_bits(), "cached package after {:?}", step);
+                }
+                prop_assert_eq!(m.true_active_power_watts().to_bits(), active.to_bits());
+                prop_assert_eq!(m.true_package_power_watts().to_bits(), pkg.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -131,12 +131,16 @@ pub struct KernelStats {
     pub tags_corrupted: u64,
 }
 
-#[derive(Debug, Clone)]
+/// A pending kernel event. Kept to 16 bytes so queue entries stay small:
+/// a delivery carries only the slot of its in-transit segment.
+#[derive(Debug, Clone, Copy)]
 enum KEvent {
-    CoreTick { core: usize, gen: u64 },
-    Deliver { dst: SocketId, seg: Segment },
+    CoreTick { core: u32, gen: u64 },
+    Deliver { dst: SocketId, slot: u32 },
     Wake { task: TaskId },
 }
+
+const _: () = assert!(std::mem::size_of::<KEvent>() == 16);
 
 /// The simulated OS kernel for one machine.
 ///
@@ -171,6 +175,10 @@ pub struct Kernel {
     progress_base: Vec<f64>,
     sockets: SocketTable,
     events: EventQueue<KEvent>,
+    /// Segments sent but not yet delivered, indexed by the slot their
+    /// `Deliver` event carries; delivered slots are reused LIFO.
+    in_transit: Vec<Segment>,
+    free_slots: Vec<u32>,
     hooks: Option<Box<dyn KernelHooks>>,
     prog_rng: SimRng,
     device_users: [u32; 2],
@@ -194,6 +202,8 @@ impl Kernel {
             progress_base: vec![0.0; n],
             sockets: SocketTable::default(),
             events: EventQueue::new(),
+            in_transit: Vec::new(),
+            free_slots: Vec::new(),
             hooks: None,
             prog_rng: SimRng::new(0xB5EF_0C7A).split(machine.spec().total_cores() as u64),
             device_users: [0, 0],
@@ -401,11 +411,16 @@ impl Kernel {
     fn handle(&mut self, ev: KEvent) {
         match ev {
             KEvent::CoreTick { core, gen } => {
+                let core = core as usize;
                 if self.core_gen[core] == gen {
                     self.core_tick(CoreId(core));
                 }
             }
-            KEvent::Deliver { dst, seg } => self.deliver(dst, seg),
+            KEvent::Deliver { dst, slot } => {
+                let seg = self.in_transit[slot as usize];
+                self.free_slots.push(slot);
+                self.deliver(dst, seg);
+            }
             KEvent::Wake { task } => self.wake(task),
         }
     }
@@ -690,8 +705,18 @@ impl Kernel {
     fn send_segment(&mut self, socket: SocketId, bytes: u32, payload: u64, ctx: Option<ContextId>) {
         let dst = self.sockets.get(socket).peer;
         let seg = Segment { bytes, ctx, payload, sent_at: self.now() };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.in_transit[slot as usize] = seg;
+                slot
+            }
+            None => {
+                self.in_transit.push(seg);
+                (self.in_transit.len() - 1) as u32
+            }
+        };
         self.events
-            .push(self.now() + self.config.socket_latency, KEvent::Deliver { dst, seg });
+            .push(self.now() + self.config.socket_latency, KEvent::Deliver { dst, slot });
     }
 
     fn start_io(&mut self, core: CoreId, tid: TaskId, device: DeviceKind, bytes: u64) {
@@ -847,8 +872,7 @@ impl Kernel {
         let mut t = self.quantum_end[core.0];
         if let Some(Pending::Compute { remaining, .. }) = &self.tasks[tid.0 as usize].pending {
             let rate = self.machine.effective_rate_ghz(core); // cycles per ns
-            let ns = (remaining / rate).ceil().max(1.0) as u64;
-            let done = self.now() + SimDuration::from_nanos(ns);
+            let done = self.now() + SimDuration::covering_nanos(remaining / rate);
             if done < t {
                 t = done;
             }
@@ -860,7 +884,7 @@ impl Kernel {
             }
         }
         if t != SimTime::MAX {
-            self.events.push(t, KEvent::CoreTick { core: core.0, gen });
+            self.events.push(t, KEvent::CoreTick { core: core.0 as u32, gen });
         }
     }
 }

@@ -1,15 +1,14 @@
 //! A stable timestamped event queue.
 //!
-//! Discrete-event simulations spend much of their time pushing and popping
-//! events that share one timestamp: a core tick fires, its handler schedules
-//! follow-up work *at the same instant*, that work schedules more, and so
-//! on. A plain binary heap pays `O(log n)` per operation for what is really
-//! FIFO traffic, so the queue keeps a dedicated FIFO *bucket* for the
-//! instant currently being drained and only falls back to the heap for
-//! events at other timestamps.
-
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+//! Discrete-event simulations keep few events pending at a time — a
+//! simulated kernel holds about one per busy core plus a few in-flight
+//! deliveries and wake-ups — but push and pop them at a high rate, many
+//! at the instant currently being drained (a core tick fires and its
+//! handler schedules follow-up work at the same instant). The queue is
+//! therefore one `Vec` kept sorted latest-first: the next event is the
+//! last element, so a pop is `Vec::pop`, and a push binary-searches its
+//! slot. No operation scans linearly and no entry carries a sequence
+//! number.
 
 use crate::SimTime;
 
@@ -20,11 +19,14 @@ use crate::SimTime;
 /// (FIFO), which keeps discrete-event simulations deterministic even when
 /// many subsystems schedule work for the same instant.
 ///
-/// Internally, events at the timestamp currently being drained live in a
-/// FIFO ring (`O(1)` push and pop); all other events live in a binary heap
-/// ordered by `(timestamp, push sequence)`. Same-instant cascades — a
-/// handler scheduling follow-up work at the instant being processed — never
-/// touch the heap.
+/// Internally the entries are sorted by timestamp, latest first. A push
+/// goes in front of every entry at its own timestamp (after every later
+/// one), found by binary search; a pop takes the last entry. Among equal
+/// timestamps the oldest push therefore sits last and pops first, so
+/// push position alone carries the FIFO tie-break. A pop moves nothing;
+/// a push shifts only the entries that pop before it — in a same-instant
+/// cascade, the few still pending at that instant — so only a push later
+/// than everything pending shifts the whole (short) `Vec`.
 ///
 /// # Example
 ///
@@ -43,113 +45,40 @@ use crate::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    /// Timestamp of the FIFO bucket, when one is active. While active, the
-    /// heap holds no events at this timestamp (they were either drained
-    /// into the bucket or pushed straight to it), so bucket order is
-    /// globally FIFO for that instant.
-    front_at: Option<SimTime>,
-    front: VecDeque<E>,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so that the earliest timestamp
-        // (and, within a timestamp, the lowest sequence number) wins.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+    /// Pending events, latest timestamp first; equal timestamps newest
+    /// push first. The next event to pop is the last element.
+    entries: Vec<(SimTime, E)>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            front_at: None,
-            front: VecDeque::new(),
-        }
+        EventQueue { entries: Vec::new() }
     }
 
     /// Schedules `event` to fire at `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        if self.front_at == Some(at) {
-            // Same-instant cascade: join the FIFO bucket directly. Every
-            // event already in the bucket was pushed earlier, so FIFO
-            // order is preserved without a sequence number.
-            self.front.push_back(event);
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        // Every pending entry was pushed earlier, so the new one sorts
+        // after all entries at its timestamp: it goes right behind the
+        // strictly later ones.
+        let slot = self.entries.partition_point(|&(t, _)| t > at);
+        self.entries.insert(slot, (at, event));
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if let Some(at) = self.front_at {
-            // The bucket is only bypassed when strictly earlier events
-            // were pushed after it formed.
-            let heap_earlier = self.heap.peek().is_some_and(|e| e.at < at);
-            if !heap_earlier {
-                let event = self.front.pop_front()?;
-                if self.front.is_empty() {
-                    self.front_at = None;
-                }
-                return Some((at, event));
-            }
-        }
-        let entry = self.heap.pop()?;
-        // Form a FIFO bucket for this instant so the rest of the cascade
-        // is O(1): drain equal-time heap entries (the heap yields them in
-        // sequence order) and route future same-instant pushes here.
-        if self.front_at.is_none() && self.heap.peek().is_some_and(|e| e.at == entry.at) {
-            while let Some(next) = self.heap.peek() {
-                if next.at != entry.at {
-                    break;
-                }
-                let next = self.heap.pop().expect("peeked entry");
-                self.front.push_back(next.event);
-            }
-            self.front_at = Some(entry.at);
-        }
-        Some((entry.at, entry.event))
+        self.entries.pop()
     }
 
     /// Removes and returns the earliest event if its timestamp is at or
     /// before `t_end`. A fused `peek_time` + `pop` for simulation run
-    /// loops, avoiding a second ordering pass over the heap.
+    /// loops.
     pub fn pop_if_at_or_before(&mut self, t_end: SimTime) -> Option<(SimTime, E)> {
         if self.peek_time()? > t_end {
             return None;
         }
-        self.pop()
+        self.entries.pop()
     }
 
     /// Removes and returns every event with a timestamp at or before `t`,
@@ -165,28 +94,22 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let heap_t = self.heap.peek().map(|e| e.at);
-        match (self.front_at, heap_t) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.entries.last().map(|&(t, _)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.front.len()
+        self.entries.len()
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.front.is_empty()
+        self.entries.is_empty()
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
-        self.heap.clear();
-        self.front.clear();
-        self.front_at = None;
+        self.entries.clear();
     }
 }
 
@@ -276,8 +199,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(t, 0);
         q.push(t, 1);
-        assert_eq!(q.pop(), Some((t, 0))); // bucket forms here
-        q.push(t, 2); // cascade push joins the bucket
+        assert_eq!(q.pop(), Some((t, 0)));
+        q.push(t, 2); // cascade push queues behind `1`
         q.push(SimTime::from_millis(9), 9);
         q.push(t, 3);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -285,14 +208,14 @@ mod tests {
     }
 
     #[test]
-    fn earlier_push_preempts_active_bucket() {
+    fn earlier_push_preempts_the_instant_being_drained() {
         let t = SimTime::from_millis(4);
         let mut q = EventQueue::new();
         q.push(t, "x");
         q.push(t, "y");
         assert_eq!(q.pop(), Some((t, "x")));
-        // A straggler scheduled before the bucket's instant must still
-        // pop first.
+        // A straggler scheduled before the instant being drained must
+        // still pop first.
         q.push(SimTime::from_millis(1), "early");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), "early")));
@@ -301,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn bucket_reforms_after_draining() {
+    fn groups_drain_in_push_order() {
         let mut q = EventQueue::new();
         for round in 0..3u64 {
             let t = SimTime::from_millis(round);
@@ -344,13 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn len_counts_bucket_and_heap() {
+    fn len_counts_every_pending_event() {
         let t = SimTime::from_millis(1);
         let mut q = EventQueue::new();
         q.push(t, 0);
         q.push(t, 1);
         q.push(t, 2);
-        assert_eq!(q.pop(), Some((t, 0))); // two left, now bucketed
+        assert_eq!(q.pop(), Some((t, 0)));
         q.push(SimTime::from_millis(2), 3);
         assert_eq!(q.len(), 3);
         q.clear();

@@ -139,6 +139,29 @@ impl SimDuration {
         }
     }
 
+    /// The whole-nanosecond deadline covering `nanos` fractional
+    /// nanoseconds: `nanos.ceil().max(1.0) as u64` nanoseconds, computed
+    /// with exact integer arithmetic instead of `f64::ceil`. Saturates at
+    /// [`SimDuration::MAX`]; NaN and non-positive inputs give one
+    /// nanosecond, so a deadline built from it always advances time.
+    ///
+    /// ```
+    /// use simkern::SimDuration;
+    ///
+    /// assert_eq!(SimDuration::covering_nanos(2.0), SimDuration::from_nanos(2));
+    /// assert_eq!(SimDuration::covering_nanos(2.01), SimDuration::from_nanos(3));
+    /// assert_eq!(SimDuration::covering_nanos(0.0), SimDuration::from_nanos(1));
+    /// ```
+    #[inline]
+    pub fn covering_nanos(nanos: f64) -> SimDuration {
+        // The saturating cast truncates toward zero; one more nanosecond
+        // covers a fractional rest. The comparison is exact: below 2^53
+        // the cast round-trips, and from 2^53 up every f64 is integral.
+        let whole = nanos as u64;
+        let ceil = if (whole as f64) < nanos { whole.saturating_add(1) } else { whole };
+        SimDuration(ceil.max(1))
+    }
+
     /// Raw nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -322,6 +345,21 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn from_secs_f64_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    fn covering_nanos_matches_float_ceil() {
+        let ceil = |x: f64| SimDuration(x.ceil().max(1.0) as u64);
+        let two_53 = (1u64 << 53) as f64;
+        let below_two_64 = f64::from_bits((u64::MAX as f64).to_bits() - 1);
+        let cases = [
+            -1.5, -0.0, 0.0, 1e-300, 0.25, 1.0, 1.0 + f64::EPSILON, 1.5, 2.0, 1e6 + 0.5,
+            4_503_599_627_370_495.5, two_53, two_53 + 2.0, below_two_64,
+            u64::MAX as f64, 1e30, f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+        ];
+        for x in cases {
+            assert_eq!(SimDuration::covering_nanos(x), ceil(x), "at {x:e}");
+        }
     }
 
     #[test]

@@ -38,6 +38,51 @@ proptest! {
         }
     }
 
+    /// Random interleavings of `push`, `pop` and `pop_if_at_or_before`
+    /// match a reference that always pops the minimum (time, push index).
+    /// Push times are offsets from the instant last popped, so cases mix
+    /// same-instant cascades (offset 0), stragglers earlier than the
+    /// instant being drained (negative offsets) and, at high push
+    /// weights, backlogs of a few hundred events.
+    #[test]
+    fn event_queue_matches_reference_model(
+        ops in prop::collection::vec((0u8..10, -3i64..12), 1..400),
+        push_weight in 2u8..9,
+    ) {
+        let mut q = EventQueue::new();
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut pushed = 0usize;
+        let mut now = 1_000i64;
+        for (kind, offset) in ops {
+            let at = SimTime::from_nanos((now + offset) as u64);
+            if kind < push_weight {
+                q.push(at, pushed);
+                model.push((at, pushed));
+                pushed += 1;
+            } else {
+                // Odd kinds pop unconditionally, even kinds only up to `at`.
+                let bound = (kind % 2 == 0).then_some(at);
+                let got = match bound {
+                    Some(b) => q.pop_if_at_or_before(b),
+                    None => q.pop(),
+                };
+                let min = (0..model.len()).min_by_key(|&i| model[i]);
+                let want = min
+                    .filter(|&i| bound.is_none_or(|b| model[i].0 <= b))
+                    .map(|i| model.remove(i));
+                prop_assert_eq!(got, want);
+                if let Some((t, _)) = got {
+                    now = t.as_nanos() as i64;
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.iter().map(|e| e.0).min());
+        }
+        model.sort();
+        let rest: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(rest, model);
+    }
+
     /// Time arithmetic round-trips: (t + d) - t == d.
     #[test]
     fn time_add_sub_round_trip(t in 0u64..u64::MAX / 4, d in 0u64..u64::MAX / 4) {
