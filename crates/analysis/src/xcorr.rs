@@ -17,9 +17,10 @@
 //!   the `Σx² − (Σx)²/n` forms),
 //! * keeps prefix sums of values and squared values, so each lag's window
 //!   sums, means, and variances are `O(1)`,
-//! * computes the per-lag cross products `Σ aᵢ·bᵢ₊ₖ` either with one fused
-//!   pass per lag (small inputs) or a single FFT cross-correlation
-//!   (large inputs), making the whole curve `O((N+L) log (N+L))`.
+//! * computes the per-lag cross products `Σ aᵢ·bᵢ₊ₖ` either with direct
+//!   sums, sixteen lags per pass (small inputs), or a single FFT
+//!   cross-correlation (large inputs), making the whole curve
+//!   `O((N+L) log (N+L))`.
 //!
 //! The naive implementation is retained as the reference oracle
 //! ([`find_alignment_naive`], [`normalized_cross_correlation`]); property
@@ -33,6 +34,8 @@
 //! model sample poisons every window containing it) are never selected as
 //! the peak; if no lag produces a finite score the scan reports `None`
 //! rather than letting a poisoned lag win silently.
+
+use std::sync::OnceLock;
 
 /// The cross-correlation of a measurement series against a model series at
 /// one hypothetical delay of `lag` samples (Eq. 4).
@@ -91,7 +94,7 @@ pub fn normalized_cross_correlation(measure: &[f64], model: &[f64], lag: usize) 
 }
 
 /// Above this many multiply-adds the cross terms are computed by FFT
-/// instead of one fused pass per lag.
+/// instead of direct sums.
 const FFT_CUTOFF: usize = 1 << 17;
 
 /// Computes [`normalized_cross_correlation`] for every lag `0..=max_lag`
@@ -173,25 +176,84 @@ pub fn normalized_correlation_curve(measure: &[f64], model: &[f64], max_lag: usi
 
 /// Sliding cross products `T[k] = Σ_i a[i]·b[i+k]` for `k = 0..=k_max`,
 /// each summed over the natural overlap `i < min(a.len(), b.len() − k)`.
-/// Small inputs use one fused pass per lag; large inputs switch to a
-/// single FFT cross-correlation. Building block for correlation curves
-/// over pre-centered series (used by `core::align`'s gridded delay scan).
+/// Small inputs use direct sums; large inputs switch to a single FFT
+/// cross-correlation. Building block for correlation curves over
+/// pre-centered series (used by `core::align`'s gridded delay scan).
 pub fn sliding_cross_products(a: &[f64], b: &[f64], k_max: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    sliding_cross_products_into(a, b, k_max, &mut CrossScratch::default(), &mut out);
+    out
+}
+
+/// Working memory for [`sliding_cross_products_into`]. Keeping one
+/// between calls spares the FFT path its transform-sized buffers.
+#[derive(Debug, Clone, Default)]
+pub struct CrossScratch {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+/// [`sliding_cross_products`] into `out` (resized to `k_max + 1`), with
+/// the FFT path working in `scratch`. Bit for bit the same values.
+pub fn sliding_cross_products_into(
+    a: &[f64],
+    b: &[f64],
+    k_max: usize,
+    scratch: &mut CrossScratch,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.resize(k_max + 1, 0.0);
     let work: usize = (0..=k_max)
         .map(|k| a.len().min(b.len().saturating_sub(k)))
         .sum();
     if work <= FFT_CUTOFF {
-        let mut out = vec![0.0; k_max + 1];
-        for (k, out_k) in out.iter_mut().enumerate() {
-            let n = a.len().min(b.len().saturating_sub(k));
-            if n == 0 {
-                continue; // empty overlap: k may exceed b.len() entirely
+        direct_cross_products(a, b, out);
+    } else {
+        fft_cross_products(a, b, k_max, scratch, out);
+    }
+}
+
+/// Lags summed together per pass over `a`. Sixteen independent sums,
+/// eight two-lane SSE2 registers, keep the adder busy where eight left
+/// it waiting on each sum's previous addition.
+const LAGS_PER_PASS: usize = 16;
+
+/// Direct cross products, [`LAGS_PER_PASS`] lags per pass over `a`: the
+/// block's sums are independent, so the pass vectorizes, while each
+/// lag's sum still adds its products in index order starting from −0.0,
+/// exactly as `Iterator::sum::<f64>` does. A lag with no overlap stays
+/// +0.0.
+fn direct_cross_products(a: &[f64], b: &[f64], out: &mut [f64]) {
+    let overlap = |k: usize| a.len().min(b.len().saturating_sub(k));
+    let blocked = out.len() - out.len() % LAGS_PER_PASS;
+    for k in (0..blocked).step_by(LAGS_PER_PASS) {
+        // Overlaps shrink as the lag grows, so the block's last lag
+        // bounds the prefix every lag in it shares.
+        let shared = overlap(k + LAGS_PER_PASS - 1);
+        let mut acc = [-0.0f64; LAGS_PER_PASS];
+        let b_from_k = b.get(k..).unwrap_or_default();
+        for (i, &x) in a[..shared].iter().enumerate() {
+            let ys = &b_from_k[i..i + LAGS_PER_PASS];
+            for l in 0..LAGS_PER_PASS {
+                acc[l] += x * ys[l];
             }
+        }
+        for (l, acc_l) in acc.iter_mut().enumerate() {
+            let n = overlap(k + l);
+            for i in shared..n {
+                *acc_l += a[i] * b[i + k + l];
+            }
+            if n > 0 {
+                out[k + l] = *acc_l;
+            }
+        }
+    }
+    for (k, out_k) in out.iter_mut().enumerate().skip(blocked) {
+        let n = overlap(k);
+        if n > 0 {
             *out_k = a[..n].iter().zip(&b[k..k + n]).map(|(x, y)| x * y).sum();
         }
-        out
-    } else {
-        fft_cross_products(a, b, k_max)
     }
 }
 
@@ -202,34 +264,46 @@ pub fn sliding_cross_products(a: &[f64], b: &[f64], k_max: usize) -> Vec<f64> {
 /// i·b`, split by Hermitian symmetry) and the transform length only
 /// needs to cover `a.len() + k_max` — the highest `b` index any
 /// returned lag touches — rather than the two series end to end.
-fn fft_cross_products(a: &[f64], b: &[f64], k_max: usize) -> Vec<f64> {
+fn fft_cross_products(
+    a: &[f64],
+    b: &[f64],
+    k_max: usize,
+    scratch: &mut CrossScratch,
+    out: &mut [f64],
+) {
     // b[i + k] with i < a.len(), k <= k_max never reads past this.
     let nb = b.len().min(a.len() + k_max);
     let m = (a.len() + k_max).max(2).next_power_of_two();
-    let mut c: Vec<(f64, f64)> = (0..m)
-        .map(|j| {
-            (
-                if j < a.len() { a[j] } else { 0.0 },
-                if j < nb { b[j] } else { 0.0 },
-            )
-        })
-        .collect();
-    let tw = twiddle_table(m);
-    fft_in_place(&mut c, &tw, false);
+    let plan = FftPlan::get(m);
+    let CrossScratch { re, im } = scratch;
+    re.clear();
+    re.extend_from_slice(a);
+    re.resize(m, 0.0);
+    im.clear();
+    im.extend_from_slice(&b[..nb]);
+    im.resize(m, 0.0);
+    fft_in_place(re, im, plan, false);
     // Unpack A[k] = (C[k] + conj(C[m−k]))/2 and B[k] = (C[k] −
     // conj(C[m−k]))/2i, then form D = conj(A)·B. D is Hermitian (both
-    // spectra come from real series), so IFFT(D) is real.
-    let mut d = vec![(0.0, 0.0); m];
-    for (k, dk) in d.iter_mut().enumerate() {
-        let (cr, ci) = c[k];
-        let (sr, si) = c[(m - k) & (m - 1)];
+    // spectra come from real series), so IFFT(D) is real. D[k] and
+    // D[m−k] read the same two bins, so each mirror pair is formed from
+    // saved inputs and written back in place.
+    let spectrum = |(cr, ci): (f64, f64), (sr, si): (f64, f64)| {
         let (ar, ai) = ((cr + sr) * 0.5, (ci - si) * 0.5);
         let (br, bi) = ((ci + si) * 0.5, (sr - cr) * 0.5);
-        *dk = (ar * br + ai * bi, ar * bi - ai * br);
+        (ar * br + ai * bi, ar * bi - ai * br)
+    };
+    for k in 0..=m / 2 {
+        let mirror = (m - k) & (m - 1);
+        let (c, s) = ((re[k], im[k]), (re[mirror], im[mirror]));
+        (re[k], im[k]) = spectrum(c, s);
+        (re[mirror], im[mirror]) = spectrum(s, c);
     }
-    fft_in_place(&mut d, &tw, true);
+    fft_in_place(re, im, plan, true);
     // Lags past the transform length have empty overlap.
-    (0..=k_max).map(|k| if k < m { d[k].0 / m as f64 } else { 0.0 }).collect()
+    for (k, out_k) in out.iter_mut().enumerate() {
+        *out_k = if k < m { re[k] / m as f64 } else { 0.0 };
+    }
 }
 
 /// Forward twiddle factors `e^(−2πik/m)` for `k < m/2`, built by a
@@ -255,44 +329,114 @@ fn twiddle_table(m: usize) -> Vec<(f64, f64)> {
     tw
 }
 
-/// Iterative radix-2 complex FFT (Cooley–Tukey); `inverse` leaves the
-/// result unscaled (callers divide by the length).
-fn fft_in_place(x: &mut [(f64, f64)], tw: &[(f64, f64)], inverse: bool) {
-    let n = x.len();
-    debug_assert!(n.is_power_of_two());
-    debug_assert!(tw.len() == n / 2);
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            x.swap(i, j);
-        }
+/// Everything about a radix-2 transform of one power-of-two length that
+/// does not depend on the data, built once per length and shared.
+struct FftPlan {
+    /// Index pairs the bit-reversal permutation swaps.
+    swaps: Vec<(u32, u32)>,
+    /// Twiddles per stage, contiguous: the stage with half-length `h`
+    /// uses entries `h − 1 .. 2h − 1`, entry `h − 1 + k` being the
+    /// `(k · m/2h)`-th of [`twiddle_table`].
+    tw_re: Vec<f64>,
+    /// Imaginary parts, forward transform.
+    tw_im: Vec<f64>,
+    /// Imaginary parts negated, inverse transform.
+    tw_im_inv: Vec<f64>,
+}
+
+impl FftPlan {
+    /// The shared plan for length `m`, a power of two.
+    fn get(m: usize) -> &'static FftPlan {
+        static PLANS: [OnceLock<FftPlan>; usize::BITS as usize] =
+            [const { OnceLock::new() }; usize::BITS as usize];
+        debug_assert!(m.is_power_of_two());
+        PLANS[m.trailing_zeros() as usize].get_or_init(|| FftPlan::new(m))
     }
-    // Table lookups keep each butterfly independent — no serial twiddle
-    // recurrence stalling the pipeline.
-    let mut len = 2;
-    while len <= n {
-        let stride = n / len;
-        for start in (0..n).step_by(len) {
-            for k in 0..len / 2 {
-                let (cr, mut ci) = tw[k * stride];
-                if inverse {
-                    ci = -ci;
-                }
-                let (ur, ui) = x[start + k];
-                let (vr, vi) = x[start + k + len / 2];
-                let (tr, ti) = (vr * cr - vi * ci, vr * ci + vi * cr);
-                x[start + k] = (ur + tr, ui + ti);
-                x[start + k + len / 2] = (ur - tr, ui - ti);
+
+    fn new(m: usize) -> FftPlan {
+        let mut swaps = Vec::new();
+        let mut j = 0usize;
+        for i in 1..m {
+            let mut bit = m >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                swaps.push((i as u32, j as u32));
             }
         }
-        len <<= 1;
+        let table = twiddle_table(m);
+        let (mut tw_re, mut tw_im) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        let mut half = 1;
+        while half < m {
+            let stride = m / (2 * half);
+            for k in 0..half {
+                let (cr, ci) = table[k * stride];
+                tw_re.push(cr);
+                tw_im.push(ci);
+            }
+            half <<= 1;
+        }
+        let tw_im_inv = tw_im.iter().map(|ci| -ci).collect();
+        FftPlan { swaps, tw_re, tw_im, tw_im_inv }
+    }
+}
+
+/// Half-lengths below this run twiddle-outer: each twiddle is loaded
+/// once and applied across every block, instead of re-reading a table
+/// shorter than a vector per block.
+const SHORT_STAGE: usize = 8;
+
+/// Iterative radix-2 complex FFT (Cooley–Tukey) over split real and
+/// imaginary parts; `inverse` leaves the result unscaled (callers divide
+/// by the length). Each butterfly computes `t = v·w`, `u + t` and
+/// `u − t` with exactly the same operations whatever the loop order.
+fn fft_in_place(re: &mut [f64], im: &mut [f64], plan: &FftPlan, inverse: bool) {
+    let n = re.len();
+    debug_assert!(n.is_power_of_two() && im.len() == n);
+    for &(i, j) in &plan.swaps {
+        re.swap(i as usize, j as usize);
+        im.swap(i as usize, j as usize);
+    }
+    let tw_im_all = if inverse { &plan.tw_im_inv } else { &plan.tw_im };
+    let mut half = 1;
+    while half < n {
+        let tw_re = &plan.tw_re[half - 1..2 * half - 1];
+        let tw_im = &tw_im_all[half - 1..2 * half - 1];
+        if half < SHORT_STAGE {
+            for (k, (&cr, &ci)) in tw_re.iter().zip(tw_im).enumerate() {
+                for lo in (k..n).step_by(2 * half) {
+                    let hi = lo + half;
+                    let (vr, vi) = (re[hi], im[hi]);
+                    let (tr, ti) = (vr * cr - vi * ci, vr * ci + vi * cr);
+                    let (ur, ui) = (re[lo], im[lo]);
+                    re[lo] = ur + tr;
+                    im[lo] = ui + ti;
+                    re[hi] = ur - tr;
+                    im[hi] = ui - ti;
+                }
+            }
+        } else {
+            for (block_re, block_im) in
+                re.chunks_exact_mut(2 * half).zip(im.chunks_exact_mut(2 * half))
+            {
+                let (lo_re, hi_re) = block_re.split_at_mut(half);
+                let (lo_im, hi_im) = block_im.split_at_mut(half);
+                for k in 0..half {
+                    let (cr, ci) = (tw_re[k], tw_im[k]);
+                    let (vr, vi) = (hi_re[k], hi_im[k]);
+                    let (tr, ti) = (vr * cr - vi * ci, vr * ci + vi * cr);
+                    let (ur, ui) = (lo_re[k], lo_im[k]);
+                    lo_re[k] = ur + tr;
+                    lo_im[k] = ui + ti;
+                    hi_re[k] = ur - tr;
+                    hi_im[k] = ui - ti;
+                }
+            }
+        }
+        half <<= 1;
     }
 }
 

@@ -14,11 +14,19 @@
 //!   `Vec` binary-searches each push and pops from its back.
 //! * `trace_scan` / `trace_cursor` — linear-scan windowed means vs the
 //!   cached prefix-sum cursor on a sliding query.
+//!
+//! Unpaired: `facility_scan_2128_windows` / `facility_scan_700_windows`
+//! time the alignment scan the facility actually runs
+//! (`DelayEstimator::estimate_checked` at the on-chip meter's geometry),
+//! with every window of its 2,128-entry model series covered (FFT cross
+//! products) or about 700 (direct ones). Each iteration first writes the
+//! 16 ms of model trace and pushes the 16 readings the facility sees
+//! between two scans.
 
 use analysis::linreg::{LeastSquares, RollingLeastSquares};
 use analysis::xcorr::{find_alignment, find_alignment_naive};
 use criterion::{criterion_group, criterion_main, Criterion};
-use pc_bench::{alignment_signals, refit_rows, HeapQueue, NaiveTrace};
+use pc_bench::{alignment_signals, refit_rows, FacilityScan, HeapQueue, NaiveTrace};
 use power_containers::TraceRing;
 use simkern::{EventQueue, SimDuration, SimTime};
 use std::hint::black_box;
@@ -151,6 +159,19 @@ fn trace_cursor(c: &mut Criterion) {
     });
 }
 
+fn facility_scan(c: &mut Criterion) {
+    for (name, capacity) in [("facility_scan_2128_windows", 2_200), ("facility_scan_700_windows", 700)]
+    {
+        let mut scan = FacilityScan::new(capacity);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                scan.advance(FacilityScan::READINGS_PER_SCAN);
+                black_box(scan.scan().ok())
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     alignment_naive,
@@ -160,6 +181,7 @@ criterion_group!(
     event_queue_heap,
     event_queue_sorted,
     trace_scan,
-    trace_cursor
+    trace_cursor,
+    facility_scan
 );
 criterion_main!(benches);

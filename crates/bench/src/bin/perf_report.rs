@@ -10,8 +10,14 @@
 //! ```text
 //! perf_report [--out PATH] [--run-all-before SECS] \
 //!             [--run-all-after SECS] [--run-all-jobs4 SECS] \
-//!             [--run-all-jobs N]
+//!             [--run-all-jobs N] \
+//!             [--scan-before-2128 NS] [--scan-before-700 NS]
 //! ```
+//!
+//! The facility-scan section times `DelayEstimator::estimate_checked`
+//! at the facility's own geometry through `pc_bench::time_facility_scan`,
+//! which uses only public API; `--scan-before-*` pass in the median the
+//! same function measured on an earlier build on the same host.
 //!
 //! With no `--out`, the report is written to `BENCH_perf.json` in the
 //! repository root.
@@ -20,7 +26,10 @@ use analysis::linreg::{LeastSquares, RollingLeastSquares};
 use experiments::runner::RunCtx;
 use analysis::xcorr::{find_alignment, find_alignment_naive};
 use ossim::ContextId;
-use pc_bench::{alignment_signals, refit_rows, HeapQueue, NaiveContainers, NaiveTrace};
+use pc_bench::{
+    alignment_signals, refit_rows, time_facility_scan, FacilityScan, HeapQueue, NaiveContainers,
+    NaiveTrace, Spread,
+};
 use power_containers::{
     BankConfig, CalibrationSample, CalibrationSet, ContainerManager, MetricVector, ModelBank,
     ModelKind, PowerModel, Recalibrator, RegimeKey, TraceRing, FEATURES,
@@ -70,14 +79,47 @@ struct BankSelection {
 /// default), and with a recording handle. The disabled overhead is the
 /// number that must stay under 2%: every simulation pays it whether or
 /// not anyone asked for a trace.
+///
+/// The three variants run interleaved, sample by sample, on one shared
+/// loop state, so host-speed drift hits all three alike. Each overhead is
+/// the median of the per-sample ratios to the bare loop, minus one, with
+/// its quartiles; the verdict reads "within noise" when the quartiles
+/// span zero.
 #[derive(Serialize)]
 struct TelemetryTax {
     name: String,
+    samples: usize,
+    /// Medians per operation.
     baseline_ns: u64,
     disabled_ns: u64,
     enabled_ns: u64,
     disabled_overhead: f64,
+    disabled_overhead_q1: f64,
+    disabled_overhead_q3: f64,
+    disabled_verdict: String,
     enabled_overhead: f64,
+    enabled_overhead_q1: f64,
+    enabled_overhead_q3: f64,
+    enabled_verdict: String,
+}
+
+/// The facility's own alignment scan, `estimate_checked` at the on-chip
+/// meter's geometry (128 readings, delays 0–2,000 ms in 1 ms steps),
+/// with 16 ms of model trace and 16 readings between timed scans.
+#[derive(Serialize)]
+struct FacilityScanCost {
+    /// Windows of the 2,128-entry model-mean series with model history.
+    covered_windows: usize,
+    /// The cross-product path those windows take.
+    path: String,
+    samples: usize,
+    median_ns: u64,
+    q1_ns: u64,
+    q3_ns: u64,
+    /// The same measurement on the build before the current one, passed
+    /// in with `--scan-before-*`.
+    before_median_ns: Option<u64>,
+    speedup: Option<f64>,
 }
 
 /// Streaming-aggregator cost of the observability plane, per sample.
@@ -196,6 +238,7 @@ struct Report {
     refit_cost_vs_samples_seen: Vec<RefitScaling>,
     bank_selection_vs_live_slots: Vec<BankSelection>,
     telemetry_tax: Vec<TelemetryTax>,
+    facility_scan: Vec<FacilityScanCost>,
     obs_overhead: ObsOverhead,
     sched_overhead: SchedOverhead,
     autoscale_overhead: AutoscaleOverhead,
@@ -556,84 +599,169 @@ fn scratch_pair() -> KernelPair {
     )
 }
 
-fn tax(name: &str, baseline_ns: u64, disabled_ns: u64, enabled_ns: u64) -> TelemetryTax {
-    let over = |ns: u64| ns as f64 / baseline_ns.max(1) as f64 - 1.0;
+/// Interleaved samples per variant in a telemetry-tax measurement.
+const TAX_SAMPLES: usize = 301;
+
+/// How a telemetry variant is instrumented.
+#[derive(Clone, Copy)]
+enum Variant {
+    Bare,
+    Disabled,
+    Recording,
+}
+
+/// Times `reps` calls of `body` per sample for each [`Variant`],
+/// interleaved sample by sample with the order rotating, after an
+/// untimed `prepare` before each block.
+fn telemetry_tax(
+    name: &str,
+    reps: u32,
+    mut prepare: impl FnMut(),
+    mut body: impl FnMut(Variant),
+) -> TelemetryTax {
+    const VARIANTS: [Variant; 3] = [Variant::Bare, Variant::Disabled, Variant::Recording];
+    let mut ns: [Vec<f64>; 3] = Default::default();
+    for sample in 0..TAX_SAMPLES {
+        for turn in 0..VARIANTS.len() {
+            let v = (sample + turn) % VARIANTS.len();
+            prepare();
+            let start = Instant::now();
+            for _ in 0..reps {
+                body(VARIANTS[v]);
+            }
+            ns[v].push(start.elapsed().as_nanos() as f64 / f64::from(reps));
+        }
+    }
+    let ratio = |v: usize| -> Vec<f64> {
+        ns[v].iter().zip(&ns[0]).map(|(x, bare)| x / bare - 1.0).collect()
+    };
+    let (disabled, enabled) = (Spread::of(&ratio(1)), Spread::of(&ratio(2)));
+    let verdict = |s: Spread| {
+        if s.q1 <= 0.0 && s.q3 >= 0.0 {
+            "within noise".to_string()
+        } else {
+            format!("{:+.1}%", s.median * 100.0)
+        }
+    };
     TelemetryTax {
         name: name.to_string(),
-        baseline_ns,
-        disabled_ns,
-        enabled_ns,
-        disabled_overhead: over(disabled_ns),
-        enabled_overhead: over(enabled_ns),
+        samples: TAX_SAMPLES,
+        baseline_ns: Spread::of(&ns[0]).median as u64,
+        disabled_ns: Spread::of(&ns[1]).median as u64,
+        enabled_ns: Spread::of(&ns[2]).median as u64,
+        disabled_overhead: disabled.median,
+        disabled_overhead_q1: disabled.q1,
+        disabled_overhead_q3: disabled.q3,
+        disabled_verdict: verdict(disabled),
+        enabled_overhead: enabled.median,
+        enabled_overhead_q1: enabled.q1,
+        enabled_overhead_q3: enabled.q3,
+        enabled_verdict: verdict(enabled),
     }
 }
 
-/// Alignment-scan loop instrumented exactly like
+/// The facility's alignment scan instrumented exactly like
 /// `PowerContainerFacility::poll_meter`: an enabled-guard around the
-/// scan event, score histogram and counter.
+/// scan event, score histogram and counter. Each sample first moves the
+/// meter on by one scan's worth of readings, untimed.
 fn alignment_tax() -> TelemetryTax {
-    let (measure, model) = alignment_signals(5000, 500, 137);
-    let scan = |tele: &telemetry::Telemetry| {
-        let (peak, curve) =
-            find_alignment(black_box(&measure), black_box(&model), 500).expect("peak");
-        if tele.enabled() {
-            tele.instant(
-                SimTime::from_millis(peak.lag as u64),
-                "align",
-                "scan",
-                &[("delay_ms", (peak.lag as u64).into()), ("score", peak.score.into())],
-            );
-            tele.observe("align.score", peak.score);
-            tele.add_count("align.scans", 1);
-        }
-        black_box(curve);
-    };
-    let baseline = median_ns(1, || {
-        black_box(find_alignment(black_box(&measure), black_box(&model), 500));
-    });
-    let disabled_handle = telemetry::Telemetry::disabled();
-    let disabled = median_ns(1, || scan(&disabled_handle));
-    let enabled_handle = telemetry::Telemetry::recording();
-    enabled_handle.register_histogram("align.score", &[0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99]);
-    let enabled = median_ns(1, || scan(&enabled_handle));
-    tax("alignment_n5000_l500", baseline, disabled, enabled)
+    let disabled = telemetry::Telemetry::disabled();
+    let recording = telemetry::Telemetry::recording();
+    recording.register_histogram("align.score", &[0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99]);
+    let scan = std::cell::RefCell::new(FacilityScan::new(2_200));
+    telemetry_tax(
+        "alignment_facility_scan_2128",
+        1,
+        || scan.borrow_mut().advance(FacilityScan::READINGS_PER_SCAN),
+        |variant| {
+            let result = scan.borrow_mut().scan();
+            let tele = match variant {
+                Variant::Bare => {
+                    black_box(result.ok());
+                    return;
+                }
+                Variant::Disabled => &disabled,
+                Variant::Recording => &recording,
+            };
+            if let Ok(r) = &result {
+                if tele.enabled() {
+                    tele.instant(
+                        SimTime::from_millis(2),
+                        "align",
+                        "scan",
+                        &[
+                            ("delay_ms", r.delay.as_millis_f64().into()),
+                            ("score", r.score.into()),
+                        ],
+                    );
+                    tele.observe("align.score", r.score);
+                    tele.add_count("align.scans", 1);
+                }
+            }
+            black_box(result.ok());
+        },
+    )
 }
 
 /// Incremental-refit loop instrumented like the facility's refit path:
 /// an enabled-guard around the refit event and counter.
 fn refit_tax() -> TelemetryTax {
     let rows = refit_rows(4096);
-    let mut loops: Vec<(RollingLeastSquares, usize)> =
-        (0..3).map(|_| (RollingLeastSquares::new(8, 256), 0usize)).collect();
-    for (win, _) in &mut loops {
-        for (row, y) in &rows {
-            win.push(row, *y, 1.0);
-        }
-    }
-    let mut step = |li: usize, tele: Option<&telemetry::Telemetry>| {
-        let (win, i) = &mut loops[li];
-        let (row, y) = &rows[*i % rows.len()];
-        *i += 1;
+    let mut win = RollingLeastSquares::new(8, 256);
+    for (row, y) in &rows {
         win.push(row, *y, 1.0);
-        black_box(win.solve().expect("fit"));
-        if let Some(tele) = tele {
+    }
+    let disabled = telemetry::Telemetry::disabled();
+    let recording = telemetry::Telemetry::recording();
+    let mut i = 0usize;
+    telemetry_tax(
+        "refit_incremental_n4096",
+        64,
+        || {},
+        |variant| {
+            let (row, y) = &rows[i % rows.len()];
+            i += 1;
+            win.push(row, *y, 1.0);
+            black_box(win.solve().expect("fit"));
+            let tele = match variant {
+                Variant::Bare => return,
+                Variant::Disabled => &disabled,
+                Variant::Recording => &recording,
+            };
             if tele.enabled() {
                 tele.instant(
-                    SimTime::from_micros(*i as u64),
+                    SimTime::from_micros(i as u64),
                     "recal",
                     "refit",
-                    &[("n", (*i as u64).into())],
+                    &[("n", (i as u64).into())],
                 );
                 tele.add_count("recal.refits", 1);
             }
-        }
-    };
-    let baseline = median_ns(64, || step(0, None));
-    let disabled_handle = telemetry::Telemetry::disabled();
-    let disabled = median_ns(64, || step(1, Some(&disabled_handle)));
-    let enabled_handle = telemetry::Telemetry::recording();
-    let enabled = median_ns(64, || step(2, Some(&enabled_handle)));
-    tax("refit_incremental_n4096", baseline, disabled, enabled)
+        },
+    )
+}
+
+/// Samples per shape in the facility-scan measurement.
+const SCAN_SAMPLES: usize = 400;
+
+fn facility_scan(args: &[String]) -> Vec<FacilityScanCost> {
+    [(2_200, 2_128, "fft", "--scan-before-2128"), (700, 700, "direct", "--scan-before-700")]
+        .into_iter()
+        .map(|(capacity, covered_windows, path, flag)| {
+            let t = time_facility_scan(capacity, SCAN_SAMPLES);
+            let before = arg_count(args, flag).map(|n| n as u64);
+            FacilityScanCost {
+                covered_windows,
+                path: path.to_string(),
+                samples: SCAN_SAMPLES,
+                median_ns: t.median as u64,
+                q1_ns: t.q1 as u64,
+                q3_ns: t.q3 as u64,
+                before_median_ns: before,
+                speedup: before.map(|b| b as f64 / t.median.max(1.0)),
+            }
+        })
+        .collect()
 }
 
 /// Measures the observability plane's price: ns/sample for each
@@ -966,6 +1094,7 @@ fn main() {
         refit_cost_vs_samples_seen: refit_scaling(),
         bank_selection_vs_live_slots: bank_selection(),
         telemetry_tax: vec![alignment_tax(), refit_tax()],
+        facility_scan: facility_scan(&args),
         obs_overhead: obs_overhead(&ctx),
         sched_overhead: sched_overhead(&ctx),
         autoscale_overhead: autoscale_overhead(&ctx),
@@ -999,10 +1128,23 @@ fn main() {
     }
     for t in &report.telemetry_tax {
         eprintln!(
-            "  telemetry tax {:<26} disabled {:>+6.2}%  enabled {:>+6.2}%",
+            "  telemetry tax {:<30} disabled {} ({:+.2}% [{:+.2}%, {:+.2}%])  \
+             enabled {} ({:+.2}% [{:+.2}%, {:+.2}%])",
             t.name,
+            t.disabled_verdict,
             t.disabled_overhead * 100.0,
-            t.enabled_overhead * 100.0
+            t.disabled_overhead_q1 * 100.0,
+            t.disabled_overhead_q3 * 100.0,
+            t.enabled_verdict,
+            t.enabled_overhead * 100.0,
+            t.enabled_overhead_q1 * 100.0,
+            t.enabled_overhead_q3 * 100.0
+        );
+    }
+    for f in &report.facility_scan {
+        eprintln!(
+            "  facility scan, {:>4} covered windows ({}): {} ns [{}, {}], before {:?}",
+            f.covered_windows, f.path, f.median_ns, f.q1_ns, f.q3_ns, f.before_median_ns
         );
     }
     for a in &report.obs_overhead.aggregators {

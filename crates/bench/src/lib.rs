@@ -10,12 +10,14 @@
 
 use hwsim::{ActivityProfile, CoreId, Machine, MachineSpec};
 use power_containers::{
-    Approach, CalibrationSample, CalibrationSet, FacilityConfig, MetricVector, ModelKind,
-    PowerContainerFacility, PowerModel,
+    AlignmentResult, Approach, CalibrationSample, CalibrationSet, DelayEstimator,
+    FacilityConfig, FacilityError, MetricVector, ModelKind, PowerContainerFacility, PowerModel,
+    Reading, TraceRing,
 };
 use simkern::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::Instant;
 
 /// A synthetic calibration set good enough for benchmarking fits.
 pub fn synthetic_calibration() -> CalibrationSet {
@@ -284,4 +286,120 @@ pub fn facility_fixture() -> (PowerContainerFacility, Machine) {
     let mut machine = Machine::new(spec, 1);
     machine.set_running(CoreId(0), Some(ActivityProfile::stress()));
     (facility, machine)
+}
+
+/// The alignment scan the facility runs for the on-chip meter, at its own
+/// geometry: 1 ms meter windows scanned over delays of 0–2,000 ms in 1 ms
+/// steps against the latest 128 readings, re-run after every 16 readings.
+///
+/// The model ring retains `covered_ms` slots, which sets how many of the
+/// scan's 2,128 windows have model history: all of them at 2,128 or more
+/// (the FFT cross-product path), about 700 at 700 (the direct path).
+/// [`FacilityScan::advance`] writes model trace and pushes readings the
+/// way the facility does between scans, so a scan never sees the ring it
+/// saw last time.
+pub struct FacilityScan {
+    ring: TraceRing<f64>,
+    estimator: DelayEstimator,
+    now_ms: u64,
+    rng: XorShift,
+    level: f64,
+}
+
+impl FacilityScan {
+    /// Readings between scans (the facility's `align_every` for an
+    /// on-chip meter).
+    pub const READINGS_PER_SCAN: u64 = 16;
+
+    /// A warmed-up scan whose ring retains `covered_ms` 1 ms slots.
+    pub fn new(covered_ms: usize) -> FacilityScan {
+        let ms = SimDuration::from_millis(1);
+        let mut scan = FacilityScan {
+            ring: TraceRing::new(ms, covered_ms),
+            estimator: DelayEstimator::new(ms, SimDuration::from_millis(2_000), ms, 128),
+            now_ms: 10_000,
+            rng: XorShift::new(0x5CA_11ED),
+            level: 20.0,
+        };
+        scan.advance(covered_ms as u64 + 2_200);
+        scan
+    }
+
+    /// Simulates `ms` milliseconds: per-core model samples every
+    /// millisecond, an occasional I/O span backfilled into older slots,
+    /// and one meter reading per millisecond, arriving 1 ms after its
+    /// window closed.
+    pub fn advance(&mut self, ms: u64) {
+        let slot = SimDuration::from_millis(1);
+        for _ in 0..ms {
+            let start = SimTime::from_millis(self.now_ms);
+            if self.rng.next_f64() < 0.05 {
+                self.level = 8.0 + 40.0 * self.rng.next_f64();
+            }
+            let mut modeled = 0.0;
+            for core in 0..4u64 {
+                let w = self.level * (0.2 + 0.05 * self.rng.next_f64());
+                let at = start + SimDuration::from_micros(200 + 200 * core);
+                self.ring.add(at, w, SimDuration::from_micros(250));
+                modeled += w * 0.25;
+            }
+            if self.rng.next_f64() < 0.02 {
+                let span = (1 + (self.rng.next_f64() * 30.0) as u64).min(self.now_ms);
+                for back in (0..span).rev() {
+                    let end = start + slot - SimDuration::from_millis(back);
+                    self.ring.add(end, 0.5, slot);
+                }
+            }
+            self.now_ms += 1;
+            self.estimator.push(Reading {
+                arrived_at: SimTime::from_millis(self.now_ms + 1),
+                watts: 12.0 + modeled + 0.1 * self.rng.next_f64(),
+            });
+        }
+    }
+
+    /// One scan, exactly as `poll_meter` runs it.
+    pub fn scan(&mut self) -> Result<AlignmentResult, FacilityError> {
+        self.estimator.estimate_checked(&self.ring, 0.4, 0.02)
+    }
+}
+
+/// Median and quartiles of a set of timings, in nanoseconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Spread {
+    /// The median.
+    pub median: f64,
+    /// The lower quartile.
+    pub q1: f64,
+    /// The upper quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The median and quartiles of `values` (nearest-rank); all zero when
+    /// empty.
+    pub fn of(values: &[f64]) -> Spread {
+        let mut v = values.to_vec();
+        v.sort_by(f64::total_cmp);
+        let at = |q: f64| v.get(((v.len() as f64 - 1.0) * q).round() as usize).copied();
+        Spread {
+            median: at(0.5).unwrap_or(0.0),
+            q1: at(0.25).unwrap_or(0.0),
+            q3: at(0.75).unwrap_or(0.0),
+        }
+    }
+}
+
+/// Times `samples` facility scans at `covered_ms` of retained model
+/// history, advancing 16 ms between scans outside the timed region.
+pub fn time_facility_scan(covered_ms: usize, samples: usize) -> Spread {
+    let mut scan = FacilityScan::new(covered_ms);
+    let mut ns = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        scan.advance(FacilityScan::READINGS_PER_SCAN);
+        let start = Instant::now();
+        std::hint::black_box(scan.scan().ok());
+        ns.push(start.elapsed().as_nanos() as f64);
+    }
+    Spread::of(&ns)
 }

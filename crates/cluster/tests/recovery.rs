@@ -142,7 +142,7 @@ proptest! {
     fn crash_restart_conserves_requests(seed in 0u64..1000) {
         let mut cfg = small_config(3, seed);
         cfg.faults = FaultConfig {
-            seed: seed ^ 0xC0FF_EE,
+            seed: seed ^ 0xC0_FFEE,
             node_crash_hz: 3.0,
             node_crash_len: SimDuration::from_millis(120),
             node_warmup_len: SimDuration::from_millis(80),

@@ -12,6 +12,7 @@
 use crate::error::FacilityError;
 use crate::trace::TraceRing;
 use analysis::stats::Summary;
+use analysis::xcorr::{sliding_cross_products_into, CrossScratch};
 use simkern::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -64,6 +65,50 @@ pub struct DelayEstimator {
     step: SimDuration,
     history: VecDeque<Reading>,
     history_cap: usize,
+    /// Working buffers [`DelayEstimator::estimate_checked`] keeps between
+    /// scans.
+    scratch: ScanScratch,
+}
+
+/// The gridded scan's working buffers; reusing them leaves a scan with
+/// one allocation, its curve.
+#[derive(Clone, Default)]
+struct ScanScratch {
+    /// Centered readings, newest first.
+    a: Vec<f64>,
+    /// Centered model means over the covered run of windows.
+    b: Vec<f64>,
+    /// Prefix sums of `a`, `a²`, `b` and `b²`, each led by a zero.
+    pa: Vec<f64>,
+    paa: Vec<f64>,
+    pb: Vec<f64>,
+    pbb: Vec<f64>,
+    /// Cross products at run-local shifts `s ≥ 0` and `−s`.
+    fwd: Vec<f64>,
+    bwd: Vec<f64>,
+    cross: CrossScratch,
+}
+
+impl std::fmt::Debug for ScanScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScanScratch").finish_non_exhaustive()
+    }
+}
+
+/// Refills `sums` and `squares` with `0` followed by the running sums of
+/// `values` and of their squares, in index order.
+fn prefix_sums(values: &[f64], sums: &mut Vec<f64>, squares: &mut Vec<f64>) {
+    sums.clear();
+    squares.clear();
+    let (mut s, mut q) = (0.0, 0.0);
+    sums.push(s);
+    squares.push(q);
+    for &v in values {
+        s += v;
+        q += v * v;
+        sums.push(s);
+        squares.push(q);
+    }
 }
 
 impl DelayEstimator {
@@ -88,6 +133,7 @@ impl DelayEstimator {
             step,
             history: VecDeque::new(),
             history_cap,
+            scratch: ScanScratch::default(),
         }
     }
 
@@ -127,17 +173,28 @@ impl DelayEstimator {
     /// When readings arrive on a uniform grid spaced exactly one scan
     /// step apart — the overwhelmingly common case for a periodic meter —
     /// the scan runs on a shared model-mean series with prefix sums and
-    /// sliding cross products: `O(N + L)` trace queries and
-    /// quasi-linear arithmetic instead of the reference scan's `O(N·L)`
-    /// trace queries. Non-uniform arrivals, non-finite values, and
+    /// sliding cross products: quasi-linear arithmetic instead of the
+    /// reference scan's `O(N·L)` trace queries, and the ring re-queries
+    /// only the series windows written since the previous scan
+    /// ([`TraceRing::mean_over_wall_series`]). Non-uniform arrivals, non-finite values, and
     /// unusual trace-coverage patterns fall back to
     /// [`DelayEstimator::estimate_reference`], which both paths must
     /// agree with (first delay wins score ties in either).
     pub fn estimate(&self, model: &TraceRing<f64>) -> Option<AlignmentResult> {
+        self.estimate_in(model, &mut ScanScratch::default())
+    }
+
+    /// [`DelayEstimator::estimate`] with the gridded scan working in
+    /// `scratch`.
+    fn estimate_in(
+        &self,
+        model: &TraceRing<f64>,
+        scratch: &mut ScanScratch,
+    ) -> Option<AlignmentResult> {
         if self.history.len() < MIN_READINGS {
             return None;
         }
-        if let Some(result) = self.estimate_gridded(model) {
+        if let Some(result) = self.estimate_gridded(model, scratch) {
             return result;
         }
         self.estimate_reference(model)
@@ -196,131 +253,127 @@ impl DelayEstimator {
     /// that is not one contiguous run) and the reference scan must be
     /// used; otherwise `Some(result)` with the same answer the reference
     /// scan would produce (scores agree to rounding, same tie-breaking).
-    fn estimate_gridded(&self, model: &TraceRing<f64>) -> Option<Option<AlignmentResult>> {
+    fn estimate_gridded(
+        &self,
+        model: &TraceRing<f64>,
+        scratch: &mut ScanScratch,
+    ) -> Option<Option<AlignmentResult>> {
         if !self.on_uniform_grid() {
             return None;
         }
         let n = self.history.len();
-        // The delay grid, constructed exactly like the reference scan's.
-        let mut delays = Vec::new();
-        let mut d = SimDuration::ZERO;
-        while d <= self.max_delay {
-            delays.push(d);
-            d += self.step;
-        }
-        let k_count = delays.len();
-        // Shared model-mean series: m[j] is the model average over the
+        // The reference scan's delay grid: 0, step, 2·step, … up to
+        // max_delay.
+        let k_count = (self.max_delay.as_nanos() / self.step.as_nanos()) as usize + 1;
+        // Shared model-mean series: entry j is the model average over the
         // meter window ending j steps before the newest arrival. Reading
-        // i (newest-first) at delay k·step pairs with m[i + k]; arrival
-        // times are exact multiples of `step` apart, and SimTime
+        // i (newest-first) at delay k·step pairs with entry i + k;
+        // arrival times are exact multiples of `step` apart, and SimTime
         // subtraction saturates identically walking the series or
-        // per-reading, so each m[j] equals the reference scan's query.
+        // per-reading, so each entry equals the reference scan's query.
         let newest = self.history.back().expect("nonempty history").arrived_at;
         let total = n + k_count - 1;
-        let mut series: Vec<Option<f64>> = Vec::with_capacity(total);
-        let mut end = newest;
-        for _ in 0..total {
-            series.push(model.mean_over_wall(end - self.meter_period, end));
-            end = end - self.step;
-        }
-        // Coverage must be one contiguous run: windows slide monotonically
-        // back in time, losing coverage only off the new end (not yet
-        // written) or the old end (evicted). Holes mean something unusual;
-        // let the reference scan handle them.
-        let j_lo = series.iter().position(|v| v.is_some());
-        let Some(j_lo) = j_lo else {
-            // No delay has any model overlap: the reference scan would
-            // find no eligible delay at all.
-            return Some(None);
+        let ScanScratch { a, b, pa, paa, pb, pbb, fwd, bwd, cross } = scratch;
+        let (j_lo, j_hi) = {
+            let series =
+                model.mean_over_wall_series(newest, self.meter_period, self.step, total);
+            // Coverage must be one contiguous run: windows slide
+            // monotonically back in time, losing coverage only off the new
+            // end (not yet written) or the old end (evicted). Holes mean
+            // something unusual; let the reference scan handle them.
+            let Some(j_lo) = series.iter().position(Option::is_some) else {
+                // No delay has any model overlap: the reference scan would
+                // find no eligible delay at all.
+                return Some(None);
+            };
+            let j_hi =
+                total - 1 - series.iter().rev().position(Option::is_some).expect("some exists");
+            b.clear();
+            for v in &series[j_lo..=j_hi] {
+                match *v {
+                    Some(mean) if mean.is_finite() => b.push(mean),
+                    _ => return None,
+                }
+            }
+            (j_lo, j_hi)
         };
-        let j_hi = total - 1 - series.iter().rev().position(|v| v.is_some()).expect("some exists");
-        let run = &series[j_lo..=j_hi];
-        if run.iter().any(|v| v.is_none()) {
-            return None;
-        }
-        let b_raw: Vec<f64> = run.iter().map(|v| v.expect("checked")).collect();
-        if b_raw.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let mm = b_raw.len();
-        let a_raw: Vec<f64> = self.history.iter().rev().map(|r| r.watts).collect();
+        let mm = b.len();
+        a.clear();
+        a.extend(self.history.iter().rev().map(|r| r.watts));
         // Center by global means: per-window Pearson terms are invariant
         // under a constant shift, and centered prefix sums stay well
         // conditioned.
-        let ga = a_raw.iter().sum::<f64>() / n as f64;
-        let gb = b_raw.iter().sum::<f64>() / mm as f64;
-        let a: Vec<f64> = a_raw.iter().map(|v| v - ga).collect();
-        let b: Vec<f64> = b_raw.iter().map(|v| v - gb).collect();
-        let mut pa = vec![0.0; n + 1];
-        let mut paa = vec![0.0; n + 1];
-        for i in 0..n {
-            pa[i + 1] = pa[i] + a[i];
-            paa[i + 1] = paa[i] + a[i] * a[i];
-        }
-        let mut pb = vec![0.0; mm + 1];
-        let mut pbb = vec![0.0; mm + 1];
-        for j in 0..mm {
-            pb[j + 1] = pb[j] + b[j];
-            pbb[j + 1] = pbb[j] + b[j] * b[j];
-        }
+        let ga = a.iter().sum::<f64>() / n as f64;
+        let gb = b.iter().sum::<f64>() / mm as f64;
+        a.iter_mut().for_each(|v| *v -= ga);
+        b.iter_mut().for_each(|v| *v -= gb);
+        prefix_sums(a, pa, paa);
+        prefix_sums(b, pb, pbb);
         // Cross products in run-local coordinates: lag k pairs a[i] with
         // b[i + s] where s = k − j_lo may be negative (the newest readings
         // hypothesize windows ahead of the covered run).
-        let fwd = if k_count > j_lo {
-            analysis::xcorr::sliding_cross_products(&a, &b, k_count - 1 - j_lo)
-        } else {
-            Vec::new()
-        };
-        let bwd = if j_lo > 0 {
-            analysis::xcorr::sliding_cross_products(&b, &a, j_lo)
-        } else {
-            Vec::new()
-        };
-        let mut curve = Vec::with_capacity(k_count);
-        let mut best: Option<(SimDuration, f64)> = None;
-        for (k, &delay) in delays.iter().enumerate() {
-            let score = (|| {
-                if k > j_hi {
-                    return None;
-                }
-                let s = k as isize - j_lo as isize;
-                let i0 = if s >= 0 { 0 } else { (-s) as usize };
-                let i1 = (n - 1).min(j_hi - k);
-                if i1 < i0 {
-                    return None;
-                }
-                let nk = i1 - i0 + 1;
-                if nk < MIN_READINGS {
-                    return None;
-                }
-                let nf = nk as f64;
+        fwd.clear();
+        if k_count > j_lo {
+            sliding_cross_products_into(a, b, k_count - 1 - j_lo, cross, fwd);
+        }
+        bwd.clear();
+        if j_lo > 0 {
+            sliding_cross_products_into(b, a, j_lo, cross, bwd);
+        }
+        // Every lag that overlaps all n readings shares their sums.
+        let sum_a_all = pa[n] - pa[0];
+        let var_a_all = (paa[n] - paa[0] - sum_a_all * sum_a_all / n as f64).max(0.0);
+        let score_at = |k: usize| {
+            if k > j_hi {
+                return None;
+            }
+            let s = k as isize - j_lo as isize;
+            let i0 = if s >= 0 { 0 } else { (-s) as usize };
+            let i1 = (n - 1).min(j_hi - k);
+            if i1 < i0 {
+                return None;
+            }
+            let nk = i1 - i0 + 1;
+            if nk < MIN_READINGS {
+                return None;
+            }
+            let nf = nk as f64;
+            let (sum_a, var_a) = if nk == n {
+                (sum_a_all, var_a_all)
+            } else {
                 let sum_a = pa[i1 + 1] - pa[i0];
                 let ssq_a = paa[i1 + 1] - paa[i0];
-                let j0 = (i0 as isize + s) as usize;
-                let j1 = (i1 as isize + s) as usize;
-                let sum_b = pb[j1 + 1] - pb[j0];
-                let ssq_b = pbb[j1 + 1] - pbb[j0];
-                let t = if s >= 0 { fwd[s as usize] } else { bwd[(-s) as usize] };
-                let var_a = (ssq_a - sum_a * sum_a / nf).max(0.0);
-                let var_b = (ssq_b - sum_b * sum_b / nf).max(0.0);
-                let cov = t - sum_a * sum_b / nf;
-                let denom = (var_a * var_b).sqrt();
-                // Same eligibility as the reference scan, which compares
-                // the product of *population* std-devs to 1e-12:
-                // √(va/n)·√(vb/n) > 1e-12  ⇔  √(va·vb) > 1e-12·n.
-                (denom > 1e-12 * nf).then(|| cov / denom)
-            })();
-            match score {
-                Some(sc) => {
-                    curve.push((delay, sc));
-                    match best {
-                        Some((_, b)) if b >= sc => {}
-                        _ => best = Some((delay, sc)),
+                (sum_a, (ssq_a - sum_a * sum_a / nf).max(0.0))
+            };
+            let j0 = (i0 as isize + s) as usize;
+            let j1 = (i1 as isize + s) as usize;
+            let sum_b = pb[j1 + 1] - pb[j0];
+            let ssq_b = pbb[j1 + 1] - pbb[j0];
+            let t = if s >= 0 { fwd[s as usize] } else { bwd[(-s) as usize] };
+            let var_b = (ssq_b - sum_b * sum_b / nf).max(0.0);
+            let cov = t - sum_a * sum_b / nf;
+            let denom = (var_a * var_b).sqrt();
+            // Same eligibility as the reference scan, which compares
+            // the product of *population* std-devs to 1e-12:
+            // √(va/n)·√(vb/n) > 1e-12  ⇔  √(va·vb) > 1e-12·n.
+            (denom > 1e-12 * nf).then(|| cov / denom)
+        };
+        let mut best: Option<(SimDuration, f64)> = None;
+        let curve = (0..k_count)
+            .map(|k| {
+                let delay = self.step * k as u64;
+                match score_at(k) {
+                    Some(sc) => {
+                        match best {
+                            Some((_, b)) if b >= sc => {}
+                            _ => best = Some((delay, sc)),
+                        }
+                        (delay, sc)
                     }
+                    None => (delay, 0.0),
                 }
-                None => curve.push((delay, 0.0)),
-            }
-        }
+            })
+            .collect();
         Some(best.map(|(delay, score)| AlignmentResult { delay, score, curve }))
     }
 
@@ -349,8 +402,10 @@ impl DelayEstimator {
     /// [`FacilityError::AlignmentLowScore`] and
     /// [`FacilityError::AlignmentAmbiguous`] per the checks above. On
     /// any error the caller should keep its previous delay estimate.
+    ///
+    /// Takes `&mut self` only to reuse the scan's working buffers.
     pub fn estimate_checked(
-        &self,
+        &mut self,
         model: &TraceRing<f64>,
         min_score: f64,
         ambiguity_margin: f64,
@@ -363,7 +418,10 @@ impl DelayEstimator {
         }
         // `estimate` returning `None` past the length gate means no
         // scanned delay had three readings overlapping the model trace.
-        let result = self.estimate(model).ok_or(FacilityError::InsufficientReadings {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.estimate_in(model, &mut scratch);
+        self.scratch = scratch;
+        let result = result.ok_or(FacilityError::InsufficientReadings {
             have: 0,
             need: MIN_READINGS,
         })?;
@@ -374,14 +432,14 @@ impl DelayEstimator {
             });
         }
         let separation = (self.step + self.step).max(self.meter_period / 2);
-        let runner_up = result
-            .curve
+        // The curve's delays ascend, so the delays at least `separation`
+        // from the best form a prefix and a suffix of it.
+        let best = result.delay;
+        let below = result.curve.partition_point(|(d, _)| *d <= best && best - *d >= separation);
+        let above = result.curve.partition_point(|(d, _)| *d <= best || *d - best < separation);
+        let runner_up = result.curve[..below]
             .iter()
-            .filter(|(d, _)| {
-                let gap =
-                    if *d > result.delay { *d - result.delay } else { result.delay - *d };
-                gap >= separation
-            })
+            .chain(&result.curve[above..])
             .max_by(|a, b| a.1.total_cmp(&b.1));
         if let Some(&(delay, score)) = runner_up {
             let margin = result.score - score;
@@ -497,7 +555,7 @@ mod tests {
 
     #[test]
     fn checked_estimate_accepts_a_clean_scan() {
-        let (model, est) = scenario(5);
+        let (model, mut est) = scenario(5);
         let r = est.estimate_checked(&model, 0.4, 0.02).expect("clean scan");
         assert_eq!(r.delay, SimDuration::from_millis(5));
         assert_eq!(Some(r), est.estimate(&model));

@@ -516,7 +516,7 @@ impl FacilityState {
         }
         if self.reports_since_align >= self.config.align_every {
             self.reports_since_align = 0;
-            if let Some(e) = &self.estimator {
+            if let Some(e) = &mut self.estimator {
                 match e.estimate_checked(
                     &self.model_trace,
                     self.config.min_align_score,

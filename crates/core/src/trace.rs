@@ -9,12 +9,16 @@
 //! Interval queries are the alignment scan's inner loop, so the ring keeps
 //! a lazily-maintained prefix-sum cursor over its slots: an interval
 //! integral is two partial edge slots plus one prefix-sum difference,
-//! `O(1)` amortized, instead of a walk over every covered slot.
+//! `O(1)` amortized, instead of a walk over every covered slot. The scan
+//! asks for the same sliding windows again after every few readings, so
+//! the ring also remembers its last window series
+//! ([`TraceRing::mean_over_wall_series`]) and re-queries only the windows
+//! a later write may have changed.
 
 use simkern::{SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::VecDeque;
-use std::ops::{AddAssign, Mul};
+use std::ops::{AddAssign, Mul, Range};
 
 /// A bounded ring of per-slot time integrals on a fixed time grid.
 ///
@@ -42,6 +46,8 @@ pub struct TraceRing<T> {
     values: VecDeque<(T, f64)>,
     /// Prefix-sum cursor, rebuilt lazily after out-of-order writes.
     cursor: RefCell<Cursor<T>>,
+    /// The last window-mean series and the writes since it was read.
+    series: RefCell<SeriesMemo<T>>,
 }
 
 /// Cached cumulative sums over the retained slots.
@@ -54,6 +60,20 @@ pub struct TraceRing<T> {
 struct Cursor<T> {
     cum: VecDeque<(T, f64)>,
     anchor: (T, f64),
+}
+
+/// The series [`TraceRing::mean_over_wall_series`] returned last.
+///
+/// Entry `j` is the mean over the window ending `j` steps of `step`
+/// before `newest_end`. `dirty_from` is the lowest slot any write changed
+/// since the entries were read (`u64::MAX` when none did).
+#[derive(Debug, Clone)]
+struct SeriesMemo<T> {
+    width: SimDuration,
+    step: SimDuration,
+    newest_end: SimTime,
+    means: Vec<Option<T>>,
+    dirty_from: u64,
 }
 
 impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
@@ -71,6 +91,13 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
             base: 0,
             values: VecDeque::new(),
             cursor: RefCell::new(Cursor { cum: VecDeque::new(), anchor: (T::default(), 0.0) }),
+            series: RefCell::new(SeriesMemo {
+                width: SimDuration::ZERO,
+                step: SimDuration::ZERO,
+                newest_end: SimTime::ZERO,
+                means: Vec::new(),
+                dirty_from: u64::MAX,
+            }),
         }
     }
 
@@ -89,6 +116,9 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
     pub fn add(&mut self, t: SimTime, value: T, dt: SimDuration) {
         let idx = self.slot_of(t.saturating_sub_for_slot(self.slot));
         let cursor = self.cursor.get_mut();
+        // Growing forward turns the slots from here on from absent to
+        // empty, which changes what a query over them returns.
+        let old_end = self.base + self.values.len() as u64;
         // Grow forward to include idx.
         if self.values.is_empty() {
             self.base = idx;
@@ -109,6 +139,8 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
         if idx < self.base {
             return; // too old; history already evicted
         }
+        let memo = self.series.get_mut();
+        memo.dirty_from = memo.dirty_from.min(idx.min(old_end));
         let off = (idx - self.base) as usize;
         let secs = dt.as_secs_f64();
         let entry = &mut self.values[off];
@@ -218,23 +250,138 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
     /// the interval, treating unrecorded slots as zero. This is the right
     /// normalization for machine-level quantities built from per-core
     /// contributions (each core adds its own `value·dt`; idle cores add
-    /// nothing). Returns `None` when the interval lies entirely outside
-    /// retained history.
+    /// nothing).
+    ///
+    /// Returns `None` for an empty interval, an empty ring, or an
+    /// interval that ends at or before the start of the first retained
+    /// slot (evicted history). An interval that straddles the first
+    /// retained slot averages its retained part over the full wall
+    /// length, and one after the newest written slot is `Some(zero)`: a
+    /// machine that recorded nothing there was idle.
     pub fn mean_over_wall(&self, t0: SimTime, t1: SimTime) -> Option<T> {
-        if t1 <= t0 || self.values.is_empty() {
+        if t1 <= t0 || self.values.is_empty() || self.ends_before_history(t1) {
             return None;
-        }
-        let last_retained = self.base + self.values.len() as u64;
-        let first = self.slot_of(t0);
-        if first + 1 < self.base + 1 || first >= last_retained {
-            // Either evicted history or entirely in the future.
-            if self.slot_of(t1 - SimDuration::from_nanos(1)) < self.base {
-                return None;
-            }
         }
         let (integral, _) = self.integral_between(t0, t1);
         let wall = t1.duration_since(t0).as_secs_f64();
         Some(integral * (1.0 / wall))
+    }
+
+    /// `true` when an interval ending at `t1` ends at or before the start
+    /// of the first retained slot.
+    fn ends_before_history(&self, t1: SimTime) -> bool {
+        t1.as_nanos() <= self.base * self.slot.as_nanos()
+    }
+
+    /// [`TraceRing::mean_over_wall`] over `count` windows of length
+    /// `width` whose ends step back from `newest_end`: entry `j` covers
+    /// `[e − width, e)` with `e = newest_end − j·step`, both subtractions
+    /// saturating at zero as `SimTime` arithmetic does. Every entry is bit
+    /// for bit what a separate `mean_over_wall` call returns now.
+    ///
+    /// The ring remembers the series it returned last. When this call's
+    /// windows are the remembered ones moved by whole steps, a remembered
+    /// mean is reused while no write since it was read landed on a slot
+    /// at or before the window's last slot, and the window's first slot
+    /// is still retained. A write inside the window changes its sum; one
+    /// before it rebuilds the prefix sums the mean came from, which can
+    /// move its rounding; growing the ring counts as a write to each new
+    /// slot. Windows that end before retained history are `None` without
+    /// a query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the returned series is still borrowed when this is
+    /// called again.
+    pub fn mean_over_wall_series(
+        &self,
+        newest_end: SimTime,
+        width: SimDuration,
+        step: SimDuration,
+        count: usize,
+    ) -> Ref<'_, [Option<T>]> {
+        {
+            let mut memo = self.series.borrow_mut();
+            let reuse = self.reusable(&memo, newest_end, width, step, count);
+            let newest = newest_end.as_nanos();
+            let retained_from = self.base * self.slot.as_nanos();
+            // Entries from here on end at or before the first retained slot.
+            let tail = match newest.checked_sub(retained_from) {
+                Some(room) if !step.is_zero() => room.div_ceil(step.as_nanos()),
+                Some(_) => u64::MAX,
+                None => 0,
+            };
+            let fresh = |j: usize| {
+                if j as u64 >= tail {
+                    return None;
+                }
+                let end = newest_end - step * j as u64;
+                self.mean_over_wall(end - width, end)
+            };
+            let means = &mut memo.means;
+            match reuse {
+                Some((kept, from)) => {
+                    if means.len() < count {
+                        means.resize(count, None);
+                    }
+                    means.copy_within(from..from + kept.len(), kept.start);
+                    means.truncate(count);
+                    for j in (0..kept.start).chain(kept.end..count) {
+                        means[j] = fresh(j);
+                    }
+                }
+                None => {
+                    means.clear();
+                    means.extend((0..count).map(fresh));
+                }
+            }
+            memo.width = width;
+            memo.step = step;
+            memo.newest_end = newest_end;
+            memo.dirty_from = u64::MAX;
+        }
+        Ref::map(self.series.borrow(), |m| m.means.as_slice())
+    }
+
+    /// The entries of the remembered series a call with these arguments
+    /// may take over unchanged: the range of its own indices, and the
+    /// remembered index the first of them maps to.
+    fn reusable(
+        &self,
+        memo: &SeriesMemo<T>,
+        newest_end: SimTime,
+        width: SimDuration,
+        step: SimDuration,
+        count: usize,
+    ) -> Option<(Range<usize>, usize)> {
+        if memo.width != width || memo.step != step || step.is_zero() || memo.means.is_empty() {
+            return None;
+        }
+        let step_ns = step.as_nanos();
+        let moved = i128::from(newest_end.as_nanos()) - i128::from(memo.newest_end.as_nanos());
+        if moved % i128::from(step_ns) != 0 {
+            return None;
+        }
+        // This call's entry `j` is the remembered entry `j − shift`.
+        let shift = moved / i128::from(step_ns);
+        let newest = newest_end.as_nanos();
+        let slot_ns = self.slot.as_nanos();
+        // From entry `first` on, a window's last slot precedes every
+        // write since the series was read...
+        let clean_until = memo.dirty_from.saturating_mul(slot_ns);
+        let first = newest.saturating_sub(clean_until).div_ceil(step_ns);
+        // ...and up to entry `last`, its first slot is still retained.
+        let retained_from = self.base * slot_ns;
+        let last = if retained_from == 0 {
+            u64::MAX
+        } else {
+            newest.checked_sub(width.as_nanos().checked_add(retained_from)?)? / step_ns
+        };
+        let lo = i128::from(first).max(shift);
+        let hi = (i128::from(last) + 1)
+            .min(shift + memo.means.len() as i128)
+            .min(count as i128);
+        (lo < hi).then(|| (lo as usize..hi as usize, (lo - shift) as usize))
     }
 
     /// The most recent `n` completed slot averages ending at the slot
@@ -431,6 +578,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mean_over_wall_contract() {
+        // Retain slots 10..=13 of a four-slot ring: 40 W in each.
+        let mut r: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), 4);
+        for ms in 0..14u64 {
+            r.add(SimTime::from_millis(ms + 1), 40.0, SimDuration::from_millis(1));
+        }
+        let ms = SimTime::from_millis;
+        // Ends at or before the first retained slot: evicted history.
+        assert_eq!(r.mean_over_wall(ms(7), ms(10)), None);
+        assert_eq!(r.mean_over_wall(ms(9), ms(10)), None);
+        // Straddles it: the retained part over the whole wall length.
+        let straddle = r.mean_over_wall(ms(9), ms(11)).expect("straddles history");
+        assert!((straddle - 20.0).abs() < 1e-9, "{straddle}");
+        // After the newest slot: nothing recorded there, so idle.
+        assert_eq!(r.mean_over_wall(ms(15), ms(20)), Some(0.0));
+        // Empty intervals and empty rings have no mean.
+        assert_eq!(r.mean_over_wall(ms(12), ms(12)), None);
+        let empty: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), 4);
+        assert_eq!(empty.mean_over_wall(ms(0), ms(5)), None);
     }
 
     #[test]

@@ -250,7 +250,7 @@ fn run_episode(ep: &Episode, h: &mut Fnv, reach: &mut Reach) {
         // Workload: a square wave, or aperiodic levels held 5-80 ms with
         // idle stretches that write nothing at all.
         if ep.period_ms > 0 {
-            level = if (ms / (ep.period_ms / 2)) % 2 == 0 { 42.0 } else { 14.0 };
+            level = if (ms / (ep.period_ms / 2)).is_multiple_of(2) { 42.0 } else { 14.0 };
         } else if rng.below(40) == 0 {
             idle = rng.below(5) == 0;
             level = 8.0 + 40.0 * rng.unit();

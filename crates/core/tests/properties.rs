@@ -464,3 +464,77 @@ proptest! {
         );
     }
 }
+
+/// Writes `[now − span, now)` slot by slot, as the facility backfills a
+/// device's active span at I/O completion.
+fn backfill(ring: &mut TraceRing<f64>, now: SimTime, span: SimDuration, watts: f64) {
+    let slot = ring.slot().as_nanos();
+    let mut t = now - span;
+    while t < now {
+        let chunk_end = SimTime::from_nanos((t.as_nanos() / slot + 1) * slot).min(now);
+        ring.add(chunk_end, watts, chunk_end.duration_since(t));
+        t = chunk_end;
+    }
+}
+
+proptest! {
+    /// The ring's remembered window means are bit for bit what fresh
+    /// `mean_over_wall` calls return, under the facility's write mix:
+    /// samples at the current instant, I/O backfills into older slots,
+    /// idle gaps and jumps long enough to evict. Successive series move
+    /// by whole steps, by a fraction of a step, or backwards.
+    #[test]
+    fn remembered_window_means_match_fresh_queries(
+        seed in any::<u64>(),
+        capacity in 8usize..300,
+        width_us in prop::sample::select(vec![400u64, 1_000, 1_500, 3_000, 7_000]),
+        step_us in prop::sample::select(vec![250u64, 500, 1_000, 2_000]),
+        start_ms in 0u64..3_000,
+    ) {
+        let mut rng = seed | 1;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut ring: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), capacity);
+        let (width, step) = (SimDuration::from_micros(width_us), SimDuration::from_micros(step_us));
+        let mut now = SimTime::from_millis(start_ms);
+        let mut newest = now;
+        for _ in 0..160 {
+            match next(10) {
+                0..=4 => {
+                    now += SimDuration::from_micros(next(2_000));
+                    let dt = SimDuration::from_micros(1 + next(1_000));
+                    ring.add(now, next(50) as f64 + 0.25, dt);
+                }
+                5 => {
+                    let span = SimDuration::from_micros(1 + next(40_000));
+                    backfill(&mut ring, now, span, 1.0 + next(7) as f64 * 0.5);
+                }
+                6 => now += SimDuration::from_millis(next(2 * capacity as u64)),
+                _ => {
+                    newest = match next(6) {
+                        0 => newest + SimDuration::from_micros(next(3 * step_us) + 1),
+                        1 => newest - step * next(8),
+                        _ => newest + step * next(24),
+                    };
+                    let count = 1 + next(400) as usize;
+                    let series = ring.mean_over_wall_series(newest, width, step, count).to_vec();
+                    prop_assert_eq!(series.len(), count);
+                    for (j, got) in series.iter().enumerate() {
+                        let end = newest - step * j as u64;
+                        let want = ring.mean_over_wall(end - width, end);
+                        prop_assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "window {} ending {:?}: remembered {:?}, fresh {:?}",
+                            j, end, got, want
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
