@@ -364,7 +364,7 @@ impl FacilityScan {
     }
 }
 
-/// Median and quartiles of a set of timings, in nanoseconds.
+/// The median and quartiles of a sample, such as timings or ratios.
 #[derive(Debug, Clone, Copy)]
 pub struct Spread {
     /// The median.
