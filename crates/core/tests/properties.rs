@@ -538,3 +538,192 @@ proptest! {
         }
     }
 }
+
+/// One manager operation of the checkpoint-contract property:
+/// `(kind, ctx, watts, dt, label)`.
+type ManagerOp = (u8, u64, f64, f64, u32);
+
+/// Applies `op` at `now`: bind, attribute to a request or to the
+/// background, I/O attribution, labelling, or one unbind (a release when
+/// the last binding goes).
+fn apply_op(mgr: &mut ContainerManager, &(kind, ctx, watts, dt, label): &ManagerOp, now: SimTime) {
+    let ctx = ContextId(ctx);
+    let events = hwsim::CounterBlock {
+        elapsed_cycles: dt * 1e9,
+        nonhalt_cycles: dt * 1e9,
+        instructions: watts * 1e6,
+        ..hwsim::CounterBlock::default()
+    };
+    match kind {
+        0 => mgr.bind(ctx, now),
+        1 => mgr.attribute(Some(ctx), watts, 1.0 - (label % 4) as f64 * 0.2, dt, &events, now),
+        2 => mgr.attribute(None, watts, 1.0, dt, &events, now),
+        3 => mgr.attribute_io(if label % 3 == 0 { None } else { Some(ctx) }, watts * dt, now),
+        4 => mgr.set_label(ctx, label, now),
+        _ => mgr.unbind(ctx, now),
+    }
+}
+
+/// Every field of a record, floats by bit pattern.
+fn record_bits(r: &power_containers::ContainerRecord) -> [u64; 11] {
+    [
+        r.ctx.0,
+        r.label.map_or(u64::MAX, u64::from),
+        r.created_at.as_nanos(),
+        r.finished_at.as_nanos(),
+        r.energy_j.to_bits(),
+        r.io_energy_j.to_bits(),
+        r.throttled_j.to_bits(),
+        r.busy_seconds.to_bits(),
+        r.mean_power_w.to_bits(),
+        r.unthrottled_power_w.to_bits(),
+        r.mean_duty.to_bits(),
+    ]
+}
+
+/// The record a restore makes of a container that was live at the
+/// checkpoint: its journaled energy, finished at the restart instant.
+fn force_released(
+    s: &power_containers::ContainerSnapshot,
+    now: SimTime,
+) -> power_containers::ContainerRecord {
+    power_containers::ContainerRecord {
+        ctx: s.ctx,
+        label: s.label,
+        created_at: s.created_at,
+        finished_at: now,
+        energy_j: s.energy_j,
+        io_energy_j: s.io_energy_j,
+        throttled_j: s.throttled_j,
+        busy_seconds: s.busy_seconds,
+        mean_power_w: if s.busy_seconds > 0.0 { s.energy_j / s.busy_seconds } else { 0.0 },
+        unthrottled_power_w: 0.0,
+        mean_duty: 1.0,
+    }
+}
+
+/// One live container as a checkpoint prints it: context, refcount,
+/// label, energy, I/O energy and busy seconds.
+type LiveLine = (u64, u32, Option<u32>, f64, f64, f64);
+
+/// The checkpoint text of a manager with these totals and live
+/// containers, written out field by field.
+fn digest_reference(
+    at: SimTime,
+    released: u64,
+    records: usize,
+    totals: [f64; 4],
+    live: &[LiveLine],
+) -> String {
+    let [req, io, bg, bgio] = totals;
+    let mut out = format!(
+        "ckpt at={} live={} released={released} records={records} req={req:.9} io={io:.9} \
+         bg={bg:.9} bgio={bgio:.9}\n",
+        at.as_nanos(),
+        live.len(),
+    );
+    for (ctx, refs, label, e, io, busy) in live {
+        out.push_str(&format!(
+            "live ctx={ctx} refs={refs} label={} e={e:.9} io={io:.9} busy={busy:.9}\n",
+            label.map(i64::from).unwrap_or(-1),
+        ));
+    }
+    out
+}
+
+/// A manager's four cumulative totals: request CPU, request I/O,
+/// background CPU, background I/O.
+fn manager_totals(m: &ContainerManager) -> [f64; 4] {
+    [
+        m.total_request_energy_j(),
+        m.total_request_io_energy_j(),
+        m.background().energy_j(),
+        m.background().io_energy_j(),
+    ]
+}
+
+fn manager_op() -> impl Strategy<Value = ManagerOp> {
+    (0u8..7, 0u64..10, 0.0f64..40.0, 0.0001f64..0.01, 0u32..9)
+}
+
+proptest! {
+    /// The journal contract a crash restart relies on. A checkpoint is
+    /// taken mid-history, the manager carries on (binding, attributing
+    /// and releasing more), and a fresh manager restores the checkpoint
+    /// at a later instant. The restored records are the dead manager's
+    /// first journaled records followed by one force-released record
+    /// per container live at the checkpoint, in context order; its
+    /// totals, released count and checkpoint text are the journaled
+    /// ones. Everything is compared bit for bit.
+    #[test]
+    fn restore_matches_journal_reference(
+        before in prop::collection::vec(manager_op(), 0..80),
+        after in prop::collection::vec(manager_op(), 0..80),
+        retain in any::<bool>(),
+    ) {
+        let mut mgr = ContainerManager::new(retain);
+        let mut now_us = 0u64;
+        for op in &before {
+            now_us += 137;
+            apply_op(&mut mgr, op, SimTime::from_micros(now_us));
+        }
+        let taken_at = SimTime::from_micros(now_us + 50);
+        let cp = mgr.checkpoint(taken_at);
+        let journaled = cp.records.len();
+
+        // The checkpoint is the manager's state at `taken_at`.
+        let mut live: Vec<LiveLine> = mgr
+            .iter_live()
+            .map(|(ctx, c)| {
+                (ctx.0, c.refcount(), c.label(), c.energy_j(), c.io_energy_j(), c.busy_seconds())
+            })
+            .collect();
+        live.sort_by_key(|l| l.0);
+        let totals = manager_totals(&mgr);
+        prop_assert_eq!(journaled, mgr.records().len());
+        prop_assert_eq!(cp.released, mgr.released_count());
+        prop_assert_eq!(cp.live.len(), mgr.live_count());
+        prop_assert_eq!(
+            cp.digest(),
+            digest_reference(taken_at, mgr.released_count(), journaled, totals, &live)
+        );
+        let at_checkpoint: Vec<[u64; 11]> = mgr.records().iter().map(record_bits).collect();
+
+        for op in &after {
+            now_us += 137;
+            apply_op(&mut mgr, op, SimTime::from_micros(now_us));
+        }
+        // The log only grows: what the checkpoint counted is untouched.
+        let dead: Vec<[u64; 11]> = mgr.records().iter().map(record_bits).collect();
+        prop_assert_eq!(&dead[..journaled], &at_checkpoint[..]);
+
+        let restart = SimTime::from_micros(now_us + 500);
+        let mut fresh = ContainerManager::new(retain);
+        let forced = fresh.restore(&cp, restart);
+        prop_assert_eq!(forced, cp.live.len() as u64);
+
+        let mut want = dead[..journaled].to_vec();
+        if retain {
+            want.extend(cp.live.iter().map(|s| record_bits(&force_released(s, restart))));
+        }
+        let got: Vec<[u64; 11]> = fresh.records().iter().map(record_bits).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(fresh.live_count(), 0);
+        prop_assert_eq!(fresh.released_count(), cp.released + cp.live.len() as u64);
+        prop_assert_eq!(
+            manager_totals(&fresh).map(f64::to_bits),
+            totals.map(f64::to_bits)
+        );
+        let again = SimTime::from_micros(now_us + 900);
+        prop_assert_eq!(
+            fresh.checkpoint(again).digest(),
+            digest_reference(
+                again,
+                cp.released + cp.live.len() as u64,
+                fresh.records().len(),
+                totals,
+                &[],
+            )
+        );
+    }
+}
