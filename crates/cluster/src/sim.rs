@@ -52,7 +52,9 @@ use crate::obs::{ObsConfig, ObsOutcome, ObsPlane};
 use crate::policy::{ArrivalView, DistributionPolicy, NodeView};
 use crate::topology::{generation_rank, Topology};
 use analysis::stats::Summary;
-use hwsim::{plan_node_faults, DutyCycle, FaultConfig, Machine, MachineSpec, NodeFaultWindow};
+use hwsim::{
+    plan_node_faults, DutyCycle, FaultConfig, Machine, MachineSpec, MeterId, NodeFaultWindow,
+};
 use ossim::{ContextId, Kernel, KernelConfig, Segment, SocketId};
 use power_containers::{
     Approach, ConditioningPolicy, FacilityConfig, FacilityState, ManagerCheckpoint,
@@ -502,6 +504,9 @@ struct Runtime {
     /// worker pools respond here while still bound, so replies carry
     /// the request tag back across the node boundary (§3.4).
     reply_rx: SocketId,
+    /// The machine's meters the facility does not poll. Their reports
+    /// are dropped after every advance, so they never pile up.
+    unread_meters: Vec<MeterId>,
 }
 
 impl Runtime {
@@ -561,6 +566,13 @@ impl Runtime {
                 // stays off here: per-tick switch events across N nodes
                 // would dwarf the facility signal.)
                 telemetry: tele.clone(),
+                // Only alignment and recalibration read the model and
+                // metrics history, so a node without a meter keeps none.
+                trace_capacity: if meter.is_some() {
+                    FacilityConfig::default().trace_capacity
+                } else {
+                    0
+                },
                 ..FacilityConfig::default()
             },
         );
@@ -580,6 +592,10 @@ impl Runtime {
         // Kernel-level tracing stays off in cluster nodes; only the
         // scheduling policy is taken from the cluster config.
         let kernel_config = KernelConfig { sched: cfg.sched_for(n), ..KernelConfig::default() };
+        let unread_meters = (0..machine.meter_count())
+            .map(MeterId)
+            .filter(|&id| Some(machine.meter_spec(id).name) != meter)
+            .collect();
         let mut kernel = Kernel::new(machine, kernel_config);
         // A restarted incarnation boots at the crash instant: the empty
         // kernel fast-forwards to `start` *before* the facility or any app
@@ -587,6 +603,9 @@ impl Runtime {
         // for) the interval it was dead. Incarnation 0 starts at zero and
         // this is a no-op.
         kernel.run_until(start);
+        for &id in &unread_meters {
+            kernel.machine_mut().discard_meter_reports(id);
+        }
         kernel.install_hooks(Box::new(facility));
         let (notify_tx, reply_rx) = kernel.new_socket_pair();
         // The apps' run statistics stay empty: the dispatcher times
@@ -607,7 +626,16 @@ impl Runtime {
             };
             inboxes.push((app.setup(&mut kernel, &env), 0usize));
         }
-        Runtime { kernel, facility: state, inboxes, reply_rx }
+        Runtime { kernel, facility: state, inboxes, reply_rx, unread_meters }
+    }
+
+    /// Runs the kernel to `t`, then drops the reports its unpolled
+    /// meters made visible on the way.
+    fn run_until(&mut self, t: SimTime) {
+        self.kernel.run_until(t);
+        for &id in &self.unread_meters {
+            self.kernel.machine_mut().discard_meter_reports(id);
+        }
     }
 }
 
@@ -744,10 +772,11 @@ impl Node {
 
     /// Replaces the dead or frozen incarnation with a fresh one booted
     /// at `at`: carries its energy, fault, tag and degradation counters
-    /// over, restores the container journal and re-journals it at once
-    /// (so a back-to-back crash cannot lose the same window twice), and
-    /// restarts the health probe at `now`. Returns the live containers
-    /// the restore force-released.
+    /// over, hands its record log to the new incarnation, restores the
+    /// container journal and re-journals it at once (so a back-to-back
+    /// crash cannot lose the same window twice), and restarts the health
+    /// probe at `now`. Returns the live containers the restore
+    /// force-released.
     fn reincarnate(&mut self, bp: &Blueprint, at: SimTime, now: SimTime) -> u64 {
         let m = self.rt.kernel.machine();
         self.carried_energy_j += m.true_active_energy_j();
@@ -758,10 +787,14 @@ impl Node {
         self.carried_tags_lost += ks.tags_lost;
         self.carried_tags_corrupted += ks.tags_corrupted;
         self.carried_degrade += self.rt.facility.borrow().degrade_stats();
+        // The journal was taken from this incarnation, and its log only
+        // grows, so the log carries over by move and the restore cuts it
+        // back to the journaled length.
+        let log = self.rt.facility.borrow_mut().containers_mut().take_records();
         self.incarnation += 1;
         self.rt = Runtime::boot(bp, self.index, self.incarnation, at, &self.tele);
         let restored =
-            self.rt.facility.borrow_mut().containers_mut().restore(&self.last_checkpoint, at);
+            self.rt.facility.borrow_mut().containers_mut().restore(&self.last_checkpoint, log, at);
         self.journal(at);
         self.next_checkpoint_at = bp.next_checkpoint(now);
         self.responses_at_check = self.responses;
@@ -933,7 +966,7 @@ impl Node {
                 Some(w) => {
                     match w.kind {
                         hwsim::FaultKind::NodeSlowdown => {
-                            self.rt.kernel.run_until(boundary);
+                            self.rt.run_until(boundary);
                             self.set_all_duty(DutyCycle::FULL);
                         }
                         hwsim::FaultKind::NodeCrash => {
@@ -953,7 +986,7 @@ impl Node {
                 None => {
                     let w = self.fault_windows[self.next_window];
                     self.next_window += 1;
-                    self.rt.kernel.run_until(w.start);
+                    self.rt.run_until(w.start);
                     match w.kind {
                         hwsim::FaultKind::NodeSlowdown => {
                             self.set_all_duty(DutyCycle::at_most(w.factor));
@@ -993,7 +1026,7 @@ impl Node {
             Some(w) if w.kind != hwsim::FaultKind::NodeSlowdown
         );
         if !frozen {
-            self.rt.kernel.run_until(t);
+            self.rt.run_until(t);
         }
     }
 
@@ -2672,7 +2705,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             if node.active_window.take().is_some() {
                 node.tele.end_span(end, node.track());
             }
-            node.rt.kernel.run_until(end);
+            node.rt.run_until(end);
         }
         merge_node_events(&self.bp.cfg.telemetry, &self.nodes);
         self.drain_replies(end, Self::on_final_reply);

@@ -486,6 +486,13 @@ impl ContainerManager {
         &self.records
     }
 
+    /// Moves the record log out, leaving this manager's empty. A dead or
+    /// frozen incarnation hands its log to the next one this way, for
+    /// [`ContainerManager::restore`] to take over instead of copying.
+    pub fn take_records(&mut self) -> Vec<ContainerRecord> {
+        std::mem::take(&mut self.records)
+    }
+
     /// Number of live containers.
     pub fn live_count(&self) -> usize {
         self.index.len()
@@ -592,6 +599,13 @@ pub struct ContainerSnapshot {
 /// the live containers' accumulated energy; only attribution performed
 /// *after* the checkpoint is lost in a crash, and that loss window is
 /// exactly `attributed-at-crash − checkpoint.attributed_energy_j()`.
+///
+/// The record log is append-only, so the checkpoint journals its
+/// *length*, not a copy: the records it covers are the first
+/// [`ManagerCheckpoint::records`] of the checkpointed manager's log,
+/// which [`ContainerManager::restore`] takes over from the dead
+/// incarnation. Journaling therefore costs the live containers, however
+/// long the log has grown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManagerCheckpoint {
     /// When the checkpoint was taken.
@@ -609,8 +623,8 @@ pub struct ManagerCheckpoint {
     pub total_request_io_energy_j: f64,
     /// Containers released before the checkpoint.
     pub released: u64,
-    /// Retained records at checkpoint time.
-    pub records: Vec<ContainerRecord>,
+    /// Length of the record log at checkpoint time.
+    pub records: usize,
 }
 
 impl ManagerCheckpoint {
@@ -624,7 +638,7 @@ impl ManagerCheckpoint {
             total_request_energy_j: 0.0,
             total_request_io_energy_j: 0.0,
             released: 0,
-            records: Vec::new(),
+            records: 0,
         }
     }
 
@@ -648,7 +662,7 @@ impl ManagerCheckpoint {
             self.taken_at.as_nanos(),
             self.live.len(),
             self.released,
-            self.records.len(),
+            self.records,
             self.total_request_energy_j,
             self.total_request_io_energy_j,
             self.background_energy_j,
@@ -695,27 +709,38 @@ impl ContainerManager {
             total_request_energy_j: self.total_request_energy_j,
             total_request_io_energy_j: self.total_request_io_energy_j,
             released: self.released,
-            records: self.records.clone(),
+            records: self.records.len(),
         }
     }
 
     /// Restores checkpointed state into this (freshly created) manager
-    /// after a crash/restart at `now`.
+    /// after a crash/restart at `now`. `log` is the record log of the
+    /// manager `cp` was taken from (see
+    /// [`ContainerManager::take_records`]), taken over by move.
     ///
     /// Cumulative totals, the background container's energy and the
-    /// retained records come back exactly as journaled. Containers that
-    /// were *live* at checkpoint time are force-released into records:
-    /// the tasks bound to them died with the crashed kernel, so their
-    /// accumulated energy is preserved but their refcounts drop to zero —
-    /// every journaled container is either restored (as a record) or
-    /// dropped, none is double-freed. Returns the number of live
-    /// containers force-released.
+    /// retained records come back exactly as journaled: the log is cut
+    /// back to its length at checkpoint time, dropping what the dead
+    /// incarnation released after it. Containers that were *live* at
+    /// checkpoint time are force-released into records: the tasks bound
+    /// to them died with the crashed kernel, so their accumulated energy
+    /// is preserved but their refcounts drop to zero — every journaled
+    /// container is either restored (as a record) or dropped, none is
+    /// double-freed. Returns the number of live containers
+    /// force-released.
     ///
     /// # Panics
     ///
     /// Panics if the manager has already attributed or bound anything —
-    /// restore targets only a fresh post-restart manager.
-    pub fn restore(&mut self, cp: &ManagerCheckpoint, now: SimTime) -> u64 {
+    /// restore targets only a fresh post-restart manager — or if this
+    /// manager retains records and `log` is shorter than the journaled
+    /// length, so cannot be the log `cp` was taken from.
+    pub fn restore(
+        &mut self,
+        cp: &ManagerCheckpoint,
+        mut log: Vec<ContainerRecord>,
+        now: SimTime,
+    ) -> u64 {
         assert!(
             self.index.is_empty() && self.released == 0 && self.total_request_energy_j == 0.0,
             "restore targets a freshly created manager"
@@ -725,7 +750,14 @@ impl ContainerManager {
         self.bg_acct.energy_j = cp.background_energy_j;
         self.bg_acct.io_energy_j = cp.background_io_energy_j;
         if self.retain_records {
-            self.records = cp.records.clone();
+            assert!(
+                log.len() >= cp.records,
+                "a log of {} records cannot hold the {} the checkpoint journaled",
+                log.len(),
+                cp.records
+            );
+            log.truncate(cp.records);
+            self.records = log;
         }
         for s in &cp.live {
             self.released += 1;
@@ -861,7 +893,7 @@ mod tests {
         let cp = m.checkpoint(SimTime::from_millis(1));
         assert!((cp.live[0].throttled_j - 0.5).abs() < 1e-12);
         let mut fresh = ContainerManager::new(true);
-        fresh.restore(&cp, SimTime::from_millis(2));
+        fresh.restore(&cp, m.records().to_vec(), SimTime::from_millis(2));
         assert!((fresh.records()[0].throttled_j - 0.5).abs() < 1e-12);
         m.unbind(ctx, SimTime::from_millis(1));
         assert!((m.records()[0].throttled_j - 0.5).abs() < 1e-12);
@@ -1008,14 +1040,14 @@ mod tests {
         let cp = m.checkpoint(SimTime::from_millis(5));
         assert_eq!(cp.live.len(), 1);
         assert_eq!(cp.released, 1);
-        assert_eq!(cp.records.len(), 1);
+        assert_eq!(cp.records, 1);
         let attributed = m.total_energy_with_background_j()
             + m.total_request_io_energy_j()
             + m.background().io_energy_j();
         assert!((cp.attributed_energy_j() - attributed).abs() < 1e-12);
 
         let mut fresh = ContainerManager::new(true);
-        let force_released = fresh.restore(&cp, SimTime::from_millis(9));
+        let force_released = fresh.restore(&cp, m.take_records(), SimTime::from_millis(9));
         assert_eq!(force_released, 1);
         // Totals are exactly the journaled ones; the live container came
         // back as a record (its bound task died with the crash), so
@@ -1057,9 +1089,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn restore_rejects_a_log_shorter_than_the_journal() {
+        let mut m = ContainerManager::new(true);
+        m.bind(ContextId(1), SimTime::ZERO);
+        m.unbind(ContextId(1), SimTime::from_millis(1));
+        let cp = m.checkpoint(SimTime::from_millis(2));
+        ContainerManager::new(true).restore(&cp, Vec::new(), SimTime::from_millis(3));
+    }
+
+    #[test]
     fn empty_checkpoint_restores_to_nothing() {
         let mut fresh = ContainerManager::new(true);
-        assert_eq!(fresh.restore(&ManagerCheckpoint::empty(), SimTime::ZERO), 0);
+        assert_eq!(fresh.restore(&ManagerCheckpoint::empty(), Vec::new(), SimTime::ZERO), 0);
         assert_eq!(fresh.live_count(), 0);
         assert_eq!(fresh.released_count(), 0);
         assert_eq!(fresh.total_energy_with_background_j(), 0.0);

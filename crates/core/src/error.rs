@@ -19,6 +19,13 @@ pub enum FacilityError {
     CalibrationMissing,
     /// The `Recalibrated` approach was requested without naming a meter.
     MeterMissing,
+    /// A meter was named but the facility keeps no model history
+    /// (`trace_capacity` is 0), so every alignment scan would run
+    /// against an empty trace.
+    MeterWithoutHistory {
+        /// The meter named in the configuration.
+        meter: &'static str,
+    },
     /// The combined offline+online system cannot be solved.
     Solve(SolveError),
     /// The refit's normal equations were solvable but numerically
@@ -80,6 +87,7 @@ impl FacilityError {
         match self {
             FacilityError::CalibrationMissing => "calibration_missing",
             FacilityError::MeterMissing => "meter_missing",
+            FacilityError::MeterWithoutHistory { .. } => "meter_without_history",
             FacilityError::Solve(_) => "solve",
             FacilityError::IllConditioned { .. } => "ill_conditioned",
             FacilityError::OutlierContaminated { .. } => "outlier_contaminated",
@@ -100,6 +108,10 @@ impl fmt::Display for FacilityError {
             FacilityError::MeterMissing => {
                 write!(f, "Recalibrated approach requires a recalibration meter")
             }
+            FacilityError::MeterWithoutHistory { meter } => write!(
+                f,
+                "meter {meter:?} needs a model history to align against, but trace_capacity is 0"
+            ),
             FacilityError::Solve(e) => write!(f, "refit failed: {e}"),
             FacilityError::IllConditioned { condition, limit } => write!(
                 f,
@@ -150,6 +162,7 @@ mod tests {
         let cases: Vec<(FacilityError, &str)> = vec![
             (FacilityError::CalibrationMissing, "calibration"),
             (FacilityError::MeterMissing, "meter"),
+            (FacilityError::MeterWithoutHistory { meter: "on-chip" }, "trace_capacity"),
             (FacilityError::Solve(SolveError::Singular), "singular"),
             (FacilityError::IllConditioned { condition: 1e12, limit: 1e10 }, "condition"),
             (

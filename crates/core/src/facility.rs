@@ -127,7 +127,13 @@ pub struct FacilityConfig {
     pub track_per_task: bool,
     /// Grid resolution of the model/metrics history traces.
     pub trace_slot: SimDuration,
-    /// History trace capacity in slots.
+    /// History trace capacity in slots. The history feeds only meter
+    /// alignment, recalibration and the `*_between` queries, so 0 keeps
+    /// none: the facility then skips the trace writes altogether, and
+    /// [`FacilityState::modeled_power_between`] and
+    /// [`FacilityState::metrics_between`] answer `None`. A facility with
+    /// a [`FacilityConfig::meter`] needs history to align against, so
+    /// [`PowerContainerFacility::try_new`] rejects 0 there.
     pub trace_capacity: usize,
     /// Trace recorder for attribution, alignment, recalibration,
     /// conditioning and degradation events. Disabled by default; every
@@ -410,15 +416,23 @@ impl FacilityState {
         }
         // Machine-level traces for alignment/recalibration. Peripheral
         // device activity is folded in separately at I/O completion.
-        let dt = SimDuration::from_secs_f64(dt_secs);
-        self.model_trace.add(now, watts, dt);
-        self.metrics_trace.add(now, metrics, dt);
+        if self.keeps_history() {
+            let dt = SimDuration::from_secs_f64(dt_secs);
+            self.model_trace.add(now, watts, dt);
+            self.metrics_trace.add(now, metrics, dt);
+        }
         // The maintenance operation itself perturbs the counters (§3.5).
         if self.config.observer_effect {
             api.machine.inject_events(core, &MAINTENANCE_BUNDLE);
             self.cores[core.0].pending_maint += 1;
         }
         self.maintenance_ops += 1;
+    }
+
+    /// `false` when [`FacilityConfig::trace_capacity`] is 0: the history
+    /// rings keep nothing, so nothing needs writing to them.
+    fn keeps_history(&self) -> bool {
+        self.config.trace_capacity > 0
     }
 
     /// Applies the conditioning policy to `core` for the request `ctx`
@@ -866,7 +880,10 @@ impl PowerContainerFacility {
     /// [`FacilityError::CalibrationMissing`] /
     /// [`FacilityError::MeterMissing`] when the approach is
     /// [`Approach::Recalibrated`] but the offline calibration set or the
-    /// meter name was not provided.
+    /// meter name was not provided;
+    /// [`FacilityError::MeterWithoutHistory`] when a meter is named but
+    /// [`FacilityConfig::trace_capacity`] is 0, which would leave
+    /// alignment an empty trace to scan forever.
     pub fn try_new(
         model: PowerModel,
         calibration: Option<&CalibrationSet>,
@@ -891,6 +908,9 @@ impl PowerContainerFacility {
         } else {
             None
         };
+        if let (Some(meter), 0) = (config.meter, config.trace_capacity) {
+            return Err(FacilityError::MeterWithoutHistory { meter });
+        }
         let cores = spec.total_cores();
         let state = FacilityState {
             spec: spec.clone(),
@@ -1062,6 +1082,9 @@ impl KernelHooks for PowerContainerFacility {
             DeviceKind::Net => s.model.coefficients()[7],
         };
         s.containers.attribute_io(ctx, coeff * seconds, api.now);
+        if !s.keeps_history() {
+            return;
+        }
         // Backfill the device's active span into the machine-level
         // traces, slot by slot, so alignment/recalibration sees it.
         let now = api.now;
@@ -1088,5 +1111,28 @@ impl KernelHooks for PowerContainerFacility {
 impl std::fmt::Debug for PowerContainerFacility {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.state.borrow().fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn facility(meter: Option<&'static str>, trace_capacity: usize) -> Result<(), FacilityError> {
+        let spec = MachineSpec::sandybridge();
+        let model = PowerModel::new(crate::ModelKind::WithChipShare, 26.1, [8.0; 8]);
+        let config = FacilityConfig { meter, trace_capacity, ..FacilityConfig::default() };
+        PowerContainerFacility::try_new(model, None, &spec, config).map(|_| ())
+    }
+
+    #[test]
+    fn a_meter_needs_history() {
+        let err = facility(Some("on-chip"), 0).expect_err("no history to align against");
+        assert_eq!(err, FacilityError::MeterWithoutHistory { meter: "on-chip" });
+        assert_eq!(err.kind(), "meter_without_history");
+        // Without a meter nothing reads the history, so none is fine; a
+        // meter with any history at all is too.
+        assert_eq!(facility(None, 0), Ok(()));
+        assert_eq!(facility(Some("on-chip"), 1), Ok(()));
     }
 }

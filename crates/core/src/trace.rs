@@ -79,12 +79,14 @@ struct SeriesMemo<T> {
 impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
     /// Creates a ring of `capacity` slots of length `slot`.
     ///
+    /// A `capacity` of 0 keeps no history at all: [`TraceRing::add`]
+    /// returns at once, and every query answers as an empty ring does.
+    ///
     /// # Panics
     ///
-    /// Panics if `slot` is zero or `capacity` is zero.
+    /// Panics if `slot` is zero.
     pub fn new(slot: SimDuration, capacity: usize) -> TraceRing<T> {
         assert!(!slot.is_zero(), "slot length must be positive");
-        assert!(capacity > 0, "capacity must be positive");
         TraceRing {
             slot,
             capacity,
@@ -114,6 +116,9 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
     /// the *end* of the sampled interval; sampling periods are much
     /// shorter than slots, so the approximation is tight).
     pub fn add(&mut self, t: SimTime, value: T, dt: SimDuration) {
+        if self.capacity == 0 {
+            return;
+        }
         let idx = self.slot_of(t.saturating_sub_for_slot(self.slot));
         let cursor = self.cursor.get_mut();
         // Growing forward turns the slots from here on from absent to
@@ -600,6 +605,28 @@ mod tests {
         assert_eq!(r.mean_over_wall(ms(12), ms(12)), None);
         let empty: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), 4);
         assert_eq!(empty.mean_over_wall(ms(0), ms(5)), None);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_nothing() {
+        let mut r: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), 0);
+        let empty: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), 4);
+        for ms in 0..20u64 {
+            r.add(SimTime::from_millis(ms + 1), 40.0, SimDuration::from_millis(1));
+        }
+        assert!(r.values.is_empty());
+        let ms = SimTime::from_millis;
+        for (t0, t1) in [(ms(0), ms(5)), (ms(3), ms(30)), (ms(7), ms(7))] {
+            assert_eq!(r.integral_between(t0, t1), empty.integral_between(t0, t1));
+            assert_eq!(r.average_between(t0, t1), empty.average_between(t0, t1));
+            assert_eq!(r.mean_over_wall(t0, t1), empty.mean_over_wall(t0, t1));
+        }
+        let step = SimDuration::from_millis(1);
+        assert_eq!(
+            r.mean_over_wall_series(ms(20), step * 4, step, 6).to_vec(),
+            empty.mean_over_wall_series(ms(20), step * 4, step, 6).to_vec()
+        );
+        assert_eq!(r.recent_series(ms(20), 3), empty.recent_series(ms(20), 3));
     }
 
     #[test]

@@ -505,3 +505,64 @@ fn disabled_telemetry_changes_no_simulation_output() {
     assert_eq!(e_off, e_on, "tracing must be a pure observer");
     assert_eq!(stats_off, stats_on);
 }
+
+#[test]
+fn a_facility_without_history_attributes_the_same_bits() {
+    // History feeds only alignment, recalibration and the `*_between`
+    // queries: a meterless facility keeping none attributes every joule
+    // exactly as one keeping the default 8,192 slots.
+    let spec = MachineSpec::sandybridge();
+    let model = skewed_calibration().fit(ModelKind::WithChipShare).expect("fit");
+    let run = |trace_capacity: usize| {
+        let facility = PowerContainerFacility::new(
+            model.clone(),
+            None,
+            &spec,
+            FacilityConfig { trace_capacity, ..FacilityConfig::default() },
+        );
+        let state = facility.state();
+        let mut kernel = Kernel::new(Machine::new(spec.clone(), 11), KernelConfig::default());
+        kernel.install_hooks(Box::new(facility));
+        spawn_spinners(&mut kernel, 3, ActivityProfile::cache_heavy());
+        kernel.spawn(
+            Box::new(ScriptProgram::new(vec![
+                Op::DiskIo { bytes: 1 << 20 },
+                Op::Compute { cycles: 2e6, profile: ActivityProfile::cpu_spin() },
+                Op::NetIo { bytes: 1 << 16 },
+            ])),
+            Some(ossim::ContextId(9)),
+        );
+        kernel.run_until(SimTime::from_millis(300));
+        let s = state.borrow();
+        let c = s.containers();
+        let records: Vec<[u64; 3]> = c
+            .records()
+            .iter()
+            .map(|r| [r.ctx.0, r.energy_j.to_bits(), r.io_energy_j.to_bits()])
+            .collect();
+        let totals = [
+            c.total_request_energy_j(),
+            c.total_request_io_energy_j(),
+            c.background().energy_j(),
+            c.background().io_energy_j(),
+        ]
+        .map(f64::to_bits);
+        let window = (SimTime::from_millis(100), SimTime::from_millis(200));
+        let history = (
+            s.modeled_power_between(window.0, window.1),
+            s.metrics_between(window.0, window.1).map(|m| m.core),
+        );
+        (records, totals, s.maintenance_ops(), history)
+    };
+    let (kept_records, kept_totals, kept_ops, kept_history) = run(8192);
+    let (none_records, none_totals, none_ops, none_history) = run(0);
+    assert!(
+        kept_records.iter().any(|r| f64::from_bits(r[2]) > 0.0),
+        "the I/O request completed with I/O energy"
+    );
+    assert_eq!(none_records, kept_records);
+    assert_eq!(none_totals, kept_totals);
+    assert_eq!(none_ops, kept_ops);
+    assert!(kept_history.0.is_some() && kept_history.1.is_some());
+    assert_eq!(none_history, (None, None));
+}

@@ -207,7 +207,7 @@ proptest! {
         let total_before = mgr.total_request_energy_j();
 
         let mut fresh = ContainerManager::new(true);
-        let restored = fresh.restore(&cp, t);
+        let restored = fresh.restore(&cp, mgr.take_records(), t);
         // Every journaled live container was force-released exactly once.
         prop_assert_eq!(restored as usize, live_before);
         prop_assert_eq!(fresh.live_count(), 0);
@@ -262,7 +262,7 @@ proptest! {
             }
             let cp = mgr.checkpoint(SimTime::from_millis(now_ms));
             let mut fresh = ContainerManager::new(true);
-            let restored = fresh.restore(&cp, SimTime::from_millis(now_ms));
+            let restored = fresh.restore(&cp, mgr.take_records(), SimTime::from_millis(now_ms));
             prop_assert_eq!(restored as usize, cp.live.len());
             prop_assert_eq!(fresh.live_count(), 0, "all journaled containers resolved");
             prop_assert_eq!(
@@ -454,7 +454,7 @@ proptest! {
         // Restoring the drain checkpoint hands the totals to the next
         // incarnation exactly.
         let mut fresh = ContainerManager::new(true);
-        fresh.restore(&drain, SimTime::from_millis(1 + steps.len() as u64));
+        fresh.restore(&drain, mgr.take_records(), SimTime::from_millis(1 + steps.len() as u64));
         let restored = fresh.total_energy_with_background_j()
             + fresh.total_request_io_energy_j()
             + fresh.background().io_energy_j();
@@ -669,7 +669,7 @@ proptest! {
         }
         let taken_at = SimTime::from_micros(now_us + 50);
         let cp = mgr.checkpoint(taken_at);
-        let journaled = cp.records.len();
+        let journaled = cp.records;
 
         // The checkpoint is the manager's state at `taken_at`.
         let mut live: Vec<LiveLine> = mgr
@@ -699,7 +699,7 @@ proptest! {
 
         let restart = SimTime::from_micros(now_us + 500);
         let mut fresh = ContainerManager::new(retain);
-        let forced = fresh.restore(&cp, restart);
+        let forced = fresh.restore(&cp, mgr.take_records(), restart);
         prop_assert_eq!(forced, cp.live.len() as u64);
 
         let mut want = dead[..journaled].to_vec();

@@ -421,6 +421,22 @@ impl Machine {
         self.meters[id.0].pop_visible(now)
     }
 
+    /// Drops the reports of meter `id` that are visible by the machine's
+    /// current time, the ones [`Machine::pop_meter_reports`] would
+    /// return, without allocating. A meter nobody polls closes a window
+    /// every period all the same; discarding after each advance keeps
+    /// its backlog to the reports still in flight. Window closes, noise
+    /// and fault draws are untouched, and so is every report a later
+    /// poll could still see.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn discard_meter_reports(&mut self, id: MeterId) {
+        let now = self.now;
+        self.meters[id.0].discard_visible(now);
+    }
+
     /// Installs a fault-injection configuration, replacing any previous
     /// one (and resetting its fault log). A [`FaultConfig::none`] config
     /// restores fault-free operation.

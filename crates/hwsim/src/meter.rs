@@ -158,6 +158,15 @@ impl MeterState {
         out
     }
 
+    /// Drops every report visible at or before `now` — exactly the
+    /// reports [`MeterState::pop_visible`] would return — without
+    /// collecting them. Reports still in flight stay queued.
+    pub fn discard_visible(&mut self, now: SimTime) {
+        while self.pending.front().is_some_and(|r| r.visible_at <= now) {
+            self.pending.pop_front();
+        }
+    }
+
     /// Number of reports still awaiting delivery.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn pending_len(&self) -> usize {

@@ -117,3 +117,139 @@ proptest! {
         prop_assert!(m.pmu_expired(CoreId(0)), "threshold not reached after deadline");
     }
 }
+
+/// A report's fields, times in nanoseconds and the reading by bit
+/// pattern.
+fn report_bits(r: &hwsim::MeterReport) -> [u64; 4] {
+    [
+        r.window_start.as_nanos(),
+        r.window_end.as_nanos(),
+        r.avg_watts.to_bits(),
+        r.visible_at.as_nanos(),
+    ]
+}
+
+/// Every core's counters plus true and active energy, by bit pattern.
+fn machine_bits(m: &Machine) -> Vec<u64> {
+    let mut out = vec![m.true_energy_j().to_bits(), m.true_active_energy_j().to_bits()];
+    for c in 0..m.spec().total_cores() {
+        let k = m.counters(CoreId(c));
+        out.extend(
+            [
+                k.elapsed_cycles,
+                k.nonhalt_cycles,
+                k.instructions,
+                k.flops,
+                k.cache_refs,
+                k.mem_txns,
+            ]
+            .map(f64::to_bits),
+        );
+    }
+    out
+}
+
+proptest! {
+    /// Discarding a meter's visible reports after every advance changes
+    /// nothing but the backlog. Three machines run the same schedule
+    /// under meter dropout, extra delivery lag and counter glitches: one
+    /// discards after each advance, one polls, and one never pops. Their
+    /// counters, energy and fault logs stay bit-identical throughout;
+    /// at the end, the reports the discarding machine still holds are
+    /// exactly the polling machine's later reports, and the hoarded
+    /// stream is the polled one, in order, with the same windows dropped
+    /// and delayed.
+    #[test]
+    fn discarding_visible_reports_moves_no_bit(
+        steps in prop::collection::vec(
+            (arb_profile(), 1u64..4_000_000, any::<bool>(), 0usize..4),
+            1..120
+        ),
+        fault_seed in any::<u64>(),
+    ) {
+        let faults = hwsim::FaultConfig {
+            seed: fault_seed,
+            meter_dropout: 0.2,
+            meter_extra_lag: 0.3,
+            meter_extra_lag_max: SimDuration::from_millis(6),
+            counter_glitch_hz: 40.0,
+            ..hwsim::FaultConfig::none()
+        };
+        let boot = || {
+            let mut m = Machine::new(MachineSpec::sandybridge(), 9);
+            m.set_fault_config(faults.clone());
+            m
+        };
+        let (mut discarding, mut polling, mut hoarding) = (boot(), boot(), boot());
+        let meters: Vec<hwsim::MeterId> =
+            (0..discarding.meter_count()).map(hwsim::MeterId).collect();
+        let mut polled: Vec<Vec<[u64; 4]>> = vec![Vec::new(); meters.len()];
+        let mut t = SimTime::ZERO;
+        for (profile, ns, busy, core) in steps {
+            t += SimDuration::from_nanos(ns);
+            for m in [&mut discarding, &mut polling, &mut hoarding] {
+                m.set_running(CoreId(core), busy.then_some(profile));
+                m.advance_to(t);
+            }
+            for (&id, seen) in meters.iter().zip(&mut polled) {
+                discarding.discard_meter_reports(id);
+                seen.extend(polling.pop_meter_reports(id).iter().map(report_bits));
+            }
+            prop_assert_eq!(machine_bits(&discarding), machine_bits(&hoarding));
+            prop_assert_eq!(machine_bits(&polling), machine_bits(&hoarding));
+            prop_assert_eq!(discarding.fault_log(), hoarding.fault_log());
+        }
+        // Let every report still in flight arrive.
+        let end = t + SimDuration::from_secs(3);
+        for m in [&mut discarding, &mut polling, &mut hoarding] {
+            m.advance_to(end);
+        }
+        prop_assert_eq!(machine_bits(&discarding), machine_bits(&hoarding));
+        prop_assert_eq!(discarding.fault_log(), hoarding.fault_log());
+        for (&id, seen) in meters.iter().zip(&mut polled) {
+            let later: Vec<[u64; 4]> =
+                polling.pop_meter_reports(id).iter().map(report_bits).collect();
+            let kept: Vec<[u64; 4]> =
+                discarding.pop_meter_reports(id).iter().map(report_bits).collect();
+            prop_assert_eq!(&kept, &later);
+            seen.extend(later);
+            let all: Vec<[u64; 4]> =
+                hoarding.pop_meter_reports(id).iter().map(report_bits).collect();
+            prop_assert_eq!(&all, seen);
+        }
+    }
+}
+
+#[test]
+fn in_flight_reports_survive_a_discard() {
+    // Every window is delayed by up to 40 ms, on top of the on-chip
+    // meter's 1 ms: a discard at 30 ms leaves the late windows queued,
+    // in order, for the poll that follows.
+    let boot = || {
+        let mut m = Machine::new(MachineSpec::sandybridge(), 4);
+        m.set_fault_config(hwsim::FaultConfig {
+            seed: 21,
+            meter_extra_lag: 1.0,
+            meter_extra_lag_max: SimDuration::from_millis(40),
+            meter_dropout: 0.1,
+            ..hwsim::FaultConfig::none()
+        });
+        m.set_running(CoreId(0), Some(ActivityProfile::cpu_spin()));
+        m
+    };
+    let (mut discarding, mut polling) = (boot(), boot());
+    let id = discarding.find_meter("on-chip").expect("on-chip meter");
+    discarding.advance_to(SimTime::from_millis(30));
+    polling.advance_to(SimTime::from_millis(30));
+    discarding.discard_meter_reports(id);
+    let early = polling.pop_meter_reports(id);
+    for m in [&mut discarding, &mut polling] {
+        m.advance_to(SimTime::from_millis(200));
+    }
+    let late = polling.pop_meter_reports(id);
+    assert!(!late.is_empty() && late[0].window_end < SimTime::from_millis(30));
+    assert_eq!(discarding.pop_meter_reports(id), late);
+    assert!(discarding.fault_log().count(hwsim::FaultKind::MeterDropout) > 0);
+    assert_eq!(discarding.fault_log(), polling.fault_log());
+    assert!(early.iter().chain(&late).all(|r| r.visible_at > r.window_end));
+}
