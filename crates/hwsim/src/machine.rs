@@ -427,7 +427,10 @@ impl Machine {
     /// every period all the same; discarding after each advance keeps
     /// its backlog to the reports still in flight. Window closes, noise
     /// and fault draws are untouched, and so is every report a later
-    /// poll could still see.
+    /// poll could still see. The one reallocation is a shrink: once a
+    /// backlog of more than 128 reports has drained (a rebooted node
+    /// fast-forwards from time zero), the queue hands its spare room
+    /// back.
     ///
     /// # Panics
     ///

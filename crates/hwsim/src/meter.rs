@@ -11,6 +11,11 @@
 use simkern::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// Pending reports a discarding meter keeps room for. A longer backlog,
+/// such as the one a rebooted node's fast-forward queues (a report per
+/// window since time zero), hands its spare room back once drained.
+const DISCARD_KEEP: usize = 64;
+
 /// What a meter measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeterScope {
@@ -160,10 +165,15 @@ impl MeterState {
 
     /// Drops every report visible at or before `now` — exactly the
     /// reports [`MeterState::pop_visible`] would return — without
-    /// collecting them. Reports still in flight stay queued.
+    /// collecting them. Reports still in flight stay queued. Once a
+    /// backlog of more than twice [`DISCARD_KEEP`] reports has drained,
+    /// the queue shrinks back to room for [`DISCARD_KEEP`].
     pub fn discard_visible(&mut self, now: SimTime) {
         while self.pending.front().is_some_and(|r| r.visible_at <= now) {
             self.pending.pop_front();
+        }
+        if self.pending.capacity() > 2 * DISCARD_KEEP && self.pending.len() <= DISCARD_KEEP / 2 {
+            self.pending.shrink_to(DISCARD_KEEP);
         }
     }
 
@@ -216,6 +226,25 @@ mod tests {
         assert_eq!(m.window_end(), SimTime::from_millis(2));
         m.close_window(SimTime::from_millis(2), 1.0);
         assert_eq!(m.pending_len(), 2);
+    }
+
+    #[test]
+    fn discarding_a_drained_backlog_hands_its_room_back() {
+        let mut m = MeterState::new(MeterSpec::on_chip());
+        for ms in 1..=5_000 {
+            m.close_window(SimTime::from_millis(ms), 1.0);
+        }
+        assert!(m.pending.capacity() >= 5_000);
+        m.discard_visible(SimTime::from_millis(5_000));
+        assert_eq!(m.pending_len(), 1, "the last window is still in flight");
+        assert!(m.pending.capacity() <= 2 * DISCARD_KEEP);
+        // A short backlog keeps its room: nothing reallocates per call.
+        let room = m.pending.capacity();
+        for ms in 5_001..=5_010 {
+            m.close_window(SimTime::from_millis(ms), 1.0);
+            m.discard_visible(SimTime::from_millis(ms));
+            assert_eq!(m.pending.capacity(), room);
+        }
     }
 
     #[test]
