@@ -19,6 +19,14 @@
 //! which uses only public API; `--scan-before-*` pass in the median the
 //! same function measured on an earlier build on the same host.
 //!
+//! The footprint section counts heap allocations, bytes allocated and
+//! the peak live heap of three cluster cells (`pc_bench::footprint_cells`,
+//! public API only) with a counting global allocator that counts inside
+//! that section and nowhere else. The counts are deterministic for a
+//! given build, so they are recorded exactly, next to the same cells
+//! counted by the same driver on the build before fleet nodes stopped
+//! keeping unread state.
+//!
 //! With no `--out`, the report is written to `BENCH_perf.json` in the
 //! repository root.
 
@@ -36,9 +44,96 @@ use power_containers::{
 };
 use serde::Serialize;
 use simkern::{EventQueue, SimDuration, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
+
+/// The system allocator, counting heap traffic while [`COUNTING`] is
+/// set. Disarmed, each call costs one relaxed load on top of `System`,
+/// so the timed sections run as they would without it.
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+static PEAK_LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Books one allocation of `grow` bytes that replaced `shrink` bytes
+/// (a plain allocation replaces none, a free allocates none).
+fn count(grow: usize, shrink: usize) {
+    if !COUNTING.load(Relaxed) {
+        return;
+    }
+    if grow > 0 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+        BYTES_ALLOCATED.fetch_add(grow as u64, Relaxed);
+    }
+    let live = LIVE_BYTES.fetch_add(grow as i64 - shrink as i64, Relaxed) + grow as i64
+        - shrink as i64;
+    PEAK_LIVE_BYTES.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping is atomics
+// only and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` passes through to `System` unchanged.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            count(layout.size(), 0);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` passes through to `System` unchanged.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            count(layout.size(), 0);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        count(0, layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // `layout`; the caller's `new_size` passes through unchanged.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            count(new_size, layout.size());
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heap traffic of one counted call: allocations (reallocations
+/// included), bytes allocated, and the peak live heap above the live
+/// heap at the call.
+fn count_heap<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
+    for c in [&ALLOCATIONS, &BYTES_ALLOCATED] {
+        c.store(0, Relaxed);
+    }
+    for c in [&LIVE_BYTES, &PEAK_LIVE_BYTES] {
+        c.store(0, Relaxed);
+    }
+    COUNTING.store(true, Relaxed);
+    let out = f();
+    COUNTING.store(false, Relaxed);
+    let peak = PEAK_LIVE_BYTES.load(Relaxed).max(0) as u64;
+    (out, [ALLOCATIONS.load(Relaxed), BYTES_ALLOCATED.load(Relaxed), peak])
+}
 
 /// One before/after kernel pair.
 #[derive(Serialize)]
@@ -207,6 +302,25 @@ struct AutoscaleOverhead {
     overhead_frac: f64,
 }
 
+/// Heap traffic of one cluster cell, counted exactly: the cell runs
+/// single-threaded and deterministically, so the counts repeat to the
+/// byte on a given build.
+#[derive(Serialize)]
+struct FootprintCount {
+    cell: String,
+    simulated_s: f64,
+    requests: u64,
+    allocations: u64,
+    bytes_allocated: u64,
+    peak_live_bytes: u64,
+    /// The same counts for the same cell on the build before nodes
+    /// dropped unread history, meter backlogs and checkpoint log copies.
+    before_allocations: u64,
+    before_bytes_allocated: u64,
+    before_peak_live_bytes: u64,
+    peak_live_ratio: f64,
+}
+
 /// Wall times for the experiment harness, from real `run_all` runs.
 #[derive(Serialize)]
 struct Harness {
@@ -242,6 +356,7 @@ struct Report {
     obs_overhead: ObsOverhead,
     sched_overhead: SchedOverhead,
     autoscale_overhead: AutoscaleOverhead,
+    footprint: Vec<FootprintCount>,
     harness: Harness,
 }
 
@@ -1035,6 +1150,46 @@ fn autoscale_overhead(ctx: &RunCtx) -> AutoscaleOverhead {
     }
 }
 
+/// Requests each footprint cell offers.
+const FOOTPRINT_REQUESTS: f64 = 20_000.0;
+
+/// `[allocations, bytes_allocated, peak_live_bytes]` of each footprint
+/// cell, counted by this driver on the build before fleet nodes stopped
+/// keeping model history nobody aligns against, on-chip meter reports
+/// nobody polls, and a copy of the record log in every checkpoint.
+const FOOTPRINT_BEFORE: [(&str, [u64; 3]); 3] = [
+    ("chipshare_fleet", [25_059, 23_562_420, 11_115_696]),
+    ("diurnal_elastic", [21_015, 18_634_448, 8_171_856]),
+    ("chaos_pipeline", [638_850, 1_905_113_677, 32_421_584]),
+];
+
+fn footprint() -> Vec<FootprintCount> {
+    pc_bench::footprint_cells(FOOTPRINT_REQUESTS)
+        .iter()
+        .map(|cell| {
+            let (outcome, [allocations, bytes_allocated, peak_live_bytes]) =
+                count_heap(|| cell.run());
+            let [before_allocations, before_bytes_allocated, before_peak_live_bytes] =
+                FOOTPRINT_BEFORE
+                    .iter()
+                    .find(|(name, _)| *name == cell.name)
+                    .map_or([0; 3], |(_, counts)| *counts);
+            FootprintCount {
+                cell: cell.name.to_string(),
+                simulated_s: cell.cfg.duration.as_secs_f64(),
+                requests: outcome.dispatched,
+                allocations,
+                bytes_allocated,
+                peak_live_bytes,
+                before_allocations,
+                before_bytes_allocated,
+                before_peak_live_bytes,
+                peak_live_ratio: peak_live_bytes as f64 / before_peak_live_bytes.max(1) as f64,
+            }
+        })
+        .collect()
+}
+
 fn arg_secs(args: &[String], flag: &str) -> Option<f64> {
     args.iter()
         .position(|a| a == flag)
@@ -1098,6 +1253,7 @@ fn main() {
         obs_overhead: obs_overhead(&ctx),
         sched_overhead: sched_overhead(&ctx),
         autoscale_overhead: autoscale_overhead(&ctx),
+        footprint: footprint(),
         harness: Harness {
             run_all_serial_before_s: arg_secs(&args, "--run-all-before"),
             run_all_serial_after_s: arg_secs(&args, "--run-all-after"),
@@ -1181,6 +1337,20 @@ fn main() {
         a.cell_evals,
         a.ns_per_eval_end_to_end
     );
+    for f in &report.footprint {
+        eprintln!(
+            "  footprint {:<16} {:>9} allocations  {:>11} B allocated  peak {:>10} B \
+             (before {} / {} B / {} B, peak x{:.3})",
+            f.cell,
+            f.allocations,
+            f.bytes_allocated,
+            f.peak_live_bytes,
+            f.before_allocations,
+            f.before_bytes_allocated,
+            f.before_peak_live_bytes,
+            f.peak_live_ratio
+        );
+    }
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&out, json + "\n").expect("write report");
     eprintln!("wrote {}", out.display());

@@ -14,6 +14,12 @@ use power_containers::{
     FacilityConfig, FacilityError, MetricVector, ModelKind, PowerContainerFacility, PowerModel,
     Reading, TraceRing,
 };
+use cluster::{
+    offered_cluster_rate, run_cluster, run_pipeline, AdmissionConfig, AutoscaleConfig,
+    ClusterConfig, ClusterOutcome, DistributionPolicy, ObsConfig, RecoveryConfig, SimpleBalance,
+    Topology,
+};
+use hwsim::FaultConfig;
 use simkern::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -402,4 +408,118 @@ pub fn time_facility_scan(covered_ms: usize, samples: usize) -> Spread {
         ns.push(start.elapsed().as_nanos() as f64);
     }
     Spread::of(&ns)
+}
+
+/// One cluster cell whose heap traffic `perf_report`'s footprint
+/// section counts, built from public constructors only so that the same
+/// driver runs against an older checkout.
+pub struct FootprintCell {
+    /// The cell's name in the report.
+    pub name: &'static str,
+    /// The cell's configuration.
+    pub cfg: ClusterConfig,
+    /// One calibration per node, in node order.
+    pub cals: Vec<workloads::MachineCalibration>,
+}
+
+impl FootprintCell {
+    /// Runs the cell under simple balance on every tier.
+    pub fn run(&self) -> ClusterOutcome {
+        if self.cfg.tiers.len() == 1 {
+            return run_cluster(&mut SimpleBalance::new(), &self.cfg, &self.cals);
+        }
+        let mut policies: Vec<Box<dyn DistributionPolicy>> = self
+            .cfg
+            .tiers
+            .iter()
+            .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
+            .collect();
+        run_pipeline(&mut policies, &self.cfg, &self.cals)
+    }
+}
+
+/// The footprint section's three cells at seed 42, each sized to offer
+/// about `requests` requests, the benchmark workloads in small:
+///
+/// * `chipshare_fleet` — 16 mixed-generation nodes under the fixed
+///   ChipShare model at full stationary load;
+/// * `diurnal_elastic` — the same 16 nodes autoscaled (4 to 8 active)
+///   over one compressed diurnal day, at volume 0.55;
+/// * `chaos_pipeline` — a 12-node three-tier pipeline under crash,
+///   slowdown and tag faults, with recovery, hedging, admission, the
+///   model bank and the observability plane.
+///
+/// Calibration (seed 42, once per machine generation) happens here, so
+/// a caller counting the runs does not count it.
+pub fn footprint_cells(requests: f64) -> Vec<FootprintCell> {
+    let fleet = Topology::scaled_fleet(16);
+    let cells = [
+        ("chipshare_fleet", ClusterConfig::sharded(&fleet)),
+        (
+            "diurnal_elastic",
+            ClusterConfig {
+                volume: 0.55,
+                recovery: Some(RecoveryConfig::standard()),
+                autoscale: Some(AutoscaleConfig::standard(4, 8)),
+                ..ClusterConfig::sharded(&fleet)
+            },
+        ),
+        (
+            "chaos_pipeline",
+            ClusterConfig {
+                faults: FaultConfig {
+                    seed: 42 ^ 0xC4A0_5EED,
+                    node_crash_hz: 1.5,
+                    node_crash_len: SimDuration::from_millis(120),
+                    node_warmup_len: SimDuration::from_millis(80),
+                    node_slowdown_hz: 2.0,
+                    node_slowdown_factor: 0.35,
+                    node_slowdown_len: SimDuration::from_millis(150),
+                    tag_loss: 0.03,
+                    tag_corrupt: 0.03,
+                    ..FaultConfig::none()
+                },
+                recovery: Some(RecoveryConfig {
+                    hedge_after: Some(SimDuration::from_millis(40)),
+                    ..RecoveryConfig::standard()
+                }),
+                admission: Some(AdmissionConfig::standard()),
+                model_bank: Some(power_containers::BankConfig::default()),
+                obs: Some(ObsConfig::standard()),
+                ..ClusterConfig::sharded(&Topology::serving_pipeline(12))
+            },
+        ),
+    ];
+    let mut calibrated: Vec<(&'static str, workloads::MachineCalibration)> = Vec::new();
+    cells
+        .into_iter()
+        .map(|(name, mut cfg)| {
+            cfg.seed = 42;
+            let secs = requests / offered_cluster_rate(&cfg);
+            cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
+            if name == "diurnal_elastic" {
+                cfg.traffic = Some(workloads::TrafficShape {
+                    diurnal: Some(workloads::Diurnal {
+                        period: cfg.duration,
+                        amplitude: 0.7,
+                        phase: 0.0,
+                    }),
+                    ..workloads::TrafficShape::steady()
+                });
+            }
+            let cals = cfg
+                .nodes
+                .iter()
+                .map(|spec| {
+                    if let Some((_, cal)) = calibrated.iter().find(|(n, _)| *n == spec.name) {
+                        return cal.clone();
+                    }
+                    let cal = workloads::calibrate_machine(spec, 42);
+                    calibrated.push((spec.name, cal.clone()));
+                    cal
+                })
+                .collect();
+            FootprintCell { name, cfg, cals }
+        })
+        .collect()
 }

@@ -7,7 +7,9 @@
 //! cluster run is single-threaded, so the thread that calls it sees all
 //! of its heap traffic.
 
-use cluster::{run_cluster, ClusterConfig, ClusterOutcome, RecoveryConfig, SimpleBalance, Topology};
+use cluster::{
+    run_cluster, ClusterConfig, ClusterOutcome, RecoveryConfig, SimpleBalance, Topology,
+};
 use hwsim::{FaultConfig, MachineSpec};
 use power_containers::ContainerRecord;
 use simkern::SimDuration;
@@ -43,6 +45,7 @@ fn note(grow: usize, shrink: usize) {
 // const-initialised thread-locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` passes through to `System` unchanged.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             note(layout.size(), 0);
@@ -51,6 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` passes through to `System` unchanged.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             note(layout.size(), 0);
@@ -59,11 +63,14 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) };
         note(0, layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // `layout`; the caller's `new_size` passes through unchanged.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
             note(new_size, layout.size());
