@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hwsim::{CoreId, CounterBlock, DutyCycle};
 use ossim::{ContextId, KernelApi, KernelHooks, TaskId};
 use pc_bench::{facility_fixture, synthetic_calibration};
-use power_containers::{ContainerManager, MetricVector, ModelKind, Recalibrator};
+use power_containers::{ContainerManager, MetricVector, ModelKind, Recalibrator, RecordRetention};
 use simkern::{SimDuration, SimTime};
 use std::hint::black_box;
 
@@ -59,7 +59,7 @@ fn duty_set(c: &mut Criterion) {
 }
 
 fn container_attribute(c: &mut Criterion) {
-    let mut manager = ContainerManager::new(false);
+    let mut manager = ContainerManager::new(RecordRetention::None);
     let ctx = ContextId(1);
     manager.bind(ctx, SimTime::ZERO);
     let events = CounterBlock {

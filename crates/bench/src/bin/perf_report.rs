@@ -40,7 +40,7 @@ use pc_bench::{
 };
 use power_containers::{
     BankConfig, CalibrationSample, CalibrationSet, ContainerManager, MetricVector, ModelBank,
-    ModelKind, PowerModel, Recalibrator, RegimeKey, TraceRing, FEATURES,
+    ModelKind, PowerModel, Recalibrator, RecordRetention, RegimeKey, TraceRing, FEATURES,
 };
 use serde::Serialize;
 use simkern::{EventQueue, SimDuration, SimTime};
@@ -632,7 +632,7 @@ fn container_pair() -> KernelPair {
     const TOUCH: u64 = 4;
     let events = hwsim::CounterBlock::default();
     let mut naive = NaiveContainers::new();
-    let mut mgr = ContainerManager::new(false);
+    let mut mgr = ContainerManager::new(RecordRetention::None);
     for ctx in 0..LIVE {
         naive.bind(ctx, SimTime::ZERO);
         mgr.bind(ContextId(ctx), SimTime::ZERO);

@@ -12,7 +12,7 @@ use hwsim::{ActivityProfile, CoreId, Machine, MachineSpec};
 use power_containers::{
     AlignmentResult, Approach, CalibrationSample, CalibrationSet, DelayEstimator,
     FacilityConfig, FacilityError, MetricVector, ModelKind, PowerContainerFacility, PowerModel,
-    Reading, TraceRing,
+    Reading, RecordRetention, TraceRing,
 };
 use cluster::{
     offered_cluster_rate, run_cluster, run_pipeline, AdmissionConfig, AutoscaleConfig,
@@ -285,7 +285,7 @@ pub fn facility_fixture() -> (PowerContainerFacility, Machine) {
         &spec,
         FacilityConfig {
             approach: Approach::ChipShare,
-            retain_records: false,
+            retain_records: RecordRetention::None,
             ..FacilityConfig::default()
         },
     );

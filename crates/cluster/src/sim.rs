@@ -58,7 +58,7 @@ use hwsim::{
 use ossim::{ContextId, Kernel, KernelConfig, Segment, SocketId};
 use power_containers::{
     Approach, ConditioningPolicy, FacilityConfig, FacilityState, ManagerCheckpoint,
-    PowerContainerFacility,
+    PowerContainerFacility, RecordRetention,
 };
 use simkern::{FxHashMap, SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
@@ -552,10 +552,17 @@ impl Runtime {
                 align_every: if meter == Some("wattsup") { 4 } else { 16 },
                 recalibrate_every,
                 model_bank,
-                // Records feed the §3.4 response tagging: each completed
+                // The log feeds the §3.4 response tagging: each completed
                 // request's cumulative energy flows back to the
-                // dispatcher for comprehensive accounting.
-                retain_records: true,
+                // dispatcher for comprehensive accounting, which reads
+                // only its context and joules. Energy provenance also
+                // reads labels, creation times and throttled joules, so
+                // it keeps full records.
+                retain_records: if cfg.obs.as_ref().is_some_and(|o| o.provenance) {
+                    RecordRetention::Full
+                } else {
+                    RecordRetention::RequestEnergy
+                },
                 // A cluster-wide cap decomposes into per-node shares
                 // enforced by ordinary per-request conditioning.
                 conditioning: cfg.power_cap_w.map(|cap| {
@@ -2860,9 +2867,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
     }
 
     /// The comprehensive per-app energy accounting, resolved through
-    /// the dispatcher's ctx→app map over every node's container records
-    /// and still-live containers (labels are app-local and may collide
-    /// across apps). The energy per identity is exactly what the §3.4
+    /// the dispatcher's ctx→app map over every node's record log (in
+    /// either layout) and still-live containers (labels are app-local
+    /// and may collide across apps). The energy per identity is exactly
+    /// what the §3.4
     /// response tag carries back from each serving machine; records
     /// created under lost or corrupted identities simply fall out of
     /// the per-app sums. Also feeds the obs plane's energy-per-request
@@ -2879,19 +2887,18 @@ impl<'a, 'p> Fleet<'a, 'p> {
         // consumer the per-ctx maps are skipped entirely.
         let want_ctx = self.bp.cfg.retain_request_energy || self.obs.is_some();
         if want_ctx {
-            let records = |n: &Node| n.rt.facility.borrow().containers().records().len();
-            by_ctx.reserve(self.nodes.iter().map(records).sum());
+            let logged = |n: &Node| n.rt.facility.borrow().containers().log().len();
+            by_ctx.reserve(self.nodes.iter().map(logged).sum());
         }
         let mut seen_here: FxHashMap<u64, (f64, u32)> = FxHashMap::default();
         for node in &self.nodes {
             let facility = node.rt.facility.borrow();
             seen_here.clear();
-            for r in facility.containers().records() {
-                if let Some(app_idx) = app_of(ctx_app, r.ctx) {
-                    energies[app_idx] += r.energy_j + r.io_energy_j;
+            for e in facility.containers().log().request_energies() {
+                if let Some(app_idx) = app_of(ctx_app, e.ctx) {
+                    energies[app_idx] += e.joules;
                     if want_ctx {
-                        seen_here.entry(r.ctx.0).or_insert((0.0, app_idx as u32)).0 +=
-                            r.energy_j + r.io_energy_j;
+                        seen_here.entry(e.ctx.0).or_insert((0.0, app_idx as u32)).0 += e.joules;
                     }
                 }
             }

@@ -11,7 +11,7 @@ use cluster::{
     run_cluster, ClusterConfig, ClusterOutcome, RecoveryConfig, SimpleBalance, Topology,
 };
 use hwsim::{FaultConfig, MachineSpec};
-use power_containers::ContainerRecord;
+use power_containers::{ContainerRecord, RequestEnergy};
 use simkern::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -149,16 +149,18 @@ fn chipshare_fleet_grows_only_by_its_record_log() {
     // Doubling the run doubles the simulated milliseconds every node
     // lives through. Nothing on a ChipShare node reads model history or
     // meter reports, so the only state that may grow with them is the
-    // record log: one record per completed request, in a Vec that holds
-    // at most twice its length. History rings that grew with simulated
-    // time would add 176 B per node per simulated ms.
+    // record log: one 16-byte context-and-joules entry per completed
+    // request, in a Vec that holds at most twice its length. A full
+    // 88-byte record per request would exceed that bound, and history
+    // rings that grew with simulated time would add 176 B per node per
+    // simulated ms.
     let cals = calibrations();
-    let (short, short_fp) = run(&chipshare_fleet(1_000, 0.05), &cals);
-    let (long, long_fp) = run(&chipshare_fleet(2_000, 0.05), &cals);
+    let (short, short_fp) = run(&chipshare_fleet(1_000, 0.2), &cals);
+    let (long, long_fp) = run(&chipshare_fleet(2_000, 0.2), &cals);
     assert!(long.completed > short.completed, "the longer run completes more requests");
     let grown = long_fp.peak.saturating_sub(short_fp.peak);
     let records = long.completed - short.completed;
-    let log_bound = 2 * std::mem::size_of::<ContainerRecord>() * records + 16 * 1024;
+    let log_bound = 2 * std::mem::size_of::<RequestEnergy>() * records + 16 * 1024;
     assert!(
         grown <= log_bound,
         "peak heap grew {grown} B over 1,000 simulated ms for {records} more records \

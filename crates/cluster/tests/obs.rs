@@ -4,8 +4,8 @@
 //! deterministic function of the seeded config — chaos cells included.
 
 use cluster::{
-    run_pipeline, ClusterConfig, DistributionPolicy, ObsConfig, ObsOutcome, RecoveryConfig,
-    SimpleBalance, Topology,
+    run_pipeline, ClusterConfig, ClusterOutcome, DistributionPolicy, ObsConfig, ObsOutcome,
+    RecoveryConfig, SimpleBalance, Topology,
 };
 use hwsim::FaultConfig;
 use proptest::prelude::*;
@@ -140,6 +140,62 @@ fn observed_chaos_cell_is_deterministic() {
         provenance_folded(&run.provenance),
         "provenance diverged"
     );
+}
+
+/// Runs a pipeline cell under simple balance on every tier.
+fn run_cell(cfg: &ClusterConfig) -> ClusterOutcome {
+    let cals = cals_for(cfg);
+    let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
+        .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
+        .collect();
+    run_pipeline(&mut policies, cfg, &cals)
+}
+
+/// Provenance reads labels, creation times and throttled joules, so
+/// only an observed cell that asks for it keeps full container records;
+/// otherwise nodes keep each request's context and joules. The two
+/// layouts must account alike: on a chaos cell with crashes, hedges and
+/// the per-request ledger, per-app and per-context energies, every node
+/// outcome and the obs report come out bit for bit the same either way.
+#[test]
+fn provenance_alone_keeps_full_records_and_moves_no_bit() {
+    let mut cfg = observed_chaos_config(42);
+    cfg.retain_request_energy = true;
+    cfg.recovery = Some(RecoveryConfig {
+        min_timeout: SimDuration::from_millis(8),
+        hedge_after: Some(SimDuration::from_millis(6)),
+        ..cfg.recovery.expect("the chaos cell recovers")
+    });
+    let run = |provenance: bool| {
+        let mut cfg = cfg.clone();
+        cfg.obs.as_mut().expect("the chaos cell is observed").provenance = provenance;
+        let mut o = run_cell(&cfg);
+        let obs = o.obs.take().expect("obs plane was enabled");
+        (o, *obs)
+    };
+    let (full, full_obs) = run(true);
+    let (compact, compact_obs) = run(false);
+    assert!(full.crashes > 0, "no crash fired");
+    assert!(full.hedged > 0, "no hedge fired");
+    assert!(!full.energy_by_ctx.is_empty(), "the per-request ledger was asked for");
+    assert!(!full_obs.provenance.is_empty(), "provenance was configured");
+    assert!(compact_obs.provenance.is_empty());
+
+    let app_bits = |o: &ClusterOutcome| -> Vec<u64> {
+        o.energy_by_app_j.iter().map(|(_, e)| e.to_bits()).collect()
+    };
+    let ctx_bits = |o: &ClusterOutcome| -> Vec<(u64, u64, u32)> {
+        o.energy_by_ctx.iter().map(|c| (c.ctx, c.energy_j.to_bits(), c.nodes)).collect()
+    };
+    assert_eq!(app_bits(&full), app_bits(&compact), "per-app energy moved");
+    assert_eq!(ctx_bits(&full), ctx_bits(&compact), "per-context energy moved");
+    // `Debug` prints every float in its shortest round-trip form, so
+    // equal renderings are equal bits.
+    for (f, c) in full.per_node.iter().zip(&compact.per_node) {
+        assert_eq!(format!("{f:?}"), format!("{c:?}"), "a node outcome moved");
+    }
+    assert_eq!(full_obs.report.to_json(), compact_obs.report.to_json(), "obs report moved");
+    assert_eq!(format!("{full:?}"), format!("{compact:?}"), "the outcome moved");
 }
 
 proptest! {

@@ -5,7 +5,9 @@
 //! power, and control state. Containers are reference-counted by the
 //! tasks bound to them and their live state is released when the last
 //! task unbinds (the paper's 784-byte structure with a reference
-//! counter); a compact [`ContainerRecord`] can be retained for analysis.
+//! counter). What outlives a release is the manager's
+//! [`RecordRetention`]: nothing, the 16-byte [`RequestEnergy`] the §3.4
+//! response tag carries back, or a full [`ContainerRecord`] for analysis.
 //!
 //! # Layout
 //!
@@ -245,6 +247,119 @@ pub struct ContainerRecord {
     pub mean_duty: f64,
 }
 
+/// What a [`ContainerManager`] keeps of each container it releases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RecordRetention {
+    /// Nothing: released containers leave only the cumulative totals
+    /// and the release count behind.
+    None,
+    /// One [`RequestEnergy`] per container: its context and total
+    /// joules, all a dispatcher's per-request accounting reads.
+    RequestEnergy,
+    /// One [`ContainerRecord`] per container.
+    #[default]
+    Full,
+}
+
+/// What [`RecordRetention::RequestEnergy`] keeps of a released
+/// container: the context and the joules its response tag carries back
+/// to the dispatcher (§3.4). Sixteen bytes, against a full
+/// [`ContainerRecord`]'s 88.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestEnergy {
+    /// The request context the container tracked.
+    pub ctx: ContextId,
+    /// Total attributed energy, CPU/memory plus I/O, Joules.
+    pub joules: f64,
+}
+
+impl RequestEnergy {
+    /// The entry `r` reduces to: its context and
+    /// `r.energy_j + r.io_energy_j`, both layouts summing the same two
+    /// operands so a reader gets the same bits from either.
+    pub fn of(r: &ContainerRecord) -> RequestEnergy {
+        RequestEnergy { ctx: r.ctx, joules: r.energy_j + r.io_energy_j }
+    }
+}
+
+/// A manager's append-only log of released containers, in the layout
+/// its [`RecordRetention`] picks. A checkpoint journals the log's
+/// length, [`ContainerManager::take_records`] moves it out of a dead
+/// incarnation and [`ContainerManager::restore`] takes it over.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecordLog {
+    /// [`RecordRetention::None`]: always empty.
+    None,
+    /// [`RecordRetention::RequestEnergy`]'s entries, in release order.
+    RequestEnergy(Vec<RequestEnergy>),
+    /// [`RecordRetention::Full`]'s records, in release order.
+    Full(Vec<ContainerRecord>),
+}
+
+impl RecordLog {
+    /// An empty log of `retention`'s layout.
+    pub fn new(retention: RecordRetention) -> RecordLog {
+        match retention {
+            RecordRetention::None => RecordLog::None,
+            RecordRetention::RequestEnergy => RecordLog::RequestEnergy(Vec::new()),
+            RecordRetention::Full => RecordLog::Full(Vec::new()),
+        }
+    }
+
+    /// The retention this log's layout serves.
+    pub fn retention(&self) -> RecordRetention {
+        match self {
+            RecordLog::None => RecordRetention::None,
+            RecordLog::RequestEnergy(_) => RecordRetention::RequestEnergy,
+            RecordLog::Full(_) => RecordRetention::Full,
+        }
+    }
+
+    /// Number of released containers logged.
+    pub fn len(&self) -> usize {
+        match self {
+            RecordLog::None => 0,
+            RecordLog::RequestEnergy(log) => log.len(),
+            RecordLog::Full(log) => log.len(),
+        }
+    }
+
+    /// `true` when nothing is logged.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every logged container's context and total joules, in release
+    /// order, whichever the layout: a full record reads as
+    /// [`RequestEnergy::of`] it.
+    pub fn request_energies(&self) -> impl Iterator<Item = RequestEnergy> + '_ {
+        let (full, compact): (&[ContainerRecord], &[RequestEnergy]) = match self {
+            RecordLog::None => (&[], &[]),
+            RecordLog::RequestEnergy(log) => (&[], log),
+            RecordLog::Full(log) => (log, &[]),
+        };
+        full.iter().map(RequestEnergy::of).chain(compact.iter().copied())
+    }
+
+    /// Logs one released container; `record` builds it only when the
+    /// layout keeps something.
+    fn push(&mut self, record: impl FnOnce() -> ContainerRecord) {
+        match self {
+            RecordLog::None => {}
+            RecordLog::RequestEnergy(log) => log.push(RequestEnergy::of(&record())),
+            RecordLog::Full(log) => log.push(record()),
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        match self {
+            RecordLog::None => {}
+            RecordLog::RequestEnergy(log) => log.truncate(len),
+            RecordLog::Full(log) => log.truncate(len),
+        }
+    }
+}
+
 /// Owns every live container plus the special background container for
 /// activity with no traceable request context (§4.2's GAE background
 /// processing).
@@ -267,17 +382,16 @@ pub struct ContainerManager {
     bg_meta: ContainerMeta,
     bg_acct: ContainerAccounting,
     bg_events: CounterBlock,
-    records: Vec<ContainerRecord>,
-    retain_records: bool,
+    log: RecordLog,
     total_request_energy_j: f64,
     total_request_io_energy_j: f64,
     released: u64,
 }
 
 impl ContainerManager {
-    /// Creates an empty manager. When `retain_records` is set, completed
-    /// containers leave a [`ContainerRecord`] behind for analysis.
-    pub fn new(retain_records: bool) -> ContainerManager {
+    /// Creates an empty manager that keeps what `retention` says of each
+    /// container it releases.
+    pub fn new(retention: RecordRetention) -> ContainerManager {
         let mut bg_meta = ContainerMeta::new(0, SimTime::ZERO);
         bg_meta.in_use = false;
         ContainerManager {
@@ -290,8 +404,7 @@ impl ContainerManager {
             bg_meta,
             bg_acct: ContainerAccounting::new(SimTime::ZERO),
             bg_events: CounterBlock::default(),
-            records: Vec::new(),
-            retain_records,
+            log: RecordLog::new(retention),
             total_request_energy_j: 0.0,
             total_request_io_energy_j: 0.0,
             released: 0,
@@ -352,30 +465,20 @@ impl ContainerManager {
         self.meta[s].in_use = false;
         self.free.push(slot);
         self.released += 1;
-        if self.retain_records {
-            let (m, a) = (&self.meta[s], &self.acct[s]);
-            self.records.push(ContainerRecord {
-                ctx: ContextId(ctx),
-                label: m.label,
-                created_at: m.created_at,
-                finished_at: now,
-                energy_j: a.energy_j,
-                io_energy_j: a.io_energy_j,
-                throttled_j: a.throttled_j,
-                busy_seconds: a.busy_seconds,
-                mean_power_w: if a.busy_seconds > 0.0 {
-                    a.energy_j / a.busy_seconds
-                } else {
-                    0.0
-                },
-                unthrottled_power_w: a.unthrottled_power_w,
-                mean_duty: if a.busy_seconds > 0.0 {
-                    a.duty_weighted / a.busy_seconds
-                } else {
-                    1.0
-                },
-            });
-        }
+        let (m, a) = (&self.meta[s], &self.acct[s]);
+        self.log.push(|| ContainerRecord {
+            ctx: ContextId(ctx),
+            label: m.label,
+            created_at: m.created_at,
+            finished_at: now,
+            energy_j: a.energy_j,
+            io_energy_j: a.io_energy_j,
+            throttled_j: a.throttled_j,
+            busy_seconds: a.busy_seconds,
+            mean_power_w: if a.busy_seconds > 0.0 { a.energy_j / a.busy_seconds } else { 0.0 },
+            unthrottled_power_w: a.unthrottled_power_w,
+            mean_duty: if a.busy_seconds > 0.0 { a.duty_weighted / a.busy_seconds } else { 1.0 },
+        });
     }
 
     /// Binds a task to `ctx`, creating the container on first binding.
@@ -481,16 +584,26 @@ impl ContainerManager {
         }
     }
 
-    /// Records of completed containers (empty unless retention is on).
+    /// Records of completed containers (empty unless the manager keeps
+    /// [`RecordRetention::Full`]).
     pub fn records(&self) -> &[ContainerRecord] {
-        &self.records
+        match &self.log {
+            RecordLog::Full(log) => log,
+            _ => &[],
+        }
+    }
+
+    /// The record log, in whichever layout the manager keeps.
+    pub fn log(&self) -> &RecordLog {
+        &self.log
     }
 
     /// Moves the record log out, leaving this manager's empty. A dead or
     /// frozen incarnation hands its log to the next one this way, for
     /// [`ContainerManager::restore`] to take over instead of copying.
-    pub fn take_records(&mut self) -> Vec<ContainerRecord> {
-        std::mem::take(&mut self.records)
+    pub fn take_records(&mut self) -> RecordLog {
+        let empty = RecordLog::new(self.log.retention());
+        std::mem::replace(&mut self.log, empty)
     }
 
     /// Number of live containers.
@@ -550,7 +663,7 @@ impl ContainerManager {
     /// client or request class.
     pub fn energy_by_label(&self) -> Vec<LabelEnergy> {
         let mut map: FxHashMap<u32, LabelEnergy> = FxHashMap::default();
-        for r in &self.records {
+        for r in self.records() {
             let Some(label) = r.label else { continue };
             let e = map.entry(label).or_insert(LabelEnergy {
                 label,
@@ -601,8 +714,9 @@ pub struct ContainerSnapshot {
 /// exactly `attributed-at-crash − checkpoint.attributed_energy_j()`.
 ///
 /// The record log is append-only, so the checkpoint journals its
-/// *length*, not a copy: the records it covers are the first
-/// [`ManagerCheckpoint::records`] of the checkpointed manager's log,
+/// *length*, not a copy: the entries it covers, in either
+/// [`RecordLog`] layout, are the first [`ManagerCheckpoint::records`]
+/// of the checkpointed manager's log,
 /// which [`ContainerManager::restore`] takes over from the dead
 /// incarnation. Journaling therefore costs the live containers, however
 /// long the log has grown.
@@ -623,7 +737,8 @@ pub struct ManagerCheckpoint {
     pub total_request_io_energy_j: f64,
     /// Containers released before the checkpoint.
     pub released: u64,
-    /// Length of the record log at checkpoint time.
+    /// Length of the record log at checkpoint time, in entries of
+    /// whichever layout the manager keeps.
     pub records: usize,
 }
 
@@ -709,7 +824,7 @@ impl ContainerManager {
             total_request_energy_j: self.total_request_energy_j,
             total_request_io_energy_j: self.total_request_io_energy_j,
             released: self.released,
-            records: self.records.len(),
+            records: self.log.len(),
         }
     }
 
@@ -733,14 +848,10 @@ impl ContainerManager {
     ///
     /// Panics if the manager has already attributed or bound anything —
     /// restore targets only a fresh post-restart manager — or if this
-    /// manager retains records and `log` is shorter than the journaled
-    /// length, so cannot be the log `cp` was taken from.
-    pub fn restore(
-        &mut self,
-        cp: &ManagerCheckpoint,
-        mut log: Vec<ContainerRecord>,
-        now: SimTime,
-    ) -> u64 {
+    /// manager keeps a log and `log` has another layout or is shorter
+    /// than the journaled length, so cannot be the log `cp` was taken
+    /// from.
+    pub fn restore(&mut self, cp: &ManagerCheckpoint, mut log: RecordLog, now: SimTime) -> u64 {
         assert!(
             self.index.is_empty() && self.released == 0 && self.total_request_energy_j == 0.0,
             "restore targets a freshly created manager"
@@ -749,7 +860,12 @@ impl ContainerManager {
         self.total_request_io_energy_j = cp.total_request_io_energy_j;
         self.bg_acct.energy_j = cp.background_energy_j;
         self.bg_acct.io_energy_j = cp.background_io_energy_j;
-        if self.retain_records {
+        if self.log.retention() != RecordRetention::None {
+            assert_eq!(
+                log.retention(),
+                self.log.retention(),
+                "a restore takes over a log of its own layout"
+            );
             assert!(
                 log.len() >= cp.records,
                 "a log of {} records cannot hold the {} the checkpoint journaled",
@@ -757,29 +873,23 @@ impl ContainerManager {
                 cp.records
             );
             log.truncate(cp.records);
-            self.records = log;
+            self.log = log;
         }
         for s in &cp.live {
             self.released += 1;
-            if self.retain_records {
-                self.records.push(ContainerRecord {
-                    ctx: s.ctx,
-                    label: s.label,
-                    created_at: s.created_at,
-                    finished_at: now,
-                    energy_j: s.energy_j,
-                    io_energy_j: s.io_energy_j,
-                    throttled_j: s.throttled_j,
-                    busy_seconds: s.busy_seconds,
-                    mean_power_w: if s.busy_seconds > 0.0 {
-                        s.energy_j / s.busy_seconds
-                    } else {
-                        0.0
-                    },
-                    unthrottled_power_w: 0.0,
-                    mean_duty: 1.0,
-                });
-            }
+            self.log.push(|| ContainerRecord {
+                ctx: s.ctx,
+                label: s.label,
+                created_at: s.created_at,
+                finished_at: now,
+                energy_j: s.energy_j,
+                io_energy_j: s.io_energy_j,
+                throttled_j: s.throttled_j,
+                busy_seconds: s.busy_seconds,
+                mean_power_w: if s.busy_seconds > 0.0 { s.energy_j / s.busy_seconds } else { 0.0 },
+                unthrottled_power_w: 0.0,
+                mean_duty: 1.0,
+            });
         }
         self.released += cp.released;
         cp.live.len() as u64
@@ -829,7 +939,7 @@ mod tests {
 
     #[test]
     fn bind_unbind_releases_at_zero() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         let ctx = ContextId(1);
         m.bind(ctx, SimTime::ZERO);
         m.bind(ctx, SimTime::ZERO);
@@ -844,7 +954,7 @@ mod tests {
 
     #[test]
     fn attribution_accumulates_energy_and_time() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let ctx = ContextId(7);
         m.bind(ctx, SimTime::ZERO);
         m.attribute(Some(ctx), 10.0, 1.0, 0.001, &events(1000.0), SimTime::from_millis(1));
@@ -858,7 +968,7 @@ mod tests {
 
     #[test]
     fn background_catches_untagged_activity() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         m.attribute(None, 5.0, 1.0, 0.002, &events(100.0), SimTime::from_millis(1));
         assert!((m.background().energy_j() - 0.010).abs() < 1e-12);
         assert_eq!(m.total_request_energy_j(), 0.0);
@@ -867,7 +977,7 @@ mod tests {
 
     #[test]
     fn unthrottled_power_divides_by_duty() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let ctx = ContextId(3);
         m.bind(ctx, SimTime::ZERO);
         for _ in 0..20 {
@@ -880,7 +990,7 @@ mod tests {
 
     #[test]
     fn throttled_segment_tracks_duty_limited_energy() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         let ctx = ContextId(6);
         m.bind(ctx, SimTime::ZERO);
         // 1 J at full duty, then 0.5 J while duty-limited.
@@ -892,8 +1002,8 @@ mod tests {
         // The segment survives checkpoint/restore and release-to-record.
         let cp = m.checkpoint(SimTime::from_millis(1));
         assert!((cp.live[0].throttled_j - 0.5).abs() < 1e-12);
-        let mut fresh = ContainerManager::new(true);
-        fresh.restore(&cp, m.records().to_vec(), SimTime::from_millis(2));
+        let mut fresh = ContainerManager::new(RecordRetention::Full);
+        fresh.restore(&cp, m.log().clone(), SimTime::from_millis(2));
         assert!((fresh.records()[0].throttled_j - 0.5).abs() < 1e-12);
         m.unbind(ctx, SimTime::from_millis(1));
         assert!((m.records()[0].throttled_j - 0.5).abs() < 1e-12);
@@ -901,7 +1011,7 @@ mod tests {
 
     #[test]
     fn record_retention_is_optional() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let ctx = ContextId(9);
         m.bind(ctx, SimTime::ZERO);
         m.unbind(ctx, SimTime::from_millis(1));
@@ -910,8 +1020,36 @@ mod tests {
     }
 
     #[test]
+    fn request_energy_keeps_context_and_joules_in_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<RequestEnergy>(), 16);
+        let mut m = ContainerManager::new(RecordRetention::RequestEnergy);
+        let ctx = ContextId(8);
+        m.bind(ctx, SimTime::ZERO);
+        m.set_label(ctx, 3, SimTime::ZERO);
+        m.attribute(Some(ctx), 10.0, 0.5, 0.1, &events(1.0), SimTime::ZERO);
+        m.attribute_io(Some(ctx), 0.25, SimTime::ZERO);
+        m.unbind(ctx, SimTime::from_millis(1));
+        assert!(m.records().is_empty(), "full records only under full retention");
+        assert_eq!(m.released_count(), 1);
+        assert_eq!(
+            m.log().request_energies().collect::<Vec<_>>(),
+            vec![RequestEnergy { ctx, joules: 1.0 + 0.25 }]
+        );
+        assert!(m.energy_by_label().is_empty(), "labels are not kept");
+    }
+
+    #[test]
+    #[should_panic(expected = "its own layout")]
+    fn restore_rejects_a_log_of_another_layout() {
+        let m = ContainerManager::new(RecordRetention::Full);
+        let cp = m.checkpoint(SimTime::from_millis(1));
+        let compact = RecordLog::new(RecordRetention::RequestEnergy);
+        ContainerManager::new(RecordRetention::Full).restore(&cp, compact, SimTime::from_millis(2));
+    }
+
+    #[test]
     fn energy_budget_trips_when_consumed() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let ctx = ContextId(5);
         m.bind(ctx, SimTime::ZERO);
         m.set_energy_budget(ctx, Some(1.0), SimTime::ZERO);
@@ -924,7 +1062,7 @@ mod tests {
 
     #[test]
     fn labels_and_caps_survive_into_records() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         let ctx = ContextId(4);
         m.bind(ctx, SimTime::ZERO);
         m.set_label(ctx, 42, SimTime::ZERO);
@@ -936,14 +1074,14 @@ mod tests {
 
     #[test]
     fn unbind_unknown_context_is_noop() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         m.unbind(ContextId(999), SimTime::ZERO);
         assert_eq!(m.released_count(), 0);
     }
 
     #[test]
     fn energy_totals_track_requests_separately() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let ctx = ContextId(1);
         m.bind(ctx, SimTime::ZERO);
         m.attribute(Some(ctx), 10.0, 1.0, 0.1, &events(1.0), SimTime::ZERO);
@@ -966,7 +1104,7 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_lifo_and_iteration_is_slot_ordered() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         for id in [10u64, 20, 30] {
             m.bind(ContextId(id), SimTime::ZERO);
         }
@@ -986,7 +1124,7 @@ mod tests {
 
     #[test]
     fn lookup_cache_survives_release_of_other_context() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let (a, b) = (ContextId(1), ContextId(2));
         m.bind(a, SimTime::ZERO);
         m.bind(b, SimTime::ZERO);
@@ -1004,7 +1142,7 @@ mod tests {
 
     #[test]
     fn energy_by_label_rolls_up_records() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         for (id, label, watts) in [(1u64, 7u32, 10.0), (2, 7, 20.0), (3, 9, 5.0)] {
             let ctx = ContextId(id);
             m.bind(ctx, SimTime::ZERO);
@@ -1025,7 +1163,7 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_round_trips_totals_and_records() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         let done = ContextId(1);
         m.bind(done, SimTime::ZERO);
         m.attribute(Some(done), 10.0, 1.0, 0.1, &events(10.0), SimTime::from_millis(1));
@@ -1046,7 +1184,7 @@ mod tests {
             + m.background().io_energy_j();
         assert!((cp.attributed_energy_j() - attributed).abs() < 1e-12);
 
-        let mut fresh = ContainerManager::new(true);
+        let mut fresh = ContainerManager::new(RecordRetention::Full);
         let force_released = fresh.restore(&cp, m.take_records(), SimTime::from_millis(9));
         assert_eq!(force_released, 1);
         // Totals are exactly the journaled ones; the live container came
@@ -1066,7 +1204,7 @@ mod tests {
 
     #[test]
     fn checkpoint_digest_is_stable_and_ordered() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         // Insert in reverse id order; the digest must sort by ctx.
         for id in [9u64, 3, 5] {
             m.bind(ContextId(id), SimTime::ZERO);
@@ -1091,17 +1229,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot hold")]
     fn restore_rejects_a_log_shorter_than_the_journal() {
-        let mut m = ContainerManager::new(true);
+        let mut m = ContainerManager::new(RecordRetention::Full);
         m.bind(ContextId(1), SimTime::ZERO);
         m.unbind(ContextId(1), SimTime::from_millis(1));
         let cp = m.checkpoint(SimTime::from_millis(2));
-        ContainerManager::new(true).restore(&cp, Vec::new(), SimTime::from_millis(3));
+        let empty = RecordLog::Full(Vec::new());
+        ContainerManager::new(RecordRetention::Full).restore(&cp, empty, SimTime::from_millis(3));
     }
 
     #[test]
     fn empty_checkpoint_restores_to_nothing() {
-        let mut fresh = ContainerManager::new(true);
-        assert_eq!(fresh.restore(&ManagerCheckpoint::empty(), Vec::new(), SimTime::ZERO), 0);
+        let mut fresh = ContainerManager::new(RecordRetention::Full);
+        let empty = RecordLog::Full(Vec::new());
+        assert_eq!(fresh.restore(&ManagerCheckpoint::empty(), empty, SimTime::ZERO), 0);
         assert_eq!(fresh.live_count(), 0);
         assert_eq!(fresh.released_count(), 0);
         assert_eq!(fresh.total_energy_with_background_j(), 0.0);
@@ -1109,7 +1249,7 @@ mod tests {
 
     #[test]
     fn lifetime_metrics_reflect_events() {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         let ctx = ContextId(2);
         m.bind(ctx, SimTime::ZERO);
         m.attribute(Some(ctx), 1.0, 1.0, 0.001, &events(1000.0), SimTime::ZERO);

@@ -19,7 +19,7 @@ use crate::align::{AlignmentResult, DelayEstimator, Reading};
 use crate::calibrate::CalibrationSet;
 use crate::chipshare::SampleBoard;
 use crate::conditioning::ConditioningPolicy;
-use crate::container::ContainerManager;
+use crate::container::{ContainerManager, RecordRetention};
 use crate::error::FacilityError;
 use crate::metrics::{DegradeStats, MetricVector};
 use crate::model::{ModelKind, PowerModel};
@@ -120,8 +120,15 @@ pub struct FacilityConfig {
     /// well-separated competitor; closer ties are ambiguous and keep the
     /// previous delay estimate.
     pub align_ambiguity_margin: f64,
-    /// Retain per-request records after container release.
-    pub retain_records: bool,
+    /// What the container manager keeps of each completed request (see
+    /// [`RecordRetention`]). The default keeps a full
+    /// [`crate::ContainerRecord`], which the single-machine experiments
+    /// and examples read. Fleet nodes keep the 16-byte
+    /// [`crate::RequestEnergy`] their dispatcher's end-of-run accounting
+    /// reads, or full records when energy provenance asks for labels,
+    /// creation times and throttled joules. Calibration and overhead
+    /// runs keep nothing.
+    pub retain_records: RecordRetention,
     /// Additionally track modeled energy per task — used by the Fig. 4
     /// stage-breakdown analysis of a multi-stage request.
     pub track_per_task: bool,
@@ -159,7 +166,7 @@ impl Default for FacilityConfig {
             model_bank: None,
             min_align_score: 0.4,
             align_ambiguity_margin: 0.02,
-            retain_records: true,
+            retain_records: RecordRetention::Full,
             track_per_task: false,
             trace_slot: SimDuration::from_millis(1),
             trace_capacity: 8192,

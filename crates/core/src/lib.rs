@@ -96,7 +96,7 @@ pub use conditioning::ConditioningPolicy;
 pub use dvfs::DvfsGovernor;
 pub use container::{
     lifetime_metrics, ContainerManager, ContainerRecord, ContainerSnapshot, ContainerView,
-    LabelEnergy, ManagerCheckpoint,
+    LabelEnergy, ManagerCheckpoint, RecordLog, RecordRetention, RequestEnergy,
 };
 pub use error::FacilityError;
 pub use facility::{

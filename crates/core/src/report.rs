@@ -87,11 +87,12 @@ impl PowerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::RecordRetention;
     use hwsim::CounterBlock;
     use simkern::SimTime;
 
     fn manager_with(powers: &[(u64, f64)]) -> ContainerManager {
-        let mut m = ContainerManager::new(false);
+        let mut m = ContainerManager::new(RecordRetention::None);
         for &(id, watts) in powers {
             let ctx = ContextId(id);
             m.bind(ctx, SimTime::ZERO);

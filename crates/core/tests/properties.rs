@@ -4,7 +4,7 @@ use hwsim::{CoreId, MachineSpec};
 use ossim::ContextId;
 use power_containers::{
     BankConfig, CalibrationSample, CalibrationSet, ConditioningPolicy, ContainerManager,
-    MetricVector, ModelBank, ModelKind, PowerModel, SampleBoard, TraceRing,
+    MetricVector, ModelBank, ModelKind, PowerModel, RecordRetention, SampleBoard, TraceRing,
 };
 use proptest::prelude::*;
 use simkern::{SimDuration, SimTime};
@@ -94,7 +94,7 @@ proptest! {
     fn container_energy_conserved(
         ops in prop::collection::vec((0u64..8, 0.0f64..50.0, 0.001f64..0.01), 1..100)
     ) {
-        let mut mgr = ContainerManager::new(true);
+        let mut mgr = ContainerManager::new(RecordRetention::Full);
         let mut expected = 0.0;
         for (ctx, watts, dt) in &ops {
             let ctx = ContextId(*ctx);
@@ -179,7 +179,7 @@ proptest! {
             1..60,
         )
     ) {
-        let mut mgr = ContainerManager::new(true);
+        let mut mgr = ContainerManager::new(RecordRetention::Full);
         for (ctx, binds, watts, dt, unbind_one) in &ops {
             let ctx = ContextId(*ctx);
             for _ in 0..*binds {
@@ -206,7 +206,7 @@ proptest! {
         let records_before = mgr.records().len();
         let total_before = mgr.total_request_energy_j();
 
-        let mut fresh = ContainerManager::new(true);
+        let mut fresh = ContainerManager::new(RecordRetention::Full);
         let restored = fresh.restore(&cp, mgr.take_records(), t);
         // Every journaled live container was force-released exactly once.
         prop_assert_eq!(restored as usize, live_before);
@@ -239,7 +239,7 @@ proptest! {
             1..5,
         )
     ) {
-        let mut mgr = ContainerManager::new(true);
+        let mut mgr = ContainerManager::new(RecordRetention::Full);
         let mut expected = 0.0;
         let mut now_ms = 1u64;
         for ops in &cycles {
@@ -261,7 +261,7 @@ proptest! {
                 now_ms += 1;
             }
             let cp = mgr.checkpoint(SimTime::from_millis(now_ms));
-            let mut fresh = ContainerManager::new(true);
+            let mut fresh = ContainerManager::new(RecordRetention::Full);
             let restored = fresh.restore(&cp, mgr.take_records(), SimTime::from_millis(now_ms));
             prop_assert_eq!(restored as usize, cp.live.len());
             prop_assert_eq!(fresh.live_count(), 0, "all journaled containers resolved");
@@ -383,7 +383,7 @@ proptest! {
     ) {
         use power_containers::ManagerCheckpoint;
 
-        let mut mgr = ContainerManager::new(true);
+        let mut mgr = ContainerManager::new(RecordRetention::Full);
         let events = hwsim::CounterBlock::default();
         let mut stale = ManagerCheckpoint::empty();
         let stale_at = steps.len().saturating_sub(stale_by);
@@ -453,7 +453,7 @@ proptest! {
 
         // Restoring the drain checkpoint hands the totals to the next
         // incarnation exactly.
-        let mut fresh = ContainerManager::new(true);
+        let mut fresh = ContainerManager::new(RecordRetention::Full);
         fresh.restore(&drain, mgr.take_records(), SimTime::from_millis(1 + steps.len() as u64));
         let restored = fresh.total_energy_with_background_j()
             + fresh.total_request_io_energy_j()
@@ -661,7 +661,8 @@ proptest! {
         after in prop::collection::vec(manager_op(), 0..80),
         retain in any::<bool>(),
     ) {
-        let mut mgr = ContainerManager::new(retain);
+        let retention = if retain { RecordRetention::Full } else { RecordRetention::None };
+        let mut mgr = ContainerManager::new(retention);
         let mut now_us = 0u64;
         for op in &before {
             now_us += 137;
@@ -698,7 +699,7 @@ proptest! {
         prop_assert_eq!(&dead[..journaled], &at_checkpoint[..]);
 
         let restart = SimTime::from_micros(now_us + 500);
-        let mut fresh = ContainerManager::new(retain);
+        let mut fresh = ContainerManager::new(retention);
         let forced = fresh.restore(&cp, mgr.take_records(), restart);
         prop_assert_eq!(forced, cp.live.len() as u64);
 
@@ -725,5 +726,76 @@ proptest! {
                 &[],
             )
         );
+    }
+}
+
+/// A manager's log as (context, joules) pairs, joules by bit pattern,
+/// read through the accessor that serves every layout.
+fn logged_energy(m: &ContainerManager) -> Vec<(u64, u64)> {
+    m.log().request_energies().map(|e| (e.ctx.0, e.joules.to_bits())).collect()
+}
+
+/// The pairs a per-request-energy log must hold for a manager's full
+/// records, summed here from each record's two fields.
+fn full_record_energy(m: &ContainerManager) -> Vec<(u64, u64)> {
+    m.records().iter().map(|r| (r.ctx.0, (r.energy_j + r.io_energy_j).to_bits())).collect()
+}
+
+proptest! {
+    /// The two layouts of the record log against each other. A
+    /// full-retention manager and a per-request-energy manager live
+    /// through the same random history, are checkpointed mid-history,
+    /// carry on, and are each restored into a fresh manager. At every
+    /// stage entry *i* of the compact log is `(r.ctx, r.energy_j +
+    /// r.io_energy_j)` of full record *i*, bit for bit, and the totals,
+    /// released counts and checkpoint text are the same.
+    #[test]
+    fn request_energy_log_matches_full_records(
+        before in prop::collection::vec(manager_op(), 0..80),
+        after in prop::collection::vec(manager_op(), 0..80),
+    ) {
+        let retentions = [RecordRetention::Full, RecordRetention::RequestEnergy];
+        let mut mgrs = retentions.map(ContainerManager::new);
+        let mut now_us = 0u64;
+        for op in &before {
+            now_us += 137;
+            for m in &mut mgrs {
+                apply_op(m, op, SimTime::from_micros(now_us));
+            }
+        }
+        let taken_at = SimTime::from_micros(now_us + 50);
+        let [full_cp, compact_cp] = [&mgrs[0], &mgrs[1]].map(|m| m.checkpoint(taken_at));
+        prop_assert_eq!(full_cp.digest(), compact_cp.digest());
+        prop_assert_eq!(&full_cp, &compact_cp);
+        prop_assert!(mgrs[1].records().is_empty(), "the compact manager keeps no full record");
+        prop_assert_eq!(logged_energy(&mgrs[1]), full_record_energy(&mgrs[0]));
+
+        for op in &after {
+            now_us += 137;
+            for m in &mut mgrs {
+                apply_op(m, op, SimTime::from_micros(now_us));
+            }
+        }
+        prop_assert_eq!(logged_energy(&mgrs[1]), full_record_energy(&mgrs[0]));
+        prop_assert_eq!(logged_energy(&mgrs[0]), full_record_energy(&mgrs[0]));
+
+        let restart = SimTime::from_micros(now_us + 500);
+        let mut fresh = retentions.map(ContainerManager::new);
+        let mut forced = [0u64; 2];
+        for (i, cp) in [&full_cp, &compact_cp].into_iter().enumerate() {
+            forced[i] = fresh[i].restore(cp, mgrs[i].take_records(), restart);
+        }
+        prop_assert_eq!(forced[0], forced[1]);
+        prop_assert_eq!(fresh[1].log().retention(), RecordRetention::RequestEnergy);
+        prop_assert_eq!(fresh[0].records().len(), fresh[1].log().len());
+        prop_assert_eq!(logged_energy(&fresh[1]), full_record_energy(&fresh[0]));
+        prop_assert_eq!(fresh[0].released_count(), fresh[1].released_count());
+        prop_assert_eq!(fresh[0].live_count(), fresh[1].live_count());
+        prop_assert_eq!(
+            manager_totals(&fresh[0]).map(f64::to_bits),
+            manager_totals(&fresh[1]).map(f64::to_bits)
+        );
+        let again = SimTime::from_micros(now_us + 900);
+        prop_assert_eq!(fresh[0].checkpoint(again).digest(), fresh[1].checkpoint(again).digest());
     }
 }

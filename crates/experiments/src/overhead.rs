@@ -13,7 +13,7 @@ use hwsim::{ActivityProfile, CoreId, DutyCycle, Machine, MachineSpec};
 use ossim::{ContextId, KernelApi, KernelHooks, TaskId};
 use power_containers::{
     Approach, CalibrationSample, CalibrationSet, ContainerManager, FacilityConfig,
-    MetricVector, ModelKind, PowerContainerFacility, Recalibrator,
+    MetricVector, ModelKind, PowerContainerFacility, Recalibrator, RecordRetention,
 };
 use serde::Serialize;
 use simkern::{SimDuration, SimTime};
@@ -62,7 +62,7 @@ fn bench_maintenance(iters: u32) -> f64 {
         &spec,
         FacilityConfig {
             approach: Approach::ChipShare,
-            retain_records: false,
+            retain_records: RecordRetention::None,
             ..FacilityConfig::default()
         },
     );

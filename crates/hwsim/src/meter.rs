@@ -11,10 +11,11 @@
 use simkern::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Pending reports a discarding meter keeps room for. A longer backlog,
+/// Pending reports a meter's queue keeps room for. A longer backlog,
 /// such as the one a rebooted node's fast-forward queues (a report per
-/// window since time zero), hands its spare room back once drained.
-const DISCARD_KEEP: usize = 64;
+/// window since time zero), hands its spare room back once drained,
+/// whether its reports were popped or discarded.
+const PENDING_KEEP: usize = 64;
 
 /// What a meter measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,7 +151,8 @@ impl MeterState {
     }
 
     /// Removes and returns every report visible at or before `now`, in
-    /// window order.
+    /// window order. A drained backlog hands its room back as in
+    /// [`MeterState::discard_visible`].
     pub fn pop_visible(&mut self, now: SimTime) -> Vec<MeterReport> {
         let mut out = Vec::new();
         while let Some(front) = self.pending.front() {
@@ -160,20 +162,25 @@ impl MeterState {
                 break;
             }
         }
+        self.hand_back_drained_room();
         out
     }
 
     /// Drops every report visible at or before `now` — exactly the
     /// reports [`MeterState::pop_visible`] would return — without
-    /// collecting them. Reports still in flight stay queued. Once a
-    /// backlog of more than twice [`DISCARD_KEEP`] reports has drained,
-    /// the queue shrinks back to room for [`DISCARD_KEEP`].
+    /// collecting them. Reports still in flight stay queued.
     pub fn discard_visible(&mut self, now: SimTime) {
         while self.pending.front().is_some_and(|r| r.visible_at <= now) {
             self.pending.pop_front();
         }
-        if self.pending.capacity() > 2 * DISCARD_KEEP && self.pending.len() <= DISCARD_KEEP / 2 {
-            self.pending.shrink_to(DISCARD_KEEP);
+        self.hand_back_drained_room();
+    }
+
+    /// Once a backlog of more than twice [`PENDING_KEEP`] reports has
+    /// drained, shrinks the queue back to room for [`PENDING_KEEP`].
+    fn hand_back_drained_room(&mut self) {
+        if self.pending.capacity() > 2 * PENDING_KEEP && self.pending.len() <= PENDING_KEEP / 2 {
+            self.pending.shrink_to(PENDING_KEEP);
         }
     }
 
@@ -237,12 +244,31 @@ mod tests {
         assert!(m.pending.capacity() >= 5_000);
         m.discard_visible(SimTime::from_millis(5_000));
         assert_eq!(m.pending_len(), 1, "the last window is still in flight");
-        assert!(m.pending.capacity() <= 2 * DISCARD_KEEP);
+        assert!(m.pending.capacity() <= 2 * PENDING_KEEP);
         // A short backlog keeps its room: nothing reallocates per call.
         let room = m.pending.capacity();
         for ms in 5_001..=5_010 {
             m.close_window(SimTime::from_millis(ms), 1.0);
             m.discard_visible(SimTime::from_millis(ms));
+            assert_eq!(m.pending.capacity(), room);
+        }
+    }
+
+    #[test]
+    fn popping_a_drained_backlog_hands_its_room_back() {
+        let mut m = MeterState::new(MeterSpec::on_chip());
+        for ms in 1..=5_000 {
+            m.close_window(SimTime::from_millis(ms), 1.0);
+        }
+        assert!(m.pending.capacity() >= 5_000);
+        assert_eq!(m.pop_visible(SimTime::from_millis(5_000)).len(), 4_999);
+        assert_eq!(m.pending_len(), 1, "the last window is still in flight");
+        assert!(m.pending.capacity() <= 2 * PENDING_KEEP);
+        // A short backlog keeps its room: nothing reallocates per poll.
+        let room = m.pending.capacity();
+        for ms in 5_001..=5_010 {
+            m.close_window(SimTime::from_millis(ms), 1.0);
+            assert_eq!(m.pop_visible(SimTime::from_millis(ms)).len(), 1);
             assert_eq!(m.pending.capacity(), room);
         }
     }

@@ -15,7 +15,7 @@ use hwsim::{ActivityProfile, Machine, MachineSpec};
 use ossim::{FnProgram, Kernel, KernelConfig, Op};
 use power_containers::{
     Approach, CalibrationSample, CalibrationSet, FacilityConfig, ModelKind,
-    PowerContainerFacility, PowerModel,
+    PowerContainerFacility, PowerModel, RecordRetention,
 };
 use simkern::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -169,7 +169,7 @@ fn metrics_collector(spec: &MachineSpec) -> PowerContainerFacility {
     let model = PowerModel::new(ModelKind::WithChipShare, 0.0, [0.0; 8]);
     let config = FacilityConfig {
         approach: Approach::ChipShare,
-        retain_records: false,
+        retain_records: RecordRetention::None,
         ..FacilityConfig::default()
     };
     PowerContainerFacility::new(model, None, spec, config)
