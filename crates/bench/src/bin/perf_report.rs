@@ -1154,13 +1154,14 @@ fn autoscale_overhead(ctx: &RunCtx) -> AutoscaleOverhead {
 const FOOTPRINT_REQUESTS: f64 = 20_000.0;
 
 /// `[allocations, bytes_allocated, peak_live_bytes]` of each footprint
-/// cell, counted by this driver on the build before fleet nodes stopped
-/// keeping model history nobody aligns against, on-chip meter reports
-/// nobody polls, and a copy of the record log in every checkpoint.
+/// cell, counted by this driver on the build before fleet nodes without
+/// provenance kept a 16-byte context-and-joules entry per finished
+/// request instead of an 88-byte record, and before polled meter queues
+/// handed a drained backlog's room back.
 const FOOTPRINT_BEFORE: [(&str, [u64; 3]); 3] = [
-    ("chipshare_fleet", [25_059, 23_562_420, 11_115_696]),
-    ("diurnal_elastic", [21_015, 18_634_448, 8_171_856]),
-    ("chaos_pipeline", [638_850, 1_905_113_677, 32_421_584]),
+    ("chipshare_fleet", [24_643, 9_939_252, 4_301_616]),
+    ("diurnal_elastic", [20_728, 7_764_632, 2_940_472]),
+    ("chaos_pipeline", [634_844, 682_493_589, 21_209_600]),
 ];
 
 fn footprint() -> Vec<FootprintCount> {

@@ -29,9 +29,10 @@ pub struct ObsConfig {
     /// Burn-rate rule thresholds and hysteresis.
     pub rules: SloRules,
     /// Collect the per-request energy provenance breakdown (node →
-    /// incarnation → container → cpu/throttled/io segment). Costs
-    /// memory proportional to the retained container records; off for
-    /// megafleet cells.
+    /// incarnation → container → cpu/throttled/io segment). It reads
+    /// full container records, so every node then keeps an 88-byte
+    /// record per finished request instead of a 16-byte context and
+    /// joules entry; off for megafleet cells.
     pub provenance: bool,
     /// Per-node `power_w/node/NNNN` rollup series are kept for the
     /// first this-many nodes (fleet-level series are always kept).

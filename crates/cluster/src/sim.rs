@@ -2867,10 +2867,9 @@ impl<'a, 'p> Fleet<'a, 'p> {
     }
 
     /// The comprehensive per-app energy accounting, resolved through
-    /// the dispatcher's ctx→app map over every node's record log (in
-    /// either layout) and still-live containers (labels are app-local
-    /// and may collide across apps). The energy per identity is exactly
-    /// what the §3.4
+    /// the dispatcher's ctx→app map over every node's record log entries
+    /// and still-live containers (labels are app-local and may collide
+    /// across apps). The energy per identity is exactly what the §3.4
     /// response tag carries back from each serving machine; records
     /// created under lost or corrupted identities simply fall out of
     /// the per-app sums. Also feeds the obs plane's energy-per-request

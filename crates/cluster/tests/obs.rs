@@ -10,6 +10,7 @@ use cluster::{
 use hwsim::FaultConfig;
 use proptest::prelude::*;
 use simkern::SimDuration;
+use std::collections::BTreeSet;
 use telemetry::obs::{provenance_folded, SloRules};
 use workloads::{calibrate_machine, MachineCalibration};
 
@@ -63,14 +64,18 @@ fn observed_chaos_config(seed: u64) -> ClusterConfig {
     cfg
 }
 
-/// Runs `cfg` and returns the plane's outcome.
-fn run_observed(cfg: &ClusterConfig) -> ObsOutcome {
+/// Runs a pipeline cell under simple balance on every tier.
+fn run_cell(cfg: &ClusterConfig) -> ClusterOutcome {
     let cals = cals_for(cfg);
     let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
         .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
         .collect();
-    let o = run_pipeline(&mut policies, cfg, &cals);
-    *o.obs.expect("obs plane was enabled")
+    run_pipeline(&mut policies, cfg, &cals)
+}
+
+/// Runs `cfg` and returns the plane's outcome.
+fn run_observed(cfg: &ClusterConfig) -> ObsOutcome {
+    *run_cell(cfg).obs.expect("obs plane was enabled")
 }
 
 /// The plane is strictly opt-in: without `ClusterConfig::obs` the
@@ -79,12 +84,7 @@ fn run_observed(cfg: &ClusterConfig) -> ObsOutcome {
 fn obs_is_none_unless_enabled() {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(4));
     cfg.duration = SimDuration::from_millis(300);
-    let cals = cals_for(&cfg);
-    let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
-        .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
-        .collect();
-    let o = run_pipeline(&mut policies, &cfg, &cals);
-    assert!(o.obs.is_none());
+    assert!(run_cell(&cfg).obs.is_none());
 }
 
 /// A healthy observed cell populates the report: one rollup cell per
@@ -142,15 +142,6 @@ fn observed_chaos_cell_is_deterministic() {
     );
 }
 
-/// Runs a pipeline cell under simple balance on every tier.
-fn run_cell(cfg: &ClusterConfig) -> ClusterOutcome {
-    let cals = cals_for(cfg);
-    let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
-        .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
-        .collect();
-    run_pipeline(&mut policies, cfg, &cals)
-}
-
 /// Provenance reads labels, creation times and throttled joules, so
 /// only an observed cell that asks for it keeps full container records;
 /// otherwise nodes keep each request's context and joules. The two
@@ -178,7 +169,9 @@ fn provenance_alone_keeps_full_records_and_moves_no_bit() {
     assert!(full.crashes > 0, "no crash fired");
     assert!(full.hedged > 0, "no hedge fired");
     assert!(!full.energy_by_ctx.is_empty(), "the per-request ledger was asked for");
-    assert!(!full_obs.provenance.is_empty(), "provenance was configured");
+    let charged: BTreeSet<u64> = full.energy_by_ctx.iter().map(|c| c.ctx).collect();
+    let traced: BTreeSet<u64> = full_obs.provenance.iter().map(|p| p.ctx).collect();
+    assert!(charged.is_subset(&traced), "provenance needs a full record of every request");
     assert!(compact_obs.provenance.is_empty());
 
     let app_bits = |o: &ClusterOutcome| -> Vec<u64> {

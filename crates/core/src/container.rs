@@ -248,7 +248,7 @@ pub struct ContainerRecord {
 }
 
 /// What a [`ContainerManager`] keeps of each container it releases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordRetention {
     /// Nothing: released containers leave only the cumulative totals
     /// and the release count behind.
@@ -257,7 +257,6 @@ pub enum RecordRetention {
     /// joules, all a dispatcher's per-request accounting reads.
     RequestEnergy,
     /// One [`ContainerRecord`] per container.
-    #[default]
     Full,
 }
 
@@ -298,7 +297,7 @@ pub enum RecordLog {
 
 impl RecordLog {
     /// An empty log of `retention`'s layout.
-    pub fn new(retention: RecordRetention) -> RecordLog {
+    pub(crate) fn new(retention: RecordRetention) -> RecordLog {
         match retention {
             RecordRetention::None => RecordLog::None,
             RecordRetention::RequestEnergy => RecordLog::RequestEnergy(Vec::new()),
