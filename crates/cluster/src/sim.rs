@@ -69,6 +69,10 @@ use workloads::{
     TrafficShape, WorkloadKind,
 };
 
+mod serials;
+
+use serials::SerialMap;
+
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -1507,47 +1511,6 @@ impl ArrivalGen {
         match self {
             ArrivalGen::Open(g) => g.next(apps),
             ArrivalGen::Traffic(g) => g.next(apps),
-        }
-    }
-}
-
-/// Wire serial → request id, as a slab indexed by the (sequential)
-/// serial instead of a hash map: O(1) with no hashing or tombstone
-/// churn on the dispatch/settle hot path. `u64::MAX` marks a serial
-/// with no live request (stale).
-struct SerialMap {
-    slots: Vec<u64>,
-}
-
-impl SerialMap {
-    const NONE: u64 = u64::MAX;
-
-    fn new() -> SerialMap {
-        SerialMap { slots: Vec::new() }
-    }
-
-    #[inline]
-    fn insert(&mut self, serial: u64, req_id: u64) {
-        let i = serial as usize;
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, Self::NONE);
-        }
-        self.slots[i] = req_id;
-    }
-
-    #[inline]
-    fn get(&self, serial: u64) -> Option<u64> {
-        match self.slots.get(serial as usize) {
-            Some(&r) if r != Self::NONE => Some(r),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn remove(&mut self, serial: u64) -> Option<u64> {
-        match self.slots.get_mut(serial as usize) {
-            Some(r) if *r != Self::NONE => Some(std::mem::replace(r, Self::NONE)),
-            _ => None,
         }
     }
 }

@@ -1,9 +1,10 @@
-//! Engine oracle: three small cells whose full outcome rendering and
+//! Engine oracle: four small cells whose full outcome rendering and
 //! exported trace are pinned by committed digests.
 //!
 //! Between them the cells drive every path of the cluster engine: a
 //! three-tier chaos pipeline (crashes, retries, hedges, checkpoints,
-//! the model bank and the observability plane), an autoscaled diurnal
+//! the model bank and the observability plane), the same pipeline
+//! keeping a per-request energy ledger over compact logs, an autoscaled diurnal
 //! tier (provisioning, clean and forced drains, a rolling upgrade), and
 //! a capped flash crowd that climbs the brownout ladder. Each digest is
 //! FNV-1a over `format!("{outcome:?}")` followed by the JSONL trace, so
@@ -105,6 +106,17 @@ fn chaos_pipeline() -> ClusterConfig {
     cfg
 }
 
+/// The chaos pipeline with the per-request energy ledger on and
+/// provenance off, so its nodes keep 16-byte context-and-joules log
+/// entries and the digest covers every context's summed energy and node
+/// count.
+fn chaos_ledger() -> ClusterConfig {
+    let mut cfg = chaos_pipeline();
+    cfg.retain_request_energy = true;
+    cfg.obs.as_mut().expect("the chaos pipeline observes").provenance = false;
+    cfg
+}
+
 /// A six-node tier riding one compressed diurnal day from four active
 /// nodes, with a short drain deadline (so some drains are forced) and
 /// a two-swap rolling upgrade.
@@ -167,6 +179,19 @@ fn chaos_pipeline_matches_engine_oracle() {
     let obs = o.obs.as_ref().expect("obs plane enabled");
     assert!(!obs.provenance.is_empty(), "no provenance collected");
     assert_digest("chaos_pipeline", h, 0xc99f_8df6_65d8_4ab2);
+}
+
+#[test]
+fn chaos_ledger_matches_engine_oracle() {
+    let (o, _, h) = run_traced(&chaos_ledger());
+    assert!(o.stale_replies > 0, "no stale reply deduplicated");
+    let obs = o.obs.as_ref().expect("obs plane enabled");
+    assert!(obs.provenance.is_empty(), "provenance collected with provenance off");
+    assert!(
+        o.energy_by_ctx.iter().any(|c| c.nodes >= 2),
+        "no context's energy landed on two or more nodes"
+    );
+    assert_digest("chaos_ledger", h, 0x1611_ebf5_c284_afe9);
 }
 
 #[test]
