@@ -19,13 +19,16 @@
 //! which uses only public API; `--scan-before-*` pass in the median the
 //! same function measured on an earlier build on the same host.
 //!
-//! The footprint section counts heap allocations, bytes allocated and
-//! the peak live heap of three cluster cells (`pc_bench::footprint_cells`,
-//! public API only) with a counting global allocator that counts inside
-//! that section and nowhere else. The counts are deterministic for a
-//! given build, so they are recorded exactly, next to the same cells
-//! counted by the same driver on the build before fleet nodes stopped
-//! keeping unread state.
+//! The footprint section counts heap allocations, bytes allocated, the
+//! peak live heap and the live heap once the call returns (what the
+//! outcome holds, so a transient peak tells apart from a retained one)
+//! of three cluster cells (`pc_bench::footprint_cells`, public API only)
+//! with a counting global allocator that counts inside that section and
+//! nowhere else. The counts are deterministic for a given build, so they
+//! are recorded exactly, next to the same cells counted by the same
+//! driver on the build before the dispatcher kept only live serials and
+//! the fleet's end-of-run accounting and rebooted nodes' meter polls
+//! stopped keeping buffers sized by the run's history.
 //!
 //! With no `--out`, the report is written to `BENCH_perf.json` in the
 //! repository root.
@@ -119,9 +122,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Heap traffic of one counted call: allocations (reallocations
-/// included), bytes allocated, and the peak live heap above the live
-/// heap at the call.
-fn count_heap<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
+/// included), bytes allocated, the peak live heap above the live heap
+/// at the call, and what is still live once the call has returned.
+fn count_heap<T>(f: impl FnOnce() -> T) -> (T, [u64; 4]) {
     for c in [&ALLOCATIONS, &BYTES_ALLOCATED] {
         c.store(0, Relaxed);
     }
@@ -132,7 +135,8 @@ fn count_heap<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
     let out = f();
     COUNTING.store(false, Relaxed);
     let peak = PEAK_LIVE_BYTES.load(Relaxed).max(0) as u64;
-    (out, [ALLOCATIONS.load(Relaxed), BYTES_ALLOCATED.load(Relaxed), peak])
+    let held = LIVE_BYTES.load(Relaxed).max(0) as u64;
+    (out, [ALLOCATIONS.load(Relaxed), BYTES_ALLOCATED.load(Relaxed), peak, held])
 }
 
 /// One before/after kernel pair.
@@ -313,11 +317,15 @@ struct FootprintCount {
     allocations: u64,
     bytes_allocated: u64,
     peak_live_bytes: u64,
-    /// The same counts for the same cell on the build before nodes
-    /// dropped unread history, meter backlogs and checkpoint log copies.
+    /// Live heap once the cell's call has returned: what its outcome
+    /// holds.
+    live_after_bytes: u64,
+    /// The same counts for the same cell on the build named at
+    /// [`FOOTPRINT_BEFORE`].
     before_allocations: u64,
     before_bytes_allocated: u64,
     before_peak_live_bytes: u64,
+    before_live_after_bytes: u64,
     peak_live_ratio: f64,
 }
 
@@ -1153,28 +1161,33 @@ fn autoscale_overhead(ctx: &RunCtx) -> AutoscaleOverhead {
 /// Requests each footprint cell offers.
 const FOOTPRINT_REQUESTS: f64 = 20_000.0;
 
-/// `[allocations, bytes_allocated, peak_live_bytes]` of each footprint
-/// cell, counted by this driver on the build before fleet nodes without
-/// provenance kept a 16-byte context-and-joules entry per finished
-/// request instead of an 88-byte record, and before polled meter queues
-/// handed a drained backlog's room back.
-const FOOTPRINT_BEFORE: [(&str, [u64; 3]); 3] = [
-    ("chipshare_fleet", [24_643, 9_939_252, 4_301_616]),
-    ("diurnal_elastic", [20_728, 7_764_632, 2_940_472]),
-    ("chaos_pipeline", [634_844, 682_493_589, 21_209_600]),
+/// `[allocations, bytes_allocated, peak_live_bytes, live_after_bytes]`
+/// of each footprint cell, counted by this driver on the build before
+/// the dispatcher kept only live serials, the end-of-run per-request
+/// accounting moved to dense slabs, and rebooted nodes stopped
+/// collecting their meter backlog into a fresh `Vec` per poll and
+/// keeping its room afterwards.
+const FOOTPRINT_BEFORE: [(&str, [u64; 4]); 3] = [
+    ("chipshare_fleet", [24_643, 5_225_268, 1_942_320, 2_064]),
+    ("diurnal_elastic", [20_728, 4_742_936, 1_432_248, 2_960]),
+    ("chaos_pipeline", [634_944, 668_546_069, 10_998_272, 290_797]),
 ];
 
 fn footprint() -> Vec<FootprintCount> {
     pc_bench::footprint_cells(FOOTPRINT_REQUESTS)
         .iter()
         .map(|cell| {
-            let (outcome, [allocations, bytes_allocated, peak_live_bytes]) =
+            let (outcome, [allocations, bytes_allocated, peak_live_bytes, live_after_bytes]) =
                 count_heap(|| cell.run());
-            let [before_allocations, before_bytes_allocated, before_peak_live_bytes] =
-                FOOTPRINT_BEFORE
-                    .iter()
-                    .find(|(name, _)| *name == cell.name)
-                    .map_or([0; 3], |(_, counts)| *counts);
+            let [
+                before_allocations,
+                before_bytes_allocated,
+                before_peak_live_bytes,
+                before_live_after_bytes,
+            ] = FOOTPRINT_BEFORE
+                .iter()
+                .find(|(name, _)| *name == cell.name)
+                .map_or([0; 4], |(_, counts)| *counts);
             FootprintCount {
                 cell: cell.name.to_string(),
                 simulated_s: cell.cfg.duration.as_secs_f64(),
@@ -1182,9 +1195,11 @@ fn footprint() -> Vec<FootprintCount> {
                 allocations,
                 bytes_allocated,
                 peak_live_bytes,
+                live_after_bytes,
                 before_allocations,
                 before_bytes_allocated,
                 before_peak_live_bytes,
+                before_live_after_bytes,
                 peak_live_ratio: peak_live_bytes as f64 / before_peak_live_bytes.max(1) as f64,
             }
         })
@@ -1340,15 +1355,17 @@ fn main() {
     );
     for f in &report.footprint {
         eprintln!(
-            "  footprint {:<16} {:>9} allocations  {:>11} B allocated  peak {:>10} B \
-             (before {} / {} B / {} B, peak x{:.3})",
+            "  footprint {:<16} {:>9} allocations  {:>11} B allocated  peak {:>10} B  \
+             live after {:>8} B (before {} / {} B / {} B / {} B, peak x{:.3})",
             f.cell,
             f.allocations,
             f.bytes_allocated,
             f.peak_live_bytes,
+            f.live_after_bytes,
             f.before_allocations,
             f.before_bytes_allocated,
             f.before_peak_live_bytes,
+            f.before_live_after_bytes,
             f.peak_live_ratio
         );
     }

@@ -1526,6 +1526,69 @@ fn app_of(ctx_app: &[u8], ctx: ossim::ContextId) -> Option<usize> {
         .map(|&a| a as usize)
 }
 
+/// Per-request energy assembled at the end of a run, on slabs indexed
+/// like `ctx_app` by the sequential context id (slot `ctx - 1`), so its
+/// cost is a few bytes per request the run opened whatever the length
+/// of the nodes' logs. Nodes are added one at a time: a node's entries
+/// sum into its partial per context, and closing the node adds each
+/// partial it touched to that context's fleet sum. Every sum starts at
+/// 0.0 and adds in node, then log, then live-container order.
+struct CtxSums {
+    /// Fleet-wide energy per context, Joules.
+    fleet: Vec<f64>,
+    /// Nodes that attributed energy to each context.
+    nodes: Vec<u32>,
+    /// The open node's partial sum per context (valid where `here_seen`).
+    here: Vec<f64>,
+    here_seen: Vec<bool>,
+    /// Slots the open node touched, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl CtxSums {
+    fn new(contexts: usize) -> CtxSums {
+        CtxSums {
+            fleet: vec![0.0; contexts],
+            nodes: vec![0; contexts],
+            here: vec![0.0; contexts],
+            here_seen: vec![false; contexts],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Adds `joules` to slot `i`'s partial on the open node.
+    #[inline]
+    fn add(&mut self, i: usize, joules: f64) {
+        if !self.here_seen[i] {
+            self.here_seen[i] = true;
+            self.here[i] = 0.0;
+            self.touched.push(i as u32);
+        }
+        self.here[i] += joules;
+    }
+
+    /// Folds the open node's partials into the fleet sums.
+    fn close_node(&mut self) {
+        for &i in &self.touched {
+            let i = i as usize;
+            self.fleet[i] += self.here[i];
+            self.nodes[i] += 1;
+            self.here_seen[i] = false;
+        }
+        self.touched.clear();
+    }
+
+    /// `(slot, energy, nodes)` of every context some node touched, in
+    /// context order.
+    fn rows(&self) -> impl Iterator<Item = (usize, f64, u32)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| (i, self.fleet[i], n))
+    }
+}
+
 /// Deadline of one hop with expected service time `secs`.
 fn hop_deadline(rec: &RecoveryConfig, secs: f64) -> SimDuration {
     SimDuration::from_secs_f64(secs * rec.hop_timeout_mult).max(rec.min_timeout)
@@ -2841,26 +2904,18 @@ impl<'a, 'p> Fleet<'a, 'p> {
     fn attribute_energy(&mut self) -> (Vec<f64>, Vec<CtxEnergy>) {
         let ctx_app = &self.book.ctx_app;
         let mut energies = vec![0.0f64; self.bp.apps.len()];
-        // ctx → (energy, node count, app index) — the app rides along so
-        // the obs feed below needs no second identity lookup per request.
-        let mut by_ctx: FxHashMap<u64, (f64, u32, u32)> = FxHashMap::default();
         // The obs plane's energy-per-request sketches need the same
         // per-ctx assembly `retain_request_energy` builds; without either
-        // consumer the per-ctx maps are skipped entirely.
+        // consumer the per-ctx slabs are skipped entirely.
         let want_ctx = self.bp.cfg.retain_request_energy || self.obs.is_some();
-        if want_ctx {
-            let logged = |n: &Node| n.rt.facility.borrow().containers().log().len();
-            by_ctx.reserve(self.nodes.iter().map(logged).sum());
-        }
-        let mut seen_here: FxHashMap<u64, (f64, u32)> = FxHashMap::default();
+        let mut by_ctx = CtxSums::new(if want_ctx { ctx_app.len() } else { 0 });
         for node in &self.nodes {
             let facility = node.rt.facility.borrow();
-            seen_here.clear();
             for e in facility.containers().log().request_energies() {
                 if let Some(app_idx) = app_of(ctx_app, e.ctx) {
                     energies[app_idx] += e.joules;
                     if want_ctx {
-                        seen_here.entry(e.ctx.0).or_insert((0.0, app_idx as u32)).0 += e.joules;
+                        by_ctx.add(e.ctx.0 as usize - 1, e.joules);
                     }
                 }
             }
@@ -2868,31 +2923,27 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 if let Some(app_idx) = app_of(ctx_app, ctx) {
                     energies[app_idx] += c.total_energy_j();
                     if want_ctx {
-                        seen_here.entry(ctx.0).or_insert((0.0, app_idx as u32)).0 +=
-                            c.total_energy_j();
+                        by_ctx.add(ctx.0 as usize - 1, c.total_energy_j());
                     }
                 }
             }
-            for (&ctx, &(e, app_idx)) in seen_here.iter() {
-                let entry = by_ctx.entry(ctx).or_insert((0.0, 0, app_idx));
-                entry.0 += e;
-                entry.1 += 1;
-            }
+            by_ctx.close_node();
         }
         if let Some(o) = self.obs.as_mut() {
             // Sketch observation is commutative (integer bucket adds), so
-            // the map's iteration order is fine here — no sort needed.
-            for (_, &(energy_j, _, app_idx)) in by_ctx.iter() {
-                o.note_request_energy(Some(app_idx as usize), energy_j);
+            // any order would do; this is context order.
+            for (i, energy_j, _) in by_ctx.rows() {
+                o.note_request_energy(Some(ctx_app[i] as usize), energy_j);
             }
         }
         let mut energy_by_ctx: Vec<CtxEnergy> = Vec::new();
         if self.bp.cfg.retain_request_energy {
-            energy_by_ctx = by_ctx
-                .into_iter()
-                .map(|(ctx, (energy_j, nodes, _))| CtxEnergy { ctx, energy_j, nodes })
-                .collect();
-            energy_by_ctx.sort_by_key(|c| c.ctx);
+            energy_by_ctx.reserve_exact(by_ctx.rows().count());
+            energy_by_ctx.extend(
+                by_ctx
+                    .rows()
+                    .map(|(i, energy_j, nodes)| CtxEnergy { ctx: i as u64 + 1, energy_j, nodes }),
+            );
         }
         (energies, energy_by_ctx)
     }

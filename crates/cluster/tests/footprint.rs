@@ -1,5 +1,7 @@
-//! Heap footprint of fleet nodes: what grows with simulated time, and
-//! what a crash journal costs.
+//! Heap footprint of fleet nodes and the dispatcher: what grows with
+//! simulated time, what a crash journal costs, what a rebooted node
+//! keeps of its meter backlog, and what the end-of-run per-request
+//! accounting costs.
 //!
 //! A counting global allocator, private to this test binary, tracks the
 //! allocations, bytes allocated and live heap of the calling thread, so
@@ -8,11 +10,16 @@
 //! of its heap traffic.
 
 use cluster::{
-    run_cluster, ClusterConfig, ClusterOutcome, RecoveryConfig, SimpleBalance, Topology,
+    run_cluster, run_pipeline, ClusterConfig, ClusterOutcome, DistributionPolicy, ObsConfig,
+    RecoveryConfig, SimpleBalance, Topology,
 };
-use hwsim::{FaultConfig, MachineSpec};
-use power_containers::{ContainerRecord, RequestEnergy};
-use simkern::SimDuration;
+use hwsim::{ActivityProfile, FaultConfig, Machine, MachineSpec};
+use ossim::{FnProgram, Kernel, KernelConfig, Op};
+use power_containers::{
+    Approach, BankConfig, ContainerRecord, FacilityConfig, PowerContainerFacility,
+    RecordRetention, RequestEnergy,
+};
+use simkern::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use workloads::{calibrate_machine, MachineCalibration};
@@ -89,6 +96,9 @@ struct Footprint {
     bytes: u64,
     /// Peak live heap above the live heap at the call, bytes.
     peak: usize,
+    /// Live heap above the live heap at the call once it has returned:
+    /// what its result holds, bytes.
+    held: usize,
 }
 
 fn measure<T>(f: impl FnOnce() -> T) -> (T, Footprint) {
@@ -99,8 +109,21 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, Footprint) {
     let fp = Footprint {
         bytes: BYTES.with(Cell::get) - bytes,
         peak: (PEAK.with(Cell::get) - base) as usize,
+        held: (LIVE.with(Cell::get) - base).max(0) as usize,
     };
     (out, fp)
+}
+
+/// Bytes a `Vec` grown one push at a time holds for `len` elements of
+/// `size` bytes: std doubles its room from 8 one-byte or 4 larger
+/// elements.
+fn pushed_room(len: usize, size: usize) -> usize {
+    let least = if size == 1 { 8 } else { 4 };
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two().max(least) * size
+    }
 }
 
 const NODES: usize = 4;
@@ -147,24 +170,36 @@ fn run(cfg: &ClusterConfig, cals: &[MachineCalibration]) -> (ClusterOutcome, Foo
 #[test]
 fn chipshare_fleet_grows_only_by_its_record_log() {
     // Doubling the run doubles the simulated milliseconds every node
-    // lives through. Nothing on a ChipShare node reads model history or
-    // meter reports, so the only state that may grow with them is the
-    // record log: one 16-byte context-and-joules entry per completed
-    // request, in a Vec that holds at most twice its length. A full
-    // 88-byte record per request would exceed that bound, and history
-    // rings that grew with simulated time would add 176 B per node per
-    // simulated ms.
+    // lives through and the requests the fleet serves. Nothing on a
+    // ChipShare node reads model history or meter reports, and the
+    // dispatcher keeps a request's serials only while it is in flight,
+    // so two things may grow with the run: each node's record log, one
+    // 16-byte context-and-joules entry per request it completed, and the
+    // dispatcher's context → app slab, one byte per request. Both are
+    // `Vec`s grown by doubling. The peak heap may grow by their room and
+    // by 8 KiB of churn besides. A slot for every wire serial ever sent
+    // (8 B a request) adds 32 KiB here and fails it; a full 88-byte
+    // record per request, or history rings that grow with simulated
+    // time (176 B per node per simulated ms), fail it by far more.
     let cals = calibrations();
-    let (short, short_fp) = run(&chipshare_fleet(1_000, 0.2), &cals);
-    let (long, long_fp) = run(&chipshare_fleet(2_000, 0.2), &cals);
-    assert!(long.completed > short.completed, "the longer run completes more requests");
+    let (short, short_fp) = run(&chipshare_fleet(2_000, 0.5), &cals);
+    let (long, long_fp) = run(&chipshare_fleet(4_000, 0.5), &cals);
+    assert!(long.completed > 3 * short.completed / 2, "the longer run completes more requests");
+    let room = |o: &ClusterOutcome| {
+        let logs: usize = o
+            .per_node
+            .iter()
+            .map(|n| pushed_room(n.completions, std::mem::size_of::<RequestEnergy>()))
+            .sum();
+        logs + pushed_room(o.dispatched as usize, 1)
+    };
     let grown = long_fp.peak.saturating_sub(short_fp.peak);
-    let records = long.completed - short.completed;
-    let log_bound = 2 * std::mem::size_of::<RequestEnergy>() * records + 16 * 1024;
+    let bound = room(&long) - room(&short) + 8 * 1024;
     assert!(
-        grown <= log_bound,
-        "peak heap grew {grown} B over 1,000 simulated ms for {records} more records \
-         (at most {log_bound} B): {short_fp:?} -> {long_fp:?}"
+        grown <= bound,
+        "peak heap grew {grown} B over 2,000 simulated ms for {} more requests \
+         (at most {bound} B): {short_fp:?} -> {long_fp:?}",
+        long.dispatched - short.dispatched
     );
 }
 
@@ -198,5 +233,115 @@ fn crash_journal_costs_live_containers_not_records() {
     assert!(
         long_cost < copy / 8,
         "a checkpoint cost {long_cost} B, against {copy} B for a copy of the log"
+    );
+}
+
+/// A Recalibrated node booted `start_ms` into a run the way the fleet
+/// reboots one after a crash: the bare kernel fast-forwards from time
+/// zero first, so by the time the facility is installed the polled
+/// on-chip meter holds a report for every millisecond, and the first
+/// poll ingests that backlog. The node then runs a CPU-bound task for a
+/// second. The kernel returned owns the node's machine and facility.
+fn rebooted_node(start_ms: u64, cal: &MachineCalibration) -> Kernel {
+    let spec = MachineSpec::sandybridge();
+    let facility = PowerContainerFacility::new(
+        cal.model_for(Approach::Recalibrated),
+        Some(&cal.set),
+        &spec,
+        FacilityConfig {
+            approach: Approach::Recalibrated,
+            meter: Some("on-chip"),
+            meter_idle_w: cal.meter_idle("on-chip"),
+            model_bank: Some(BankConfig::default()),
+            retain_records: RecordRetention::RequestEnergy,
+            ..FacilityConfig::default()
+        },
+    );
+    let mut kernel = Kernel::new(Machine::new(spec, 3), KernelConfig::default());
+    let start = SimTime::from_millis(start_ms);
+    kernel.run_until(start);
+    kernel.install_hooks(Box::new(facility));
+    kernel.spawn(
+        Box::new(FnProgram::new(|_pc| Op::Compute {
+            cycles: 4.0e6,
+            profile: ActivityProfile::cpu_spin(),
+        })),
+        None,
+    );
+    kernel.run_until(start + SimDuration::from_secs(1));
+    kernel
+}
+
+#[test]
+fn rebooted_recalibrated_node_keeps_no_backlog_buffer() {
+    // A node rebooted 8 s into a run fast-forwards a backlog of 6,000
+    // more on-chip reports than one rebooted at 2 s, and its first poll
+    // ingests them all. Once drained, the meter queue and the poll's
+    // reading buffer give that room back, so after the run both nodes
+    // hold the same heap to within 4 KiB. A reading buffer that kept
+    // its backlog's room would hold 16 B per backlog report, rounded up
+    // to a power of two: 96 KiB more on the later node.
+    let cal = calibrate_machine(&MachineSpec::sandybridge(), 7);
+    let (_early, early) = measure(|| rebooted_node(2_000, &cal));
+    let (_late, late) = measure(|| rebooted_node(8_000, &cal));
+    let report = std::mem::size_of::<hwsim::MeterReport>() as u64;
+    assert!(
+        late.bytes >= early.bytes + report * 6_000,
+        "the later reboot's backlog never queued: {early:?} vs {late:?}"
+    );
+    assert!(
+        late.held <= early.held + 4 * 1024,
+        "the node rebooted at 8 s holds {} B after the run, against {} B at 2 s",
+        late.held,
+        early.held
+    );
+}
+
+/// A crash-free three-tier pipeline of six SandyBridge nodes, observed
+/// or not.
+fn pipeline(millis: u64, observed: bool) -> ClusterConfig {
+    let tier = || vec![MachineSpec::sandybridge(); 2];
+    let mut cfg = ClusterConfig::sharded(&Topology::three_tier(tier(), tier(), tier()));
+    cfg.seed = 42;
+    cfg.volume = 0.5;
+    cfg.duration = SimDuration::from_millis(millis);
+    cfg.obs = observed.then(ObsConfig::standard);
+    cfg
+}
+
+#[test]
+fn observed_pipeline_accounts_in_bytes_per_request() {
+    // The obs plane's energy sketches read every request's energy,
+    // summed over the nodes it touched, in one pass at the end of the
+    // run. Observing a pipeline may lift its peak heap by the plane's own
+    // state and, for that pass, by at most 32 B per request the run
+    // opened (its per-context slabs take 21). So from a short run to a
+    // long one the gap between the observed pipeline's peak and its
+    // unobserved twin's may widen by 32 B per extra request and no
+    // more. Maps reserved for every node's log entries cost some 120 B
+    // per request here.
+    let cal = calibrate_machine(&MachineSpec::sandybridge(), 7);
+    let cals = vec![cal; 6];
+    let run = |millis: u64, observed: bool| {
+        let cfg = pipeline(millis, observed);
+        let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
+            .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
+            .collect();
+        measure(|| run_pipeline(&mut policies, &cfg, &cals))
+    };
+    let gap = |millis: u64| {
+        let (plain, plain_fp) = run(millis, false);
+        let (observed, observed_fp) = run(millis, true);
+        assert_eq!(plain.dispatched, observed.dispatched, "observing moved the run");
+        (observed_fp.peak.saturating_sub(plain_fp.peak), observed.dispatched)
+    };
+    let (short_gap, short_requests) = gap(1_000);
+    let (long_gap, long_requests) = gap(4_000);
+    let extra = (long_requests - short_requests) as usize;
+    assert!(extra > 2_000, "the longer run opens more requests");
+    assert!(
+        long_gap <= short_gap + 32 * extra,
+        "observing lifts the peak by {short_gap} B at {short_requests} requests but by \
+         {long_gap} B at {long_requests}: more than 32 B per extra request"
     );
 }

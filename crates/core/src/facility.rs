@@ -498,6 +498,11 @@ impl FacilityState {
     /// Drains newly visible meter reports, re-estimates the measurement
     /// delay periodically, and feeds aligned windows to the recalibrator.
     ///
+    /// Reports leave the meter's queue one at a time, so a poll collects
+    /// nothing but the readings it feeds on; every reading is drained by
+    /// the end of the poll, and a rebooted node's fast-forward backlog
+    /// hands its room back under the meter queue's own rule.
+    ///
     /// Every step degrades gracefully: dropped meter windows are counted
     /// as gaps, a low-scoring or ambiguous alignment scan keeps the
     /// previous delay estimate, and a rejected refit keeps serving the
@@ -505,11 +510,7 @@ impl FacilityState {
     /// rejection streak exceeds the staleness bound).
     fn poll_meter(&mut self, api: &mut KernelApi<'_>) {
         let Some(id) = self.meter_id else { return };
-        let reports = api.machine.pop_meter_reports(id);
-        if reports.is_empty() {
-            return;
-        }
-        for r in &reports {
+        for r in api.machine.drain_meter_reports(id) {
             // A hole between consecutive report windows means the meter
             // dropped at least one window.
             if let Some(end) = self.last_window_end {
@@ -534,6 +535,11 @@ impl FacilityState {
             }
             self.pending_readings.push(reading);
             self.reports_since_align += 1;
+        }
+        // The buffer is empty between polls, so empty here means no
+        // report arrived.
+        if self.pending_readings.is_empty() {
+            return;
         }
         if self.reports_since_align >= self.config.align_every {
             self.reports_since_align = 0;
@@ -577,6 +583,17 @@ impl FacilityState {
                 }
             }
         }
+        self.feed_recalibrator(api);
+        let readings = &mut self.pending_readings;
+        if let Some(keep) = hwsim::meter::room_after_drain(readings.capacity(), readings.len()) {
+            readings.shrink_to(keep);
+        }
+    }
+
+    /// Feeds the poll's readings, aligned by the current delay estimate,
+    /// to the recalibrator and refits when one is due. Every path drains
+    /// the readings.
+    fn feed_recalibrator(&mut self, api: &mut KernelApi<'_>) {
         let (Some(delay), Some(engine)) = (self.aligned_delay, self.recalibrator.as_mut())
         else {
             self.pending_readings.clear();

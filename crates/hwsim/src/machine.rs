@@ -410,20 +410,26 @@ impl Machine {
         self.meters.iter().position(|m| m.spec.name == name).map(MeterId)
     }
 
-    /// Removes and returns meter reports that have become visible by the
-    /// machine's current time.
+    /// Takes the reports of meter `id` that are visible by the machine's
+    /// current time out of its queue, one at a time and in window order.
+    /// Nothing is collected: each report leaves the queue as the
+    /// iterator yields it, and reports it has not yet yielded when
+    /// dropped stay queued. Once it runs dry, a drained backlog of more
+    /// than 128 reports (a rebooted node fast-forwards from time zero)
+    /// hands its spare room back.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn pop_meter_reports(&mut self, id: MeterId) -> Vec<MeterReport> {
+    pub fn drain_meter_reports(&mut self, id: MeterId) -> impl Iterator<Item = MeterReport> + '_ {
         let now = self.now;
-        self.meters[id.0].pop_visible(now)
+        let meter = &mut self.meters[id.0];
+        std::iter::from_fn(move || meter.pop_visible(now))
     }
 
     /// Drops the reports of meter `id` that are visible by the machine's
-    /// current time, the ones [`Machine::pop_meter_reports`] would
-    /// return, without allocating. A meter nobody polls closes a window
+    /// current time, the ones [`Machine::drain_meter_reports`] would
+    /// yield, without allocating. A meter nobody polls closes a window
     /// every period all the same; discarding after each advance keeps
     /// its backlog to the reports still in flight. Window closes, noise
     /// and fault draws are untouched, and so is every report a later
@@ -652,7 +658,7 @@ mod tests {
         let expected = m.true_package_power_watts();
         m.advance_to(SimTime::from_millis(3));
         let id = m.find_meter("on-chip").unwrap();
-        let reports = m.pop_meter_reports(id);
+        let reports: Vec<_> = m.drain_meter_reports(id).collect();
         assert!(!reports.is_empty());
         for r in &reports {
             assert!(
@@ -669,9 +675,9 @@ mod tests {
         let mut m = machine();
         m.advance_to(SimTime::from_millis(2100));
         let id = m.find_meter("wattsup").unwrap();
-        assert!(m.pop_meter_reports(id).is_empty(), "report visible too early");
+        assert!(m.drain_meter_reports(id).next().is_none(), "report visible too early");
         m.advance_to(SimTime::from_millis(2300));
-        let reports = m.pop_meter_reports(id);
+        let reports: Vec<_> = m.drain_meter_reports(id).collect();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].window_end, SimTime::from_secs(1));
         assert_eq!(reports[0].visible_at, SimTime::from_millis(2200));
@@ -775,8 +781,8 @@ mod tests {
             m.advance_to(SimTime::from_millis(200));
         }
         let id = clean.find_meter("on-chip").unwrap();
-        let n_clean = clean.pop_meter_reports(id).len();
-        let n_faulty = faulty.pop_meter_reports(id).len();
+        let n_clean = clean.drain_meter_reports(id).count();
+        let n_faulty = faulty.drain_meter_reports(id).count();
         let dropped = faulty.fault_log().count(crate::FaultKind::MeterDropout) as usize;
         assert!(dropped > 50, "dropped {dropped}");
         assert_eq!(n_clean - n_faulty, dropped);
@@ -798,10 +804,10 @@ mod tests {
         let id = m.find_meter("on-chip").unwrap();
         // Normally a window closed at 1 ms is visible at 2 ms; with
         // guaranteed extra lag nothing shows this early.
-        assert!(m.pop_meter_reports(id).is_empty());
+        assert!(m.drain_meter_reports(id).next().is_none());
         assert!(m.fault_log().count(crate::FaultKind::MeterExtraLag) > 0);
         m.advance_to(SimTime::from_millis(600));
-        assert!(!m.pop_meter_reports(id).is_empty(), "reports arrive eventually");
+        assert!(m.drain_meter_reports(id).next().is_some(), "reports arrive eventually");
     }
 
     #[test]
@@ -848,7 +854,7 @@ mod tests {
         assert_eq!(a.counters(CoreId(0)), b.counters(CoreId(0)));
         assert_eq!(a.true_energy_j(), b.true_energy_j());
         let id = a.find_meter("on-chip").unwrap();
-        assert_eq!(a.pop_meter_reports(id), b.pop_meter_reports(id));
+        assert!(a.drain_meter_reports(id).eq(b.drain_meter_reports(id)));
         assert_eq!(b.fault_log().total(), 0);
     }
 

@@ -17,6 +17,15 @@ use std::collections::VecDeque;
 /// whether its reports were popped or discarded.
 const PENDING_KEEP: usize = 64;
 
+/// The room a report buffer with `capacity` slots, `len` of them full,
+/// shrinks to once a backlog has drained: room for 64 when it has room
+/// for more than 128 and holds at most 32, else `None`, so a buffer
+/// polled at its usual depth never reallocates. Meter queues and
+/// whoever buffers their reports share this rule.
+pub fn room_after_drain(capacity: usize, len: usize) -> Option<usize> {
+    (capacity > 2 * PENDING_KEEP && len <= PENDING_KEEP / 2).then_some(PENDING_KEEP)
+}
+
 /// What a meter measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeterScope {
@@ -150,37 +159,28 @@ impl MeterState {
         }
     }
 
-    /// Removes and returns every report visible at or before `now`, in
-    /// window order. A drained backlog hands its room back as in
-    /// [`MeterState::discard_visible`].
-    pub fn pop_visible(&mut self, now: SimTime) -> Vec<MeterReport> {
-        let mut out = Vec::new();
-        while let Some(front) = self.pending.front() {
-            if front.visible_at <= now {
-                out.push(self.pending.pop_front().expect("front checked"));
-            } else {
-                break;
-            }
+    /// Removes and returns the oldest report visible at or before `now`
+    /// (reports leave in window order), or `None` once no visible report
+    /// is left. A drained backlog hands its room back on that `None`.
+    pub fn pop_visible(&mut self, now: SimTime) -> Option<MeterReport> {
+        if self.pending.front().is_some_and(|r| r.visible_at <= now) {
+            return self.pending.pop_front();
         }
         self.hand_back_drained_room();
-        out
+        None
     }
 
-    /// Drops every report visible at or before `now` — exactly the
-    /// reports [`MeterState::pop_visible`] would return — without
-    /// collecting them. Reports still in flight stay queued.
+    /// Drops every report visible at or before `now`: exactly the
+    /// reports [`MeterState::pop_visible`] would return. Reports still
+    /// in flight stay queued.
     pub fn discard_visible(&mut self, now: SimTime) {
-        while self.pending.front().is_some_and(|r| r.visible_at <= now) {
-            self.pending.pop_front();
-        }
-        self.hand_back_drained_room();
+        while self.pop_visible(now).is_some() {}
     }
 
-    /// Once a backlog of more than twice [`PENDING_KEEP`] reports has
-    /// drained, shrinks the queue back to room for [`PENDING_KEEP`].
+    /// Shrinks the queue under [`room_after_drain`]'s rule.
     fn hand_back_drained_room(&mut self) {
-        if self.pending.capacity() > 2 * PENDING_KEEP && self.pending.len() <= PENDING_KEEP / 2 {
-            self.pending.shrink_to(PENDING_KEEP);
+        if let Some(keep) = room_after_drain(self.pending.capacity(), self.pending.len()) {
+            self.pending.shrink_to(keep);
         }
     }
 
@@ -200,9 +200,9 @@ mod tests {
         let mut m = MeterState::new(MeterSpec::on_chip());
         m.integrate(30.0, SimDuration::from_millis(1));
         m.close_window(SimTime::from_millis(1), 1.0);
-        let reports = m.pop_visible(SimTime::from_millis(2));
-        assert_eq!(reports.len(), 1);
-        assert!((reports[0].avg_watts - 30.0).abs() < 1e-9);
+        let r = m.pop_visible(SimTime::from_millis(2)).expect("window visible");
+        assert!((r.avg_watts - 30.0).abs() < 1e-9);
+        assert!(m.pop_visible(SimTime::from_millis(2)).is_none());
     }
 
     #[test]
@@ -210,10 +210,9 @@ mod tests {
         let mut m = MeterState::new(MeterSpec::wattsup());
         m.integrate(100.0, SimDuration::from_secs(1));
         m.close_window(SimTime::from_secs(1), 1.0);
-        assert!(m.pop_visible(SimTime::from_millis(2100)).is_empty());
-        let reports = m.pop_visible(SimTime::from_millis(2200));
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].visible_at, SimTime::from_millis(2200));
+        assert!(m.pop_visible(SimTime::from_millis(2100)).is_none());
+        let r = m.pop_visible(SimTime::from_millis(2200)).expect("delay elapsed");
+        assert_eq!(r.visible_at, SimTime::from_millis(2200));
     }
 
     #[test]
@@ -222,7 +221,7 @@ mod tests {
         m.integrate(10.0, SimDuration::from_micros(500));
         m.integrate(50.0, SimDuration::from_micros(500));
         m.close_window(SimTime::from_millis(1), 1.0);
-        let r = m.pop_visible(SimTime::from_millis(5)).remove(0);
+        let r = m.pop_visible(SimTime::from_millis(5)).expect("window visible");
         assert!((r.avg_watts - 30.0).abs() < 1e-9);
     }
 
@@ -261,14 +260,21 @@ mod tests {
             m.close_window(SimTime::from_millis(ms), 1.0);
         }
         assert!(m.pending.capacity() >= 5_000);
-        assert_eq!(m.pop_visible(SimTime::from_millis(5_000)).len(), 4_999);
+        let now = SimTime::from_millis(5_000);
+        let mut popped = 0;
+        while let Some(r) = m.pop_visible(now) {
+            popped += 1;
+            assert_eq!(r.window_end, SimTime::from_millis(popped));
+        }
+        assert_eq!(popped, 4_999);
         assert_eq!(m.pending_len(), 1, "the last window is still in flight");
         assert!(m.pending.capacity() <= 2 * PENDING_KEEP);
         // A short backlog keeps its room: nothing reallocates per poll.
         let room = m.pending.capacity();
         for ms in 5_001..=5_010 {
             m.close_window(SimTime::from_millis(ms), 1.0);
-            assert_eq!(m.pop_visible(SimTime::from_millis(ms)).len(), 1);
+            assert!(m.pop_visible(SimTime::from_millis(ms)).is_some());
+            assert!(m.pop_visible(SimTime::from_millis(ms)).is_none());
             assert_eq!(m.pending.capacity(), room);
         }
     }
@@ -278,7 +284,7 @@ mod tests {
         let mut m = MeterState::new(MeterSpec::on_chip());
         m.integrate(40.0, SimDuration::from_millis(1));
         m.close_window(SimTime::from_millis(1), 1.05);
-        let r = m.pop_visible(SimTime::MAX).remove(0);
+        let r = m.pop_visible(SimTime::MAX).expect("window visible");
         assert!((r.avg_watts - 42.0).abs() < 1e-9);
     }
 
@@ -287,7 +293,7 @@ mod tests {
         let mut m = MeterState::new(MeterSpec::on_chip());
         m.integrate(40.0, SimDuration::from_millis(1));
         m.close_window(SimTime::from_millis(1), -1.0);
-        let r = m.pop_visible(SimTime::MAX).remove(0);
+        let r = m.pop_visible(SimTime::MAX).expect("window visible");
         assert_eq!(r.avg_watts, 0.0);
     }
 }

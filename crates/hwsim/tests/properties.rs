@@ -87,7 +87,7 @@ proptest! {
         let expected = m.true_package_power_watts();
         m.advance_to(SimTime::from_millis(20));
         let id = m.find_meter("on-chip").expect("meter");
-        let reports = m.pop_meter_reports(id);
+        let reports: Vec<_> = m.drain_meter_reports(id).collect();
         prop_assert!(!reports.is_empty());
         for r in reports {
             prop_assert!(
@@ -151,14 +151,17 @@ fn machine_bits(m: &Machine) -> Vec<u64> {
 
 proptest! {
     /// Discarding a meter's visible reports after every advance changes
-    /// nothing but the backlog. Three machines run the same schedule
+    /// nothing but the backlog, and polling takes them one at a time
+    /// exactly as a bulk pop would. Three machines run the same schedule
     /// under meter dropout, extra delivery lag and counter glitches: one
     /// discards after each advance, one polls, and one never pops. Their
     /// counters, energy and fault logs stay bit-identical throughout;
     /// at the end, the reports the discarding machine still holds are
     /// exactly the polling machine's later reports, and the hoarded
     /// stream is the polled one, in order, with the same windows dropped
-    /// and delayed.
+    /// and delayed. Each poll yields exactly what a bulk pop of the
+    /// hoard at the poll's instant returns: the untaken reports at its
+    /// front, up to the first one not yet visible.
     #[test]
     fn discarding_visible_reports_moves_no_bit(
         steps in prop::collection::vec(
@@ -183,7 +186,8 @@ proptest! {
         let (mut discarding, mut polling, mut hoarding) = (boot(), boot(), boot());
         let meters: Vec<hwsim::MeterId> =
             (0..discarding.meter_count()).map(hwsim::MeterId).collect();
-        let mut polled: Vec<Vec<[u64; 4]>> = vec![Vec::new(); meters.len()];
+        // Each meter's polls: the poll's instant and the reports it took.
+        let mut polls: Vec<Vec<(SimTime, Vec<[u64; 4]>)>> = vec![Vec::new(); meters.len()];
         let mut t = SimTime::ZERO;
         for (profile, ns, busy, core) in steps {
             t += SimDuration::from_nanos(ns);
@@ -191,9 +195,10 @@ proptest! {
                 m.set_running(CoreId(core), busy.then_some(profile));
                 m.advance_to(t);
             }
-            for (&id, seen) in meters.iter().zip(&mut polled) {
+            for (&id, meter_polls) in meters.iter().zip(&mut polls) {
                 discarding.discard_meter_reports(id);
-                seen.extend(polling.pop_meter_reports(id).iter().map(report_bits));
+                let took = polling.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
+                meter_polls.push((t, took));
             }
             prop_assert_eq!(machine_bits(&discarding), machine_bits(&hoarding));
             prop_assert_eq!(machine_bits(&polling), machine_bits(&hoarding));
@@ -206,16 +211,24 @@ proptest! {
         }
         prop_assert_eq!(machine_bits(&discarding), machine_bits(&hoarding));
         prop_assert_eq!(discarding.fault_log(), hoarding.fault_log());
-        for (&id, seen) in meters.iter().zip(&mut polled) {
+        for (&id, meter_polls) in meters.iter().zip(&mut polls) {
             let later: Vec<[u64; 4]> =
-                polling.pop_meter_reports(id).iter().map(report_bits).collect();
+                polling.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
             let kept: Vec<[u64; 4]> =
-                discarding.pop_meter_reports(id).iter().map(report_bits).collect();
+                discarding.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
             prop_assert_eq!(&kept, &later);
-            seen.extend(later);
+            meter_polls.push((end, later));
             let all: Vec<[u64; 4]> =
-                hoarding.pop_meter_reports(id).iter().map(report_bits).collect();
-            prop_assert_eq!(&all, seen);
+                hoarding.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
+            let seen: Vec<[u64; 4]> =
+                meter_polls.iter().flat_map(|(_, took)| took.iter().copied()).collect();
+            prop_assert_eq!(&all, &seen);
+            let mut front = 0;
+            for (at, took) in meter_polls.iter() {
+                let visible = all[front..].iter().take_while(|r| r[3] <= at.as_nanos()).count();
+                prop_assert_eq!(took.as_slice(), &all[front..front + visible], "poll at {:?}", at);
+                front += visible;
+            }
         }
     }
 }
@@ -242,13 +255,13 @@ fn in_flight_reports_survive_a_discard() {
     discarding.advance_to(SimTime::from_millis(30));
     polling.advance_to(SimTime::from_millis(30));
     discarding.discard_meter_reports(id);
-    let early = polling.pop_meter_reports(id);
+    let early: Vec<_> = polling.drain_meter_reports(id).collect();
     for m in [&mut discarding, &mut polling] {
         m.advance_to(SimTime::from_millis(200));
     }
-    let late = polling.pop_meter_reports(id);
+    let late: Vec<_> = polling.drain_meter_reports(id).collect();
     assert!(!late.is_empty() && late[0].window_end < SimTime::from_millis(30));
-    assert_eq!(discarding.pop_meter_reports(id), late);
+    assert!(discarding.drain_meter_reports(id).eq(late.iter().copied()));
     assert!(discarding.fault_log().count(hwsim::FaultKind::MeterDropout) > 0);
     assert_eq!(discarding.fault_log(), polling.fault_log());
     assert!(early.iter().chain(&late).all(|r| r.visible_at > r.window_end));

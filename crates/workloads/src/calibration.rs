@@ -112,10 +112,9 @@ fn measure_idle(spec: &MachineSpec, seed: u64) -> HashMap<&'static str, f64> {
     machine.advance_to(SimTime::from_secs(40));
     let mut out = HashMap::new();
     for (i, mspec) in spec.meters.iter().enumerate() {
-        let reports = machine.pop_meter_reports(hwsim::MeterId(i));
         let mut sum = 0.0;
         let mut n = 0;
-        for r in reports {
+        for r in machine.drain_meter_reports(hwsim::MeterId(i)) {
             // Skip the first window (partially idle-state setup).
             if r.window_start >= SimTime::from_millis(100) {
                 sum += r.avg_watts;
@@ -221,9 +220,8 @@ pub fn calibrate_machine(spec: &MachineSpec, seed: u64) -> MachineCalibration {
                 .machine()
                 .find_meter("wattsup")
                 .expect("calibration machine needs a wattsup meter");
-            let reports = kernel.machine_mut().pop_meter_reports(meter);
             let state = state.borrow();
-            for r in reports {
+            for r in kernel.machine_mut().drain_meter_reports(meter) {
                 if r.window_start < SimTime::ZERO + WARMUP
                     || r.window_end > SimTime::from_secs(RUN_SECS)
                 {
