@@ -1,32 +1,33 @@
-//! Before/after benchmarks for the incremental hot-path kernels.
+//! Benchmarks for the incremental hot-path kernels.
 //!
-//! Each pair times the reference ("before") formulation the repo used
-//! previously against the current fast path:
+//! Two pairs time a reference formulation that stays in the library (as
+//! a test oracle) against the current fast path:
 //!
 //! * `alignment_naive` / `alignment_fast` — O(N·L) per-lag Pearson scan
 //!   vs the prefix-sum + FFT correlation curve, at N=5000, L=500.
 //! * `refit_batch` / `refit_incremental` — from-scratch normal-equation
 //!   accumulation over all retained samples vs one rank-1 push into the
 //!   rolling window followed by an O(k³) solve.
-//! * `event_queue_heap` / `event_queue_sorted` — a same-instant
-//!   push/pop cascade over a backlog of future timers: every op sifts
-//!   O(log backlog) entries in a binary heap; the latest-first sorted
-//!   `Vec` binary-searches each push and pops from its back.
-//! * `trace_scan` / `trace_cursor` — linear-scan windowed means vs the
-//!   cached prefix-sum cursor on a sliding query.
 //!
-//! Unpaired: `facility_scan_2128_windows` / `facility_scan_700_windows`
-//! time the alignment scan the facility actually runs
-//! (`DelayEstimator::estimate_checked` at the on-chip meter's geometry),
-//! with every window of its 2,128-entry model series covered (FFT cross
-//! products) or about 700 (direct ones). Each iteration first writes the
-//! 16 ms of model trace and pushes the 16 readings the facility sees
-//! between two scans.
+//! Unpaired:
+//!
+//! * `event_queue_sorted` — a same-instant push/pop cascade over a
+//!   backlog of future timers: the latest-first sorted `Vec`
+//!   binary-searches each push and pops from its back.
+//! * `trace_cursor` — windowed means from the cached prefix-sum cursor on
+//!   a sliding query.
+//! * `facility_scan_2128_windows` / `facility_scan_700_windows` time the
+//!   alignment scan the facility actually runs
+//!   (`DelayEstimator::estimate_checked` at the on-chip meter's
+//!   geometry), with every window of its 2,128-entry model series covered
+//!   (FFT cross products) or about 700 (direct ones). Each iteration first
+//!   writes the model trace and pushes the readings the facility sees
+//!   between two scans.
 
 use analysis::linreg::{LeastSquares, RollingLeastSquares};
 use analysis::xcorr::{find_alignment, find_alignment_naive};
 use criterion::{criterion_group, criterion_main, Criterion};
-use pc_bench::{alignment_signals, refit_rows, FacilityScan, HeapQueue, NaiveTrace};
+use pc_bench::{alignment_signals, refit_rows, FacilityScan};
 use power_containers::TraceRing;
 use simkern::{EventQueue, SimDuration, SimTime};
 use std::hint::black_box;
@@ -82,28 +83,6 @@ const BURST: usize = 64;
 /// Pending future timers, like a kernel with many scheduled interrupts.
 const BACKLOG: u64 = 1024;
 
-fn event_queue_heap(c: &mut Criterion) {
-    let mut q: HeapQueue<u64> = HeapQueue::new();
-    for i in 0..BACKLOG {
-        q.push(SimTime::from_secs(3600 + i), i);
-    }
-    let mut t = 0u64;
-    c.bench_function("event_queue_heap_cascade64", |b| {
-        b.iter(|| {
-            t += 1;
-            let at = SimTime::from_micros(t);
-            q.push(at, 0);
-            q.push(at, 1);
-            black_box(q.pop());
-            for i in 0..BURST as u64 {
-                q.push(at, i);
-                black_box(q.pop());
-            }
-            black_box(q.pop());
-        })
-    });
-}
-
 fn event_queue_sorted(c: &mut Criterion) {
     let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..BACKLOG {
@@ -128,21 +107,6 @@ fn event_queue_sorted(c: &mut Criterion) {
 
 const TRACE_SLOTS: u64 = 4096;
 
-fn trace_scan(c: &mut Criterion) {
-    let mut trace = NaiveTrace::new();
-    for ms in 1..=TRACE_SLOTS {
-        trace.add(SimTime::from_millis(ms), 20.0 + (ms % 7) as f64, SimDuration::from_millis(1));
-    }
-    let mut q = 0u64;
-    c.bench_function("trace_scan_window20", |b| {
-        b.iter(|| {
-            q = q % (TRACE_SLOTS - 20) + 1;
-            let t0 = SimTime::from_millis(q);
-            black_box(trace.mean_over_wall(t0, t0 + SimDuration::from_millis(20)))
-        })
-    });
-}
-
 fn trace_cursor(c: &mut Criterion) {
     let slot = SimDuration::from_millis(1);
     let mut trace: TraceRing<f64> = TraceRing::new(slot, TRACE_SLOTS as usize + 1);
@@ -165,7 +129,7 @@ fn facility_scan(c: &mut Criterion) {
         let mut scan = FacilityScan::new(capacity);
         c.bench_function(name, |b| {
             b.iter(|| {
-                scan.advance(FacilityScan::READINGS_PER_SCAN);
+                scan.advance_to_next_scan();
                 black_box(scan.scan().ok())
             })
         });
@@ -178,9 +142,7 @@ criterion_group!(
     alignment_fast,
     refit_batch,
     refit_incremental,
-    event_queue_heap,
     event_queue_sorted,
-    trace_scan,
     trace_cursor,
     facility_scan
 );

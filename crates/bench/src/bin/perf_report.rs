@@ -36,17 +36,14 @@
 use analysis::linreg::{LeastSquares, RollingLeastSquares};
 use experiments::runner::RunCtx;
 use analysis::xcorr::{find_alignment, find_alignment_naive};
-use ossim::ContextId;
-use pc_bench::{
-    alignment_signals, refit_rows, time_facility_scan, FacilityScan, HeapQueue, NaiveContainers,
-    NaiveTrace, Spread,
-};
+use hwsim::MeterSpec;
+use pc_bench::{alignment_signals, refit_rows, time_facility_scan, FacilityScan, Spread};
 use power_containers::{
-    BankConfig, CalibrationSample, CalibrationSet, ContainerManager, MetricVector, ModelBank,
-    ModelKind, PowerModel, Recalibrator, RecordRetention, RegimeKey, TraceRing, FEATURES,
+    BankConfig, Cadence, CalibrationSample, CalibrationSet, MetricVector, ModelBank, ModelKind,
+    PowerModel, Recalibrator, RegimeKey, FEATURES,
 };
 use serde::Serialize;
-use simkern::{EventQueue, SimDuration, SimTime};
+use simkern::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -494,7 +491,8 @@ fn bank_selection() -> Vec<BankSelection> {
     let initial = set.fit(KIND).expect("offline fit");
     let busy = MetricVector { core: 1.0, ins: 2.0, chipshare: 1.0, ..Default::default() };
     let watts = 8.0 + 2.0 * 3.0 + 5.6; // the law's power for `busy`
-    let cadence = BankConfig::default().recalibrate_every;
+    // The facility's refit cadence for the on-chip meter.
+    let cadence = Cadence::for_meter(MeterSpec::on_chip().period).recalibrate_every;
 
     // Single-model baseline: the facility's per-window path without the
     // bank — mask, predict, accumulate, periodic refit.
@@ -514,7 +512,8 @@ fn bank_selection() -> Vec<BankSelection> {
     [1usize, 4, 16]
         .into_iter()
         .map(|live_slots| {
-            let mut bank = ModelBank::new(&set, KIND, initial.clone(), BankConfig::default());
+            let mut bank =
+                ModelBank::new(&set, KIND, initial.clone(), BankConfig::default(), cadence);
             let mut now = 0u64;
             let mut feed = |bank: &mut ModelBank, key: RegimeKey| {
                 now += 1;
@@ -548,178 +547,6 @@ fn bank_selection() -> Vec<BankSelection> {
             }
         })
         .collect()
-}
-
-fn queue_pair() -> KernelPair {
-    // A same-instant push/pop cascade (a handler scheduling follow-up
-    // work at the instant being drained) over a backlog of future
-    // timers: the heap sifts O(log backlog) entries per op; the sorted
-    // `Vec` binary-searches each push and moves at most the few entries
-    // at the drained instant, and a pop moves nothing.
-    const BURST: u64 = 64;
-    const BACKLOG: u64 = 1024;
-    let mut heap: HeapQueue<u64> = HeapQueue::new();
-    let mut sorted: EventQueue<u64> = EventQueue::new();
-    for i in 0..BACKLOG {
-        heap.push(SimTime::from_secs(3600 + i), i);
-        sorted.push(SimTime::from_secs(3600 + i), i);
-    }
-    let mut t = 0u64;
-    let before = median_ns(16, || {
-        t += 1;
-        let at = SimTime::from_micros(t);
-        heap.push(at, 0);
-        heap.push(at, 1);
-        black_box(heap.pop());
-        for i in 0..BURST {
-            heap.push(at, i);
-            black_box(heap.pop());
-        }
-        black_box(heap.pop());
-    });
-    let after = median_ns(16, || {
-        t += 1;
-        let at = SimTime::from_micros(t);
-        sorted.push(at, 0);
-        sorted.push(at, 1);
-        black_box(sorted.pop());
-        for i in 0..BURST {
-            sorted.push(at, i);
-            black_box(sorted.pop());
-        }
-        black_box(sorted.pop());
-    });
-    pair(
-        "event_queue_same_instant_cascade64",
-        "binary heap with sequence tiebreak, O(log n) per op",
-        "latest-first sorted Vec: binary-search push, pop from the back",
-        before,
-        after,
-    )
-}
-
-fn trace_pair() -> KernelPair {
-    const SLOTS: u64 = 4096;
-    let mut naive = NaiveTrace::new();
-    let slot = SimDuration::from_millis(1);
-    let mut ring: TraceRing<f64> = TraceRing::new(slot, SLOTS as usize + 1);
-    for ms in 1..=SLOTS {
-        let w = 20.0 + (ms % 7) as f64;
-        naive.add(SimTime::from_millis(ms), w, slot);
-        ring.add(SimTime::from_millis(ms), w, slot);
-    }
-    let mut q = 0u64;
-    let before = median_ns(16, || {
-        q = q % (SLOTS - 20) + 1;
-        let t0 = SimTime::from_millis(q);
-        black_box(naive.mean_over_wall(t0, t0 + SimDuration::from_millis(20)));
-    });
-    let after = median_ns(16, || {
-        q = q % (SLOTS - 20) + 1;
-        let t0 = SimTime::from_millis(q);
-        black_box(ring.mean_over_wall(t0, t0 + SimDuration::from_millis(20)));
-    });
-    pair(
-        "trace_windowed_mean_4096_slots",
-        "linear scan over retained samples per query",
-        "cached prefix-sum cursor",
-        before,
-        after,
-    )
-}
-
-fn container_pair() -> KernelPair {
-    // The dispatcher's container lifecycle under churn: a working set of
-    // live request containers, each op binds a fresh context, attributes
-    // samples to a rotating window of live ones, and unbinds the oldest.
-    // The before side pays a boxed allocation per create, a `std` hash
-    // per touch and a free per release; the after side recycles slots
-    // LIFO in SoA rows and hits the one-entry lookup cache on the
-    // repeated-touch pattern.
-    const LIVE: u64 = 1024;
-    const TOUCH: u64 = 4;
-    let events = hwsim::CounterBlock::default();
-    let mut naive = NaiveContainers::new();
-    let mut mgr = ContainerManager::new(RecordRetention::None);
-    for ctx in 0..LIVE {
-        naive.bind(ctx, SimTime::ZERO);
-        mgr.bind(ContextId(ctx), SimTime::ZERO);
-    }
-    let mut next = LIVE;
-    let before = median_ns(16, || {
-        let now = SimTime::from_micros(next);
-        naive.bind(next, now);
-        for k in 0..TOUCH {
-            naive.attribute(next - k, 14.0, 1e-4, &events);
-        }
-        naive.unbind(next - LIVE);
-        next += 1;
-        black_box(naive.released());
-    });
-    let mut next2 = LIVE;
-    let after = median_ns(16, || {
-        let now = SimTime::from_micros(next2);
-        mgr.bind(ContextId(next2), now);
-        for k in 0..TOUCH {
-            mgr.attribute(Some(ContextId(next2 - k)), 14.0, 1.0, 1e-4, &events, now);
-        }
-        mgr.unbind(ContextId(next2 - LIVE), now);
-        next2 += 1;
-        black_box(mgr.released_count());
-    });
-    pair(
-        "container_churn_live1024",
-        "boxed AoS records behind a std hash map, alloc/free per lifecycle",
-        "slot-parallel SoA rows, LIFO slot recycling + lookup cache",
-        before,
-        after,
-    )
-}
-
-fn scratch_pair() -> KernelPair {
-    // The dispatcher's per-tick drain loop: collect the due subset of
-    // the inflight table, then gather each request's reply segments.
-    // The before shape allocates a fresh `Vec` for the due list and
-    // another per request for its segments — the engine's old per-tick
-    // garbage; the after shape drains into buffers reused across ticks.
-    const INFLIGHT: usize = 256;
-    const SEGS: usize = 4;
-    let table: Vec<(u64, [u64; SEGS])> =
-        (0..INFLIGHT as u64).map(|i| (i, [i, i ^ 7, i >> 1, i + 3])).collect();
-    let mut tick = 0u64;
-    let before = median_ns(16, || {
-        tick += 1;
-        let due: Vec<usize> =
-            (0..INFLIGHT).filter(|i| (*i as u64 + tick).is_multiple_of(3)).collect();
-        let mut sum = 0u64;
-        for i in due {
-            let segs: Vec<u64> = table[i].1.to_vec();
-            sum += segs.iter().sum::<u64>();
-        }
-        black_box(sum);
-    });
-    let mut due_buf: Vec<usize> = Vec::new();
-    let mut seg_buf: Vec<u64> = Vec::new();
-    let mut tick2 = 0u64;
-    let after = median_ns(16, || {
-        tick2 += 1;
-        due_buf.clear();
-        due_buf.extend((0..INFLIGHT).filter(|i| (*i as u64 + tick2).is_multiple_of(3)));
-        let mut sum = 0u64;
-        for &i in &due_buf {
-            seg_buf.clear();
-            seg_buf.extend_from_slice(&table[i].1);
-            sum += seg_buf.iter().sum::<u64>();
-        }
-        black_box(sum);
-    });
-    pair(
-        "dispatch_drain_tick256",
-        "fresh Vec per tick for the due list + per-request segment Vec",
-        "scratch buffers cleared and reused across ticks",
-        before,
-        after,
-    )
 }
 
 /// Interleaved samples per variant in a telemetry-tax measurement.
@@ -795,7 +622,7 @@ fn alignment_tax() -> TelemetryTax {
     telemetry_tax(
         "alignment_facility_scan_2128",
         1,
-        || scan.borrow_mut().advance(FacilityScan::READINGS_PER_SCAN),
+        || scan.borrow_mut().advance_to_next_scan(),
         |variant| {
             let result = scan.borrow_mut().scan();
             let tele = match variant {
@@ -1254,14 +1081,7 @@ fn main() {
             cpus_available: std::thread::available_parallelism().map_or(1, |n| n.get()),
         },
         samples_per_measurement: SAMPLES,
-        kernels: vec![
-            alignment_pair(),
-            refit_pair(),
-            queue_pair(),
-            trace_pair(),
-            container_pair(),
-            scratch_pair(),
-        ],
+        kernels: vec![alignment_pair(), refit_pair()],
         refit_cost_vs_samples_seen: refit_scaling(),
         bank_selection_vs_live_slots: bank_selection(),
         telemetry_tax: vec![alignment_tax(), refit_tax()],

@@ -8,11 +8,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hwsim::{ActivityProfile, CoreId, Machine, MachineSpec};
+use hwsim::{ActivityProfile, CoreId, Machine, MachineSpec, MeterSpec};
 use power_containers::{
-    AlignmentResult, Approach, CalibrationSample, CalibrationSet, DelayEstimator,
+    AlignmentResult, Approach, Cadence, CalibrationSample, CalibrationSet, DelayEstimator,
     FacilityConfig, FacilityError, MetricVector, ModelKind, PowerContainerFacility, PowerModel,
-    Reading, RecordRetention, TraceRing,
+    Reading, RecordRetention, TraceRing, ALIGN_WINDOW, TRACE_SLOT,
 };
 use cluster::{
     offered_cluster_rate, run_cluster, run_pipeline, AdmissionConfig, AutoscaleConfig,
@@ -21,8 +21,6 @@ use cluster::{
 };
 use hwsim::FaultConfig;
 use simkern::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// A synthetic calibration set good enough for benchmarking fits.
@@ -101,180 +99,6 @@ pub fn refit_rows(n: usize) -> Vec<(Vec<f64>, f64)> {
         .collect()
 }
 
-/// Reference ("before") event queue: a plain binary heap with an
-/// insertion sequence number for FIFO stability, the shape the
-/// simulation substrate used before its event queue became a sorted
-/// `Vec`.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    events: Vec<Option<E>>,
-    seq: u64,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> HeapQueue<E> {
-        HeapQueue { heap: BinaryHeap::new(), events: Vec::new(), seq: 0 }
-    }
-
-    /// Schedules `event` at `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let id = self.events.len() as u64;
-        self.events.push(Some(event));
-        self.heap.push(Reverse((at, self.seq, id)));
-        self.seq += 1;
-    }
-
-    /// Pops the earliest event, FIFO within an instant.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((at, _, id)) = self.heap.pop()?;
-        Some((at, self.events[id as usize].take().expect("event present")))
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        HeapQueue::new()
-    }
-}
-
-/// Reference ("before") trace store: windowed integrals by linear scan
-/// over the retained samples, the cost shape `TraceRing` had before the
-/// cached prefix-sum cursor.
-pub struct NaiveTrace {
-    samples: Vec<(SimTime, f64, SimDuration)>,
-}
-
-impl NaiveTrace {
-    /// Creates an empty trace.
-    pub fn new() -> NaiveTrace {
-        NaiveTrace { samples: Vec::new() }
-    }
-
-    /// Records `value` covering `[t - dt, t)`.
-    pub fn add(&mut self, t: SimTime, value: f64, dt: SimDuration) {
-        self.samples.push((t, value, dt));
-    }
-
-    /// Mean of the recorded values whose end times fall in `[t0, t1)`,
-    /// weighted by their coverage — a full scan per query.
-    pub fn mean_over_wall(&self, t0: SimTime, t1: SimTime) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut wall = 0.0;
-        for &(t, v, dt) in &self.samples {
-            if t >= t0 && t < t1 {
-                let secs = dt.as_nanos() as f64 * 1e-9;
-                sum += v * secs;
-                wall += secs;
-            }
-        }
-        (wall > 0.0).then(|| sum / wall)
-    }
-}
-
-impl Default for NaiveTrace {
-    fn default() -> Self {
-        NaiveTrace::new()
-    }
-}
-
-/// Reference ("before") container store: one boxed allocation per
-/// container behind a `std` hash map, released containers freed back to
-/// the allocator — the cost shape `ContainerManager` had before the
-/// slot-parallel SoA rows, LIFO slot recycling and the one-entry lookup
-/// cache. Semantics mirror the manager's bind/attribute/unbind cycle so
-/// the two sides of the kernel pair do identical accounting work.
-pub struct NaiveContainers {
-    map: std::collections::HashMap<u64, Box<NaiveContainer>>,
-    total_request_energy_j: f64,
-    released: u64,
-}
-
-/// Heap-allocated per-container state for [`NaiveContainers`] — the
-/// AoS record the SoA rows replaced.
-pub struct NaiveContainer {
-    /// Tasks currently bound.
-    pub refcount: u32,
-    /// Binding time.
-    pub created_at: SimTime,
-    /// Attributed energy.
-    pub energy_j: f64,
-    /// Attributed busy time.
-    pub busy_seconds: f64,
-    /// Cumulative event counts.
-    pub events: hwsim::CounterBlock,
-}
-
-impl NaiveContainers {
-    /// Creates an empty store.
-    pub fn new() -> NaiveContainers {
-        NaiveContainers {
-            map: std::collections::HashMap::new(),
-            total_request_energy_j: 0.0,
-            released: 0,
-        }
-    }
-
-    /// Binds a task to `ctx`, allocating the container on first sight.
-    pub fn bind(&mut self, ctx: u64, now: SimTime) {
-        self.map
-            .entry(ctx)
-            .or_insert_with(|| {
-                Box::new(NaiveContainer {
-                    refcount: 0,
-                    created_at: now,
-                    energy_j: 0.0,
-                    busy_seconds: 0.0,
-                    events: hwsim::CounterBlock::default(),
-                })
-            })
-            .refcount += 1;
-    }
-
-    /// Attributes one sampled interval to `ctx`.
-    pub fn attribute(
-        &mut self,
-        ctx: u64,
-        watts: f64,
-        dt_secs: f64,
-        events: &hwsim::CounterBlock,
-    ) {
-        if let Some(c) = self.map.get_mut(&ctx) {
-            self.total_request_energy_j += watts * dt_secs;
-            c.energy_j += watts * dt_secs;
-            c.busy_seconds += dt_secs;
-            c.events.accumulate(events);
-        }
-    }
-
-    /// Unbinds one task; the container is freed when the last unbinds.
-    pub fn unbind(&mut self, ctx: u64) {
-        if let Some(c) = self.map.get_mut(&ctx) {
-            c.refcount = c.refcount.saturating_sub(1);
-            if c.refcount == 0 {
-                self.map.remove(&ctx);
-                self.released += 1;
-            }
-        }
-    }
-
-    /// Containers released so far (keeps the accounting observable).
-    pub fn released(&self) -> u64 {
-        self.released
-    }
-
-    /// Total energy attributed so far.
-    pub fn total_request_energy_j(&self) -> f64 {
-        self.total_request_energy_j
-    }
-}
-
-impl Default for NaiveContainers {
-    fn default() -> Self {
-        NaiveContainers::new()
-    }
-}
-
 /// A facility + machine pair with core 0 busy, ready for hook-level
 /// benchmarking.
 pub fn facility_fixture() -> (PowerContainerFacility, Machine) {
@@ -295,34 +119,39 @@ pub fn facility_fixture() -> (PowerContainerFacility, Machine) {
 }
 
 /// The alignment scan the facility runs for the on-chip meter, at its own
-/// geometry: 1 ms meter windows scanned over delays of 0–2,000 ms in 1 ms
-/// steps against the latest 128 readings, re-run after every 16 readings.
+/// geometry: 1 ms meter windows scanned over the default delays (0–2,000
+/// ms in 1 ms steps) against the latest [`ALIGN_WINDOW`] (128) readings,
+/// re-run after every [`Cadence::align_every`] (16) readings.
 ///
-/// The model ring retains `covered_ms` slots, which sets how many of the
-/// scan's 2,128 windows have model history: all of them at 2,128 or more
-/// (the FFT cross-product path), about 700 at 700 (the direct path).
-/// [`FacilityScan::advance`] writes model trace and pushes readings the
-/// way the facility does between scans, so a scan never sees the ring it
-/// saw last time.
+/// The model ring retains `covered_ms` [`TRACE_SLOT`]s, which sets how
+/// many of the scan's 2,128 windows have model history: all of them at
+/// 2,128 or more (the FFT cross-product path), about 700 at 700 (the
+/// direct path). [`FacilityScan::advance_to_next_scan`] writes model
+/// trace and pushes readings the way the facility does between scans, so
+/// a scan never sees the ring it saw last time.
 pub struct FacilityScan {
     ring: TraceRing<f64>,
     estimator: DelayEstimator,
+    readings_per_scan: u64,
     now_ms: u64,
     rng: XorShift,
     level: f64,
 }
 
 impl FacilityScan {
-    /// Readings between scans (the facility's `align_every` for an
-    /// on-chip meter).
-    pub const READINGS_PER_SCAN: u64 = 16;
-
     /// A warmed-up scan whose ring retains `covered_ms` 1 ms slots.
     pub fn new(covered_ms: usize) -> FacilityScan {
-        let ms = SimDuration::from_millis(1);
+        let meter = MeterSpec::on_chip().period;
+        let config = FacilityConfig::default();
         let mut scan = FacilityScan {
-            ring: TraceRing::new(ms, covered_ms),
-            estimator: DelayEstimator::new(ms, SimDuration::from_millis(2_000), ms, 128),
+            ring: TraceRing::new(TRACE_SLOT, covered_ms),
+            estimator: DelayEstimator::new(
+                meter,
+                config.max_meter_delay,
+                config.align_step,
+                ALIGN_WINDOW,
+            ),
+            readings_per_scan: Cadence::for_meter(meter).align_every as u64,
             now_ms: 10_000,
             rng: XorShift::new(0x5CA_11ED),
             level: 20.0,
@@ -331,11 +160,16 @@ impl FacilityScan {
         scan
     }
 
+    /// Moves on by the readings the facility takes between two scans.
+    pub fn advance_to_next_scan(&mut self) {
+        self.advance(self.readings_per_scan);
+    }
+
     /// Simulates `ms` milliseconds: per-core model samples every
     /// millisecond, an occasional I/O span backfilled into older slots,
     /// and one meter reading per millisecond, arriving 1 ms after its
     /// window closed.
-    pub fn advance(&mut self, ms: u64) {
+    fn advance(&mut self, ms: u64) {
         let slot = SimDuration::from_millis(1);
         for _ in 0..ms {
             let start = SimTime::from_millis(self.now_ms);
@@ -366,7 +200,7 @@ impl FacilityScan {
 
     /// One scan, exactly as `poll_meter` runs it.
     pub fn scan(&mut self) -> Result<AlignmentResult, FacilityError> {
-        self.estimator.estimate_checked(&self.ring, 0.4, 0.02)
+        self.estimator.estimate_checked(&self.ring)
     }
 }
 
@@ -397,12 +231,13 @@ impl Spread {
 }
 
 /// Times `samples` facility scans at `covered_ms` of retained model
-/// history, advancing 16 ms between scans outside the timed region.
+/// history, advancing one scan interval between scans outside the timed
+/// region.
 pub fn time_facility_scan(covered_ms: usize, samples: usize) -> Spread {
     let mut scan = FacilityScan::new(covered_ms);
     let mut ns = Vec::with_capacity(samples);
     for _ in 0..samples {
-        scan.advance(FacilityScan::READINGS_PER_SCAN);
+        scan.advance_to_next_scan();
         let start = Instant::now();
         std::hint::black_box(scan.scan().ok());
         ns.push(start.elapsed().as_nanos() as f64);

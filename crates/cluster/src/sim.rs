@@ -52,13 +52,10 @@ use crate::obs::{ObsConfig, ObsOutcome, ObsPlane};
 use crate::policy::{ArrivalView, DistributionPolicy, NodeView};
 use crate::topology::{generation_rank, Topology};
 use analysis::stats::Summary;
-use hwsim::{
-    plan_node_faults, DutyCycle, FaultConfig, Machine, MachineSpec, MeterId, NodeFaultWindow,
-};
+use hwsim::{plan_node_faults, DutyCycle, FaultConfig, MachineSpec, MeterId, NodeFaultWindow};
 use ossim::{ContextId, Kernel, KernelConfig, Segment, SocketId};
 use power_containers::{
-    Approach, ConditioningPolicy, FacilityConfig, FacilityState, ManagerCheckpoint,
-    PowerContainerFacility, RecordRetention,
+    Approach, ConditioningPolicy, FacilityConfig, FacilityState, ManagerCheckpoint, RecordRetention,
 };
 use simkern::{FxHashMap, SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
@@ -527,7 +524,6 @@ impl Runtime {
         tele: &telemetry::Telemetry,
     ) -> Runtime {
         let cfg = bp.cfg;
-        let cal = &bp.cals[n];
         let spec = &cfg.nodes[n];
         let inc = incarnation as u64;
         // With a model bank the node runs the full recalibration loop
@@ -535,89 +531,55 @@ impl Runtime {
         // fixed ChipShare model, byte-identical to pre-bank runs.
         let approach =
             if cfg.model_bank.is_some() { Approach::Recalibrated } else { Approach::ChipShare };
-        let meter = (approach == Approach::Recalibrated).then(|| {
-            if spec.meters.iter().any(|m| m.name == "on-chip") { "on-chip" } else { "wattsup" }
-        });
-        let recalibrate_every = if meter == Some("wattsup") { 2 } else { 16 };
-        let model_bank = cfg.model_bank.clone().map(|mut bank| {
-            // Keep the bank's per-slot refit cadence in lockstep with the
-            // facility's per-meter cadence, as the workloads harness does.
-            bank.recalibrate_every = recalibrate_every;
-            bank
-        });
-        let facility = PowerContainerFacility::new(
-            cal.model_for(approach),
-            (approach == Approach::Recalibrated).then_some(&cal.set),
-            spec,
-            FacilityConfig {
-                approach,
-                meter,
-                meter_idle_w: meter.map(|m| cal.meter_idle(m)).unwrap_or(0.0),
-                align_every: if meter == Some("wattsup") { 4 } else { 16 },
-                recalibrate_every,
-                model_bank,
-                // The log feeds the §3.4 response tagging: each completed
-                // request's cumulative energy flows back to the
-                // dispatcher for comprehensive accounting, which reads
-                // only its context and joules. Energy provenance also
-                // reads labels, creation times and throttled joules, so
-                // it keeps full records.
-                retain_records: if cfg.obs.as_ref().is_some_and(|o| o.provenance) {
-                    RecordRetention::Full
-                } else {
-                    RecordRetention::RequestEnergy
-                },
-                // A cluster-wide cap decomposes into per-node shares
-                // enforced by ordinary per-request conditioning.
-                conditioning: cfg.power_cap_w.map(|cap| {
-                    ConditioningPolicy::node_share(cap, spec.total_cores(), bp.total_cores)
-                }),
-                // The node's private sink, merged into the main one in
-                // node order at each tick barrier. (Kernel-level tracing
-                // stays off here: per-tick switch events across N nodes
-                // would dwarf the facility signal.)
-                telemetry: tele.clone(),
-                // Only alignment and recalibration read the model and
-                // metrics history, so a node without a meter keeps none.
-                trace_capacity: if meter.is_some() {
-                    FacilityConfig::default().trace_capacity
-                } else {
-                    0
-                },
-                ..FacilityConfig::default()
+        let facility = FacilityConfig {
+            approach,
+            model_bank: cfg.model_bank.clone(),
+            // The log feeds the §3.4 response tagging: each completed
+            // request's cumulative energy flows back to the dispatcher
+            // for comprehensive accounting, which reads only its context
+            // and joules. Energy provenance also reads labels, creation
+            // times and throttled joules, so it keeps full records.
+            retain_records: if cfg.obs.as_ref().is_some_and(|o| o.provenance) {
+                RecordRetention::Full
+            } else {
+                RecordRetention::RequestEnergy
             },
-        );
-        let state = facility.state();
-        let mut machine = Machine::new(
-            spec.clone(),
+            // A cluster-wide cap decomposes into per-node shares
+            // enforced by ordinary per-request conditioning.
+            conditioning: cfg.power_cap_w.map(|cap| {
+                ConditioningPolicy::node_share(cap, spec.total_cores(), bp.total_cores)
+            }),
+            // The node's private sink, merged into the main one in node
+            // order at each tick barrier. (Kernel-level tracing stays off
+            // here: per-tick switch events across N nodes would dwarf the
+            // facility signal.)
+            telemetry: tele.clone(),
+            ..FacilityConfig::default()
+        };
+        // Same fault profile on every node, decorrelated by seed.
+        let faults = FaultConfig {
+            seed: (cfg.faults.seed ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(inc.wrapping_mul(0xE703_7ED1_A0B4_28DB)),
+            ..cfg.faults.clone()
+        };
+        let (mut kernel, facility) = workloads::node::boot(
+            spec,
+            &bp.cals[n],
+            facility,
+            KernelConfig { sched: cfg.sched_for(n), ..KernelConfig::default() },
             cfg.seed.wrapping_add(n as u64).wrapping_add(inc.wrapping_mul(0xA076_1D64_78BD_642F)),
+            faults,
+            start,
         );
-        if cfg.faults.is_active() {
-            // Same fault profile on every node, decorrelated by seed.
-            machine.set_fault_config(FaultConfig {
-                seed: (cfg.faults.seed ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .wrapping_add(inc.wrapping_mul(0xE703_7ED1_A0B4_28DB)),
-                ..cfg.faults.clone()
-            });
-        }
-        // Kernel-level tracing stays off in cluster nodes; only the
-        // scheduling policy is taken from the cluster config.
-        let kernel_config = KernelConfig { sched: cfg.sched_for(n), ..KernelConfig::default() };
-        let unread_meters = (0..machine.meter_count())
+        let meter = facility.borrow().config().meter;
+        let machine = kernel.machine_mut();
+        let unread_meters: Vec<MeterId> = (0..machine.meter_count())
             .map(MeterId)
             .filter(|&id| Some(machine.meter_spec(id).name) != meter)
             .collect();
-        let mut kernel = Kernel::new(machine, kernel_config);
-        // A restarted incarnation boots at the crash instant: the empty
-        // kernel fast-forwards to `start` *before* the facility or any app
-        // task exists, so no incarnation ever replays (or re-accrues energy
-        // for) the interval it was dead. Incarnation 0 starts at zero and
-        // this is a no-op.
-        kernel.run_until(start);
         for &id in &unread_meters {
-            kernel.machine_mut().discard_meter_reports(id);
+            machine.discard_meter_reports(id);
         }
-        kernel.install_hooks(Box::new(facility));
         let (notify_tx, reply_rx) = kernel.new_socket_pair();
         // The apps' run statistics stay empty: the dispatcher times
         // requests itself, and pool workers skip completions whose
@@ -637,7 +599,7 @@ impl Runtime {
             };
             inboxes.push((app.setup(&mut kernel, &env), 0usize));
         }
-        Runtime { kernel, facility: state, inboxes, reply_rx, unread_meters }
+        Runtime { kernel, facility, inboxes, reply_rx, unread_meters }
     }
 
     /// Runs the kernel to `t`, then drops the reports its unpolled
@@ -1122,11 +1084,7 @@ impl Node {
     /// `workloads::RunOutcome::attributed_energy_j`. After a restart
     /// this reads the restored-checkpoint totals plus everything since.
     fn attributed_energy_j(&self) -> f64 {
-        let f = self.rt.facility.borrow();
-        let c = f.containers();
-        c.total_energy_with_background_j()
-            + c.total_request_io_energy_j()
-            + c.background().io_energy_j()
+        self.rt.facility.borrow().containers().attributed_energy_j()
     }
 
     /// Active energy drawn across every incarnation, Joules.
@@ -1138,11 +1096,6 @@ impl Node {
     /// length).
     fn outcome(&self, secs: f64) -> NodeOutcome {
         let m = self.rt.kernel.machine();
-        let cores = m.spec().total_cores();
-        let util = (0..cores)
-            .map(|c| m.counters(hwsim::CoreId(c)).core_utilization())
-            .sum::<f64>()
-            / cores as f64;
         let active_energy_j = self.active_energy_j();
         NodeOutcome {
             machine: m.spec().name,
@@ -1156,7 +1109,7 @@ impl Node {
             lost_requests: self.lost_requests,
             lost_energy_j: self.lost_energy_j,
             crashes: self.crashes as u64,
-            utilization: util,
+            utilization: m.mean_utilization(),
             uptime_s: self.uptime_s,
             idle_energy_j: m.spec().truth.machine_idle_w() * self.uptime_s,
         }

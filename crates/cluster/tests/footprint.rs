@@ -13,11 +13,10 @@ use cluster::{
     run_cluster, run_pipeline, ClusterConfig, ClusterOutcome, DistributionPolicy, ObsConfig,
     RecoveryConfig, SimpleBalance, Topology,
 };
-use hwsim::{ActivityProfile, FaultConfig, Machine, MachineSpec};
+use hwsim::{ActivityProfile, FaultConfig, MachineSpec};
 use ossim::{FnProgram, Kernel, KernelConfig, Op};
 use power_containers::{
-    Approach, BankConfig, ContainerRecord, FacilityConfig, PowerContainerFacility,
-    RecordRetention, RequestEnergy,
+    Approach, BankConfig, ContainerRecord, FacilityConfig, RecordRetention, RequestEnergy,
 };
 use simkern::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -236,31 +235,28 @@ fn crash_journal_costs_live_containers_not_records() {
     );
 }
 
-/// A Recalibrated node booted `start_ms` into a run the way the fleet
-/// reboots one after a crash: the bare kernel fast-forwards from time
-/// zero first, so by the time the facility is installed the polled
-/// on-chip meter holds a report for every millisecond, and the first
-/// poll ingests that backlog. The node then runs a CPU-bound task for a
+/// A Recalibrated SandyBridge node booted `start_ms` into a run through
+/// the fleet's node recipe: the bare kernel fast-forwards from time zero
+/// first, so by the time the facility is installed the polled on-chip
+/// meter holds a report for every millisecond, and the first poll
+/// ingests that backlog. The node then runs a CPU-bound task for a
 /// second. The kernel returned owns the node's machine and facility.
 fn rebooted_node(start_ms: u64, cal: &MachineCalibration) -> Kernel {
-    let spec = MachineSpec::sandybridge();
-    let facility = PowerContainerFacility::new(
-        cal.model_for(Approach::Recalibrated),
-        Some(&cal.set),
-        &spec,
+    let start = SimTime::from_millis(start_ms);
+    let (mut kernel, _facility) = workloads::node::boot(
+        &MachineSpec::sandybridge(),
+        cal,
         FacilityConfig {
             approach: Approach::Recalibrated,
-            meter: Some("on-chip"),
-            meter_idle_w: cal.meter_idle("on-chip"),
             model_bank: Some(BankConfig::default()),
             retain_records: RecordRetention::RequestEnergy,
             ..FacilityConfig::default()
         },
+        KernelConfig::default(),
+        3,
+        FaultConfig::none(),
+        start,
     );
-    let mut kernel = Kernel::new(Machine::new(spec, 3), KernelConfig::default());
-    let start = SimTime::from_millis(start_ms);
-    kernel.run_until(start);
-    kernel.install_hooks(Box::new(facility));
     kernel.spawn(
         Box::new(FnProgram::new(|_pc| Op::Compute {
             cycles: 4.0e6,

@@ -19,6 +19,21 @@ use std::collections::VecDeque;
 /// Fewest retained readings an alignment scan will run on.
 const MIN_READINGS: usize = 3;
 
+/// Readings the facility's estimator keeps: each alignment scan
+/// correlates this many of the latest reports against the model trace.
+pub const ALIGN_WINDOW: usize = 128;
+
+/// Lowest best-delay correlation [`DelayEstimator::estimate_checked`]
+/// accepts; weaker scans keep the previous delay estimate (see
+/// [`FacilityError::AlignmentLowScore`]).
+pub const MIN_ALIGN_SCORE: f64 = 0.4;
+
+/// Correlation margin the best delay must keep over any well-separated
+/// competitor in [`DelayEstimator::estimate_checked`]; closer ties are
+/// ambiguous and keep the previous delay estimate (see
+/// [`FacilityError::AlignmentAmbiguous`]).
+pub const ALIGN_AMBIGUITY_MARGIN: f64 = 0.02;
+
 /// One meter reading as the facility sees it: arrival instant and value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reading {
@@ -379,11 +394,11 @@ impl DelayEstimator {
 
     /// Like [`DelayEstimator::estimate`], but validates the scan before
     /// the caller may act on it: the best correlation must reach
-    /// `min_score`, and no *well-separated* delay may correlate within
-    /// `ambiguity_margin` of the best — a near-tie between distant delays
-    /// means the scan cannot tell them apart, which happens when meter
-    /// dropouts punch holes in the reading stream or the workload is too
-    /// periodic over the window.
+    /// [`MIN_ALIGN_SCORE`], and no *well-separated* delay may correlate
+    /// within [`ALIGN_AMBIGUITY_MARGIN`] of the best — a near-tie between
+    /// distant delays means the scan cannot tell them apart, which
+    /// happens when meter dropouts punch holes in the reading stream or
+    /// the workload is too periodic over the window.
     ///
     /// "Well-separated" is relative to the correlation curve's intrinsic
     /// width, not the scan step: each score correlates against model
@@ -407,8 +422,6 @@ impl DelayEstimator {
     pub fn estimate_checked(
         &mut self,
         model: &TraceRing<f64>,
-        min_score: f64,
-        ambiguity_margin: f64,
     ) -> Result<AlignmentResult, FacilityError> {
         if self.history.len() < MIN_READINGS {
             return Err(FacilityError::InsufficientReadings {
@@ -425,10 +438,10 @@ impl DelayEstimator {
             have: 0,
             need: MIN_READINGS,
         })?;
-        if result.score < min_score {
+        if result.score < MIN_ALIGN_SCORE {
             return Err(FacilityError::AlignmentLowScore {
                 score: result.score,
-                min: min_score,
+                min: MIN_ALIGN_SCORE,
             });
         }
         let separation = (self.step + self.step).max(self.meter_period / 2);
@@ -443,7 +456,7 @@ impl DelayEstimator {
             .max_by(|a, b| a.1.total_cmp(&b.1));
         if let Some(&(delay, score)) = runner_up {
             let margin = result.score - score;
-            if margin < ambiguity_margin {
+            if margin < ALIGN_AMBIGUITY_MARGIN {
                 return Err(FacilityError::AlignmentAmbiguous {
                     best: result.delay,
                     runner_up: delay,
@@ -556,7 +569,7 @@ mod tests {
     #[test]
     fn checked_estimate_accepts_a_clean_scan() {
         let (model, mut est) = scenario(5);
-        let r = est.estimate_checked(&model, 0.4, 0.02).expect("clean scan");
+        let r = est.estimate_checked(&model).expect("clean scan");
         assert_eq!(r.delay, SimDuration::from_millis(5));
         assert_eq!(Some(r), est.estimate(&model));
     }
@@ -567,7 +580,7 @@ mod tests {
         let model = TraceRing::new(slot, 64);
         let mut est = DelayEstimator::new(slot, slot, slot, 8);
         est.push(Reading { arrived_at: SimTime::from_millis(1), watts: 1.0 });
-        let err = est.estimate_checked(&model, 0.4, 0.02).expect_err("one reading");
+        let err = est.estimate_checked(&model).expect_err("one reading");
         assert!(
             matches!(err, FacilityError::InsufficientReadings { have: 1, need: 3 }),
             "got {err}"
@@ -585,7 +598,7 @@ mod tests {
             let w = 20.0 + ((i * 7919) % 23) as f64; // pseudo-random, aperiodic
             est.push(Reading { arrived_at: at, watts: w });
         }
-        let err = est.estimate_checked(&model, 0.4, 0.02).expect_err("garbage stream");
+        let err = est.estimate_checked(&model).expect_err("garbage stream");
         assert!(matches!(err, FacilityError::AlignmentLowScore { .. }), "got {err}");
     }
 
@@ -609,7 +622,7 @@ mod tests {
                 est.push(Reading { arrived_at: SimTime::from_millis(ms + 3), watts: w });
             }
         }
-        let err = est.estimate_checked(&model, 0.4, 0.02).expect_err("periodic tie");
+        let err = est.estimate_checked(&model).expect_err("periodic tie");
         match err {
             FacilityError::AlignmentAmbiguous { best, runner_up, margin } => {
                 let gap = if best > runner_up { best - runner_up } else { runner_up - best };
@@ -649,7 +662,7 @@ mod tests {
                 watts: w,
             });
         }
-        let r = est.estimate_checked(&model, 0.4, 0.02).expect("unambiguous scan");
+        let r = est.estimate_checked(&model).expect("unambiguous scan");
         assert_eq!(r.delay, SimDuration::from_millis(1200), "score {}", r.score);
         assert!(r.score > 0.95);
     }

@@ -633,6 +633,17 @@ impl ContainerManager {
         self.total_request_energy_j + self.bg_acct.energy_j
     }
 
+    /// Everything the manager has attributed, Joules: request and
+    /// background CPU energy plus their I/O energy — the paper's
+    /// validation numerator, summed as `(requests + background) + request
+    /// I/O + background I/O`. [`ManagerCheckpoint::attributed_energy_j`]
+    /// adds the same four journaled totals in another order.
+    pub fn attributed_energy_j(&self) -> f64 {
+        self.total_energy_with_background_j()
+            + self.total_request_io_energy_j
+            + self.bg_acct.io_energy_j
+    }
+
     /// In-memory size of one live container's state in bytes: the sum of
     /// its three slot-parallel rows (the paper reports 784 bytes for its
     /// kernel structure).
@@ -1178,10 +1189,7 @@ mod tests {
         assert_eq!(cp.live.len(), 1);
         assert_eq!(cp.released, 1);
         assert_eq!(cp.records, 1);
-        let attributed = m.total_energy_with_background_j()
-            + m.total_request_io_energy_j()
-            + m.background().io_energy_j();
-        assert!((cp.attributed_energy_j() - attributed).abs() < 1e-12);
+        assert!((cp.attributed_energy_j() - m.attributed_energy_j()).abs() < 1e-12);
 
         let mut fresh = ContainerManager::new(RecordRetention::Full);
         let force_released = fresh.restore(&cp, m.take_records(), SimTime::from_millis(9));

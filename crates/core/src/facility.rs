@@ -15,7 +15,7 @@
 //! Experiments keep an `Rc<RefCell<FacilityState>>` handle to read
 //! containers and model state after (or during) a run.
 
-use crate::align::{AlignmentResult, DelayEstimator, Reading};
+use crate::align::{AlignmentResult, DelayEstimator, Reading, ALIGN_WINDOW};
 use crate::calibrate::CalibrationSet;
 use crate::chipshare::SampleBoard;
 use crate::conditioning::ConditioningPolicy;
@@ -46,6 +46,53 @@ pub const MAINTENANCE_BUNDLE: CounterBlock = CounterBlock {
     cache_refs: 3.0,
     mem_txns: 0.0,
 };
+
+/// Grid resolution of the facility's model and metrics history traces.
+pub const TRACE_SLOT: SimDuration = SimDuration::from_millis(1);
+
+/// How often the facility acts on the reports of the meter it polls: an
+/// alignment scan after every [`Cadence::align_every`] reports, a model
+/// refit after every [`Cadence::recalibrate_every`] aligned samples.
+///
+/// The paper aligns and refits against its 1 ms on-chip meter and its
+/// 1 s Wattsup with one algorithm (§3.2, Eq. 4); only these two counts
+/// depend on the meter, through its report period. A scan waits for 4 s
+/// of reports and a refit for 2 s of samples, but neither for more than
+/// 16: a 1 s meter scans every 4 reports and refits every 2, since 16 of
+/// its reports would leave the model unaligned and unrefit for 16 s; a
+/// 1 ms meter does both every 16, since scanning each new reading would
+/// repeat the cross-correlation over nearly the same window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cadence {
+    /// Meter reports between alignment scans.
+    pub align_every: usize,
+    /// Aligned online samples between model refits (the model bank's
+    /// per-slot periodic refits included).
+    pub recalibrate_every: usize,
+}
+
+impl Cadence {
+    /// The cadence for a meter that reports every `period`.
+    ///
+    /// ```
+    /// use power_containers::Cadence;
+    /// use simkern::SimDuration;
+    ///
+    /// let wattsup = Cadence::for_meter(SimDuration::from_secs(1));
+    /// assert_eq!((wattsup.align_every, wattsup.recalibrate_every), (4, 2));
+    /// let on_chip = Cadence::for_meter(SimDuration::from_millis(1));
+    /// assert_eq!((on_chip.align_every, on_chip.recalibrate_every), (16, 16));
+    /// ```
+    pub fn for_meter(period: SimDuration) -> Cadence {
+        let reports_in = |span: SimDuration| {
+            (span.as_nanos() / period.as_nanos().max(1)).clamp(1, 16) as usize
+        };
+        Cadence {
+            align_every: reports_in(SimDuration::from_secs(4)),
+            recalibrate_every: reports_in(SimDuration::from_secs(2)),
+        }
+    }
+}
 
 /// The three accounting approaches compared in the paper's Fig. 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,32 +141,21 @@ pub struct FacilityConfig {
     /// Fair power conditioning policy, if enabled.
     pub conditioning: Option<ConditioningPolicy>,
     /// Name of the meter used for alignment/recalibration (e.g.
-    /// `"on-chip"` or `"wattsup"`); `None` disables both.
+    /// `"on-chip"` or `"wattsup"`); `None` disables both. Its report
+    /// period sets the facility's [`Cadence`].
     pub meter: Option<&'static str>,
     /// The meter's reading on an idle machine, measured at calibration
     /// time; subtracted to obtain active power.
     pub meter_idle_w: f64,
-    /// Meter reports between alignment scans.
-    pub align_every: usize,
     /// Largest measurement delay scanned.
     pub max_meter_delay: SimDuration,
     /// Delay scan resolution.
     pub align_step: SimDuration,
-    /// Online samples between model refits.
-    pub recalibrate_every: usize,
     /// Self-calibrating model bank: when set (and the approach is
     /// [`Approach::Recalibrated`]), online samples train one model per
     /// operating regime with drift detection instead of the single
     /// rolling recalibrator. See [`crate::ModelBank`].
     pub model_bank: Option<BankConfig>,
-    /// Minimum correlation an alignment scan must reach; weaker scans
-    /// keep the previous delay estimate (see
-    /// [`crate::FacilityError::AlignmentLowScore`]).
-    pub min_align_score: f64,
-    /// Required correlation margin between the best delay and any
-    /// well-separated competitor; closer ties are ambiguous and keep the
-    /// previous delay estimate.
-    pub align_ambiguity_margin: f64,
     /// What the container manager keeps of each completed request (see
     /// [`RecordRetention`]). The default keeps a full
     /// [`crate::ContainerRecord`], which the single-machine experiments
@@ -132,12 +168,10 @@ pub struct FacilityConfig {
     /// Additionally track modeled energy per task — used by the Fig. 4
     /// stage-breakdown analysis of a multi-stage request.
     pub track_per_task: bool,
-    /// Grid resolution of the model/metrics history traces.
-    pub trace_slot: SimDuration,
-    /// History trace capacity in slots. The history feeds only meter
-    /// alignment, recalibration and the `*_between` queries, so 0 keeps
-    /// none: the facility then skips the trace writes altogether, and
-    /// [`FacilityState::modeled_power_between`] and
+    /// History trace capacity in [`TRACE_SLOT`]s. The history feeds
+    /// only meter alignment, recalibration and the `*_between` queries,
+    /// so 0 keeps none: the facility then skips the trace writes
+    /// altogether, and [`FacilityState::modeled_power_between`] and
     /// [`FacilityState::metrics_between`] answer `None`. A facility with
     /// a [`FacilityConfig::meter`] needs history to align against, so
     /// [`PowerContainerFacility::try_new`] rejects 0 there.
@@ -159,16 +193,11 @@ impl Default for FacilityConfig {
             conditioning: None,
             meter: None,
             meter_idle_w: 0.0,
-            align_every: 8,
             max_meter_delay: SimDuration::from_millis(2000),
             align_step: SimDuration::from_millis(1),
-            recalibrate_every: 8,
             model_bank: None,
-            min_align_score: 0.4,
-            align_ambiguity_margin: 0.02,
             retain_records: RecordRetention::Full,
             track_per_task: false,
-            trace_slot: SimDuration::from_millis(1),
             trace_capacity: 8192,
             telemetry: telemetry::Telemetry::disabled(),
         }
@@ -215,6 +244,7 @@ fn counter_anomaly(delta: &CounterBlock) -> bool {
 /// [`PowerContainerFacility::state`].
 pub struct FacilityState {
     config: FacilityConfig,
+    cadence: Cadence,
     spec: MachineSpec,
     model: PowerModel,
     containers: ContainerManager,
@@ -239,6 +269,11 @@ pub struct FacilityState {
 }
 
 impl FacilityState {
+    /// The configuration the facility was built with.
+    pub fn config(&self) -> &FacilityConfig {
+        &self.config
+    }
+
     /// The current power model (offline or recalibrated).
     pub fn model(&self) -> &PowerModel {
         &self.model
@@ -541,14 +576,10 @@ impl FacilityState {
         if self.pending_readings.is_empty() {
             return;
         }
-        if self.reports_since_align >= self.config.align_every {
+        if self.reports_since_align >= self.cadence.align_every {
             self.reports_since_align = 0;
             if let Some(e) = &mut self.estimator {
-                match e.estimate_checked(
-                    &self.model_trace,
-                    self.config.min_align_score,
-                    self.config.align_ambiguity_margin,
-                ) {
+                match e.estimate_checked(&self.model_trace) {
                     Ok(result) => {
                         if self.config.telemetry.enabled() {
                             self.config.telemetry.instant(
@@ -607,7 +638,7 @@ impl FacilityState {
                     let start = end - self.meter_period;
                     if let Some(metrics) = self.metrics_trace.mean_over_wall(start, end) {
                         recal.add_online_sample(metrics, r.watts - self.config.meter_idle_w);
-                        if recal.samples_since_fit() >= self.config.recalibrate_every {
+                        if recal.samples_since_fit() >= self.cadence.recalibrate_every {
                             refit_due = true;
                         }
                     }
@@ -914,6 +945,12 @@ impl PowerContainerFacility {
         spec: &MachineSpec,
         config: FacilityConfig,
     ) -> Result<PowerContainerFacility, FacilityError> {
+        let meter_period = spec
+            .meters
+            .iter()
+            .find(|m| Some(m.name) == config.meter)
+            .map_or(SimDuration::from_millis(1), |m| m.period);
+        let cadence = Cadence::for_meter(meter_period);
         let recalibrator = if config.approach == Approach::Recalibrated {
             let cal = calibration.ok_or(FacilityError::CalibrationMissing)?;
             if config.meter.is_none() {
@@ -926,6 +963,7 @@ impl PowerContainerFacility {
                     kind,
                     model.clone(),
                     bank_cfg.clone(),
+                    cadence.recalibrate_every,
                 )),
                 None => RecalEngine::Single(Recalibrator::new(cal, kind)),
             })
@@ -937,17 +975,18 @@ impl PowerContainerFacility {
         }
         let cores = spec.total_cores();
         let state = FacilityState {
+            cadence,
             spec: spec.clone(),
             model,
             containers: ContainerManager::new(config.retain_records),
             board: SampleBoard::new(cores),
             cores: vec![CoreSampler::default(); cores],
-            model_trace: TraceRing::new(config.trace_slot, config.trace_capacity),
-            metrics_trace: TraceRing::new(config.trace_slot, config.trace_capacity),
+            model_trace: TraceRing::new(TRACE_SLOT, config.trace_capacity),
+            metrics_trace: TraceRing::new(TRACE_SLOT, config.trace_capacity),
             estimator: None, // needs the meter period, resolved at boot
             recalibrator,
             meter_id: None,
-            meter_period: SimDuration::from_millis(1),
+            meter_period,
             aligned_delay: None,
             last_alignment: None,
             pending_readings: Vec::new(),
@@ -993,7 +1032,7 @@ impl KernelHooks for PowerContainerFacility {
                     spec.period,
                     s.config.max_meter_delay,
                     s.config.align_step,
-                    128,
+                    ALIGN_WINDOW,
                 ));
             }
         }
@@ -1112,7 +1151,7 @@ impl KernelHooks for PowerContainerFacility {
         // Backfill the device's active span into the machine-level
         // traces, slot by slot, so alignment/recalibration sees it.
         let now = api.now;
-        let slot = s.config.trace_slot;
+        let slot = TRACE_SLOT;
         let mut t = now - SimDuration::from_secs_f64(seconds);
         let mut unit = MetricVector::default();
         match device {

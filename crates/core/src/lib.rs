@@ -89,7 +89,10 @@ mod recalibrate;
 mod report;
 mod trace;
 
-pub use align::{AlignmentResult, DelayEstimator, Reading};
+pub use align::{
+    AlignmentResult, DelayEstimator, Reading, ALIGN_AMBIGUITY_MARGIN, ALIGN_WINDOW,
+    MIN_ALIGN_SCORE,
+};
 pub use calibrate::{CalibrationSample, CalibrationSet};
 pub use chipshare::{SampleBoard, SampleRecord};
 pub use conditioning::ConditioningPolicy;
@@ -100,7 +103,8 @@ pub use container::{
 };
 pub use error::FacilityError;
 pub use facility::{
-    Approach, FacilityConfig, FacilityState, PowerContainerFacility, MAINTENANCE_BUNDLE,
+    Approach, Cadence, FacilityConfig, FacilityState, PowerContainerFacility, MAINTENANCE_BUNDLE,
+    TRACE_SLOT,
 };
 pub use metrics::{DegradeStats, MetricVector, FEATURES};
 pub use model::{ModelKind, PowerModel};

@@ -149,8 +149,6 @@ impl Default for DriftPolicy {
 pub struct BankConfig {
     /// Refit acceptance policy installed into every slot's recalibrator.
     pub refit_policy: RefitPolicy,
-    /// Online samples between periodic (non-drift) refits of a slot.
-    pub recalibrate_every: usize,
     /// Drift detection and selection policy.
     pub drift: DriftPolicy,
     /// Ascending cut points for the workload-mix bucket, in memory
@@ -165,7 +163,6 @@ impl Default for BankConfig {
     fn default() -> BankConfig {
         BankConfig {
             refit_policy: RefitPolicy::default(),
-            recalibrate_every: 8,
             drift: DriftPolicy::default(),
             mix_thresholds: [0.01, 0.04],
             max_slots: 16,
@@ -274,7 +271,8 @@ struct BankSlot {
 ///     });
 /// }
 /// let initial = set.fit(ModelKind::WithChipShare).unwrap();
-/// let mut bank = ModelBank::new(&set, ModelKind::WithChipShare, initial, BankConfig::default());
+/// let mut bank =
+///     ModelBank::new(&set, ModelKind::WithChipShare, initial, BankConfig::default(), 16);
 /// let m = MetricVector { core: 1.0, chipshare: 1.0, ..Default::default() };
 /// let key = bank.classify(0, 1.0, &m);
 /// bank.observe(key, m, 13.6, SimTime::from_millis(1));
@@ -287,6 +285,7 @@ pub struct ModelBank {
     kind: ModelKind,
     initial: PowerModel,
     config: BankConfig,
+    recalibrate_every: usize,
     slots: BTreeMap<RegimeKey, BankSlot>,
     active: Option<RegimeKey>,
     candidate: Option<(RegimeKey, u32)>,
@@ -301,18 +300,22 @@ pub struct ModelBank {
 impl ModelBank {
     /// Creates an empty bank. `initial` (typically the offline fit) is
     /// served until any slot produces an accepted refit, and remains the
-    /// fallback of last resort.
+    /// fallback of last resort. A slot refits periodically after every
+    /// `recalibrate_every` online samples; the facility passes its own
+    /// [`crate::Cadence::recalibrate_every`].
     pub fn new(
         calibration: &CalibrationSet,
         kind: ModelKind,
         initial: PowerModel,
         config: BankConfig,
+        recalibrate_every: usize,
     ) -> ModelBank {
         ModelBank {
             calibration: calibration.clone(),
             kind,
             initial,
             config,
+            recalibrate_every,
             slots: BTreeMap::new(),
             active: None,
             candidate: None,
@@ -328,6 +331,11 @@ impl ModelBank {
     /// The bank's configuration.
     pub fn config(&self) -> &BankConfig {
         &self.config
+    }
+
+    /// Online samples between a slot's periodic (non-drift) refits.
+    pub fn recalibrate_every(&self) -> usize {
+        self.recalibrate_every
     }
 
     /// Buckets raw regime signals with this bank's mix thresholds. The
@@ -441,7 +449,7 @@ impl ModelBank {
 
         self.ensure_slot(key);
         let policy = self.config.drift;
-        let recalibrate_every = self.config.recalibrate_every;
+        let recalibrate_every = self.recalibrate_every;
         let Some(slot) = self.slots.get_mut(&key) else {
             return out; // unreachable: ensure_slot just inserted it
         };
@@ -636,7 +644,7 @@ mod tests {
     fn bank(config: BankConfig) -> ModelBank {
         let set = offline_set();
         let initial = set.fit(ModelKind::WithChipShare).unwrap();
-        ModelBank::new(&set, ModelKind::WithChipShare, initial, config)
+        ModelBank::new(&set, ModelKind::WithChipShare, initial, config, 8)
     }
 
     fn busy_metrics() -> MetricVector {

@@ -306,7 +306,7 @@ fn run_episode(ep: &Episode, h: &mut Fnv, reach: &mut Reach) {
             continue;
         }
         since_scan = 0;
-        let out = est.estimate_checked(&ring, 0.4, 0.02);
+        let out = est.estimate_checked(&ring);
         hash_outcome(h, &out);
         match &out {
             Ok(_) => reach.ok += 1,

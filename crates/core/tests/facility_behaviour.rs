@@ -1,10 +1,10 @@
 //! Facility-level integration tests: alignment, recalibration and
 //! conditioning running inside a live kernel.
 
-use hwsim::{ActivityProfile, Machine, MachineSpec};
-use ossim::{FnProgram, Kernel, KernelConfig, Op, ScriptProgram};
+use hwsim::{ActivityProfile, CoreId, Machine, MachineSpec};
+use ossim::{FnProgram, Kernel, KernelApi, KernelConfig, KernelHooks, Op, ScriptProgram, TaskId};
 use power_containers::{
-    Approach, CalibrationSample, CalibrationSet, ConditioningPolicy, FacilityConfig,
+    Approach, BankConfig, CalibrationSample, CalibrationSet, ConditioningPolicy, FacilityConfig,
     MetricVector, ModelKind, PowerContainerFacility, PowerModel,
 };
 use simkern::{SimDuration, SimTime};
@@ -83,6 +83,75 @@ fn alignment_finds_the_onchip_meter_delay_in_vivo() {
         "on-chip meter delay is 1 ms, estimated {delay}"
     );
     assert!(s.refits() > 0, "recalibration should have run");
+}
+
+/// Drives a Recalibrated SandyBridge facility that polls `meter` by
+/// hand for `millis` ms: one PMU interrupt per millisecond on core 0,
+/// which idles or runs a stress load in pseudo-random stretches of
+/// `stretch_ms`, so no poll drains more than one report. After every
+/// report it checks the facility's cadence: the scans run so far,
+/// successful or not, number `drained / scan_every`, and the refits
+/// tried so far, accepted or not, number `aligned / refit_every`, where
+/// `aligned` counts the reports from the one whose poll first aligned.
+fn assert_cadence(
+    meter: &'static str,
+    scan_every: u64,
+    refit_every: u64,
+    stretch_ms: u64,
+    millis: u64,
+) {
+    let spec = MachineSpec::sandybridge();
+    let m = spec.meters.iter().find(|m| m.name == meter).expect("meter").clone();
+    let set = skewed_calibration();
+    let model = set.fit(ModelKind::WithChipShare).expect("fit");
+    let config = FacilityConfig {
+        approach: Approach::Recalibrated,
+        meter: Some(meter),
+        ..FacilityConfig::default()
+    };
+    let banked = FacilityConfig { model_bank: Some(BankConfig::default()), ..config.clone() };
+    let bank = PowerContainerFacility::new(model.clone(), Some(&set), &spec, banked).state();
+    let bank_every = bank.borrow().model_bank().map(|b| b.recalibrate_every());
+    assert_eq!(bank_every, Some(refit_every as usize), "the bank refits at the facility's cadence");
+
+    let tele = telemetry::Telemetry::recording();
+    let config = FacilityConfig { telemetry: tele.clone(), ..config };
+    let mut facility = PowerContainerFacility::new(model, Some(&set), &spec, config);
+    let state = facility.state();
+    let mut machine = Machine::new(spec, 11);
+    let running = [Some(TaskId(0)), None, None, None];
+    facility.on_boot(&mut KernelApi::new(SimTime::ZERO, &mut machine, &running, &[None]));
+    let count = |name: &str| tele.snapshot().counter(name).unwrap_or(0);
+    let (mut drained, mut first_aligned) = (0, None);
+    for ms in 1..=millis {
+        let busy = (ms / stretch_ms).wrapping_mul(7919) % 13 < 6;
+        machine.set_running(CoreId(0), busy.then(ActivityProfile::stress));
+        let now = SimTime::from_millis(ms);
+        machine.advance_to(now);
+        let mut api = KernelApi::new(now, &mut machine, &running, &[None]);
+        facility.on_pmu_interrupt(&mut api, CoreId(0), TaskId(0));
+        let visible = now.as_nanos().saturating_sub(m.delay.as_nanos()) / m.period.as_nanos();
+        if visible == drained {
+            continue;
+        }
+        assert_eq!(visible, drained + 1, "one report per poll");
+        drained = visible;
+        let scans = count("align.scans") + count("degrade.align_fallbacks");
+        assert_eq!(scans, drained / scan_every, "{meter}: scans after {drained} reports");
+        if count("align.scans") > 0 {
+            let first = *first_aligned.get_or_insert(drained);
+            let refits = state.borrow().refits() + count("degrade.refits_rejected");
+            let aligned = drained - first + 1;
+            assert_eq!(refits, aligned / refit_every, "{meter}: refits after {aligned} samples");
+        }
+    }
+    assert!(state.borrow().refits() > 2, "{meter}: the facility aligned and refit");
+}
+
+#[test]
+fn the_polled_meter_sets_how_often_the_facility_scans_and_refits() {
+    assert_cadence("on-chip", 16, 16, 7, 600);
+    assert_cadence("wattsup", 4, 2, 700, 40_000);
 }
 
 #[test]

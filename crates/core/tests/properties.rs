@@ -9,6 +9,9 @@ use power_containers::{
 use proptest::prelude::*;
 use simkern::{SimDuration, SimTime};
 
+/// Online samples between periodic refits of the stand-alone banks below.
+const BANK_REFIT_EVERY: usize = 8;
+
 /// A small offline calibration set under a fixed linear power law, for
 /// the model-bank properties.
 fn bank_offline_set() -> CalibrationSet {
@@ -297,7 +300,8 @@ proptest! {
         let mut cfg = BankConfig::default();
         cfg.refit_policy.max_condition = 1.0; // every refit rejects
         cfg.drift.quarantine_after = 1;
-        let mut bank = ModelBank::new(&set, ModelKind::WithChipShare, initial, cfg);
+        let mut bank =
+            ModelBank::new(&set, ModelKind::WithChipShare, initial, cfg, BANK_REFIT_EVERY);
         let key = bank.classify(0, 1.0, &bank_busy());
         // Wild residual oscillation trips the CUSUM until the rejected
         // drift retrain quarantines the slot.
@@ -334,8 +338,13 @@ proptest! {
     ) {
         let set = bank_offline_set();
         let initial = set.fit(ModelKind::WithChipShare).unwrap();
-        let mut bank =
-            ModelBank::new(&set, ModelKind::WithChipShare, initial, BankConfig::default());
+        let mut bank = ModelBank::new(
+            &set,
+            ModelKind::WithChipShare,
+            initial,
+            BankConfig::default(),
+            BANK_REFIT_EVERY,
+        );
         let key = bank.classify(0, 1.0, &bank_busy());
         let mut t = 1u64;
         let mut feed = |bank: &mut ModelBank, w: f64| {
@@ -404,9 +413,7 @@ proptest! {
                 lost_after_stale += cpu_j * 1e-3 * 1e3 + io_j;
             }
         }
-        let live_total = mgr.total_energy_with_background_j()
-            + mgr.total_request_io_energy_j()
-            + mgr.background().io_energy_j();
+        let live_total = mgr.attributed_energy_j();
 
         // Graceful drain: checkpoint taken at the freeze instant. Every
         // journaled total is a copy of the live cumulative counter, so
@@ -455,9 +462,7 @@ proptest! {
         // incarnation exactly.
         let mut fresh = ContainerManager::new(RecordRetention::Full);
         fresh.restore(&drain, mgr.take_records(), SimTime::from_millis(1 + steps.len() as u64));
-        let restored = fresh.total_energy_with_background_j()
-            + fresh.total_request_io_energy_j()
-            + fresh.background().io_energy_j();
+        let restored = fresh.attributed_energy_j();
         prop_assert_eq!(
             restored, live_total,
             "restored incarnation must carry the drained node's exact totals"

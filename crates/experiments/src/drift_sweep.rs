@@ -211,17 +211,6 @@ fn apply(prepared: &mut PreparedRun, shift: Shift, phase: &Rc<Cell<bool>>) {
     }
 }
 
-/// Aggregate energy the facility has attributed so far (requests +
-/// background, CPU + I/O) — the cumulative series the per-bucket
-/// accuracy curve differentiates.
-fn attributed_j(facility: &Rc<std::cell::RefCell<power_containers::FacilityState>>) -> f64 {
-    let f = facility.borrow();
-    let c = f.containers();
-    c.total_energy_with_background_j()
-        + c.total_request_io_energy_j()
-        + c.background().io_energy_j()
-}
-
 /// One (rung × metering engine) cell.
 #[derive(Debug, Clone, Serialize)]
 pub struct DriftCell {
@@ -392,7 +381,9 @@ pub fn run_cell(
         let t = SimTime::ZERO + SimDuration::from_millis(BUCKET_MS * (b as u64 + 1));
         prepared.kernel.run_until(t);
         let te = prepared.kernel.machine().true_active_energy_j();
-        let ae = attributed_j(&prepared.facility);
+        // Everything attributed so far: the cumulative series the
+        // per-bucket accuracy curve differentiates.
+        let ae = prepared.facility.borrow().containers().attributed_energy_j();
         deltas.push((ae - last_attr, te - last_true));
         (last_true, last_attr) = (te, ae);
     }

@@ -267,6 +267,13 @@ impl Machine {
         self.cores[core.0].counters
     }
 
+    /// Mean core utilization so far: busy cycles over elapsed cycles,
+    /// averaged over every core.
+    pub fn mean_utilization(&self) -> f64 {
+        let sum: f64 = self.cores.iter().map(|c| c.counters.core_utilization()).sum();
+        sum / self.cores.len() as f64
+    }
+
     /// Arms (or with `None`, disarms) the PMU overflow interrupt on `core`
     /// and resets its overflow counter: the interrupt fires after
     /// `threshold` further non-halt cycles.

@@ -5,11 +5,9 @@ use crate::apps::{AppEnv, ServerApp, WorkloadKind};
 use crate::calibration::MachineCalibration;
 use crate::driver::{spawn_driver, ClosedLoopDriver, CtxAlloc, DriverEnv};
 use crate::stats::RunStats;
-use hwsim::{Machine, MachineSpec};
+use hwsim::MachineSpec;
 use ossim::{Kernel, KernelConfig};
-use power_containers::{
-    Approach, ConditioningPolicy, FacilityConfig, FacilityState, PowerContainerFacility,
-};
+use power_containers::{Approach, ConditioningPolicy, FacilityConfig, FacilityState};
 use simkern::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -64,9 +62,9 @@ pub struct RunConfig {
     pub workers_per_core: usize,
     /// Track per-task energy (Fig. 4).
     pub track_per_task: bool,
-    /// Meter for alignment/recalibration; `None` picks the best
-    /// available (on-chip if present, else wattsup) when the approach is
-    /// `Recalibrated`.
+    /// Meter for alignment/recalibration; `None` picks the machine's
+    /// shortest-period meter when the approach is `Recalibrated` (see
+    /// [`crate::node::boot`]).
     pub meter: Option<&'static str>,
     /// First context id the driver allocates.
     pub ctx_base: u64,
@@ -161,11 +159,7 @@ impl RunOutcome {
     /// Aggregate energy the facility attributed (requests + background,
     /// CPU + I/O), Joules — the paper's validation numerator.
     pub fn attributed_energy_j(&self) -> f64 {
-        let f = self.facility.borrow();
-        let c = f.containers();
-        c.total_energy_with_background_j()
-            + c.total_request_io_energy_j()
-            + c.background().io_energy_j()
+        self.facility.borrow().containers().attributed_energy_j()
     }
 
     /// The Fig. 8 validation error: aggregate profiled request power vs
@@ -191,12 +185,7 @@ impl RunOutcome {
     /// Mean machine utilization over the run (busy cycles over elapsed
     /// cycles, averaged over cores).
     pub fn mean_utilization(&self) -> f64 {
-        let m = self.kernel.machine();
-        let n = m.spec().total_cores();
-        (0..n)
-            .map(|c| m.counters(hwsim::CoreId(c)).core_utilization())
-            .sum::<f64>()
-            / n as f64
+        self.kernel.machine().mean_utilization()
     }
 }
 
@@ -276,30 +265,17 @@ pub fn run_server_app(
     prepare_app(app, cfg, cal).run()
 }
 
-/// Assembles machine, kernel, facility, app and driver without running.
+/// Boots a node (see [`crate::node::boot`]) and adds app and driver
+/// without running.
 pub fn prepare_app(
     app: Rc<dyn ServerApp>,
     cfg: &RunConfig,
     cal: &MachineCalibration,
 ) -> PreparedRun {
-    let meter = cfg.meter.or_else(|| {
-        if cfg.approach == Approach::Recalibrated {
-            if cfg.spec.meters.iter().any(|m| m.name == "on-chip") {
-                Some("on-chip")
-            } else {
-                Some("wattsup")
-            }
-        } else {
-            None
-        }
-    });
     let mut facility_config = FacilityConfig {
         approach: cfg.approach,
         conditioning: cfg.conditioning,
-        meter,
-        meter_idle_w: meter.map(|m| cal.meter_idle(m)).unwrap_or(0.0),
-        align_every: if meter == Some("wattsup") { 4 } else { 16 },
-        recalibrate_every: if meter == Some("wattsup") { 2 } else { 16 },
+        meter: cfg.meter,
         track_per_task: cfg.track_per_task,
         sibling_idle_check: cfg.sibling_idle_check,
         compensate_observer: cfg.compensate_observer,
@@ -307,12 +283,6 @@ pub fn prepare_app(
         model_bank: cfg.model_bank.clone(),
         ..FacilityConfig::default()
     };
-    // The per-meter refit cadence above is the harness-level knob; keep
-    // the bank's per-slot cadence in lockstep with it.
-    let cadence = facility_config.recalibrate_every;
-    if let Some(bank) = &mut facility_config.model_bank {
-        bank.recalibrate_every = cadence;
-    }
     if let Some(period) = cfg.sample_period {
         facility_config.sample_period = period;
     }
@@ -322,23 +292,21 @@ pub fn prepare_app(
     if let Some(max) = cfg.max_meter_delay {
         facility_config.max_meter_delay = max;
     }
-    let model = cal.model_for(cfg.approach);
-    let calset = (cfg.approach == Approach::Recalibrated).then_some(&cal.set);
-    let facility = PowerContainerFacility::new(model, calset, &cfg.spec, facility_config);
-    let state = facility.state();
-
-    let mut machine = Machine::new(cfg.spec.clone(), cfg.seed);
-    if cfg.faults.is_active() {
-        machine.set_fault_config(cfg.faults.clone());
-    }
     let kernel_config = KernelConfig {
         naive_socket_tagging: cfg.naive_socket_tagging,
         telemetry: cfg.telemetry.clone(),
         sched: cfg.sched.clone(),
         ..KernelConfig::default()
     };
-    let mut kernel = Kernel::new(machine, kernel_config);
-    kernel.install_hooks(Box::new(facility));
+    let (mut kernel, state) = crate::node::boot(
+        &cfg.spec,
+        cal,
+        facility_config,
+        kernel_config,
+        cfg.seed,
+        cfg.faults.clone(),
+        SimTime::ZERO,
+    );
 
     let stats = Rc::new(RefCell::new(RunStats::new()));
     // Closed-loop clients need the completion channel wired into the

@@ -10,8 +10,10 @@
 //! * the **load generator** ([`driver`]) — pooled persistent workers fed
 //!   by an open-loop Poisson request driver that propagates request
 //!   contexts through tagged socket messages;
-//! * a one-call **harness** ([`harness`]) that assembles machine, kernel,
-//!   facility, application and driver, and returns a [`RunOutcome`] the
+//! * the one **node recipe** ([`node`]) that boots machine, kernel and
+//!   facility for the harness and for every fleet node;
+//! * a one-call **harness** ([`harness`]) that adds application and
+//!   driver to a booted node, and returns a [`RunOutcome`] the
 //!   experiment binaries consume.
 //!
 //! # Example
@@ -37,6 +39,7 @@ pub mod degrade;
 pub mod driver;
 pub mod harness;
 pub mod loadgen;
+pub mod node;
 pub mod stats;
 pub mod trace;
 pub mod traffic;
