@@ -1,12 +1,14 @@
-//! Engine oracle: four small cells whose full outcome rendering and
+//! Engine oracle: five small cells whose full outcome rendering and
 //! exported trace are pinned by committed digests.
 //!
 //! Between them the cells drive every path of the cluster engine: a
 //! three-tier chaos pipeline (crashes, retries, hedges, checkpoints,
 //! the model bank and the observability plane), the same pipeline
 //! keeping a per-request energy ledger over compact logs, an autoscaled diurnal
-//! tier (provisioning, clean and forced drains, a rolling upgrade), and
-//! a capped flash crowd that climbs the brownout ladder. Each digest is
+//! tier (provisioning, clean and forced drains, a rolling upgrade),
+//! a capped flash crowd that climbs the brownout ladder, and a fixed
+//! CFS-scheduled tier riding node blackouts under a power cap and
+//! admission control with recovery off. Each digest is
 //! FNV-1a over `format!("{outcome:?}")` followed by the JSONL trace, so
 //! a refactor that moves any simulated value, any event or any event's
 //! order moves a digest. The per-cell asserts check that each path the
@@ -18,6 +20,7 @@ use cluster::{
     SimpleBalance, Topology,
 };
 use hwsim::FaultConfig;
+use ossim::{CfsConfig, SchedulerKind};
 use simkern::SimDuration;
 use telemetry::obs::SloRules;
 use workloads::{calibrate_machine, Diurnal, FlashCrowds, MachineCalibration, TrafficShape};
@@ -166,6 +169,28 @@ fn capped_flash() -> ClusterConfig {
     cfg
 }
 
+/// A fixed four-node tier, scheduled by CFS, riding node blackouts
+/// under a power cap with admission control and no request recovery: a
+/// frozen kernel replaying its backlog, requests steered around dark
+/// nodes, the power-headroom front door and shedding without retries.
+fn blackout_capped() -> ClusterConfig {
+    let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(4));
+    cfg.seed = 42;
+    cfg.duration = SimDuration::from_millis(1500);
+    cfg.workers_per_core = 2;
+    cfg.sched = vec![SchedulerKind::Cfs(CfsConfig::default())];
+    cfg.faults = FaultConfig {
+        seed: 0xB1AC,
+        node_blackout_hz: 2.0,
+        node_blackout_len: SimDuration::from_millis(150),
+        ..FaultConfig::none()
+    };
+    let cores: usize = cfg.nodes.iter().map(hwsim::MachineSpec::total_cores).sum();
+    cfg.power_cap_w = Some(7.0 * cores as f64);
+    cfg.admission = Some(AdmissionConfig::standard());
+    cfg
+}
+
 #[test]
 fn chaos_pipeline_matches_engine_oracle() {
     let (o, tele, h) = run_traced(&chaos_pipeline());
@@ -215,4 +240,21 @@ fn capped_flash_matches_engine_oracle() {
     assert!(o.brownout_engagements > 0, "the brownout ladder never engaged");
     assert!(o.shed[ShedReason::BrownoutOptional.index()] > 0, "no optional session shed");
     assert_digest("capped_flash", h, 0xc98a_f8b7_f361_e72d);
+}
+
+#[test]
+fn blackout_capped_matches_engine_oracle() {
+    let cfg = blackout_capped();
+    let (o, tele, h) = run_traced(&cfg);
+    let blackouts = tele.to_jsonl().matches(r#""name":"blackout","ph":"B""#).count();
+    assert!(blackouts > 0, "no blackout window opened");
+    assert!(o.rerouted > 0, "no request steered around a dark node");
+    assert!(o.degradations_detected > 0, "no stalled node detected");
+    assert!(o.peak_power_w > 0.0, "fleet power never sampled");
+    assert!(o.shed[ShedReason::PowerHeadroom.index()] > 0, "no power-headroom shed");
+    assert_eq!(o.retried, 0, "a retry ran with recovery off");
+    assert_eq!(o.crashes + o.scale_outs + o.scale_ins, 0, "the tier crashed or resized");
+    let rr = ClusterConfig { sched: vec![SchedulerKind::RoundRobin], ..cfg };
+    assert_ne!(run_traced(&rr).2, h, "the scheduler never reached the nodes");
+    assert_digest("blackout_capped", h, 0x8771_67de_461c_5dce);
 }
