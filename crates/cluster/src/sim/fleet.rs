@@ -8,8 +8,7 @@ use super::book::{
 use super::config::{per_app_rate, service_secs, validate};
 use super::node::{Blueprint, BreakerState, Lifecycle, Node, ScaleState};
 use super::{
-    ClusterConfig, ClusterOutcome, CrashRecord, CtxEnergy, NodeOutcome, ScaleEvent,
-    ScaleKind, ShedReason,
+    ClusterConfig, ClusterOutcome, CtxEnergy, NodeOutcome, ScaleEvent, ScaleKind, ShedReason,
 };
 use crate::autoscale::{Autoscaler, AutoscaleConfig, BrownoutLevel, FleetSample, ScaleDecision};
 use crate::obs::ObsPlane;
@@ -42,51 +41,6 @@ fn merge_node_events(main: &telemetry::Telemetry, nodes: &[Node]) {
     }
 }
 
-/// The run's counters and journals; each field lands in the
-/// [`ClusterOutcome`] field of the same name.
-#[derive(Default)]
-struct Ledger {
-    /// Per-app end-to-end response times, seconds.
-    response_by_app: Vec<Summary>,
-    dispatched: u64,
-    completed: usize,
-    rerouted: u64,
-    dropped: u64,
-    shed: [u64; ShedReason::ALL.len()],
-    lost_in_crash: u64,
-    retried: u64,
-    hedged: u64,
-    stale_replies: u64,
-    crash_log: Vec<CrashRecord>,
-    decisions: u64,
-    degradations_detected: u64,
-    scale_log: Vec<ScaleEvent>,
-    scale_outs: u64,
-    scale_ins: u64,
-    upgrades: u64,
-    brownout_engagements: u64,
-    brownout_releases: u64,
-    provisioning_energy_j: f64,
-    peak_power_w: f64,
-}
-
-impl Ledger {
-    /// Counts and traces one typed shed.
-    fn shed(&mut self, tele: &telemetry::Telemetry, t: SimTime, reason: ShedReason) {
-        self.shed[reason.index()] += 1;
-        self.dropped += 1;
-        tele.instant_on(
-            t,
-            "cluster",
-            "shed",
-            DISPATCHER_TRACK,
-            &[("reason", (reason.index() as u64).into())],
-        );
-        tele.add_count("cluster.dropped", 1);
-        tele.add_count(reason.counter(), 1);
-    }
-}
-
 /// The elasticity controller and its rolling-upgrade schedule.
 struct Elastic {
     scaler: Autoscaler,
@@ -95,8 +49,8 @@ struct Elastic {
 }
 
 /// The cluster engine: nodes and their tier views, the request book,
-/// and the outcome ledger, advanced one dispatcher tick at a time on
-/// the calling thread ([`Fleet::tick`] lists the phases).
+/// and the outcome it counts into, advanced one dispatcher tick at a
+/// time on the calling thread ([`Fleet::tick`] lists the phases).
 pub(super) struct Fleet<'a, 'p> {
     bp: Blueprint<'a>,
     /// One routing policy per tier.
@@ -107,7 +61,9 @@ pub(super) struct Fleet<'a, 'p> {
     /// across resizes (equal to the static total without autoscaling).
     tier0_active_cores: usize,
     book: RequestBook,
-    ledger: Ledger,
+    /// The run's counters and journals, counted in place; the per-node,
+    /// energy and fault fields are filled in at [`Fleet::finish`].
+    out: ClusterOutcome,
     arrivals: ArrivalGen,
     /// The next arrival, not yet admitted.
     pending: Option<Arrival>,
@@ -206,8 +162,11 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 cfg.duration,
             )
         });
-        let ledger =
-            Ledger { response_by_app: vec![Summary::new(); bp.apps.len()], ..Ledger::default() };
+        let out = ClusterOutcome {
+            policy: policies[0].name(),
+            response_by_app: cfg.apps.iter().map(|&k| (k, Summary::new())).collect(),
+            ..ClusterOutcome::default()
+        };
         Fleet {
             bp,
             policies,
@@ -215,7 +174,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             views,
             tier0_active_cores,
             book: RequestBook::new(),
-            ledger,
+            out,
             arrivals,
             pending,
             elastic,
@@ -330,7 +289,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 ],
             );
             cfg.telemetry.add_count("cluster.crashes", 1);
-            self.ledger.crash_log.push(record);
+            self.out.crash_log.push(record);
             self.requeue_killed(killed, t);
         }
     }
@@ -396,7 +355,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
         self.nodes[n].settle(serial);
         self.views.sync(n, self.nodes[n].outstanding_std);
         let Some(req_id) = self.book.serial_req.get(serial) else {
-            self.ledger.stale_replies += 1;
+            self.out.stale_replies += 1;
             return;
         };
         self.book.serial_req.remove(serial);
@@ -411,7 +370,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             self.book.serial_req.remove(fl.serial);
             fl.hedge = None;
         } else {
-            self.ledger.stale_replies += 1;
+            self.out.stale_replies += 1;
             return;
         }
         fl.waiting = false;
@@ -455,11 +414,11 @@ impl<'a, 'p> Fleet<'a, 'p> {
 
     /// Books one request through the last tier.
     fn note_completion(&mut self, app: usize, latency_s: f64) {
-        self.ledger.response_by_app[app].record(latency_s);
+        self.out.response_by_app[app].1.record(latency_s);
         if let Some(o) = self.obs.as_mut() {
             o.note_completion(app, latency_s);
         }
-        self.ledger.completed += 1;
+        self.out.completed += 1;
     }
 
     /// Chooses a node of tier `stage` for `req` through the tier's
@@ -473,7 +432,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             // autoscaling) routes nowhere.
             return None;
         }
-        self.ledger.decisions += 1;
+        self.out.decisions += 1;
         let chosen = members[self.policies[stage].choose(req, self.views.tier(stage))];
         if self.nodes[chosen].available(t) {
             return Some(chosen);
@@ -488,7 +447,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             &[("from", (chosen as u64).into()), ("to", (alt as u64).into())],
         );
         tele.add_count("cluster.rerouted", 1);
-        self.ledger.rerouted += 1;
+        self.out.rerouted += 1;
         Some(alt)
     }
 
@@ -523,7 +482,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 let fl = self.book.inflight.get_mut(&req_id).expect("retried request is live");
                 fl.attempt += 1;
                 fl.waiting = true;
-                self.ledger.retried += 1;
+                self.out.retried += 1;
                 let delay = retry_backoff(rec, cfg.seed, req_id, fl.attempt);
                 self.book.retry_queue.insert((t + delay, req_id), ());
                 cfg.telemetry.instant_on(
@@ -538,15 +497,31 @@ impl<'a, 'p> Fleet<'a, 'p> {
             _ => {
                 self.book.inflight.remove(&req_id);
                 match reason {
-                    Some(reason) => self.ledger.shed(&cfg.telemetry, t, reason),
+                    Some(reason) => self.shed(t, reason),
                     None => {
-                        self.ledger.dropped += 1;
-                        self.ledger.lost_in_crash += 1;
+                        self.out.dropped += 1;
+                        self.out.lost_in_crash += 1;
                         cfg.telemetry.add_count("cluster.lost_in_crash", 1);
                     }
                 }
             }
         }
+    }
+
+    /// Counts and traces one typed shed.
+    fn shed(&mut self, t: SimTime, reason: ShedReason) {
+        self.out.shed[reason.index()] += 1;
+        self.out.dropped += 1;
+        let tele = &self.bp.cfg.telemetry;
+        tele.instant_on(
+            t,
+            "cluster",
+            "shed",
+            DISPATCHER_TRACK,
+            &[("reason", (reason.index() as u64).into())],
+        );
+        tele.add_count("cluster.dropped", 1);
+        tele.add_count(reason.counter(), 1);
     }
 
     /// The ids of live requests matching `due`, sorted (the map's order
@@ -600,7 +575,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             let node = &mut self.nodes[alt];
             node.inject(fl, serial, self.bp.service[alt][fl.app], t);
             self.views.sync(alt, node.outstanding_std);
-            self.ledger.hedged += 1;
+            self.out.hedged += 1;
             cfg.telemetry.instant_on(
                 t,
                 "cluster",
@@ -623,7 +598,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             }
             node.lifecycle_tick(t);
             if node.health_check(t) {
-                self.ledger.degradations_detected += 1;
+                self.out.degradations_detected += 1;
                 let open_ms = match node.breaker.state {
                     BreakerState::Open { until } => until.duration_since(t).as_secs_f64() * 1e3,
                     _ => 0.0,
@@ -677,7 +652,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             } else {
                 0.0
             };
-        self.ledger.peak_power_w = self.ledger.peak_power_w.max(self.fleet_power_w);
+        self.out.peak_power_w = self.out.peak_power_w.max(self.fleet_power_w);
     }
 
     /// Lands provisioned nodes whose boot latency expired: a fresh
@@ -697,11 +672,11 @@ impl<'a, 'p> Fleet<'a, 'p> {
             let spec = &cfg.nodes[n];
             let boot_j =
                 spec.truth.machine_idle_w() * (ac.provision_delay + ac.warmup).as_secs_f64();
-            self.ledger.provisioning_energy_j += boot_j;
+            self.out.provisioning_energy_j += boot_j;
             self.tier0_active_cores += spec.total_cores();
             self.views.set_active(n, self.nodes[n].tier, true, cfg, &self.nodes);
-            self.ledger.scale_outs += 1;
-            self.ledger.scale_log.push(ScaleEvent {
+            self.out.scale_outs += 1;
+            self.out.scale_log.push(ScaleEvent {
                 node: n,
                 kind,
                 decided_at,
@@ -745,8 +720,8 @@ impl<'a, 'p> Fleet<'a, 'p> {
             let (killed, lost_energy_j) = node.retire(t, forced);
             let lost_requests = killed.len() as u64;
             self.requeue_killed(killed, t);
-            self.ledger.scale_ins += 1;
-            self.ledger.scale_log.push(ScaleEvent {
+            self.out.scale_ins += 1;
+            self.out.scale_log.push(ScaleEvent {
                 node: n,
                 kind,
                 decided_at,
@@ -808,7 +783,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             el.upgrades_left -= 1;
             self.start_drain(victim, ScaleKind::UpgradeIn, ac, t);
             self.start_provision(fresh, ScaleKind::UpgradeOut, ac, t);
-            self.ledger.upgrades += 1;
+            self.out.upgrades += 1;
             cfg.telemetry.instant_on(
                 t,
                 "cluster",
@@ -868,10 +843,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
         let (decision, level) = el.scaler.decide(&sample);
         if level != prev_level {
             if level > prev_level {
-                self.ledger.brownout_engagements += 1;
+                self.out.brownout_engagements += 1;
                 cfg.telemetry.add_count("autoscale.brownout.engage", 1);
             } else {
-                self.ledger.brownout_releases += 1;
+                self.out.brownout_releases += 1;
                 cfg.telemetry.add_count("autoscale.brownout.release", 1);
             }
             cfg.telemetry.instant_on(
@@ -957,15 +932,15 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 break;
             }
             self.pending = self.arrivals.next(&self.bp.apps);
-            self.ledger.dispatched += 1;
+            self.out.dispatched += 1;
             cfg.telemetry.add_count("cluster.dispatched", 1);
             if let Some(reason) = self.refusal(&a, brownout, admission_scale) {
-                self.ledger.shed(&cfg.telemetry, a.at, reason);
+                self.shed(a.at, reason);
                 continue;
             }
             let req = ArrivalView { app: cfg.apps[a.app], label: a.label };
             let Some(target) = self.route(0, req, a.at) else {
-                self.ledger.shed(&cfg.telemetry, a.at, ShedReason::NoHealthyNode);
+                self.shed(a.at, ShedReason::NoHealthyNode);
                 continue;
             };
             let req_id = self.book.open(&a);
@@ -1010,8 +985,8 @@ impl<'a, 'p> Fleet<'a, 'p> {
         o.close_window(
             t,
             &self.obs_samples,
-            self.ledger.completed as u64,
-            self.ledger.dropped,
+            self.out.completed as u64,
+            self.out.dropped,
             degrade,
             &self.bp.cfg.telemetry,
         );
@@ -1043,12 +1018,12 @@ impl<'a, 'p> Fleet<'a, 'p> {
         let serial = seg.payload >> 32;
         self.nodes[n].settle(serial);
         let Some(req_id) = self.book.serial_req.get(serial) else {
-            self.ledger.stale_replies += 1;
+            self.out.stale_replies += 1;
             return;
         };
         let Some(fl) = self.book.inflight.get(&req_id) else { return };
         if fl.serial != serial && fl.hedge.map(|(_, s)| s) != Some(serial) {
-            self.ledger.stale_replies += 1;
+            self.out.stale_replies += 1;
             return;
         }
         self.book.serial_req.remove(serial);
@@ -1087,29 +1062,33 @@ impl<'a, 'p> Fleet<'a, 'p> {
         }
         let secs = cfg.duration.as_secs_f64();
         let per_node: Vec<NodeOutcome> = self.nodes.iter().map(|n| n.outcome(secs)).collect();
-        let idle_energy_j = per_node.iter().map(|n| n.idle_energy_j).sum();
+        self.out.idle_energy_j = per_node.iter().map(|n| n.idle_energy_j).sum();
+        self.out.per_node = per_node;
         let (energies, energy_by_ctx) = self.attribute_energy();
-        let mut fault_counts = [0u64; hwsim::FaultKind::ALL.len()];
-        let (mut tags_lost, mut tags_corrupted, mut crashes, mut checkpoints) = (0, 0, 0u64, 0);
+        self.out.energy_by_app_j = cfg.apps.iter().copied().zip(energies).collect();
+        self.out.energy_by_ctx = energy_by_ctx;
+        let out = &mut self.out;
         for node in &self.nodes {
             let live = node.rt.kernel.machine().fault_log().counts();
-            for (total, n) in fault_counts.iter_mut().zip(live) {
+            for (total, n) in out.fault_counts.iter_mut().zip(live) {
                 *total += n;
             }
-            for (total, n) in fault_counts.iter_mut().zip(node.carried_fault_counts) {
+            for (total, n) in out.fault_counts.iter_mut().zip(node.carried_fault_counts) {
                 *total += n;
             }
             let ks = node.rt.kernel.stats();
-            tags_lost += ks.tags_lost + node.carried_tags_lost;
-            tags_corrupted += ks.tags_corrupted + node.carried_tags_corrupted;
-            crashes += node.crashes as u64;
-            checkpoints += node.checkpoints;
+            out.tags_lost += ks.tags_lost + node.carried_tags_lost;
+            out.tags_corrupted += ks.tags_corrupted + node.carried_tags_corrupted;
+            out.crashes += node.crashes as u64;
+            out.checkpoints += node.checkpoints;
         }
         if let Some(ix) =
             hwsim::FaultKind::ALL.iter().position(|k| *k == hwsim::FaultKind::NodeCrash)
         {
-            fault_counts[ix] += crashes;
+            out.fault_counts[ix] += out.crashes;
         }
+        out.in_flight = self.book.inflight.len() as u64;
+        out.autoscale_evals = self.elastic.as_ref().map_or(0, |el| el.scaler.evals());
         let provenance = self.provenance();
         let obs = self.obs.take().map(|o| Box::new(o.finish(provenance)));
         if let Some(o) = obs.as_ref() {
@@ -1123,64 +1102,29 @@ impl<'a, 'p> Fleet<'a, 'p> {
                     .unwrap_or(0.0),
             });
         }
-        let l = self.ledger;
-        ClusterOutcome {
-            policy: self.policies[0].name(),
-            per_node,
-            response_by_app: cfg.apps.iter().copied().zip(l.response_by_app).collect(),
-            energy_by_app_j: cfg.apps.iter().copied().zip(energies).collect(),
-            energy_by_ctx,
-            dispatched: l.dispatched,
-            completed: l.completed,
-            rerouted: l.rerouted,
-            dropped: l.dropped,
-            shed: l.shed,
-            lost_in_crash: l.lost_in_crash,
-            retried: l.retried,
-            hedged: l.hedged,
-            stale_replies: l.stale_replies,
-            crashes,
-            checkpoints,
-            crash_log: l.crash_log,
-            in_flight: self.book.inflight.len() as u64,
-            decisions: l.decisions,
-            degradations_detected: l.degradations_detected,
-            tags_lost,
-            tags_corrupted,
-            fault_counts,
-            obs,
-            scale_log: l.scale_log,
-            scale_outs: l.scale_outs,
-            scale_ins: l.scale_ins,
-            upgrades: l.upgrades,
-            brownout_engagements: l.brownout_engagements,
-            brownout_releases: l.brownout_releases,
-            autoscale_evals: self.elastic.as_ref().map_or(0, |el| el.scaler.evals()),
-            provisioning_energy_j: l.provisioning_energy_j,
-            idle_energy_j,
-            peak_power_w: l.peak_power_w,
-        }
+        self.out.obs = obs;
+        self.out
     }
 
     /// Reports the run's degradation decisions, offered requests and
     /// elasticity digest to the experiment harness ledgers.
     fn report_to_harness(&self) {
-        let l = &self.ledger;
+        let out = &self.out;
         let mut degrade = self
             .nodes
             .iter()
             .map(Node::degrade_stats)
             .fold(power_containers::DegradeStats::default(), |acc, d| acc + d);
-        degrade.requests_retried += l.retried;
-        degrade.requests_shed += l.dropped;
+        degrade.requests_retried += out.retried;
+        degrade.requests_shed += out.dropped;
         workloads::note_degrade(degrade);
-        workloads::note_requests(l.dispatched);
+        workloads::note_requests(out.dispatched);
         workloads::note_autoscale(workloads::AutoscaleDigest {
-            scale_outs: l.scale_outs,
-            scale_ins: l.scale_ins,
-            upgrades: l.upgrades,
-            brownout_engagements: l.brownout_engagements,
-            shed_optional: l.shed[ShedReason::BrownoutOptional.index()],
+            scale_outs: out.scale_outs,
+            scale_ins: out.scale_ins,
+            upgrades: out.upgrades,
+            brownout_engagements: out.brownout_engagements,
+            shed_optional: out.shed[ShedReason::BrownoutOptional.index()],
         });
     }
 
@@ -1252,7 +1196,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             return Vec::new();
         }
         let mut crash_times: Vec<Vec<SimTime>> = vec![Vec::new(); self.nodes.len()];
-        for cr in &self.ledger.crash_log {
+        for cr in &self.out.crash_log {
             crash_times[cr.node].push(cr.at);
         }
         let mut out = Vec::new();

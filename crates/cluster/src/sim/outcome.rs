@@ -203,8 +203,9 @@ pub struct CtxEnergy {
     pub nodes: u32,
 }
 
-/// Results of one cluster run.
-#[derive(Debug, Clone)]
+/// Results of one cluster run. The default is the empty outcome the
+/// engine counts a run into.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterOutcome {
     /// The tier-0 policy that produced this outcome.
     pub policy: &'static str,
