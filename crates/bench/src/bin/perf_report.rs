@@ -884,7 +884,7 @@ fn sched_overhead(ctx: &RunCtx) -> SchedOverhead {
     for _ in 0..RUNS {
         for (i, kind) in kinds.iter().enumerate() {
             let mut cfg = experiments::megafleet::cell_config(ctx, NODES, REQUESTS);
-            cfg.sched = vec![kind.clone()];
+            cfg.sched = kind.clone();
             let t0 = Instant::now();
             let outcome = cluster::run_cluster(&mut cluster::SimpleBalance::new(), &cfg, &cals);
             let wall = t0.elapsed();

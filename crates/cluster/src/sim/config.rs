@@ -35,9 +35,6 @@ pub struct ClusterConfig {
     ///
     /// [`ConditioningPolicy::node_share`]: power_containers::ConditioningPolicy::node_share
     pub power_cap_w: Option<f64>,
-    /// Dispatcher batching quantum: nodes advance and decisions are
-    /// made once per tick.
-    pub tick: SimDuration,
     /// Retain per-request energy totals in
     /// [`ClusterOutcome::energy_by_ctx`] (costs memory proportional to
     /// the request count; off by default).
@@ -76,11 +73,8 @@ pub struct ClusterConfig {
     ///
     /// [`ClusterOutcome::obs`]: super::ClusterOutcome::obs
     pub obs: Option<ObsConfig>,
-    /// Kernel scheduling policy per node: entry `n % sched.len()` is
-    /// used for node `n`, so a single entry applies fleet-wide and a
-    /// longer list interleaves policies across nodes. An empty list
-    /// (never produced by the constructors) also means round-robin.
-    pub sched: Vec<ossim::SchedulerKind>,
+    /// Kernel scheduling policy of every node.
+    pub sched: ossim::SchedulerKind,
     /// Non-stationary traffic shape (diurnal × flash crowds × sessions).
     /// `None` — the default — drives the legacy stationary
     /// [`OpenLoopGen`] byte-identically to before the traffic layer
@@ -109,7 +103,6 @@ impl ClusterConfig {
             workers_per_core: 4,
             volume: 1.0,
             power_cap_w: None,
-            tick: SimDuration::from_millis(1),
             retain_request_energy: false,
             faults: FaultConfig::none(),
             recovery: None,
@@ -117,7 +110,7 @@ impl ClusterConfig {
             telemetry: telemetry::Telemetry::disabled(),
             model_bank: None,
             obs: None,
-            sched: vec![ossim::SchedulerKind::RoundRobin],
+            sched: ossim::SchedulerKind::RoundRobin,
             traffic: None,
             autoscale: None,
         }
@@ -131,15 +124,6 @@ impl ClusterConfig {
             tiers: topology.tier_indices(),
             ..ClusterConfig::paper_setup()
         }
-    }
-
-    /// The scheduling policy node `n` boots with (see
-    /// [`ClusterConfig::sched`] for the cycling rule).
-    pub fn sched_for(&self, node: usize) -> ossim::SchedulerKind {
-        if self.sched.is_empty() {
-            return ossim::SchedulerKind::RoundRobin;
-        }
-        self.sched[node % self.sched.len()].clone()
     }
 }
 
@@ -259,7 +243,6 @@ pub fn offered_cluster_rate(cfg: &ClusterConfig) -> f64 {
 pub(super) fn validate(cfg: &ClusterConfig, cals: &[MachineCalibration], policies: usize) {
     assert_eq!(cals.len(), cfg.nodes.len(), "one calibration per node");
     assert_eq!(policies, cfg.tiers.len(), "one policy per tier");
-    assert!(!cfg.tick.is_zero(), "dispatcher tick must be positive");
     // The tiers must partition the flat node list.
     let mut seen = vec![false; cfg.nodes.len()];
     for &i in cfg.tiers.iter().flatten() {

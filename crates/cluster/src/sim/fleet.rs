@@ -22,6 +22,10 @@ use workloads::{Arrival, MachineCalibration, OpenLoopGen, ServerApp, TrafficGen}
 /// The dispatcher's trace track.
 pub(crate) const DISPATCHER_TRACK: u32 = 3;
 
+/// Dispatcher batching quantum: nodes advance and decisions are made
+/// once per tick.
+const TICK: SimDuration = SimDuration::from_millis(1);
+
 /// Checkpoint cadence when crash faults are on but no
 /// [`RecoveryConfig`] overrides it.
 ///
@@ -189,11 +193,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
     /// Runs the configured duration tick by tick, then settles and
     /// closes the books.
     pub(super) fn run(mut self) -> ClusterOutcome {
-        let cfg = self.bp.cfg;
-        let end = SimTime::ZERO + cfg.duration;
+        let end = SimTime::ZERO + self.bp.cfg.duration;
         let mut t = SimTime::ZERO;
         loop {
-            t = (t + cfg.tick).min(end);
+            t = (t + TICK).min(end);
             self.tick(t);
             if t >= end {
                 break;

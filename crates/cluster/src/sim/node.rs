@@ -172,7 +172,7 @@ impl Runtime {
             spec,
             &bp.cals[n],
             facility,
-            KernelConfig { sched: cfg.sched_for(n), ..KernelConfig::default() },
+            KernelConfig { sched: cfg.sched.clone(), ..KernelConfig::default() },
             cfg.seed.wrapping_add(n as u64).wrapping_add(inc.wrapping_mul(0xA076_1D64_78BD_642F)),
             faults,
             start,

@@ -178,7 +178,7 @@ fn blackout_capped() -> ClusterConfig {
     cfg.seed = 42;
     cfg.duration = SimDuration::from_millis(1500);
     cfg.workers_per_core = 2;
-    cfg.sched = vec![SchedulerKind::Cfs(CfsConfig::default())];
+    cfg.sched = SchedulerKind::Cfs(CfsConfig::default());
     cfg.faults = FaultConfig {
         seed: 0xB1AC,
         node_blackout_hz: 2.0,
@@ -254,7 +254,7 @@ fn blackout_capped_matches_engine_oracle() {
     assert!(o.shed[ShedReason::PowerHeadroom.index()] > 0, "no power-headroom shed");
     assert_eq!(o.retried, 0, "a retry ran with recovery off");
     assert_eq!(o.crashes + o.scale_outs + o.scale_ins, 0, "the tier crashed or resized");
-    let rr = ClusterConfig { sched: vec![SchedulerKind::RoundRobin], ..cfg };
+    let rr = ClusterConfig { sched: SchedulerKind::RoundRobin, ..cfg };
     assert_ne!(run_traced(&rr).2, h, "the scheduler never reached the nodes");
     assert_digest("blackout_capped", h, 0x8771_67de_461c_5dce);
 }

@@ -173,7 +173,7 @@ fn chaos_cap_w(cores: usize) -> f64 {
 /// but reproducible schedule.
 pub fn cell_config(ctx: &RunCtx, scenario: &ChaosScenario) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(FLEET_NODES));
-    cfg.sched = vec![ctx.sched.clone()];
+    cfg.sched = ctx.sched.clone();
     cfg.seed = crate::SEED;
     let rate = offered_cluster_rate(&cfg);
     // Long enough that ~1 Hz per-node fault clocks reliably fire even

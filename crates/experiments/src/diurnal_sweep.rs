@@ -161,7 +161,7 @@ pub fn shape_for(scenario: &DiurnalScenario, day: SimDuration) -> TrafficShape {
 pub fn cell_config(ctx: &RunCtx, scenario: &DiurnalScenario, autoscaled: bool) -> ClusterConfig {
     let scale = ctx.scale;
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(fleet_nodes(scale)));
-    cfg.sched = vec![ctx.sched.clone()];
+    cfg.sched = ctx.sched.clone();
     cfg.seed = crate::SEED;
     cfg.volume = VOLUME;
     let rate = offered_cluster_rate(&cfg);

@@ -63,7 +63,7 @@ pub fn cluster_outcomes(ctx: &RunCtx) -> Vec<ClusterOutcome> {
         profile.iter().map(|r| (r.kind, r.ratio())).collect();
 
     let mut cfg = ClusterConfig::paper_setup();
-    cfg.sched = vec![ctx.sched.clone()];
+    cfg.sched = ctx.sched.clone();
     cfg.duration = SimDuration::from_secs(scale.run_secs());
     cfg.seed = crate::SEED;
     cfg.obs = ctx.obs_config();

@@ -86,7 +86,7 @@ const ENERGY_TOL: f64 = 0.20;
 /// issues `requests` regardless of fleet size.
 pub fn cell_config(ctx: &RunCtx, nodes: usize, requests: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(nodes));
-    cfg.sched = vec![ctx.sched.clone()];
+    cfg.sched = ctx.sched.clone();
     cfg.seed = crate::SEED;
     let rate = offered_cluster_rate(&cfg);
     let secs = (requests as f64 / rate).max(0.25);

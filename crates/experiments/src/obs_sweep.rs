@@ -199,7 +199,7 @@ fn cell_rules(scenario: &ObsScenario) -> SloRules {
 pub fn cell_config(ctx: &RunCtx, scenario: &ObsScenario) -> ClusterConfig {
     let scale = ctx.scale;
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(FLEET_NODES));
-    cfg.sched = vec![ctx.sched.clone()];
+    cfg.sched = ctx.sched.clone();
     cfg.seed = crate::SEED;
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(min_secs(scale));

@@ -117,7 +117,7 @@ pub(crate) fn make_policies(
 /// CI smoke cell is exactly a sweep cell).
 pub fn cell_config(ctx: &RunCtx, nodes: usize, cap_w: Option<f64>) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(nodes));
-    cfg.sched = vec![ctx.sched.clone()];
+    cfg.sched = ctx.sched.clone();
     cfg.seed = crate::SEED;
     cfg.power_cap_w = cap_w;
     // Size the run so the open-loop generator offers the target request

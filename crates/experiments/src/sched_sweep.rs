@@ -225,7 +225,7 @@ fn ordering_cell(
     let mut cfg = crate::scale_sweep::cell_config(ctx, 4, None);
     // The sweep picks each node's scheduler itself, overriding the
     // global `--sched` choice `cell_config` threaded in.
-    cfg.sched = vec![kind.clone()];
+    cfg.sched = kind.clone();
     let mut policies = crate::scale_sweep::make_policies(policy, cfg.tiers.len(), ratios);
     let outcome = run_pipeline(&mut policies, &cfg, cals);
     OrderingRow {

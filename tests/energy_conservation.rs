@@ -112,7 +112,7 @@ fn chaos_rung_conserves_energy_under_every_scheduler() {
         .expect("a crash-bearing chaos scenario");
     for kind in experiments::sched_sweep::swept_kinds() {
         let mut cfg = experiments::chaos_sweep::cell_config(ctx, sc);
-        cfg.sched = vec![kind.clone()];
+        cfg.sched = kind.clone();
         let cals = experiments::chaos_sweep::cell_calibrations(&mut lab, &cfg);
         let mut policies: Vec<Box<dyn cluster::DistributionPolicy>> = (0..cfg.tiers.len())
             .map(|_| Box::new(cluster::SimpleBalance::new()) as Box<dyn cluster::DistributionPolicy>)
