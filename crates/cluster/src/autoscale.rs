@@ -7,7 +7,7 @@
 //! [`BrownoutLevel`] to hold. All actuation — provisioning standby
 //! nodes through the Down→WarmingUp→Healthy lifecycle, draining
 //! scale-in victims, shedding optional sessions, tightening admission,
-//! clamping duty cycles — lives in the engine (`sim.rs`); the
+//! clamping duty cycles — lives in the engine (`sim/fleet.rs`); the
 //! controller only ever sees aggregate load and power.
 //!
 //! The objective is joules per request under the cluster cap: the fleet
@@ -29,87 +29,23 @@ pub struct AutoscaleConfig {
     /// Controller evaluation cadence (decisions happen only at the
     /// first tick barrier at or past each boundary).
     pub eval_every: SimDuration,
-    /// Minimum spacing between consecutive resize decisions (in either
-    /// direction) — the anti-flap half of the hysteresis pair.
-    pub cooldown: SimDuration,
-    /// Scale out while per-core outstanding work exceeds this.
-    pub high_util: f64,
-    /// Scale in while per-core outstanding work is below this (must sit
-    /// well under [`AutoscaleConfig::high_util`] — the deadband is the
-    /// other half of the hysteresis pair).
-    pub low_util: f64,
-    /// Most nodes resized by a single decision.
-    pub max_step: usize,
-    /// Boot latency of a scale-out: a provisioned node spends this long
-    /// powered but useless before its warm-up starts.
-    pub provision_delay: SimDuration,
-    /// Warm-up window after provisioning, during which the node admits
-    /// only a bounded probe load (same mechanism as crash restarts).
-    pub warmup: SimDuration,
     /// A draining node that still holds requests past this deadline is
     /// force-retired (its stragglers re-enter the retry machinery).
     pub drain_deadline: SimDuration,
-    /// The brownout ladder.
-    pub brownout: BrownoutConfig,
     /// Rolling generation-upgrade schedule, or `None`.
     pub upgrade: Option<RollingUpgrade>,
 }
 
 impl AutoscaleConfig {
-    /// Defaults tuned for the diurnal sweep: ~1.8 outstanding per core
-    /// scale-out trigger, 0.55 scale-in, 400 ms cooldown, two-node
-    /// steps, 150 ms boot + 100 ms warm-up, 500 ms drain deadline.
+    /// Defaults tuned for the diurnal sweep: 50 ms evaluations, 500 ms
+    /// drain deadline, no rolling upgrade.
     pub fn standard(min_nodes: usize, initial_nodes: usize) -> AutoscaleConfig {
         AutoscaleConfig {
             min_nodes,
             initial_nodes,
             eval_every: SimDuration::from_millis(50),
-            cooldown: SimDuration::from_millis(400),
-            high_util: 1.8,
-            low_util: 0.55,
-            max_step: 2,
-            provision_delay: SimDuration::from_millis(150),
-            warmup: SimDuration::from_millis(100),
             drain_deadline: SimDuration::from_millis(500),
-            brownout: BrownoutConfig::standard(),
             upgrade: None,
-        }
-    }
-}
-
-/// Brownout-ladder thresholds. The ladder is typed and ordered:
-/// `Normal < ShedOptional < TightenAdmission < DvfsClamp`; the
-/// controller climbs one level per evaluation while the fleet power
-/// sits above the engage fraction of the cap, and descends one level
-/// per evaluation once it has held below the release fraction for the
-/// hold window.
-#[derive(Debug, Clone, Copy)]
-pub struct BrownoutConfig {
-    /// Climb while fleet active power exceeds this fraction of the cap.
-    pub engage_frac: f64,
-    /// Descend only while below this fraction (engage > release —
-    /// the ladder's own hysteresis deadband).
-    pub release_frac: f64,
-    /// Minimum dwell at a level before descending.
-    pub hold: SimDuration,
-    /// At [`BrownoutLevel::TightenAdmission`]: multiply the admission
-    /// queue bound by this factor (< 1).
-    pub admission_tighten: f64,
-    /// At [`BrownoutLevel::DvfsClamp`]: cap every active node's duty
-    /// cycle at this fraction.
-    pub dvfs_clamp: f64,
-}
-
-impl BrownoutConfig {
-    /// Defaults: engage at 92 % of cap, release below 82 %, 100 ms
-    /// dwell, 0.35× admission bound, 0.6 duty clamp.
-    pub fn standard() -> BrownoutConfig {
-        BrownoutConfig {
-            engage_frac: 0.92,
-            release_frac: 0.82,
-            hold: SimDuration::from_millis(100),
-            admission_tighten: 0.35,
-            dvfs_clamp: 0.6,
         }
     }
 }
@@ -127,18 +63,19 @@ pub struct RollingUpgrade {
     pub count: usize,
 }
 
-/// The graceful-degradation ladder, in escalation order.
+/// The graceful-degradation ladder, in escalation order. The controller
+/// climbs one level per evaluation while fleet power sits at or above
+/// 92 % of the cap, and descends one level per evaluation once it has
+/// held below 82 % for 100 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BrownoutLevel {
     /// No degradation.
     Normal,
     /// Shed arrivals whose session is marked optional.
     ShedOptional,
-    /// Also multiply the admission queue bound by
-    /// [`BrownoutConfig::admission_tighten`].
+    /// Also multiply the admission queue bound by 0.35.
     TightenAdmission,
-    /// Also clamp every active node's duty cycle at
-    /// [`BrownoutConfig::dvfs_clamp`].
+    /// Also clamp every active node's duty cycle at 0.6.
     DvfsClamp,
 }
 
@@ -214,6 +151,28 @@ pub enum ScaleDecision {
     In(usize),
 }
 
+/// Minimum spacing between consecutive resize decisions (in either
+/// direction): the anti-flap half of the hysteresis pair.
+const COOLDOWN: SimDuration = SimDuration::from_millis(400);
+/// Scale out while per-core outstanding work exceeds this.
+const HIGH_UTIL: f64 = 1.8;
+/// Scale in while per-core outstanding work is below this; the deadband
+/// under [`HIGH_UTIL`] is the other half of the hysteresis pair.
+const LOW_UTIL: f64 = 0.55;
+/// Most nodes resized by a single decision.
+const MAX_STEP: usize = 2;
+/// The brownout ladder climbs while fleet active power exceeds this
+/// fraction of the cap.
+const ENGAGE_FRAC: f64 = 0.92;
+/// The ladder descends only while fleet active power is below this
+/// fraction of the cap; engage > release is its hysteresis deadband.
+const RELEASE_FRAC: f64 = 0.82;
+/// Minimum dwell at a ladder level before descending.
+const HOLD: SimDuration = SimDuration::from_millis(100);
+
+const _: () = assert!(HIGH_UTIL > LOW_UTIL, "hysteresis band must be positive");
+const _: () = assert!(ENGAGE_FRAC > RELEASE_FRAC, "brownout deadband must be positive");
+
 /// The elasticity controller. See the module docs for the objective.
 #[derive(Debug)]
 pub struct Autoscaler {
@@ -235,12 +194,6 @@ impl Autoscaler {
     pub fn new(cfg: AutoscaleConfig) -> Autoscaler {
         assert!(cfg.min_nodes >= 1, "fleet floor must be at least one node");
         assert!(cfg.initial_nodes >= cfg.min_nodes, "initial fleet below the floor");
-        assert!(cfg.high_util > cfg.low_util, "hysteresis band must be positive");
-        assert!(cfg.max_step >= 1, "resize step must be positive");
-        assert!(
-            cfg.brownout.engage_frac > cfg.brownout.release_frac,
-            "brownout deadband must be positive"
-        );
         Autoscaler {
             next_eval: SimTime::ZERO + cfg.eval_every,
             last_resize: SimTime::ZERO,
@@ -282,20 +235,19 @@ impl Autoscaler {
         self.next_eval = s.now + self.cfg.eval_every;
 
         // Brownout ladder first: cap protection outranks elasticity.
-        let b = &self.cfg.brownout;
-        if s.power_frac >= b.release_frac {
+        if s.power_frac >= RELEASE_FRAC {
             self.last_hot = s.now;
         }
-        if s.power_frac >= b.engage_frac {
+        if s.power_frac >= ENGAGE_FRAC {
             let next = self.level.up();
             if next != self.level {
                 self.level = next;
                 self.level_since = s.now;
             }
         } else if self.level != BrownoutLevel::Normal
-            && s.power_frac < b.release_frac
-            && s.now.duration_since(self.level_since) >= b.hold
-            && s.now.duration_since(self.last_hot) >= b.hold
+            && s.power_frac < RELEASE_FRAC
+            && s.now.duration_since(self.level_since) >= HOLD
+            && s.now.duration_since(self.last_hot) >= HOLD
         {
             self.level = self.level.down();
             self.level_since = s.now;
@@ -304,19 +256,17 @@ impl Autoscaler {
         // Elasticity: hysteresis band on per-core outstanding work, a
         // cooldown between resizes, and capacity still landing counted
         // as already bought.
-        let decision = if self.has_resized
-            && s.now.duration_since(self.last_resize) < self.cfg.cooldown
-        {
+        let decision = if self.has_resized && s.now.duration_since(self.last_resize) < COOLDOWN {
             ScaleDecision::Hold
-        } else if s.util > self.cfg.high_util && s.landing == 0 && s.standby > 0 {
+        } else if s.util > HIGH_UTIL && s.landing == 0 && s.standby > 0 {
             // Size the step to the overshoot: a flash crowd doubling
             // util buys more than one node at a time.
-            let overshoot = (s.util / self.cfg.high_util - 1.0).max(0.0);
+            let overshoot = (s.util / HIGH_UTIL - 1.0).max(0.0);
             let want = ((s.active.max(1) as f64 * overshoot).ceil() as usize).max(1);
-            ScaleDecision::Out(want.min(self.cfg.max_step).min(s.standby))
-        } else if s.util < self.cfg.low_util
+            ScaleDecision::Out(want.min(MAX_STEP).min(s.standby))
+        } else if s.util < LOW_UTIL
             && self.level == BrownoutLevel::Normal
-            && s.power_frac < b.release_frac
+            && s.power_frac < RELEASE_FRAC
             && s.active > self.cfg.min_nodes + s.draining
         {
             let room = s.active - self.cfg.min_nodes - s.draining;

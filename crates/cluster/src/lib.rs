@@ -42,8 +42,7 @@ pub mod sim;
 pub mod topology;
 
 pub use autoscale::{
-    Autoscaler, AutoscaleConfig, BrownoutConfig, BrownoutLevel, FleetSample, RollingUpgrade,
-    ScaleDecision,
+    Autoscaler, AutoscaleConfig, BrownoutLevel, FleetSample, RollingUpgrade, ScaleDecision,
 };
 pub use obs::{ObsConfig, ObsOutcome};
 pub use policy::{

@@ -19,6 +19,10 @@ use telemetry::obs::{
     BurnRateMonitor, ObsReport, ProvenanceEntry, QuantileSketch, SloRules, WindowSample,
 };
 
+/// Per-node `power_w/node/NNNN` rollup series are kept for the first
+/// this-many nodes; fleet-level series are always kept.
+const PER_NODE_SERIES_MAX: usize = 64;
+
 /// Configuration of the observability plane.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
@@ -34,9 +38,6 @@ pub struct ObsConfig {
     /// record per finished request instead of a 16-byte context and
     /// joules entry; off for megafleet cells.
     pub provenance: bool,
-    /// Per-node `power_w/node/NNNN` rollup series are kept for the
-    /// first this-many nodes (fleet-level series are always kept).
-    pub per_node_series_max: usize,
     /// Multi-tenant grouping: app `i` belongs to tenant `i % tenants`.
     /// Zero disables the per-tenant sketches.
     pub tenants: usize,
@@ -44,13 +45,12 @@ pub struct ObsConfig {
 
 impl ObsConfig {
     /// Defaults: 250 ms windows, [`SloRules::standard`], no provenance,
-    /// per-node series for fleets up to 64 nodes, no tenant grouping.
+    /// no tenant grouping.
     pub fn standard() -> ObsConfig {
         ObsConfig {
             window: SimDuration::from_millis(250),
             rules: SloRules::standard(),
             provenance: false,
-            per_node_series_max: 64,
             tenants: 0,
         }
     }
@@ -88,7 +88,6 @@ pub(crate) struct ObsPlane {
     window: SimDuration,
     window_secs: f64,
     provenance: bool,
-    per_node_series_max: usize,
     tenants: usize,
     next_end: SimTime,
     monitor: BurnRateMonitor,
@@ -127,7 +126,6 @@ impl ObsPlane {
             window: cfg.window,
             window_secs: cfg.window.as_secs_f64(),
             provenance: cfg.provenance,
-            per_node_series_max: cfg.per_node_series_max,
             tenants,
             next_end: SimTime::ZERO + cfg.window,
             monitor: BurnRateMonitor::new(cfg.rules, window_ns),
@@ -197,7 +195,7 @@ impl ObsPlane {
             self.last_attr[i] = attr;
             active_d += da;
             attr_d += dr;
-            if i < self.per_node_series_max {
+            if i < PER_NODE_SERIES_MAX {
                 self.report
                     .rollup(&format!("power_w/node/{i:04}"))
                     .observe(end_ns, da / self.window_secs);

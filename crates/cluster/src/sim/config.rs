@@ -177,22 +177,20 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Front-door load-shedding thresholds.
+/// Front-door load shedding. With a power cap configured, admission
+/// also sheds new arrivals while the fleet's instantaneous active power
+/// exceeds 97 % of the cap.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Shed new arrivals while tier 0's summed outstanding-work
     /// estimate exceeds this many requests per tier-0 core.
     pub max_queue_per_core: f64,
-    /// With a power cap configured, shed new arrivals while the
-    /// fleet's instantaneous active power exceeds this fraction of the
-    /// cap.
-    pub power_headroom: f64,
 }
 
 impl AdmissionConfig {
-    /// Defaults: eight queued requests per core, 97 % of the cap.
+    /// Defaults: eight queued requests per core.
     pub fn standard() -> AdmissionConfig {
-        AdmissionConfig { max_queue_per_core: 8.0, power_headroom: 0.97 }
+        AdmissionConfig { max_queue_per_core: 8.0 }
     }
 }
 

@@ -32,6 +32,24 @@ const TICK: SimDuration = SimDuration::from_millis(1);
 /// [`RecoveryConfig`]: super::RecoveryConfig
 const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(50);
 
+/// Admission control sheds new arrivals while the fleet's active power
+/// exceeds this fraction of the cap.
+const POWER_HEADROOM: f64 = 0.97;
+
+/// Boot latency of a scale-out: a provisioned node spends this long
+/// powered but useless before its warm-up starts.
+const PROVISION_DELAY: SimDuration = SimDuration::from_millis(150);
+/// Warm-up after provisioning, during which the node admits only a
+/// bounded probe load (the crash-restart mechanism).
+const WARMUP: SimDuration = SimDuration::from_millis(100);
+
+/// At [`BrownoutLevel::TightenAdmission`] the admission queue bound is
+/// multiplied by this factor.
+const ADMISSION_TIGHTEN: f64 = 0.35;
+/// At [`BrownoutLevel::DvfsClamp`] every active node's duty cycle is
+/// capped at this fraction.
+const DVFS_CLAMP: f64 = 0.6;
+
 /// Drains every node's private event log into the main sink, in node
 /// order — the barrier merge. Within a tick, node events therefore
 /// appear grouped by node index, followed by the dispatcher's own
@@ -248,7 +266,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
         }
         self.sample_fleet_power();
         if let Some(ac) = self.elastic.as_ref().map(|el| *el.scaler.config()) {
-            self.land_provisioned(&ac, t);
+            self.land_provisioned(t);
             self.progress_drains(t);
             self.start_upgrades(&ac, t);
             self.evaluate_scaler(&ac, t);
@@ -662,7 +680,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
     /// incarnation restores the retirement checkpoint and starts
     /// warming up, and the boot + warm-up idle draw is charged to the
     /// provisioning transition.
-    fn land_provisioned(&mut self, ac: &AutoscaleConfig, t: SimTime) {
+    fn land_provisioned(&mut self, t: SimTime) {
         let cfg = self.bp.cfg;
         for n in 0..self.nodes.len() {
             let ScaleState::Provisioning { decided_at, ready, kind } = self.nodes[n].scale else {
@@ -671,10 +689,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
             if t < ready {
                 continue;
             }
-            self.nodes[n].land(&self.bp, t, ac.warmup);
+            self.nodes[n].land(&self.bp, t, WARMUP);
             let spec = &cfg.nodes[n];
             let boot_j =
-                spec.truth.machine_idle_w() * (ac.provision_delay + ac.warmup).as_secs_f64();
+                spec.truth.machine_idle_w() * (PROVISION_DELAY + WARMUP).as_secs_f64();
             self.out.provisioning_energy_j += boot_j;
             self.tier0_active_cores += spec.total_cores();
             self.views.set_active(n, self.nodes[n].tier, true, cfg, &self.nodes);
@@ -760,9 +778,9 @@ impl<'a, 'p> Fleet<'a, 'p> {
     }
 
     /// Starts provisioning standby node `n`.
-    fn start_provision(&mut self, n: usize, kind: ScaleKind, ac: &AutoscaleConfig, t: SimTime) {
+    fn start_provision(&mut self, n: usize, kind: ScaleKind, t: SimTime) {
         self.nodes[n].scale =
-            ScaleState::Provisioning { decided_at: t, ready: t + ac.provision_delay, kind };
+            ScaleState::Provisioning { decided_at: t, ready: t + PROVISION_DELAY, kind };
     }
 
     /// Rolling generation upgrades: at each scheduled slot, drains the
@@ -785,7 +803,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             el.next_upgrade_at = el.next_upgrade_at.map(|at| at + up.every);
             el.upgrades_left -= 1;
             self.start_drain(victim, ScaleKind::UpgradeIn, ac, t);
-            self.start_provision(fresh, ScaleKind::UpgradeOut, ac, t);
+            self.start_provision(fresh, ScaleKind::UpgradeOut, t);
             self.out.upgrades += 1;
             cfg.telemetry.instant_on(
                 t,
@@ -867,7 +885,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
         // rungs tolerate that interplay.
         if level == BrownoutLevel::DvfsClamp {
             for node in self.nodes.iter_mut().filter(|nd| nd.scale == ScaleState::Active) {
-                node.set_all_duty(DutyCycle::at_most(ac.brownout.dvfs_clamp));
+                node.set_all_duty(DutyCycle::at_most(DVFS_CLAMP));
             }
         } else if prev_level == BrownoutLevel::DvfsClamp {
             for node in self.nodes.iter_mut().filter(|nd| nd.participates()) {
@@ -884,7 +902,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
                     if self.nodes[n].scale != ScaleState::Standby {
                         continue;
                     }
-                    self.start_provision(n, ScaleKind::Out, ac, t);
+                    self.start_provision(n, ScaleKind::Out, t);
                     started += 1;
                     cfg.telemetry.instant_on(
                         t,
@@ -925,11 +943,8 @@ impl<'a, 'p> Fleet<'a, 'p> {
     fn admit_arrivals(&mut self, t: SimTime) {
         let cfg = self.bp.cfg;
         let brownout = self.elastic.as_ref().map_or(BrownoutLevel::Normal, |el| el.scaler.level());
-        let admission_scale = if brownout >= BrownoutLevel::TightenAdmission {
-            cfg.autoscale.as_ref().map_or(1.0, |ac| ac.brownout.admission_tighten)
-        } else {
-            1.0
-        };
+        let admission_scale =
+            if brownout >= BrownoutLevel::TightenAdmission { ADMISSION_TIGHTEN } else { 1.0 };
         while let Some(a) = self.pending {
             if a.at > t {
                 break;
@@ -965,7 +980,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             return Some(ShedReason::QueueDepth);
         }
         match cfg.power_cap_w {
-            Some(cap) if self.fleet_power_w > adm.power_headroom * cap => {
+            Some(cap) if self.fleet_power_w > POWER_HEADROOM * cap => {
                 Some(ShedReason::PowerHeadroom)
             }
             _ => None,

@@ -104,7 +104,6 @@ fn chaos_pipeline() -> ClusterConfig {
         rules: SloRules { fire_after: 1, ..SloRules::standard() },
         provenance: true,
         tenants: 2,
-        ..ObsConfig::standard()
     });
     cfg
 }

@@ -59,7 +59,6 @@ fn observed_chaos_config(seed: u64) -> ClusterConfig {
         rules: SloRules { fire_after: 1, ..SloRules::standard() },
         provenance: true,
         tenants: 2,
-        ..ObsConfig::standard()
     });
     cfg
 }

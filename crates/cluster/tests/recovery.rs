@@ -120,7 +120,7 @@ fn queue_admission_sheds_typed() {
     let mut cfg = ClusterConfig::paper_setup();
     cfg.duration = SimDuration::from_millis(400);
     cfg.workers_per_core = 2;
-    cfg.admission = Some(AdmissionConfig { max_queue_per_core: 0.001, ..AdmissionConfig::standard() });
+    cfg.admission = Some(AdmissionConfig { max_queue_per_core: 0.001 });
     let o = run(&cfg);
     assert_recovery_conservation(&o);
     assert!(
