@@ -25,21 +25,22 @@ const CYCLE_EPS: f64 = 0.5;
 /// it indicates a program spinning without ever computing or blocking.
 const MAX_INSTANT_OPS: usize = 100_000;
 
+/// Scheduling quantum.
+const QUANTUM: SimDuration = SimDuration::from_millis(2);
+/// One-way local socket delivery latency.
+const SOCKET_LATENCY: SimDuration = SimDuration::from_micros(10);
+/// Disk throughput in bytes/second.
+const DISK_BANDWIDTH: f64 = 150e6;
+/// Fixed per-operation disk latency.
+const DISK_LATENCY: SimDuration = SimDuration::from_micros(400);
+/// Network throughput in bytes/second.
+const NET_BANDWIDTH: f64 = 1e9;
+/// Fixed per-operation network latency.
+const NET_LATENCY: SimDuration = SimDuration::from_micros(50);
+
 /// Tunable kernel parameters.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
-    /// Round-robin scheduling quantum.
-    pub quantum: SimDuration,
-    /// One-way local socket delivery latency.
-    pub socket_latency: SimDuration,
-    /// Disk throughput in bytes/second.
-    pub disk_bandwidth: f64,
-    /// Fixed per-operation disk latency.
-    pub disk_latency: SimDuration,
-    /// Network throughput in bytes/second.
-    pub net_bandwidth: f64,
-    /// Fixed per-operation network latency.
-    pub net_latency: SimDuration,
     /// Ablation: emulate the naive context-propagation design the paper
     /// rejects in §3.3 — the receiving *socket* inherits the most recent
     /// message's tag instead of each segment carrying its own, which
@@ -57,12 +58,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> KernelConfig {
         KernelConfig {
-            quantum: SimDuration::from_millis(2),
-            socket_latency: SimDuration::from_micros(10),
-            disk_bandwidth: 150e6,
-            disk_latency: SimDuration::from_micros(400),
-            net_bandwidth: 1e9,
-            net_latency: SimDuration::from_micros(50),
             naive_socket_tagging: false,
             telemetry: telemetry::Telemetry::disabled(),
             sched: SchedulerKind::RoundRobin,
@@ -541,7 +536,7 @@ impl Kernel {
         match next {
             Some(tid) => {
                 self.tasks[tid.0 as usize].state = TaskState::Running(core);
-                self.quantum_end[core.0] = self.now() + self.config.quantum;
+                self.quantum_end[core.0] = self.now() + QUANTUM;
                 self.progress_base[core.0] = self.machine.counters(core).nonhalt_cycles;
                 let ctx = self.contexts[tid.0 as usize];
                 self.sched.on_run(core.0, tid, ctx, self.machine.now());
@@ -716,13 +711,13 @@ impl Kernel {
             }
         };
         self.events
-            .push(self.now() + self.config.socket_latency, KEvent::Deliver { dst, slot });
+            .push(self.now() + SOCKET_LATENCY, KEvent::Deliver { dst, slot });
     }
 
     fn start_io(&mut self, core: CoreId, tid: TaskId, device: DeviceKind, bytes: u64) {
         let (bw, lat) = match device {
-            DeviceKind::Disk => (self.config.disk_bandwidth, self.config.disk_latency),
-            DeviceKind::Net => (self.config.net_bandwidth, self.config.net_latency),
+            DeviceKind::Disk => (DISK_BANDWIDTH, DISK_LATENCY),
+            DeviceKind::Net => (NET_BANDWIDTH, NET_LATENCY),
         };
         let ctx = self.contexts[tid.0 as usize];
         self.with_hooks(|h, api| h.on_io_start(api, device, tid, ctx, bytes));
@@ -853,7 +848,7 @@ impl Kernel {
                 self.step_task(core);
                 return;
             }
-            self.quantum_end[core.0] = self.now() + self.config.quantum;
+            self.quantum_end[core.0] = self.now() + QUANTUM;
         }
         if still_computing {
             self.schedule_tick(core);

@@ -60,14 +60,10 @@ pub struct RunConfig {
     pub load: LoadLevel,
     /// Pool workers per core.
     pub workers_per_core: usize,
-    /// Track per-task energy (Fig. 4).
-    pub track_per_task: bool,
     /// Meter for alignment/recalibration; `None` picks the machine's
     /// shortest-period meter when the approach is `Recalibrated` (see
     /// [`crate::node::boot`]).
     pub meter: Option<&'static str>,
-    /// First context id the driver allocates.
-    pub ctx_base: u64,
     /// Override for the alignment scan step.
     pub align_step: Option<SimDuration>,
     /// Override for the largest scanned measurement delay.
@@ -112,9 +108,7 @@ impl RunConfig {
             duration: SimDuration::from_secs(10),
             load: LoadLevel::Peak,
             workers_per_core: 4,
-            track_per_task: false,
             meter: None,
-            ctx_base: 1,
             align_step: None,
             max_meter_delay: None,
             sibling_idle_check: true,
@@ -276,7 +270,6 @@ pub fn prepare_app(
         approach: cfg.approach,
         conditioning: cfg.conditioning,
         meter: cfg.meter,
-        track_per_task: cfg.track_per_task,
         sibling_idle_check: cfg.sibling_idle_check,
         compensate_observer: cfg.compensate_observer,
         telemetry: cfg.telemetry.clone(),
@@ -296,7 +289,6 @@ pub fn prepare_app(
         naive_socket_tagging: cfg.naive_socket_tagging,
         telemetry: cfg.telemetry.clone(),
         sched: cfg.sched.clone(),
-        ..KernelConfig::default()
     };
     let (mut kernel, state) = crate::node::boot(
         &cfg.spec,
@@ -329,7 +321,7 @@ pub fn prepare_app(
             app.pick_label(&mut label_rng)
         }
     };
-    let ctxs = CtxAlloc::new(cfg.ctx_base);
+    let ctxs = CtxAlloc::new(1);
     match (cfg.closed_loop, closed_channel) {
         (Some(concurrency), Some((_tx, completions_rx))) => {
             kernel.spawn(
