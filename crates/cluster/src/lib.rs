@@ -52,7 +52,7 @@ pub use policy::{
 pub use profile::{energy_affinity, mean_request_energy_j, AffinityRow};
 pub use sim::{
     offered_cluster_rate, run_cluster, run_pipeline, AdmissionConfig, ClusterConfig,
-    ClusterOutcome, CrashRecord, CtxEnergy, NodeOutcome, RecoveryConfig, ScaleEvent, ScaleKind,
-    ShedReason,
+    ClusterOutcome, CrashRecord, CtxEnergy, Imbalance, NodeOutcome, RecoveryConfig, ScaleEvent,
+    ScaleKind, ShedReason,
 };
 pub use topology::{generation_rank, Tier, Topology};

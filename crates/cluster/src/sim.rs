@@ -59,7 +59,8 @@ mod serials;
 pub use config::{offered_cluster_rate, AdmissionConfig, ClusterConfig, RecoveryConfig};
 pub(crate) use fleet::DISPATCHER_TRACK;
 pub use outcome::{
-    ClusterOutcome, CrashRecord, CtxEnergy, NodeOutcome, ScaleEvent, ScaleKind, ShedReason,
+    ClusterOutcome, CrashRecord, CtxEnergy, Imbalance, NodeOutcome, ScaleEvent, ScaleKind,
+    ShedReason,
 };
 
 use crate::policy::DistributionPolicy;

@@ -93,7 +93,14 @@ impl TierViews {
     }
 
     /// Adds or removes node `n` from its tier's routing membership.
-    pub(super) fn set_active(&mut self, n: usize, tier: usize, on: bool, cfg: &ClusterConfig, nodes: &[Node]) {
+    pub(super) fn set_active(
+        &mut self,
+        n: usize,
+        tier: usize,
+        on: bool,
+        cfg: &ClusterConfig,
+        nodes: &[Node],
+    ) {
         if self.active[n] == on {
             return;
         }
@@ -222,7 +229,12 @@ pub(super) fn hop_deadline(rec: &RecoveryConfig, secs: f64) -> SimDuration {
 /// Seeded exponential backoff with jitter for retry `attempt` of
 /// `req_id` (deterministic in the root seed, the request and the
 /// attempt — independent of scheduling order).
-pub(super) fn retry_backoff(rec: &RecoveryConfig, seed: u64, req_id: u64, attempt: u32) -> SimDuration {
+pub(super) fn retry_backoff(
+    rec: &RecoveryConfig,
+    seed: u64,
+    req_id: u64,
+    attempt: u32,
+) -> SimDuration {
     let base = rec.backoff_base.as_nanos().max(1);
     let exp = base.saturating_mul(1u64 << attempt.saturating_sub(1).min(6));
     let mut rng = SimRng::new(
@@ -233,7 +245,12 @@ pub(super) fn retry_backoff(rec: &RecoveryConfig, seed: u64, req_id: u64, attemp
 
 /// The available node of `members` other than `except` with the least
 /// outstanding work, if any.
-pub(super) fn least_loaded(members: &[usize], nodes: &[Node], except: usize, t: SimTime) -> Option<usize> {
+pub(super) fn least_loaded(
+    members: &[usize],
+    nodes: &[Node],
+    except: usize,
+    t: SimTime,
+) -> Option<usize> {
     members
         .iter()
         .copied()

@@ -311,4 +311,130 @@ impl ClusterOutcome {
     pub fn total_shed(&self) -> u64 {
         self.shed.iter().sum()
     }
+
+    /// Fleet active, attributed and crash-lost energy, Joules, each
+    /// summed over [`ClusterOutcome::per_node`] in node order.
+    pub fn energy_totals(&self) -> (f64, f64, f64) {
+        let sum = |joules: fn(&NodeOutcome) -> f64| self.per_node.iter().map(joules).sum();
+        (sum(|n| n.active_energy_j), sum(|n| n.attributed_energy_j), sum(|n| n.lost_energy_j))
+    }
+
+    /// Checks that the run's books balance, returning the first
+    /// identity that does not. Requests balance exactly:
+    ///
+    /// * fleet-wide, `dispatched == completed + dropped + in_flight` and
+    ///   `dropped == total_shed() + lost_in_crash` (a request lost to a
+    ///   crash is already among the dropped);
+    /// * per node, `dispatched == completions + in_flight + lost_requests`;
+    /// * against the crash log: one record per crash, fleet-wide and per
+    ///   node, and each node's lost requests are exactly those its crash
+    ///   records and forced drains killed;
+    /// * against the scale log: one event per completed scale-out and
+    ///   scale-in, and a drain journals no energy loss and, unless
+    ///   forced, kills no request.
+    ///
+    /// Energy balances modulo the journaled crash loss windows: the
+    /// fleet's attributed plus lost energy is within `energy_tol` of its
+    /// active energy, relative to the active energy.
+    pub fn check_conservation(&self, energy_tol: f64) -> Result<(), Imbalance> {
+        let fleet = |identity, lhs: u64, rhs: u64| Imbalance::check(identity, None, lhs, rhs);
+        fleet(
+            "dispatched == completed + dropped + in_flight",
+            self.dispatched,
+            self.completed as u64 + self.dropped + self.in_flight,
+        )?;
+        fleet(
+            "dropped == total_shed + lost_in_crash",
+            self.dropped,
+            self.total_shed() + self.lost_in_crash,
+        )?;
+        fleet("crashes == crash records", self.crashes, self.crash_log.len() as u64)?;
+        let outs = self
+            .scale_log
+            .iter()
+            .filter(|e| matches!(e.kind, ScaleKind::Out | ScaleKind::UpgradeOut))
+            .count() as u64;
+        fleet("scale_outs == scale-out events", self.scale_outs, outs)?;
+        fleet("scale_ins == scale-in events", self.scale_ins, self.scale_log.len() as u64 - outs)?;
+        for (i, n) in self.per_node.iter().enumerate() {
+            let node = |identity, lhs: u64, rhs: u64| Imbalance::check(identity, Some(i), lhs, rhs);
+            node(
+                "dispatched == completions + in_flight + lost_requests",
+                n.dispatched,
+                n.completions as u64 + n.in_flight + n.lost_requests,
+            )?;
+            let crashes = self.crash_log.iter().filter(|c| c.node == i);
+            node("crashes == crash records", n.crashes, crashes.clone().count() as u64)?;
+            let drains = self.scale_log.iter().filter(|e| e.node == i);
+            let killed = crashes.map(|c| c.lost_requests).sum::<u64>()
+                + drains.map(|e| e.lost_requests).sum::<u64>();
+            node("lost_requests == killed by its crashes and drains", n.lost_requests, killed)?;
+        }
+        for e in &self.scale_log {
+            if matches!(e.kind, ScaleKind::In | ScaleKind::UpgradeIn) {
+                let node = Some(e.node);
+                if e.lost_energy_j != 0.0 {
+                    return Err(Imbalance {
+                        identity: "a drain journals lost_energy_j == 0",
+                        node,
+                        lhs: e.lost_energy_j,
+                        rhs: 0.0,
+                    });
+                }
+                if !e.forced {
+                    Imbalance::check("a clean drain kills no request", node, e.lost_requests, 0)?;
+                }
+            }
+        }
+        let (active, attributed, lost) = self.energy_totals();
+        let error = (active - (attributed + lost)).abs() / active;
+        // A NaN error (no active energy) fails too.
+        if error.is_nan() || error > energy_tol {
+            return Err(Imbalance {
+                identity: "|active - (attributed + lost)| / active <= tolerance",
+                node: None,
+                lhs: error,
+                rhs: energy_tol,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A conservation identity a finished run broke (see
+/// [`ClusterOutcome::check_conservation`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Imbalance {
+    /// The identity, as a relation between outcome fields.
+    pub identity: &'static str,
+    /// The node it was checked on; `None` for a fleet-wide identity.
+    pub node: Option<usize>,
+    /// Its left-hand side.
+    pub lhs: f64,
+    /// Its right-hand side.
+    pub rhs: f64,
+}
+
+impl Imbalance {
+    /// `Ok` when the counts `lhs` and `rhs` of `identity` agree.
+    fn check(
+        identity: &'static str,
+        node: Option<usize>,
+        lhs: u64,
+        rhs: u64,
+    ) -> Result<(), Imbalance> {
+        if lhs == rhs {
+            return Ok(());
+        }
+        Err(Imbalance { identity, node, lhs: lhs as f64, rhs: rhs as f64 })
+    }
+}
+
+impl std::fmt::Display for Imbalance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(n) = self.node {
+            write!(f, "node {n}: ")?;
+        }
+        write!(f, "conservation broken: {} fails ({} vs {})", self.identity, self.lhs, self.rhs)
+    }
 }
