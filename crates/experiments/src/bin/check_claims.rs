@@ -1,7 +1,9 @@
 //! Validates the regenerated results against the paper's qualitative
 //! claims. Reads the JSON records under `PC_RESULTS_DIR` (default: the
 //! checkout's `results/`; produce them with `run_all` first) and prints
-//! PASS/FAIL per claim; exits non-zero if any claim fails.
+//! PASS/FAIL per claim; exits non-zero if any claim fails. A missing or
+//! unreadable record, or a record whose per-row list is empty, is a
+//! failed claim too.
 //!
 //! ```sh
 //! cargo run --release -p experiments --bin run_all
@@ -13,6 +15,7 @@ use serde_json::Value;
 use std::path::PathBuf;
 
 struct Checker {
+    results_dir: PathBuf,
     failures: u32,
     checks: u32,
 }
@@ -27,19 +30,35 @@ impl Checker {
             println!("FAIL  {name} ({detail})");
         }
     }
+
+    /// The record `id`, or `None` after failing its presence.
+    fn record(&mut self, id: &str) -> Option<Value> {
+        let text = std::fs::read_to_string(self.results_dir.join(format!("{id}.json")));
+        let record = text.ok().and_then(|t| serde_json::from_str(&t).ok());
+        if record.is_none() {
+            self.claim(&format!("{id}: record present"), false, "missing".into());
+        }
+        record
+    }
+
+    /// The per-row list `record[key]` of record `id`; an absent or empty
+    /// list fails its presence.
+    fn rows<'r>(&mut self, id: &str, record: &'r Value, key: &str) -> &'r [Value] {
+        let rows = record[key].as_array().map_or(&[][..], Vec::as_slice);
+        if rows.is_empty() {
+            self.claim(&format!("{id}: {key} present"), false, "no rows".into());
+        }
+        rows
+    }
 }
 
 fn main() {
     let results_dir = std::env::var_os("PC_RESULTS_DIR")
         .filter(|d| !d.is_empty())
         .map_or_else(|| PathBuf::from(DEFAULT_RESULTS_DIR), PathBuf::from);
-    let load = |id: &str| -> Option<Value> {
-        let text = std::fs::read_to_string(results_dir.join(format!("{id}.json"))).ok()?;
-        serde_json::from_str(&text).ok()
-    };
-    let mut c = Checker { failures: 0, checks: 0 };
+    let mut c = Checker { results_dir, failures: 0, checks: 0 };
 
-    if let Some(fig1) = load("fig1") {
+    if let Some(fig1) = c.record("fig1") {
         let sb = &fig1["machines"][0]["increments_w"];
         let first = sb[0].as_f64().unwrap_or(0.0);
         let second = sb[1].as_f64().unwrap_or(0.0);
@@ -54,12 +73,10 @@ fn main() {
             wc[1].as_f64().unwrap_or(0.0) > wc[2].as_f64().unwrap_or(99.0) + 3.0,
             format!("{} vs {}", wc[1], wc[2]),
         );
-    } else {
-        c.claim("fig1: record present", false, "missing".into());
     }
 
-    if let Some(fig2) = load("fig2") {
-        for scan in fig2["scans"].as_array().unwrap_or(&vec![]) {
+    if let Some(fig2) = c.record("fig2") {
+        for scan in c.rows("fig2", &fig2, "scans") {
             let name = scan["meter"].as_str().unwrap_or("?").to_string();
             let true_d = scan["true_delay_ms"].as_f64().unwrap_or(0.0);
             let est = scan["estimated_delay_ms"].as_f64().unwrap_or(-1.0);
@@ -71,7 +88,7 @@ fn main() {
         }
     }
 
-    if let Some(fig4) = load("fig4") {
+    if let Some(fig4) = c.record("fig4") {
         let stages = fig4["stages"].as_array().cloned().unwrap_or_default();
         c.claim(
             "fig4: all five request stages attributed",
@@ -81,8 +98,8 @@ fn main() {
         );
     }
 
-    if let Some(fig8) = load("fig8") {
-        for wc in fig8["worst_case"].as_array().unwrap_or(&vec![]) {
+    if let Some(fig8) = c.record("fig8") {
+        for wc in c.rows("fig8", &fig8, "worst_case") {
             let machine = wc[0].as_str().unwrap_or("?").to_string();
             let e = &wc[1];
             let (e1, e2, e3) = (
@@ -103,7 +120,7 @@ fn main() {
         }
     }
 
-    if let Some(fig9) = load("fig9") {
+    if let Some(fig9) = c.record("fig9") {
         let peak = fig9["cells"][0]["background_share"].as_f64().unwrap_or(0.0);
         c.claim(
             "fig9: GAE background is a substantial share (paper ~1/3)",
@@ -112,8 +129,8 @@ fn main() {
         );
     }
 
-    if let Some(fig10) = load("fig10") {
-        for s in fig10["scenarios"].as_array().unwrap_or(&vec![]) {
+    if let Some(fig10) = c.record("fig10") {
+        for s in c.rows("fig10", &fig10, "scenarios") {
             let name = s["scenario"].as_str().unwrap_or("?").to_string();
             let w = &s["worst_errors"];
             let containers = w[0].as_f64().unwrap_or(1.0);
@@ -132,7 +149,7 @@ fn main() {
         }
     }
 
-    if let Some(fig11) = load("fig11") {
+    if let Some(fig11) = c.record("fig11") {
         let runs = fig11["runs"].as_array().cloned().unwrap_or_default();
         let orig = runs.first().map(|r| r["frac_above_target"].as_f64().unwrap_or(0.0));
         let cond = runs.get(1).map(|r| r["frac_above_target"].as_f64().unwrap_or(1.0));
@@ -143,7 +160,7 @@ fn main() {
         );
     }
 
-    if let Some(fig12) = load("fig12") {
+    if let Some(fig12) = c.record("fig12") {
         let normal = fig12["normal_slowdown"].as_f64().unwrap_or(1.0);
         let virus = fig12["virus_slowdown"].as_f64().unwrap_or(0.0);
         let full = fig12["full_machine_slowdown"].as_f64().unwrap_or(0.0);
@@ -159,8 +176,8 @@ fn main() {
         );
     }
 
-    if let Some(fig13) = load("fig13") {
-        let rows = fig13["rows"].as_array().cloned().unwrap_or_default();
+    if let Some(fig13) = c.record("fig13") {
+        let rows = c.rows("fig13", &fig13, "rows");
         let ratio_of = |name: &str| {
             rows.iter()
                 .find(|r| r["workload"].as_str() == Some(name))
@@ -181,9 +198,8 @@ fn main() {
         );
     }
 
-    if let Some(fig14) = load("fig14") {
-        let p = fig14["policies"].as_array().cloned().unwrap_or_default();
-        let total = |i: usize| p[i]["total_w"].as_f64().unwrap_or(0.0);
+    if let Some(fig14) = c.record("fig14") {
+        let total = |i: usize| fig14["policies"][i]["total_w"].as_f64().unwrap_or(0.0);
         c.claim(
             "fig14: workload-aware < machine-aware < simple balance",
             total(2) < total(1) && total(1) < total(0),
@@ -197,10 +213,9 @@ fn main() {
         );
     }
 
-    if let Some(t1) = load("table1") {
-        let rows = t1["rows"].as_array().cloned().unwrap_or_default();
+    if let Some(t1) = c.record("table1") {
         let mean_of = |i: usize| -> f64 {
-            rows[i]["by_app"]
+            t1["rows"][i]["by_app"]
                 .as_array()
                 .map(|apps| {
                     apps.iter().map(|a| a[1].as_f64().unwrap_or(0.0)).sum::<f64>()
@@ -215,8 +230,8 @@ fn main() {
         );
     }
 
-    if let Some(a) = load("ablations") {
-        for row in a["rows"].as_array().unwrap_or(&vec![]) {
+    if let Some(a) = c.record("ablations") {
+        for row in c.rows("ablations", &a, "rows") {
             let name = row["mechanism"].as_str().unwrap_or("?").to_string();
             let with = row["with_mechanism"].as_f64().unwrap_or(1.0);
             let without = row["without_mechanism"].as_f64().unwrap_or(0.0);
@@ -228,9 +243,8 @@ fn main() {
         }
     }
 
-    if let Some(d) = load("dvfs") {
-        let runs = d["runs"].as_array().cloned().unwrap_or_default();
-        let normal = |i: usize| runs[i]["normal_response_ms"].as_f64().unwrap_or(0.0);
+    if let Some(d) = c.record("dvfs") {
+        let normal = |i: usize| d["runs"][i]["normal_response_ms"].as_f64().unwrap_or(0.0);
         c.claim(
             "dvfs: per-request conditioning hurts normal requests less than machine DVFS",
             normal(1) < normal(2),
@@ -238,7 +252,7 @@ fn main() {
         );
     }
 
-    if let Some(a) = load("anomaly") {
+    if let Some(a) = c.record("anomaly") {
         let recall = a["recall"].as_f64().unwrap_or(0.0);
         let precision = a["precision"].as_f64().unwrap_or(0.0);
         c.claim(
