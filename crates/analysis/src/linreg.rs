@@ -291,7 +291,7 @@ const ROLLING_REBUILD_EVERY: usize = 4096;
 ///
 /// Downdates are exact in exact arithmetic but accumulate rounding in
 /// floating point; the accumulator transparently rebuilds itself from the
-/// retained window every [`ROLLING_REBUILD_EVERY`] evictions, so drift is
+/// retained window every 4,096 evictions, so drift is
 /// bounded and callers never see it.
 ///
 /// # Example

@@ -1,6 +1,6 @@
 //! The always-on observability plane of the cluster engine.
 //!
-//! Layered on `telemetry::obs`: the engine drives one [`ObsPlane`] per
+//! Layered on `telemetry::obs`: the engine drives one `ObsPlane` per
 //! run from the dispatcher. Per-request latency lands in bounded-memory
 //! quantile sketches as requests complete; once per window the plane
 //! reads every node's cumulative active/attributed energy *in node

@@ -59,11 +59,11 @@ pub struct ClusterConfig {
     /// Self-calibrating model bank. When set, every node runs the
     /// `Recalibrated` approach with a per-regime [`ModelBank`]
     /// (keyed by machine generation × DVFS level × workload mix)
-    /// instead of a single fixed `ChipShare` model; drift counters
-    /// flow into [`ClusterOutcome::degrade`].
+    /// instead of a single fixed `ChipShare` model. Its drift counters
+    /// feed `run_all`'s `drift` column and, with [`ClusterConfig::obs`]
+    /// set, the obs plane's `drift/fleet` rollup series.
     ///
     /// [`ModelBank`]: power_containers::ModelBank
-    /// [`ClusterOutcome::degrade`]: super::ClusterOutcome::degrade
     pub model_bank: Option<power_containers::BankConfig>,
     /// Always-on observability plane: streaming sketches/rollups, the
     /// energy-SLO burn-rate monitor, and (opt-in) per-request energy

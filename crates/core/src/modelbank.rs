@@ -340,7 +340,8 @@ impl ModelBank {
 
     /// Buckets raw regime signals with this bank's mix thresholds. The
     /// workload-mix signal is smoothed with an EWMA across calls before
-    /// bucketing ([`MIX_EWMA_ALPHA`]'s docs explain why); idle windows
+    /// bucketing (weight 0.1 per window: the regime is the sustained mix,
+    /// not one bursty window); idle windows
     /// hold the previous smoothed value instead of dragging it to zero.
     pub fn classify(
         &mut self,

@@ -2,7 +2,7 @@
 //! experiment scope.
 //!
 //! Every harness run ends by folding its facility's
-//! [`DegradeStats`](power_containers::DegradeStats) into the ledger under
+//! [`DegradeStats`] into the ledger under
 //! the scope the calling thread entered with [`DegradeScope::enter`].
 //! The experiment driver enters one scope per experiment inside its
 //! worker closure, then reads the whole ledger back with
