@@ -88,14 +88,9 @@ impl BrownoutLevel {
         BrownoutLevel::DvfsClamp,
     ];
 
-    /// Ladder rung index (0 = Normal).
+    /// Ladder rung index (0 = Normal): the declaration order.
     pub fn index(self) -> usize {
-        match self {
-            BrownoutLevel::Normal => 0,
-            BrownoutLevel::ShedOptional => 1,
-            BrownoutLevel::TightenAdmission => 2,
-            BrownoutLevel::DvfsClamp => 3,
-        }
+        self as usize
     }
 
     /// Stable human-readable name.

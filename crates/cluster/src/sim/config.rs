@@ -31,15 +31,12 @@ pub struct ClusterConfig {
     pub volume: f64,
     /// Cluster-wide active-power cap, enforced through per-request
     /// duty-cycle conditioning of each node's proportional share
-    /// ([`ConditioningPolicy::node_share`]). `None` disables capping.
-    ///
-    /// [`ConditioningPolicy::node_share`]: power_containers::ConditioningPolicy::node_share
+    /// ([`node_share`](power_containers::ConditioningPolicy::node_share)).
+    /// `None` disables capping.
     pub power_cap_w: Option<f64>,
     /// Retain per-request energy totals in
-    /// [`ClusterOutcome::energy_by_ctx`] (costs memory proportional to
-    /// the request count; off by default).
-    ///
-    /// [`ClusterOutcome::energy_by_ctx`]: super::ClusterOutcome::energy_by_ctx
+    /// [`energy_by_ctx`](super::ClusterOutcome::energy_by_ctx) (costs
+    /// memory proportional to the request count; off by default).
     pub retain_request_energy: bool,
     /// Fault injection: machine-level faults (meters, counters, tags)
     /// are applied to every node with a node-specific seed; the
@@ -57,32 +54,25 @@ pub struct ClusterConfig {
     /// Disabled by default.
     pub telemetry: telemetry::Telemetry,
     /// Self-calibrating model bank. When set, every node runs the
-    /// `Recalibrated` approach with a per-regime [`ModelBank`]
+    /// `Recalibrated` approach with a per-regime [`ModelBank`](power_containers::ModelBank)
     /// (keyed by machine generation × DVFS level × workload mix)
     /// instead of a single fixed `ChipShare` model. Its drift counters
     /// feed `run_all`'s `drift` column and, with [`ClusterConfig::obs`]
     /// set, the obs plane's `drift/fleet` rollup series.
-    ///
-    /// [`ModelBank`]: power_containers::ModelBank
     pub model_bank: Option<power_containers::BankConfig>,
     /// Always-on observability plane: streaming sketches/rollups, the
     /// energy-SLO burn-rate monitor, and (opt-in) per-request energy
-    /// provenance, delivered in [`ClusterOutcome::obs`]. `None` — the
+    /// provenance, delivered in [`ClusterOutcome::obs`](super::ClusterOutcome::obs). `None` — the
     /// default — runs the engine byte-identically to before the plane
     /// existed.
-    ///
-    /// [`ClusterOutcome::obs`]: super::ClusterOutcome::obs
     pub obs: Option<ObsConfig>,
     /// Kernel scheduling policy of every node.
     pub sched: ossim::SchedulerKind,
     /// Non-stationary traffic shape (diurnal × flash crowds × sessions).
     /// `None` — the default — drives the legacy stationary
-    /// [`OpenLoopGen`] byte-identically to before the traffic layer
-    /// existed; `Some` swaps in a [`TrafficGen`] at the same mean
+    /// [`OpenLoopGen`](workloads::OpenLoopGen) byte-identically to before the traffic layer
+    /// existed; `Some` swaps in a [`TrafficGen`](workloads::TrafficGen) at the same mean
     /// per-app rates.
-    ///
-    /// [`OpenLoopGen`]: workloads::OpenLoopGen
-    /// [`TrafficGen`]: workloads::TrafficGen
     pub traffic: Option<TrafficShape>,
     /// Elastic autoscaling (requires a single-tier cluster). `None` —
     /// the default — keeps the whole topology active for the entire
@@ -139,11 +129,9 @@ pub struct RecoveryConfig {
     /// ordinary queueing.
     pub min_timeout: SimDuration,
     /// Re-dispatch budget per hop; a request that exhausts it is shed
-    /// with [`ShedReason::RetriesExhausted`] (or counted
-    /// [`ClusterOutcome::lost_in_crash`] when a crash killed it).
-    ///
-    /// [`ShedReason::RetriesExhausted`]: super::ShedReason::RetriesExhausted
-    /// [`ClusterOutcome::lost_in_crash`]: super::ClusterOutcome::lost_in_crash
+    /// with [`RetriesExhausted`](super::ShedReason::RetriesExhausted) (or
+    /// counted [`lost_in_crash`](super::ClusterOutcome::lost_in_crash)
+    /// when a crash killed it).
     pub max_retries: u32,
     /// First-retry backoff; attempt `k` waits `2^(k-1) ×` this plus a
     /// seeded jitter below one base unit.

@@ -27,9 +27,7 @@ pub(crate) const DISPATCHER_TRACK: u32 = 3;
 const TICK: SimDuration = SimDuration::from_millis(1);
 
 /// Checkpoint cadence when crash faults are on but no
-/// [`RecoveryConfig`] overrides it.
-///
-/// [`RecoveryConfig`]: super::RecoveryConfig
+/// [`RecoveryConfig`](super::RecoveryConfig) overrides it.
 const DEFAULT_CHECKPOINT_EVERY: SimDuration = SimDuration::from_millis(50);
 
 /// Admission control sheds new arrivals while the fleet's active power
@@ -49,6 +47,16 @@ const ADMISSION_TIGHTEN: f64 = 0.35;
 /// At [`BrownoutLevel::DvfsClamp`] every active node's duty cycle is
 /// capped at this fraction.
 const DVFS_CLAMP: f64 = 0.6;
+
+/// Records the dispatcher event `name` at `t` on the dispatcher's track.
+fn dispatcher_event(
+    tele: &telemetry::Telemetry,
+    t: SimTime,
+    name: &'static str,
+    fields: &[(&'static str, telemetry::FieldValue)],
+) {
+    tele.instant_on(t, "cluster", name, DISPATCHER_TRACK, fields);
+}
 
 /// Drains every node's private event log into the main sink, in node
 /// order — the barrier merge. Within a tick, node events therefore
@@ -411,13 +419,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
     /// tier retries or sheds the request.
     fn forward(&mut self, req_id: u64, stage: usize, wire: Option<ContextId>, t: SimTime) {
         let cfg = self.bp.cfg;
-        cfg.telemetry.instant_on(
-            t,
-            "cluster",
-            "hop",
-            DISPATCHER_TRACK,
-            &[("to_tier", (stage as u64).into())],
-        );
+        dispatcher_event(&cfg.telemetry, t, "hop", &[("to_tier", (stage as u64).into())]);
         let fl = &self.book.inflight[&req_id];
         let req = ArrivalView { app: cfg.apps[fl.app], label: fl.label };
         let target = self.route(stage, req, t);
@@ -460,11 +462,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
         }
         let alt = least_loaded(members, &self.nodes, chosen, t)?;
         let tele = &self.bp.cfg.telemetry;
-        tele.instant_on(
+        dispatcher_event(
+            tele,
             t,
-            "cluster",
             "reroute",
-            DISPATCHER_TRACK,
             &[("from", (chosen as u64).into()), ("to", (alt as u64).into())],
         );
         tele.add_count("cluster.rerouted", 1);
@@ -506,11 +507,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 self.out.retried += 1;
                 let delay = retry_backoff(rec, cfg.seed, req_id, fl.attempt);
                 self.book.retry_queue.insert((t + delay, req_id), ());
-                cfg.telemetry.instant_on(
+                dispatcher_event(
+                    &cfg.telemetry,
                     t,
-                    "cluster",
                     "retry",
-                    DISPATCHER_TRACK,
                     &[("attempt", (fl.attempt as u64).into())],
                 );
                 cfg.telemetry.add_count("cluster.retried", 1);
@@ -534,13 +534,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
         self.out.shed[reason.index()] += 1;
         self.out.dropped += 1;
         let tele = &self.bp.cfg.telemetry;
-        tele.instant_on(
-            t,
-            "cluster",
-            "shed",
-            DISPATCHER_TRACK,
-            &[("reason", (reason.index() as u64).into())],
-        );
+        dispatcher_event(tele, t, "shed", &[("reason", (reason.index() as u64).into())]);
         tele.add_count("cluster.dropped", 1);
         tele.add_count(reason.counter(), 1);
     }
@@ -597,13 +591,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             node.inject(fl, serial, self.bp.service[alt][fl.app], t);
             self.views.sync(alt, node.outstanding_std);
             self.out.hedged += 1;
-            cfg.telemetry.instant_on(
-                t,
-                "cluster",
-                "hedge",
-                DISPATCHER_TRACK,
-                &[("to", (alt as u64).into())],
-            );
+            dispatcher_event(&cfg.telemetry, t, "hedge", &[("to", (alt as u64).into())]);
             cfg.telemetry.add_count("cluster.hedged", 1);
         }
         self.due_buf = due;
@@ -624,11 +612,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
                     BreakerState::Open { until } => until.duration_since(t).as_secs_f64() * 1e3,
                     _ => 0.0,
                 };
-                cfg.telemetry.instant_on(
+                dispatcher_event(
+                    &cfg.telemetry,
                     t,
-                    "cluster",
                     "degraded",
-                    DISPATCHER_TRACK,
                     &[("node", (n as u64).into()), ("penalty_ms", open_ms.into())],
                 );
                 cfg.telemetry.add_count("cluster.degradations", 1);
@@ -707,11 +694,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 forced: false,
                 provision_energy_j: boot_j,
             });
-            cfg.telemetry.instant_on(
+            dispatcher_event(
+                &cfg.telemetry,
                 t,
-                "cluster",
                 kind.name(),
-                DISPATCHER_TRACK,
                 &[("node", (n as u64).into()), ("boot_j", boot_j.into())],
             );
             cfg.telemetry.add_count("autoscale.scale_out", 1);
@@ -752,11 +738,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 forced,
                 provision_energy_j: 0.0,
             });
-            cfg.telemetry.instant_on(
+            dispatcher_event(
+                &cfg.telemetry,
                 t,
-                "cluster",
                 kind.name(),
-                DISPATCHER_TRACK,
                 &[
                     ("node", (n as u64).into()),
                     ("forced", (forced as u64).into()),
@@ -805,11 +790,10 @@ impl<'a, 'p> Fleet<'a, 'p> {
             self.start_drain(victim, ScaleKind::UpgradeIn, ac, t);
             self.start_provision(fresh, ScaleKind::UpgradeOut, t);
             self.out.upgrades += 1;
-            cfg.telemetry.instant_on(
+            dispatcher_event(
+                &cfg.telemetry,
                 t,
-                "cluster",
                 "upgrade",
-                DISPATCHER_TRACK,
                 &[("out", (victim as u64).into()), ("in", (fresh as u64).into())],
             );
             cfg.telemetry.add_count("autoscale.upgrade", 1);
@@ -854,7 +838,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
     /// One controller evaluation when due: moves the brownout ladder
     /// and starts the resize the controller decided.
     fn evaluate_scaler(&mut self, ac: &AutoscaleConfig, t: SimTime) {
-        let cfg = self.bp.cfg;
+        let tele = &self.bp.cfg.telemetry;
         if !self.elastic.as_ref().is_some_and(|el| el.scaler.due(t)) {
             return;
         }
@@ -865,18 +849,12 @@ impl<'a, 'p> Fleet<'a, 'p> {
         if level != prev_level {
             if level > prev_level {
                 self.out.brownout_engagements += 1;
-                cfg.telemetry.add_count("autoscale.brownout.engage", 1);
+                tele.add_count("autoscale.brownout.engage", 1);
             } else {
                 self.out.brownout_releases += 1;
-                cfg.telemetry.add_count("autoscale.brownout.release", 1);
+                tele.add_count("autoscale.brownout.release", 1);
             }
-            cfg.telemetry.instant_on(
-                t,
-                "cluster",
-                "brownout",
-                DISPATCHER_TRACK,
-                &[("level", (level.index() as u64).into())],
-            );
+            dispatcher_event(tele, t, "brownout", &[("level", (level.index() as u64).into())]);
         }
         // DVFS clamp: re-asserted on every active node each evaluation
         // while the top rung holds (covering nodes that landed since),
@@ -894,43 +872,24 @@ impl<'a, 'p> Fleet<'a, 'p> {
         }
         match decision {
             ScaleDecision::Out(k) => {
-                let mut started = 0usize;
-                for n in 0..self.nodes.len() {
-                    if started == k {
-                        break;
-                    }
-                    if self.nodes[n].scale != ScaleState::Standby {
-                        continue;
-                    }
+                let standbys: Vec<usize> = (0..self.nodes.len())
+                    .filter(|&n| self.nodes[n].scale == ScaleState::Standby)
+                    .take(k)
+                    .collect();
+                for n in standbys {
                     self.start_provision(n, ScaleKind::Out, t);
-                    started += 1;
-                    cfg.telemetry.instant_on(
-                        t,
-                        "cluster",
-                        "provision",
-                        DISPATCHER_TRACK,
-                        &[("node", (n as u64).into())],
-                    );
+                    dispatcher_event(tele, t, "provision", &[("node", (n as u64).into())]);
                 }
             }
             ScaleDecision::In(k) => {
-                let mut started = 0usize;
-                for n in (0..self.nodes.len()).rev() {
-                    if started == k {
-                        break;
-                    }
-                    if !self.nodes[n].drainable() {
-                        continue;
-                    }
+                let victims: Vec<usize> = (0..self.nodes.len())
+                    .rev()
+                    .filter(|&n| self.nodes[n].drainable())
+                    .take(k)
+                    .collect();
+                for n in victims {
                     self.start_drain(n, ScaleKind::In, ac, t);
-                    started += 1;
-                    cfg.telemetry.instant_on(
-                        t,
-                        "cluster",
-                        "drain",
-                        DISPATCHER_TRACK,
-                        &[("node", (n as u64).into())],
-                    );
+                    dispatcher_event(tele, t, "drain", &[("node", (n as u64).into())]);
                 }
             }
             ScaleDecision::Hold => {}

@@ -48,15 +48,9 @@ impl ShedReason {
         }
     }
 
-    /// Index into [`ClusterOutcome::shed`].
+    /// Index into [`ClusterOutcome::shed`]: the declaration order.
     pub fn index(self) -> usize {
-        match self {
-            ShedReason::NoHealthyNode => 0,
-            ShedReason::QueueDepth => 1,
-            ShedReason::PowerHeadroom => 2,
-            ShedReason::RetriesExhausted => 3,
-            ShedReason::BrownoutOptional => 4,
-        }
+        self as usize
     }
 
     /// The pc-telemetry counter this reason increments.
@@ -190,9 +184,7 @@ pub struct NodeOutcome {
 
 /// Cumulative attributed energy of one request across every node it
 /// touched (only populated with
-/// [`ClusterConfig::retain_request_energy`]).
-///
-/// [`ClusterConfig::retain_request_energy`]: super::ClusterConfig::retain_request_energy
+/// [`ClusterConfig::retain_request_energy`](super::ClusterConfig::retain_request_energy)).
 #[derive(Debug, Clone, Copy)]
 pub struct CtxEnergy {
     /// The request's true context id (as allocated at dispatch).
@@ -220,9 +212,8 @@ pub struct ClusterOutcome {
     /// of this accounting, exactly as it would on real hardware.
     pub energy_by_app_j: Vec<(WorkloadKind, f64)>,
     /// Per-request attributed energy across nodes (empty unless
-    /// [`ClusterConfig::retain_request_energy`] is set).
-    ///
-    /// [`ClusterConfig::retain_request_energy`]: super::ClusterConfig::retain_request_energy
+    /// [`retain_request_energy`](super::ClusterConfig::retain_request_energy)
+    /// is set).
     pub energy_by_ctx: Vec<CtxEnergy>,
     /// Requests the load generator offered to the dispatcher.
     pub dispatched: u64,
@@ -271,14 +262,10 @@ pub struct ClusterOutcome {
     /// [`hwsim::FaultKind::NodeCrash`] slot).
     pub fault_counts: [u64; hwsim::FaultKind::ALL.len()],
     /// Observability-plane results (sketches, rollups, typed alerts,
-    /// provenance). `None` unless [`ClusterConfig::obs`] was set.
-    ///
-    /// [`ClusterConfig::obs`]: super::ClusterConfig::obs
+    /// provenance). `None` unless [`ClusterConfig::obs`](super::ClusterConfig::obs) was set.
     pub obs: Option<Box<ObsOutcome>>,
     /// One entry per completed resize transition, in completion order
-    /// (empty without [`ClusterConfig::autoscale`]).
-    ///
-    /// [`ClusterConfig::autoscale`]: super::ClusterConfig::autoscale
+    /// (empty without [`ClusterConfig::autoscale`](super::ClusterConfig::autoscale)).
     pub scale_log: Vec<ScaleEvent>,
     /// Completed scale-outs (including upgrade provision halves).
     pub scale_outs: u64,
