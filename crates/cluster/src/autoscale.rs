@@ -156,8 +156,8 @@ const HIGH_UTIL: f64 = 1.8;
 const LOW_UTIL: f64 = 0.55;
 /// Most nodes resized by a single decision.
 const MAX_STEP: usize = 2;
-/// The brownout ladder climbs while fleet active power exceeds this
-/// fraction of the cap.
+/// The brownout ladder climbs while fleet active power is at or above
+/// this fraction of the cap.
 const ENGAGE_FRAC: f64 = 0.92;
 /// The ladder descends only while fleet active power is below this
 /// fraction of the cap; engage > release is its hysteresis deadband.

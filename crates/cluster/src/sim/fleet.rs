@@ -678,8 +678,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             }
             self.nodes[n].land(&self.bp, t, WARMUP);
             let spec = &cfg.nodes[n];
-            let boot_j =
-                spec.truth.machine_idle_w() * (PROVISION_DELAY + WARMUP).as_secs_f64();
+            let boot_j = spec.truth.machine_idle_w() * (PROVISION_DELAY + WARMUP).as_secs_f64();
             self.out.provisioning_energy_j += boot_j;
             self.tier0_active_cores += spec.total_cores();
             self.views.set_active(n, self.nodes[n].tier, true, cfg, &self.nodes);

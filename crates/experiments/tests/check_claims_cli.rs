@@ -10,8 +10,20 @@ use std::process::Command;
 
 /// Every record `check_claims` reads.
 const RECORDS: [&str; 14] = [
-    "fig1", "fig2", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "table1",
-    "ablations", "dvfs", "anomaly",
+    "fig1",
+    "fig2",
+    "fig4",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "table1",
+    "ablations",
+    "dvfs",
+    "anomaly",
 ];
 
 /// The per-row lists whose claims are made row by row, as
