@@ -47,6 +47,14 @@
 //! All recovery knobs default to *off*: a configuration that does not
 //! opt in behaves byte-identically to the pre-recovery engine.
 //!
+//! # Layout
+//!
+//! One module per owner: `config` (the settings and their check against
+//! the calibrations), `node` (one node across its incarnations), `book`
+//! (the dispatcher's request book and routing views), `fleet` (the
+//! engine and its tick phases), `outcome` (what a run returns, and its
+//! conservation check) and `serials` (the wire-serial index).
+//!
 //! [`ManagerCheckpoint`]: power_containers::ManagerCheckpoint
 
 mod book;
