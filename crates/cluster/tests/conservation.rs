@@ -165,7 +165,7 @@ fn a_crash_cell_balances_and_no_counter_can_be_off_by_one() {
     assert!(o.crashes > 0, "no crash fired");
     assert!(o.lost_in_crash > 0, "no request was lost to a crash");
     // `dropped` already counts the crash losses, so adding them again
-    // (as an older helper did) cannot balance.
+    // cannot balance.
     assert_ne!(o.dispatched, o.completed as u64 + o.dropped + o.in_flight + o.lost_in_crash);
     let tried = assert_only_the_true_books_balance("crash cell", &o);
     assert!(tried > 40, "only {tried} variants tried");
