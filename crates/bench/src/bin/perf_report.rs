@@ -30,6 +30,24 @@
 //! the fleet's end-of-run accounting and rebooted nodes' meter polls
 //! stopped keeping buffers sized by the run's history.
 //!
+//! The footprint section also counts each machine's seed-42
+//! calibration the same way, next to the same driver's counts on the
+//! build before calibration runs stopped at their last read window.
+//!
+//! The work section records the exact work counts of
+//! `pc_bench::work_ledger`: kernel events popped, by kind, and machine
+//! segments integrated, for each machine's seed-42 calibration and each
+//! footprint cell, next to the counts on that same build before. The
+//! counters are compiled in only with the `work-counts` feature, so the
+//! report needs it:
+//!
+//! ```text
+//! cargo run --release -p pc-bench --features work-counts --bin perf_report
+//! ```
+//!
+//! The `work_gate` test fails when a count rises above its recorded
+//! value.
+//!
 //! With no `--out`, the report is written to `BENCH_perf.json` in the
 //! repository root.
 
@@ -37,12 +55,16 @@ use analysis::linreg::{LeastSquares, RollingLeastSquares};
 use experiments::runner::RunCtx;
 use analysis::xcorr::{find_alignment, find_alignment_naive};
 use hwsim::MeterSpec;
-use pc_bench::{alignment_signals, refit_rows, time_facility_scan, FacilityScan, Spread};
+use pc_bench::{
+    alignment_signals, refit_rows, time_facility_scan, FacilityScan, Spread, CALIBRATION_SEED,
+    FOOTPRINT_REQUESTS,
+};
 use power_containers::{
     BankConfig, Cadence, CalibrationSample, CalibrationSet, MetricVector, ModelBank, ModelKind,
     PowerModel, Recalibrator, RegimeKey, FEATURES,
 };
 use serde::Serialize;
+use simkern::work::WorkCounts;
 use simkern::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -326,6 +348,37 @@ struct FootprintCount {
     peak_live_ratio: f64,
 }
 
+/// Heap traffic of one machine's seed-42 calibration, counted exactly.
+#[derive(Serialize)]
+struct CalibrationFootprint {
+    machine: String,
+    allocations: u64,
+    bytes_allocated: u64,
+    peak_live_bytes: u64,
+    /// The same counts on the build named at [`CALIBRATION_BEFORE`].
+    before_allocations: u64,
+    before_bytes_allocated: u64,
+    before_peak_live_bytes: u64,
+}
+
+/// Exact work of one ledger entry: kernel events popped, by kind and in
+/// all, and machine segments integrated.
+#[derive(Serialize)]
+struct WorkCount {
+    name: String,
+    core_ticks: u64,
+    delivers: u64,
+    wakes: u64,
+    events: u64,
+    segments: u64,
+    /// The same counts on the build named at [`WORK_BEFORE`].
+    before_core_ticks: u64,
+    before_delivers: u64,
+    before_wakes: u64,
+    before_events: u64,
+    before_segments: u64,
+}
+
 /// Wall times for the experiment harness, from real `run_all` runs.
 #[derive(Serialize)]
 struct Harness {
@@ -362,6 +415,8 @@ struct Report {
     sched_overhead: SchedOverhead,
     autoscale_overhead: AutoscaleOverhead,
     footprint: Vec<FootprintCount>,
+    calibration_footprint: Vec<CalibrationFootprint>,
+    work: Vec<WorkCount>,
     harness: Harness,
 }
 
@@ -985,9 +1040,6 @@ fn autoscale_overhead(ctx: &RunCtx) -> AutoscaleOverhead {
     }
 }
 
-/// Requests each footprint cell offers.
-const FOOTPRINT_REQUESTS: f64 = 20_000.0;
-
 /// `[allocations, bytes_allocated, peak_live_bytes, live_after_bytes]`
 /// of each footprint cell, counted by this driver on the build before
 /// the dispatcher kept only live serials, the end-of-run per-request
@@ -1033,6 +1085,77 @@ fn footprint() -> Vec<FootprintCount> {
         .collect()
 }
 
+/// `[allocations, bytes_allocated, peak_live_bytes]` of each machine's
+/// seed-42 calibration, counted by this driver on the build before
+/// calibration runs stopped at their last read window.
+const CALIBRATION_BEFORE: [(&str, [u64; 3]); 3] = [
+    ("woodcrest", [1_673, 57_030_812, 1_026_684]),
+    ("westmere", [2_003, 57_190_844, 1_034_044]),
+    ("sandybridge", [2_025, 75_911_972, 2_099_976]),
+];
+
+fn calibration_footprint() -> Vec<CalibrationFootprint> {
+    pc_bench::machines()
+        .iter()
+        .map(|spec| {
+            let (_, [allocations, bytes_allocated, peak_live_bytes, _]) =
+                count_heap(|| workloads::calibrate_machine(spec, CALIBRATION_SEED));
+            let [before_allocations, before_bytes_allocated, before_peak_live_bytes] =
+                CALIBRATION_BEFORE
+                    .iter()
+                    .find(|(name, _)| *name == spec.name)
+                    .map_or([0; 3], |(_, counts)| *counts);
+            CalibrationFootprint {
+                machine: spec.name.to_string(),
+                allocations,
+                bytes_allocated,
+                peak_live_bytes,
+                before_allocations,
+                before_bytes_allocated,
+                before_peak_live_bytes,
+            }
+        })
+        .collect()
+}
+
+/// `[core_ticks, delivers, wakes, segments]` of each work-ledger entry,
+/// counted on the build before calibration runs stopped at their last
+/// read window.
+const WORK_BEFORE: [(&str, [u64; 4]); 6] = [
+    ("calibration.woodcrest", [316_544, 0, 18_594, 148_207]),
+    ("calibration.westmere", [1_424_601, 0, 18_594, 272_529]),
+    ("calibration.sandybridge", [512_420, 0, 18_594, 327_407]),
+    ("footprint.chipshare_fleet", [368_798, 40_147, 41_209, 497_372]),
+    ("footprint.diurnal_elastic", [175_325, 32_573, 26_274, 265_292]),
+    ("footprint.chaos_pipeline", [1_237_509, 158_034, 130_247, 2_447_354]),
+];
+
+fn work() -> Vec<WorkCount> {
+    pc_bench::work_ledger()
+        .into_iter()
+        .map(|(name, w)| {
+            let [core_ticks, delivers, wakes, segments] = WORK_BEFORE
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or([0; 4], |(_, counts)| *counts);
+            let before = WorkCounts { core_ticks, delivers, wakes, segments };
+            WorkCount {
+                name,
+                core_ticks: w.core_ticks,
+                delivers: w.delivers,
+                wakes: w.wakes,
+                events: w.events(),
+                segments: w.segments,
+                before_core_ticks: before.core_ticks,
+                before_delivers: before.delivers,
+                before_wakes: before.wakes,
+                before_events: before.events(),
+                before_segments: before.segments,
+            }
+        })
+        .collect()
+}
+
 fn arg_secs(args: &[String], flag: &str) -> Option<f64> {
     args.iter()
         .position(|a| a == flag)
@@ -1058,6 +1181,13 @@ fn cpus_logical() -> usize {
 }
 
 fn main() {
+    if !simkern::work::ENABLED {
+        eprintln!(
+            "perf_report: the work section needs the counters; \
+             run it with `--features work-counts`"
+        );
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let out: PathBuf = args
         .iter()
@@ -1090,6 +1220,8 @@ fn main() {
         sched_overhead: sched_overhead(&ctx),
         autoscale_overhead: autoscale_overhead(&ctx),
         footprint: footprint(),
+        calibration_footprint: calibration_footprint(),
+        work: work(),
         harness: Harness {
             run_all_serial_before_s: arg_secs(&args, "--run-all-before"),
             run_all_serial_after_s: arg_secs(&args, "--run-all-after"),
@@ -1187,6 +1319,33 @@ fn main() {
             f.before_peak_live_bytes,
             f.before_live_after_bytes,
             f.peak_live_ratio
+        );
+    }
+    for c in &report.calibration_footprint {
+        eprintln!(
+            "  calibration {:<12} {:>9} allocations  {:>11} B allocated  peak {:>10} B \
+             (before {} / {} B / {} B)",
+            c.machine,
+            c.allocations,
+            c.bytes_allocated,
+            c.peak_live_bytes,
+            c.before_allocations,
+            c.before_bytes_allocated,
+            c.before_peak_live_bytes
+        );
+    }
+    for w in &report.work {
+        eprintln!(
+            "  work {:<26} {:>9} events ({} ticks, {} delivers, {} wakes)  {:>9} segments \
+             (before {} events, {} segments)",
+            w.name,
+            w.events,
+            w.core_ticks,
+            w.delivers,
+            w.wakes,
+            w.segments,
+            w.before_events,
+            w.before_segments
         );
     }
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

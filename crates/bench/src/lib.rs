@@ -20,6 +20,7 @@ use cluster::{
     Topology,
 };
 use hwsim::FaultConfig;
+use simkern::work::WorkCounts;
 use simkern::{SimDuration, SimTime};
 use std::time::Instant;
 
@@ -245,6 +246,47 @@ pub fn time_facility_scan(covered_ms: usize, samples: usize) -> Spread {
     Spread::of(&ns)
 }
 
+/// Seed of every calibration the ledger counts: the one the benchmark
+/// and the experiments calibrate with.
+pub const CALIBRATION_SEED: u64 = 42;
+
+/// Requests each footprint cell offers.
+pub const FOOTPRINT_REQUESTS: f64 = 20_000.0;
+
+/// The machine generations the ledger calibrates, in report order.
+pub fn machines() -> [MachineSpec; 3] {
+    [MachineSpec::woodcrest(), MachineSpec::westmere(), MachineSpec::sandybridge()]
+}
+
+/// Runs `f` and returns the work it did on this thread: kernel events
+/// popped, by kind, and machine segments integrated. All zero unless
+/// built with the `work-counts` feature.
+pub fn count_work<T>(f: impl FnOnce() -> T) -> (T, WorkCounts) {
+    simkern::work::take();
+    let out = f();
+    (out, simkern::work::take())
+}
+
+/// The work ledger, in report order: the exact work counts of each
+/// machine's seed-42 calibration (`calibration.<machine>`), then of
+/// each [`footprint_cells`] run (`footprint.<cell>`, calibration not
+/// included). `perf_report` records it as its `work` section, and the
+/// `work_gate` test fails when a count exceeds its recorded value.
+pub fn work_ledger() -> Vec<(String, WorkCounts)> {
+    let mut ledger: Vec<(String, WorkCounts)> = machines()
+        .iter()
+        .map(|spec| {
+            let (_, work) = count_work(|| workloads::calibrate_machine(spec, CALIBRATION_SEED));
+            (format!("calibration.{}", spec.name), work)
+        })
+        .collect();
+    for cell in footprint_cells(FOOTPRINT_REQUESTS) {
+        let (_, work) = count_work(|| cell.run());
+        ledger.push((format!("footprint.{}", cell.name), work));
+    }
+    ledger
+}
+
 /// One cluster cell whose heap traffic `perf_report`'s footprint
 /// section counts, built from public constructors only so that the same
 /// driver runs against an older checkout.
@@ -349,7 +391,7 @@ pub fn footprint_cells(requests: f64) -> Vec<FootprintCell> {
                     if let Some((_, cal)) = calibrated.iter().find(|(n, _)| *n == spec.name) {
                         return cal.clone();
                     }
-                    let cal = workloads::calibrate_machine(spec, 42);
+                    let cal = workloads::calibrate_machine(spec, CALIBRATION_SEED);
                     calibrated.push((spec.name, cal.clone()));
                     cal
                 })

@@ -6,6 +6,7 @@ use crate::faults::{CounterFault, FaultConfig, FaultInjector, FaultLog, MeterFau
 use crate::meter::{MeterId, MeterReport, MeterScope, MeterState};
 use crate::spec::MachineSpec;
 use crate::DutyCycle;
+use simkern::work::{self, Work};
 use simkern::{SimDuration, SimRng, SimTime};
 
 /// Identifies one CPU core on a machine (flat index across chips).
@@ -549,6 +550,7 @@ impl Machine {
         if dt.is_zero() {
             return;
         }
+        work::count(Work::Segment);
         let secs = dt.as_secs_f64();
         let elapsed = self.spec.cycles_in(dt);
         for (chip, scale) in self.chip_freq.iter().enumerate() {

@@ -15,6 +15,7 @@ use crate::program::{Op, ProcCtx, Program, Resume};
 use crate::sched::{SchedStats, Scheduler, SchedulerKind};
 use crate::socket::{Segment, SocketTable};
 use hwsim::{ActivityProfile, CoreId, DeviceKind, Machine, TagFault};
+use simkern::work::{self, Work};
 use simkern::{EventQueue, SimDuration, SimRng, SimTime};
 
 /// Work below this many remaining cycles counts as complete (absorbs
@@ -406,17 +407,22 @@ impl Kernel {
     fn handle(&mut self, ev: KEvent) {
         match ev {
             KEvent::CoreTick { core, gen } => {
+                work::count(Work::CoreTick);
                 let core = core as usize;
                 if self.core_gen[core] == gen {
                     self.core_tick(CoreId(core));
                 }
             }
             KEvent::Deliver { dst, slot } => {
+                work::count(Work::Deliver);
                 let seg = self.in_transit[slot as usize];
                 self.free_slots.push(slot);
                 self.deliver(dst, seg);
             }
-            KEvent::Wake { task } => self.wake(task),
+            KEvent::Wake { task } => {
+                work::count(Work::Wake);
+                self.wake(task);
+            }
         }
     }
 

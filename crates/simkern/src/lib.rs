@@ -11,6 +11,10 @@
 //!   generator so that every experiment in the repository is reproducible
 //!   bit-for-bit from its seed.
 //!
+//! Beside them, [`work`] holds the exact work counters (kernel events,
+//! machine segments) that the performance ledger gates on, compiled in
+//! only with the `work-counts` feature.
+//!
 //! # Example
 //!
 //! ```
@@ -32,6 +36,7 @@ mod fxhash;
 mod queue;
 mod rng;
 mod time;
+pub mod work;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::EventQueue;
