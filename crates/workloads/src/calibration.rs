@@ -20,10 +20,35 @@ use power_containers::{
 use simkern::{SimDuration, SimTime};
 use std::collections::HashMap;
 
-/// Duration of each calibration run.
+// What each calibration run reads, and why it stops where it does.
+//
+// A run keeps the Wattsup windows that open after the warmup and close
+// by `RUN_SECS`: [1 s, 2 s) and [2 s, 3 s), one sample each, so 28 runs
+// give a machine 56 samples. Each sample pairs a window's average
+// power with the facility's metrics over the same window.
+//
+// A window's average and noise draw are fixed when it closes, but its
+// report becomes visible only the meter's delivery delay (1.2 s) later.
+// The kernel therefore runs only `RUN_MARGIN` past `RUN_SECS`; then the
+// bare machine, no events left to handle, waits out the delay. Running
+// the microbenchmark on to 4.2 s instead would change no sample, and
+// cost 30% more kernel events.
+//
+// The margin keeps every sample's metrics whole. An I/O completion
+// writes its device activity into the metric trace over the op's whole
+// span, so an op that starts before 3 s and ends after it still adds to
+// the [2 s, 3 s) window when it completes. The longest op is one
+// 400 KB disk transfer (400 µs latency plus 400 KB at 150 MB/s, about
+// 3.07 ms); with the kernel stopped at 3 s or 3.001 s, woodcrest's disk
+// metric for that window moves. 50 ms leaves room for any op to land.
+
+/// End of the last window each calibration run reads.
 const RUN_SECS: u64 = 3;
 /// Warmup skipped at the start of each run.
 const WARMUP: SimDuration = SimDuration::from_millis(500);
+/// How far past `RUN_SECS` the kernel runs, so that every op spanning
+/// the last window's end completes and writes its activity back.
+const RUN_MARGIN: SimDuration = SimDuration::from_millis(50);
 
 /// The calibration microbenchmarks (§4.1's suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,15 +238,16 @@ pub fn calibrate_machine(spec: &MachineSpec, seed: u64) -> MachineCalibration {
             let state = facility.state();
             kernel.install_hooks(Box::new(facility));
             spawn_bench_tasks(&mut kernel, *bench, k, spec);
-            // Run long enough that wattsup windows inside the measurement
-            // period become visible (1.2 s delivery delay).
-            kernel.run_until(SimTime::from_secs(RUN_SECS) + SimDuration::from_millis(1400));
-            let meter = kernel
-                .machine()
+            kernel.run_until(SimTime::from_secs(RUN_SECS) + RUN_MARGIN);
+            let machine = kernel.machine_mut();
+            let meter = machine
                 .find_meter("wattsup")
                 .expect("calibration machine needs a wattsup meter");
+            // The last window's report shows once its delay has passed.
+            let delay = machine.meter_spec(meter).delay;
+            machine.advance_to(SimTime::from_secs(RUN_SECS) + delay);
             let state = state.borrow();
-            for r in kernel.machine_mut().drain_meter_reports(meter) {
+            for r in machine.drain_meter_reports(meter) {
                 if r.window_start < SimTime::ZERO + WARMUP
                     || r.window_end > SimTime::from_secs(RUN_SECS)
                 {
