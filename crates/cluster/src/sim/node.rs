@@ -179,10 +179,7 @@ impl Runtime {
         );
         let meter = facility.borrow().config().meter;
         let machine = kernel.machine_mut();
-        let unread_meters: Vec<MeterId> = (0..machine.meter_count())
-            .map(MeterId)
-            .filter(|&id| Some(machine.meter_spec(id).name) != meter)
-            .collect();
+        let unread_meters = workloads::node::unread_meters(machine, meter);
         for &id in &unread_meters {
             machine.discard_meter_reports(id);
         }

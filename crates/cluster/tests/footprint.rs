@@ -293,6 +293,44 @@ fn rebooted_recalibrated_node_keeps_no_backlog_buffer() {
     );
 }
 
+/// A ChipShare SandyBridge node landing `start_ms` into a run through
+/// the fleet's node recipe. Its facility polls no meter, so the on-chip
+/// meter's report per millisecond goes unread.
+fn landed_node(start_ms: u64, cal: &MachineCalibration) -> Kernel {
+    let (kernel, _facility) = workloads::node::boot(
+        &MachineSpec::sandybridge(),
+        cal,
+        FacilityConfig {
+            retain_records: RecordRetention::RequestEnergy,
+            ..FacilityConfig::default()
+        },
+        KernelConfig::default(),
+        3,
+        FaultConfig::none(),
+        SimTime::from_millis(start_ms),
+    );
+    kernel
+}
+
+#[test]
+fn late_landing_never_queues_its_unread_backlog() {
+    // A node landing at 16 s fast-forwards through 14,000 more on-chip
+    // windows than one landing at 2 s. Dropping the unread reports
+    // second by second keeps the meter's queue to one second's, so both
+    // boots peak within 4 KiB of each other. Queuing the whole backlog
+    // before dropping it peaks 32 B per report higher, rounded up to a
+    // power of two: 448 KiB more on the later node.
+    let cal = calibrate_machine(&MachineSpec::sandybridge(), 7);
+    let (_early, early) = measure(|| landed_node(2_000, &cal));
+    let (_late, late) = measure(|| landed_node(16_000, &cal));
+    assert!(
+        late.peak <= early.peak + 4 * 1024,
+        "the node landing at 16 s peaked at {} B while booting, against {} B at 2 s",
+        late.peak,
+        early.peak
+    );
+}
+
 /// A crash-free three-tier pipeline of six SandyBridge nodes, observed
 /// or not.
 fn pipeline(millis: u64, observed: bool) -> ClusterConfig {

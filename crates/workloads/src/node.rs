@@ -11,10 +11,10 @@
 //! between them: seeds, record retention, conditioning and the apps.
 
 use crate::calibration::MachineCalibration;
-use hwsim::{FaultConfig, Machine, MachineSpec};
+use hwsim::{FaultConfig, Machine, MachineSpec, MeterId};
 use ossim::{Kernel, KernelConfig};
 use power_containers::{Approach, FacilityConfig, FacilityState, PowerContainerFacility};
-use simkern::SimTime;
+use simkern::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -37,7 +37,10 @@ use std::rc::Rc;
 ///
 /// A node booted after time zero (a crash restart or a scale-out
 /// landing) fast-forwards its empty kernel first, so it never replays
-/// or re-accrues energy for the interval before `at`.
+/// or re-accrues energy for the interval before `at`. While it does,
+/// the reports of meters the facility will not poll are dropped
+/// second by second (see [`unread_meters`]), so a late landing never
+/// queues a report per millisecond since time zero.
 pub fn boot(
     spec: &MachineSpec,
     cal: &MachineCalibration,
@@ -52,8 +55,9 @@ pub fn boot(
     if recalibrated && facility.meter.is_none() {
         facility.meter = spec.meters.iter().min_by_key(|m| m.period).map(|m| m.name);
     }
-    facility.meter_idle_w = facility.meter.map_or(0.0, |m| cal.meter_idle(m));
-    if facility.meter.is_none() {
+    let polled = facility.meter;
+    facility.meter_idle_w = polled.map_or(0.0, |m| cal.meter_idle(m));
+    if polled.is_none() {
         facility.trace_capacity = 0;
     }
     let facility = PowerContainerFacility::new(
@@ -68,9 +72,49 @@ pub fn boot(
         machine.set_fault_config(faults);
     }
     let mut kernel = Kernel::new(machine, kernel);
-    kernel.run_until(at);
+    fast_forward(&mut kernel, polled, at);
     kernel.install_hooks(Box::new(facility));
     (kernel, state)
+}
+
+/// The meters of `machine` other than the `polled` one. Nothing reads
+/// their reports, yet each closes a window every period; whoever runs
+/// the machine drops their visible reports after each advance
+/// ([`Machine::discard_meter_reports`]) so they never pile up.
+pub fn unread_meters(machine: &Machine, polled: Option<&str>) -> Vec<MeterId> {
+    (0..machine.meter_count())
+        .map(MeterId)
+        .filter(|&id| Some(machine.meter_spec(id).name) != polled)
+        .collect()
+}
+
+/// Runs the bare kernel from time zero to `at`. When an unread meter
+/// closes windows more often than once a second, it runs in
+/// whole-second steps and drops the unread meters' visible reports
+/// after each, so their queues hold at most a second's reports.
+/// Such a meter's windows end on every whole second, so the steps
+/// integrate the same segments and draw the same noise as one run to
+/// `at`: no bit moves.
+fn fast_forward(kernel: &mut Kernel, polled: Option<&str>, at: SimTime) {
+    const STEP: SimDuration = SimDuration::from_secs(1);
+    let machine = kernel.machine();
+    let unread = unread_meters(machine, polled);
+    let sub_second = unread.iter().any(|&id| {
+        let period = machine.meter_spec(id).period;
+        period < STEP && STEP.as_nanos().checked_rem(period.as_nanos()) == Some(0)
+    });
+    if !sub_second {
+        kernel.run_until(at);
+        return;
+    }
+    let mut t = SimTime::ZERO;
+    while t < at {
+        t = (t + STEP).min(at);
+        kernel.run_until(t);
+        for &id in &unread {
+            kernel.machine_mut().discard_meter_reports(id);
+        }
+    }
 }
 
 #[cfg(test)]
