@@ -179,7 +179,8 @@ impl Runtime {
         );
         let meter = facility.borrow().config().meter;
         let machine = kernel.machine_mut();
-        let unread_meters = workloads::node::unread_meters(machine, meter);
+        let unread_meters: Vec<MeterId> =
+            workloads::node::unread_meters(machine, meter).collect();
         for &id in &unread_meters {
             machine.discard_meter_reports(id);
         }
