@@ -258,13 +258,13 @@ pub fn machines() -> [MachineSpec; 3] {
     [MachineSpec::woodcrest(), MachineSpec::westmere(), MachineSpec::sandybridge()]
 }
 
-/// Runs `f` and returns the work it did on this thread: kernel events
-/// popped, by kind, and machine segments integrated. All zero unless
-/// built with the `work-counts` feature.
-pub fn count_work<T>(f: impl FnOnce() -> T) -> (T, WorkCounts) {
+/// The work `f` does on this thread: kernel events popped, by kind,
+/// and machine segments integrated. All zero unless built with the
+/// `work-counts` feature.
+fn count_work<T>(f: impl FnOnce() -> T) -> WorkCounts {
     simkern::work::take();
-    let out = f();
-    (out, simkern::work::take())
+    f();
+    simkern::work::take()
 }
 
 /// The work ledger, in report order: the exact work counts of each
@@ -276,13 +276,12 @@ pub fn work_ledger() -> Vec<(String, WorkCounts)> {
     let mut ledger: Vec<(String, WorkCounts)> = machines()
         .iter()
         .map(|spec| {
-            let (_, work) = count_work(|| workloads::calibrate_machine(spec, CALIBRATION_SEED));
+            let work = count_work(|| workloads::calibrate_machine(spec, CALIBRATION_SEED));
             (format!("calibration.{}", spec.name), work)
         })
         .collect();
     for cell in footprint_cells(FOOTPRINT_REQUESTS) {
-        let (_, work) = count_work(|| cell.run());
-        ledger.push((format!("footprint.{}", cell.name), work));
+        ledger.push((format!("footprint.{}", cell.name), count_work(|| cell.run())));
     }
     ledger
 }

@@ -19,7 +19,9 @@ fn no_work_count_exceeds_its_recorded_value() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
     let text = std::fs::read_to_string(path).expect("read BENCH_perf.json");
     let report: Value = serde_json::from_str(&text).expect("parse BENCH_perf.json");
-    let recorded = report["work"].as_array().expect("BENCH_perf.json has a work section");
+    let recorded = report["work"]
+        .as_array()
+        .expect("BENCH_perf.json has a work section");
     let mut over = Vec::new();
     for (name, work) in pc_bench::work_ledger() {
         let entry = recorded

@@ -109,8 +109,21 @@ mod tests {
         .expect("counting thread");
         let mine = take();
         let n = u64::from(ENABLED);
-        assert_eq!(other, WorkCounts { wakes: n, ..WorkCounts::default() });
-        assert_eq!(mine, WorkCounts { core_ticks: n, segments: n, ..WorkCounts::default() });
+        assert_eq!(
+            other,
+            WorkCounts {
+                wakes: n,
+                ..WorkCounts::default()
+            }
+        );
+        assert_eq!(
+            mine,
+            WorkCounts {
+                core_ticks: n,
+                segments: n,
+                ..WorkCounts::default()
+            }
+        );
         assert_eq!(mine.events(), n);
         assert_eq!(take(), WorkCounts::default(), "take resets");
     }
