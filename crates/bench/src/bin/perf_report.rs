@@ -31,8 +31,8 @@
 //! stopped keeping buffers sized by the run's history.
 //!
 //! The footprint section also counts each machine's seed-42
-//! calibration the same way, next to the same driver's counts on the
-//! build before calibration runs stopped at their last read window.
+//! calibration the same way, next to this report's counts on the build
+//! before calibration runs stopped at their last read window.
 //!
 //! The work section records the exact work counts of
 //! `pc_bench::work_ledger`: kernel events popped, by kind, and machine
@@ -1086,7 +1086,7 @@ fn footprint() -> Vec<FootprintCount> {
 }
 
 /// `[allocations, bytes_allocated, peak_live_bytes]` of each machine's
-/// seed-42 calibration, counted by this driver on the build before
+/// seed-42 calibration, counted by this report on the build before
 /// calibration runs stopped at their last read window.
 const CALIBRATION_BEFORE: [(&str, [u64; 3]); 3] = [
     ("woodcrest", [1_673, 57_030_812, 1_026_684]),

@@ -1,7 +1,8 @@
 //! Calibration caching.
 //!
 //! Offline calibration (§4.1) is deterministic per `(machine, seed)` but
-//! takes a couple of simulated minutes; the harness caches the sample
+//! simulates 40 s of idle metering and 28 microbenchmark runs of about
+//! 3.05 s each (`workloads::calibration`); the harness caches the sample
 //! set as JSON in its results directory so repeated figures reuse it.
 
 use hwsim::MachineSpec;

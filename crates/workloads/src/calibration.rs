@@ -30,9 +30,9 @@ use std::collections::HashMap;
 // A window's average and noise draw are fixed when it closes, but its
 // report becomes visible only the meter's delivery delay (1.2 s) later.
 // The kernel therefore runs only `RUN_MARGIN` past `RUN_SECS`; then the
-// bare machine, no events left to handle, waits out the delay. Running
-// the microbenchmark on to 4.2 s instead would change no sample, and
-// cost 30% more kernel events.
+// bare machine, no events left to handle, waits out the delay. Keeping
+// the microbenchmark running until that report shows, at 4.2 s, would
+// change no sample, only simulate 1.15 s more load in every run.
 //
 // The margin keeps every sample's metrics whole. An I/O completion
 // writes its device activity into the metric trace over the op's whole
