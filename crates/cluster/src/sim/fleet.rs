@@ -981,7 +981,7 @@ impl<'a, 'p> Fleet<'a, 'p> {
             if node.active_window.take().is_some() {
                 node.tele.end_span(end, node.track());
             }
-            node.rt.run_until(end);
+            node.rt.kernel.run_until(end);
         }
         merge_node_events(&self.bp.cfg.telemetry, &self.nodes);
         self.drain_replies(end, Self::on_final_reply);

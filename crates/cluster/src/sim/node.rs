@@ -5,7 +5,7 @@
 
 use super::book::InFlight;
 use super::{ClusterConfig, CrashRecord, NodeOutcome, ScaleKind};
-use hwsim::{DutyCycle, FaultConfig, MeterId, NodeFaultWindow};
+use hwsim::{DutyCycle, FaultConfig, NodeFaultWindow};
 use ossim::{Kernel, KernelConfig, SocketId};
 use power_containers::{
     Approach, ConditioningPolicy, FacilityConfig, FacilityState, ManagerCheckpoint, RecordRetention,
@@ -111,9 +111,6 @@ pub(super) struct Runtime {
     /// worker pools respond here while still bound, so replies carry
     /// the request tag back across the node boundary (§3.4).
     pub(super) reply_rx: SocketId,
-    /// The machine's meters the facility does not poll. Their reports
-    /// are dropped after every advance, so they never pile up.
-    pub(super) unread_meters: Vec<MeterId>,
 }
 
 impl Runtime {
@@ -177,13 +174,6 @@ impl Runtime {
             faults,
             start,
         );
-        let meter = facility.borrow().config().meter;
-        let machine = kernel.machine_mut();
-        let unread_meters: Vec<MeterId> =
-            workloads::node::unread_meters(machine, meter).collect();
-        for &id in &unread_meters {
-            machine.discard_meter_reports(id);
-        }
         let (notify_tx, reply_rx) = kernel.new_socket_pair();
         // The apps' run statistics stay empty: the dispatcher times
         // requests itself, and pool workers skip completions whose
@@ -203,16 +193,7 @@ impl Runtime {
             };
             inboxes.push((app.setup(&mut kernel, &env), 0usize));
         }
-        Runtime { kernel, facility, inboxes, reply_rx, unread_meters }
-    }
-
-    /// Runs the kernel to `t`, then drops the reports its unpolled
-    /// meters made visible on the way.
-    pub(super) fn run_until(&mut self, t: SimTime) {
-        self.kernel.run_until(t);
-        for &id in &self.unread_meters {
-            self.kernel.machine_mut().discard_meter_reports(id);
-        }
+        Runtime { kernel, facility, inboxes, reply_rx }
     }
 }
 
@@ -543,7 +524,7 @@ impl Node {
                 Some(w) => {
                     match w.kind {
                         hwsim::FaultKind::NodeSlowdown => {
-                            self.rt.run_until(boundary);
+                            self.rt.kernel.run_until(boundary);
                             self.set_all_duty(DutyCycle::FULL);
                         }
                         hwsim::FaultKind::NodeCrash => {
@@ -563,7 +544,7 @@ impl Node {
                 None => {
                     let w = self.fault_windows[self.next_window];
                     self.next_window += 1;
-                    self.rt.run_until(w.start);
+                    self.rt.kernel.run_until(w.start);
                     match w.kind {
                         hwsim::FaultKind::NodeSlowdown => {
                             self.set_all_duty(DutyCycle::at_most(w.factor));
@@ -603,7 +584,7 @@ impl Node {
             Some(w) if w.kind != hwsim::FaultKind::NodeSlowdown
         );
         if !frozen {
-            self.rt.run_until(t);
+            self.rt.kernel.run_until(t);
         }
     }
 

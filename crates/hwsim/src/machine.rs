@@ -424,7 +424,8 @@ impl Machine {
     /// iterator yields it, and reports it has not yet yielded when
     /// dropped stay queued. Once it runs dry, a drained backlog of more
     /// than 128 reports (a rebooted node fast-forwards from time zero)
-    /// hands its spare room back.
+    /// hands its spare room back. A meter whose reports are not kept
+    /// ([`Machine::keep_reports_of`]) yields nothing.
     ///
     /// # Panics
     ///
@@ -435,23 +436,17 @@ impl Machine {
         std::iter::from_fn(move || meter.pop_visible(now))
     }
 
-    /// Drops the reports of meter `id` that are visible by the machine's
-    /// current time, the ones [`Machine::drain_meter_reports`] would
-    /// yield, without allocating. A meter nobody polls closes a window
-    /// every period all the same; discarding after each advance keeps
-    /// its backlog to the reports still in flight. Window closes, noise
-    /// and fault draws are untouched, and so is every report a later
-    /// poll could still see. The one reallocation is a shrink: once a
-    /// backlog of more than 128 reports has drained (a rebooted node
-    /// fast-forwards from time zero), the queue hands its spare room
-    /// back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn discard_meter_reports(&mut self, id: MeterId) {
-        let now = self.now;
-        self.meters[id.0].discard_visible(now);
+    /// Keeps the reports of the meter named `meter` and of no other; with
+    /// `None`, of no meter at all. A machine keeps every meter's reports
+    /// until this is called. A meter nobody reads still integrates,
+    /// closes every window and takes its noise and fault draws, so
+    /// counters, energy, every random stream, the fault log and the kept
+    /// meter's reports keep their bits; it just queues no report, and
+    /// drops any it holds.
+    pub fn keep_reports_of(&mut self, meter: Option<&str>) {
+        for m in &mut self.meters {
+            m.set_read(meter == Some(m.spec.name));
+        }
     }
 
     /// Installs a fault-injection configuration, replacing any previous

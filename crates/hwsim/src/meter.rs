@@ -12,9 +12,9 @@ use simkern::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Pending reports a meter's queue keeps room for. A longer backlog,
-/// such as the one a rebooted node's fast-forward queues (a report per
-/// window since time zero), hands its spare room back once drained,
-/// whether its reports were popped or discarded.
+/// such as the one a rebooted node's polled meter queues while the node
+/// fast-forwards (a report per window since time zero), hands its spare
+/// room back once its reports are popped.
 const PENDING_KEEP: usize = 64;
 
 /// The room a report buffer with `capacity` slots, `len` of them full,
@@ -101,6 +101,9 @@ pub(crate) struct MeterState {
     pub spec: MeterSpec,
     window_start: SimTime,
     energy_j: f64,
+    /// Whether anyone reads the reports. An unread meter closes its
+    /// windows all the same but queues no report.
+    read: bool,
     pending: VecDeque<MeterReport>,
 }
 
@@ -110,7 +113,19 @@ impl MeterState {
             spec,
             window_start: SimTime::ZERO,
             energy_j: 0.0,
+            read: true,
             pending: VecDeque::new(),
+        }
+    }
+
+    /// Sets whether closed windows queue a report. A meter turned unread
+    /// drops its queue, so fault injection's dropout and extra lag,
+    /// which act on the newest queued report, find nothing of it to act
+    /// on.
+    pub fn set_read(&mut self, read: bool) {
+        self.read = read;
+        if !read {
+            self.pending = VecDeque::new();
         }
     }
 
@@ -126,17 +141,20 @@ impl MeterState {
 
     /// Closes the current window at `now` (which must equal
     /// [`MeterState::window_end`]), emitting a report with the given
-    /// multiplicative noise factor applied.
+    /// multiplicative noise factor applied, unless nobody reads the
+    /// meter.
     pub fn close_window(&mut self, now: SimTime, noise_factor: f64) {
         debug_assert_eq!(now, self.window_end(), "window closed at wrong instant");
-        let secs = self.spec.period.as_secs_f64();
-        let avg = if secs > 0.0 { self.energy_j / secs } else { 0.0 };
-        self.pending.push_back(MeterReport {
-            window_start: self.window_start,
-            window_end: now,
-            avg_watts: (avg * noise_factor).max(0.0),
-            visible_at: now + self.spec.delay,
-        });
+        if self.read {
+            let secs = self.spec.period.as_secs_f64();
+            let avg = if secs > 0.0 { self.energy_j / secs } else { 0.0 };
+            self.pending.push_back(MeterReport {
+                window_start: self.window_start,
+                window_end: now,
+                avg_watts: (avg * noise_factor).max(0.0),
+                visible_at: now + self.spec.delay,
+            });
+        }
         self.window_start = now;
         self.energy_j = 0.0;
     }
@@ -168,13 +186,6 @@ impl MeterState {
         }
         self.hand_back_drained_room();
         None
-    }
-
-    /// Drops every report visible at or before `now`: exactly the
-    /// reports [`MeterState::pop_visible`] would return. Reports still
-    /// in flight stay queued.
-    pub fn discard_visible(&mut self, now: SimTime) {
-        while self.pop_visible(now).is_some() {}
     }
 
     /// Shrinks the queue under [`room_after_drain`]'s rule.
@@ -235,22 +246,27 @@ mod tests {
     }
 
     #[test]
-    fn discarding_a_drained_backlog_hands_its_room_back() {
+    fn an_unread_meter_closes_windows_but_queues_nothing() {
         let mut m = MeterState::new(MeterSpec::on_chip());
-        for ms in 1..=5_000 {
+        m.close_window(SimTime::from_millis(1), 1.0);
+        m.set_read(false);
+        assert_eq!(m.pending_len(), 0, "turning a meter unread drops its queue");
+        for ms in 2..=5_000 {
+            m.integrate(30.0, SimDuration::from_millis(1));
             m.close_window(SimTime::from_millis(ms), 1.0);
+            assert!(!m.drop_last_pending(), "a fault finds no report to drop");
         }
-        assert!(m.pending.capacity() >= 5_000);
-        m.discard_visible(SimTime::from_millis(5_000));
-        assert_eq!(m.pending_len(), 1, "the last window is still in flight");
-        assert!(m.pending.capacity() <= 2 * PENDING_KEEP);
-        // A short backlog keeps its room: nothing reallocates per call.
-        let room = m.pending.capacity();
-        for ms in 5_001..=5_010 {
-            m.close_window(SimTime::from_millis(ms), 1.0);
-            m.discard_visible(SimTime::from_millis(ms));
-            assert_eq!(m.pending.capacity(), room);
-        }
+        assert_eq!(m.window_end(), SimTime::from_millis(5_001));
+        assert_eq!(m.pending.capacity(), 0, "nothing was ever queued");
+        assert!(m.pop_visible(SimTime::MAX).is_none());
+        // Read again, the meter reports its next window, and only that.
+        m.set_read(true);
+        m.integrate(30.0, SimDuration::from_millis(1));
+        m.close_window(SimTime::from_millis(5_001), 1.0);
+        let r = m.pop_visible(SimTime::MAX).expect("window visible");
+        assert_eq!(r.window_start, SimTime::from_millis(5_000));
+        assert!((r.avg_watts - 30.0).abs() < 1e-9);
+        assert!(m.pop_visible(SimTime::MAX).is_none());
     }
 
     #[test]

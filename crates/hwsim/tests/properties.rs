@@ -1,6 +1,6 @@
 //! Property-based tests for the hardware simulation.
 
-use hwsim::{ActivityProfile, CoreId, DutyCycle, Machine, MachineSpec};
+use hwsim::{ActivityProfile, CoreId, DutyCycle, Machine, MachineSpec, MeterId};
 use proptest::prelude::*;
 use simkern::{SimDuration, SimTime};
 
@@ -150,25 +150,26 @@ fn machine_bits(m: &Machine) -> Vec<u64> {
 }
 
 proptest! {
-    /// Discarding a meter's visible reports after every advance changes
-    /// nothing but the backlog, and polling takes them one at a time
-    /// exactly as a bulk pop would. Three machines run the same schedule
-    /// under meter dropout, extra delivery lag and counter glitches: one
-    /// discards after each advance, one polls, and one never pops. Their
-    /// counters, energy and fault logs stay bit-identical throughout;
-    /// at the end, the reports the discarding machine still holds are
-    /// exactly the polling machine's later reports, and the hoarded
+    /// Leaving a meter unread changes nothing but what it queues, and
+    /// polling takes reports one at a time exactly as a bulk pop would.
+    /// Three machines run the same schedule under meter dropout, extra
+    /// delivery lag and counter glitches: one keeps only the reports of
+    /// the meter it does not leave unread, one polls every meter, and
+    /// one never pops. Their counters, energy and fault logs stay
+    /// bit-identical throughout. The unread meter yields nothing; the
+    /// other meter's polls equal the polling machine's; and each hoarded
     /// stream is the polled one, in order, with the same windows dropped
-    /// and delayed. Each poll yields exactly what a bulk pop of the
-    /// hoard at the poll's instant returns: the untaken reports at its
-    /// front, up to the first one not yet visible.
+    /// and delayed. Each poll yields exactly what a bulk pop of the hoard
+    /// at the poll's instant returns: the untaken reports at its front,
+    /// up to the first one not yet visible.
     #[test]
-    fn discarding_visible_reports_moves_no_bit(
+    fn an_unread_meter_moves_no_bit(
         steps in prop::collection::vec(
             (arb_profile(), 1u64..4_000_000, any::<bool>(), 0usize..4),
             1..120
         ),
         fault_seed in any::<u64>(),
+        unread in 0usize..2,
     ) {
         let faults = hwsim::FaultConfig {
             seed: fault_seed,
@@ -183,43 +184,48 @@ proptest! {
             m.set_fault_config(faults.clone());
             m
         };
-        let (mut discarding, mut polling, mut hoarding) = (boot(), boot(), boot());
-        let meters: Vec<hwsim::MeterId> =
-            (0..discarding.meter_count()).map(hwsim::MeterId).collect();
+        let (mut keeping, mut polling, mut hoarding) = (boot(), boot(), boot());
+        let meters: Vec<MeterId> = (0..keeping.meter_count()).map(MeterId).collect();
+        let unread = meters[unread];
+        let other = meters.iter().find(|&&id| id != unread).map(|&id| keeping.meter_spec(id).name);
+        keeping.keep_reports_of(other);
+        let take = |m: &mut Machine, id| -> Vec<[u64; 4]> {
+            m.drain_meter_reports(id).map(|r| report_bits(&r)).collect()
+        };
         // Each meter's polls: the poll's instant and the reports it took.
         let mut polls: Vec<Vec<(SimTime, Vec<[u64; 4]>)>> = vec![Vec::new(); meters.len()];
         let mut t = SimTime::ZERO;
-        for (profile, ns, busy, core) in steps {
-            t += SimDuration::from_nanos(ns);
-            for m in [&mut discarding, &mut polling, &mut hoarding] {
-                m.set_running(CoreId(core), busy.then_some(profile));
+        // A last step of 3 s lets every report still in flight arrive.
+        for step in steps.into_iter().map(Some).chain([None]) {
+            match step {
+                Some((profile, ns, busy, core)) => {
+                    t += SimDuration::from_nanos(ns);
+                    for m in [&mut keeping, &mut polling, &mut hoarding] {
+                        m.set_running(CoreId(core), busy.then_some(profile));
+                    }
+                }
+                None => t += SimDuration::from_secs(3),
+            }
+            for m in [&mut keeping, &mut polling, &mut hoarding] {
                 m.advance_to(t);
             }
             for (&id, meter_polls) in meters.iter().zip(&mut polls) {
-                discarding.discard_meter_reports(id);
-                let took = polling.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
+                let took = take(&mut polling, id);
+                let kept = take(&mut keeping, id);
+                if id == unread {
+                    prop_assert!(kept.is_empty(), "the unread meter yielded {:?}", kept);
+                } else {
+                    prop_assert_eq!(&kept, &took);
+                }
                 meter_polls.push((t, took));
             }
-            prop_assert_eq!(machine_bits(&discarding), machine_bits(&hoarding));
+            prop_assert_eq!(machine_bits(&keeping), machine_bits(&hoarding));
             prop_assert_eq!(machine_bits(&polling), machine_bits(&hoarding));
-            prop_assert_eq!(discarding.fault_log(), hoarding.fault_log());
+            prop_assert_eq!(keeping.fault_log(), hoarding.fault_log());
+            prop_assert_eq!(polling.fault_log(), hoarding.fault_log());
         }
-        // Let every report still in flight arrive.
-        let end = t + SimDuration::from_secs(3);
-        for m in [&mut discarding, &mut polling, &mut hoarding] {
-            m.advance_to(end);
-        }
-        prop_assert_eq!(machine_bits(&discarding), machine_bits(&hoarding));
-        prop_assert_eq!(discarding.fault_log(), hoarding.fault_log());
-        for (&id, meter_polls) in meters.iter().zip(&mut polls) {
-            let later: Vec<[u64; 4]> =
-                polling.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
-            let kept: Vec<[u64; 4]> =
-                discarding.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
-            prop_assert_eq!(&kept, &later);
-            meter_polls.push((end, later));
-            let all: Vec<[u64; 4]> =
-                hoarding.drain_meter_reports(id).map(|r| report_bits(&r)).collect();
+        for (&id, meter_polls) in meters.iter().zip(&polls) {
+            let all = take(&mut hoarding, id);
             let seen: Vec<[u64; 4]> =
                 meter_polls.iter().flat_map(|(_, took)| took.iter().copied()).collect();
             prop_assert_eq!(&all, &seen);
@@ -231,38 +237,4 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn in_flight_reports_survive_a_discard() {
-    // Every window is delayed by up to 40 ms, on top of the on-chip
-    // meter's 1 ms: a discard at 30 ms leaves the late windows queued,
-    // in order, for the poll that follows.
-    let boot = || {
-        let mut m = Machine::new(MachineSpec::sandybridge(), 4);
-        m.set_fault_config(hwsim::FaultConfig {
-            seed: 21,
-            meter_extra_lag: 1.0,
-            meter_extra_lag_max: SimDuration::from_millis(40),
-            meter_dropout: 0.1,
-            ..hwsim::FaultConfig::none()
-        });
-        m.set_running(CoreId(0), Some(ActivityProfile::cpu_spin()));
-        m
-    };
-    let (mut discarding, mut polling) = (boot(), boot());
-    let id = discarding.find_meter("on-chip").expect("on-chip meter");
-    discarding.advance_to(SimTime::from_millis(30));
-    polling.advance_to(SimTime::from_millis(30));
-    discarding.discard_meter_reports(id);
-    let early: Vec<_> = polling.drain_meter_reports(id).collect();
-    for m in [&mut discarding, &mut polling] {
-        m.advance_to(SimTime::from_millis(200));
-    }
-    let late: Vec<_> = polling.drain_meter_reports(id).collect();
-    assert!(!late.is_empty() && late[0].window_end < SimTime::from_millis(30));
-    assert!(discarding.drain_meter_reports(id).eq(late.iter().copied()));
-    assert!(discarding.fault_log().count(hwsim::FaultKind::MeterDropout) > 0);
-    assert_eq!(discarding.fault_log(), polling.fault_log());
-    assert!(early.iter().chain(&late).all(|r| r.visible_at > r.window_end));
 }

@@ -232,7 +232,8 @@ pub fn calibrate_machine(spec: &MachineSpec, seed: u64) -> MachineCalibration {
             let run_seed = seed
                 .wrapping_mul(31)
                 .wrapping_add((b * 16 + l) as u64 + 1);
-            let machine = Machine::new(spec.clone(), run_seed);
+            let mut machine = Machine::new(spec.clone(), run_seed);
+            machine.keep_reports_of(Some("wattsup"));
             let mut kernel = Kernel::new(machine, KernelConfig::default());
             let facility = metrics_collector(spec);
             let state = facility.state();

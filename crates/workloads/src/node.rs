@@ -11,10 +11,10 @@
 //! between them: seeds, record retention, conditioning and the apps.
 
 use crate::calibration::MachineCalibration;
-use hwsim::{FaultConfig, Machine, MachineSpec, MeterId};
+use hwsim::{FaultConfig, Machine, MachineSpec};
 use ossim::{Kernel, KernelConfig};
 use power_containers::{Approach, FacilityConfig, FacilityState, PowerContainerFacility};
-use simkern::{SimDuration, SimTime};
+use simkern::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -35,12 +35,12 @@ use std::rc::Rc;
 /// * no history without a meter: only alignment and recalibration read
 ///   the model and metrics traces, so a meterless node keeps none.
 ///
-/// A node booted after time zero (a crash restart or a scale-out
-/// landing) fast-forwards its empty kernel first, so it never replays
-/// or re-accrues energy for the interval before `at`. While it does,
-/// the reports of meters the facility will not poll are dropped
-/// second by second (see [`unread_meters`]), so a late landing never
-/// queues a report per millisecond since time zero.
+/// Only the polled meter's reports are kept
+/// ([`Machine::keep_reports_of`]): no other meter queues any. A node
+/// booted after time zero (a crash restart or a scale-out landing)
+/// fast-forwards its empty kernel first, so it never replays or
+/// re-accrues energy for the interval before `at`, and a meter nobody
+/// polls queues nothing while it does.
 pub fn boot(
     spec: &MachineSpec,
     cal: &MachineCalibration,
@@ -71,55 +71,11 @@ pub fn boot(
     if faults.is_active() {
         machine.set_fault_config(faults);
     }
+    machine.keep_reports_of(polled);
     let mut kernel = Kernel::new(machine, kernel);
-    fast_forward(&mut kernel, polled, at);
+    kernel.run_until(at);
     kernel.install_hooks(Box::new(facility));
     (kernel, state)
-}
-
-/// The meters of `machine` other than the `polled` one. Nothing reads
-/// their reports, yet each closes a window every period; whoever runs
-/// the machine drops their visible reports after each advance
-/// ([`Machine::discard_meter_reports`]) so they never pile up.
-pub fn unread_meters<'a>(
-    machine: &'a Machine,
-    polled: Option<&'a str>,
-) -> impl Iterator<Item = MeterId> + 'a {
-    (0..machine.meter_count())
-        .map(MeterId)
-        .filter(move |&id| Some(machine.meter_spec(id).name) != polled)
-}
-
-/// Runs the bare kernel from time zero to `at`. When an unread meter
-/// closes windows more often than once a second and `at` is more than
-/// a second away, it runs in whole-second steps and drops the unread
-/// meters' visible reports after each, so their queues hold at most a
-/// second's reports. Such a meter's windows end on every whole second,
-/// so the steps integrate the same segments and draw the same noise as
-/// one run to `at`: no bit moves. Any other node runs to `at` in one
-/// step and allocates nothing here: one more allocation per boot
-/// shifts the heap's layout enough to lift a reboot-heavy fleet's peak
-/// RSS by 3%.
-fn fast_forward(kernel: &mut Kernel, polled: Option<&str>, at: SimTime) {
-    const STEP: SimDuration = SimDuration::from_secs(1);
-    let machine = kernel.machine();
-    let sub_second = unread_meters(machine, polled).any(|id| {
-        let period = machine.meter_spec(id).period;
-        period < STEP && STEP.as_nanos().checked_rem(period.as_nanos()) == Some(0)
-    });
-    if !sub_second || at <= SimTime::ZERO + STEP {
-        kernel.run_until(at);
-        return;
-    }
-    let unread: Vec<MeterId> = unread_meters(machine, polled).collect();
-    let mut t = SimTime::ZERO;
-    while t < at {
-        t = (t + STEP).min(at);
-        kernel.run_until(t);
-        for &id in &unread {
-            kernel.machine_mut().discard_meter_reports(id);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +113,15 @@ mod tests {
 
     /// Boots a node and keeps one core busy for 50 ms.
     fn boot_on(spec: MachineSpec, config: FacilityConfig) -> Rc<RefCell<FacilityState>> {
+        run_busy(spec, config, SimTime::from_millis(50)).1
+    }
+
+    /// Boots a node and keeps one core busy until `until`.
+    fn run_busy(
+        spec: MachineSpec,
+        config: FacilityConfig,
+        until: SimTime,
+    ) -> (Kernel, Rc<RefCell<FacilityState>>) {
         let (mut kernel, state) = boot(
             &spec,
             &calibration(),
@@ -173,8 +138,8 @@ mod tests {
             })),
             None,
         );
-        kernel.run_until(SimTime::from_millis(50));
-        state
+        kernel.run_until(until);
+        (kernel, state)
     }
 
     fn history(state: &Rc<RefCell<FacilityState>>) -> Option<f64> {
@@ -218,5 +183,22 @@ mod tests {
         assert_eq!(state.borrow().config().meter, None);
         assert_eq!(state.borrow().config().meter_idle_w, 0.0);
         assert_eq!(history(&state), None);
+    }
+
+    #[test]
+    fn only_the_polled_meter_queues_reports() {
+        // SandyBridge's on-chip meter closes a window every millisecond,
+        // but a node polling Wattsup never reads it, so it queues none.
+        let polls_wattsup = FacilityConfig {
+            meter: Some("wattsup"),
+            ..recalibrated()
+        };
+        let (mut kernel, state) =
+            run_busy(MachineSpec::sandybridge(), polls_wattsup, SimTime::from_millis(3_500));
+        // The windows [0 s, 1 s) and [1 s, 2 s) show 1.2 s after closing.
+        assert_eq!(state.borrow().recent_readings().len(), 2);
+        let machine = kernel.machine_mut();
+        let on_chip = machine.find_meter("on-chip").expect("on-chip meter");
+        assert_eq!(machine.drain_meter_reports(on_chip).count(), 0);
     }
 }
