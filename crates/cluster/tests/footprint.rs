@@ -317,10 +317,10 @@ fn late_landing_never_queues_its_unread_backlog() {
     // A node landing at 16 s fast-forwards through 14,000 more on-chip
     // windows than one landing at 2 s. Nobody reads that meter, so it
     // queues no report, and both boots allocate the same: the time a
-    // node lands costs no heap. Queuing the unread reports, even to
-    // drop them second by second, allocates 32 B per report of queue
-    // room each time it grows: 1,023,936 B at 16 s against 135,104 B at
-    // 2 s.
+    // node lands costs no heap. A meter that queued the unread reports,
+    // even dropping them second by second, fails this: its queue grows
+    // by 32 B of room per report, 1,023,936 B at 16 s against 135,104 B
+    // at 2 s.
     let cal = calibrate_machine(&MachineSpec::sandybridge(), 7);
     let (_early, early) = measure(|| landed_node(2_000, &cal));
     let (_late, late) = measure(|| landed_node(16_000, &cal));

@@ -193,8 +193,11 @@ mod tests {
             meter: Some("wattsup"),
             ..recalibrated()
         };
-        let (mut kernel, state) =
-            run_busy(MachineSpec::sandybridge(), polls_wattsup, SimTime::from_millis(3_500));
+        let (mut kernel, state) = run_busy(
+            MachineSpec::sandybridge(),
+            polls_wattsup,
+            SimTime::from_millis(3_500),
+        );
         // The windows [0 s, 1 s) and [1 s, 2 s) show 1.2 s after closing.
         assert_eq!(state.borrow().recent_readings().len(), 2);
         let machine = kernel.machine_mut();
