@@ -32,13 +32,12 @@ fn model_eval(c: &mut Criterion) {
 }
 
 fn chipshare_eq3(c: &mut Criterion) {
-    let spec = MachineSpec::sandybridge();
-    let mut board = SampleBoard::new(4);
+    let mut board = SampleBoard::new(&MachineSpec::sandybridge());
     for core in 0..4 {
         board.publish(CoreId(core), 0.8, SimTime::ZERO);
     }
     c.bench_function("chipshare_eq3", |b| {
-        b.iter(|| black_box(board.chipshare(&spec, CoreId(0), 0.8, |_| false)))
+        b.iter(|| black_box(board.chipshare(CoreId(0), 0.8, |_| false)))
     });
 }
 

@@ -12,8 +12,10 @@
 //! Unpaired:
 //!
 //! * `event_queue_sorted` — a same-instant push/pop cascade over a
-//!   backlog of future timers: the latest-first sorted `Vec`
-//!   binary-searches each push and pops from its back.
+//!   backlog of future timers: the earliest-first sorted `Vec`
+//!   binary-searches each push that lands between pending entries,
+//!   shifts the shorter side into the room pops leave at its front,
+//!   and pops by moving an index.
 //! * `trace_cursor` — windowed means from the cached prefix-sum cursor on
 //!   a sliding query.
 //! * `facility_scan_2128_windows` / `facility_scan_700_windows` time the

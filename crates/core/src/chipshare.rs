@@ -36,15 +36,28 @@ impl Default for SampleRecord {
 /// The per-machine board of per-core sample records. Writes and reads are
 /// unsynchronized by design (each core owns its slot; readers tolerate
 /// staleness).
+///
+/// The board learns the machine's chip layout when it is built, so
+/// finding a core's siblings costs no division per sample.
 #[derive(Debug, Clone)]
 pub struct SampleBoard {
     records: Vec<SampleRecord>,
+    /// The first core of each core's chip.
+    chip_start: Vec<usize>,
+    cores_per_chip: usize,
 }
 
 impl SampleBoard {
-    /// Creates a board for `cores` cores.
-    pub fn new(cores: usize) -> SampleBoard {
-        SampleBoard { records: vec![SampleRecord::default(); cores] }
+    /// Creates a board for every core of a machine built to `spec`.
+    pub fn new(spec: &MachineSpec) -> SampleBoard {
+        let cores = spec.total_cores();
+        SampleBoard {
+            records: vec![SampleRecord::default(); cores],
+            chip_start: (0..cores)
+                .map(|c| spec.cores_of(spec.chip_of(c)).start)
+                .collect(),
+            cores_per_chip: spec.cores_per_chip,
+        }
     }
 
     /// Publishes `core`'s latest sample.
@@ -63,14 +76,13 @@ impl SampleBoard {
     /// stale-record correction).
     pub fn chipshare(
         &self,
-        spec: &MachineSpec,
         core: CoreId,
         my_util: f64,
         mut is_idle: impl FnMut(CoreId) -> bool,
     ) -> f64 {
-        let chip = spec.chip_of(core.0);
+        let start = self.chip_start[core.0];
         let mut sibling_sum = 0.0;
-        for sib in spec.cores_of(chip) {
+        for sib in start..start + self.cores_per_chip {
             if sib == core.0 {
                 continue;
             }
@@ -89,43 +101,43 @@ mod tests {
     use super::*;
     use hwsim::MachineSpec;
 
-    fn board4() -> (SampleBoard, MachineSpec) {
-        (SampleBoard::new(4), MachineSpec::sandybridge())
+    fn board4() -> SampleBoard {
+        SampleBoard::new(&MachineSpec::sandybridge())
     }
 
     #[test]
     fn lone_busy_core_owns_full_chip_share() {
-        let (board, spec) = board4();
-        let s = board.chipshare(&spec, CoreId(0), 1.0, |_| true);
+        let board = board4();
+        let s = board.chipshare(CoreId(0), 1.0, |_| true);
         assert_eq!(s, 1.0);
     }
 
     #[test]
     fn k_busy_cores_split_evenly() {
-        let (mut board, spec) = board4();
+        let mut board = board4();
         let now = SimTime::from_millis(1);
         for c in 0..4 {
             board.publish(CoreId(c), 1.0, now);
         }
-        let s = board.chipshare(&spec, CoreId(0), 1.0, |_| false);
+        let s = board.chipshare(CoreId(0), 1.0, |_| false);
         assert!((s - 0.25).abs() < 1e-12, "four busy cores → 1/4 each, got {s}");
     }
 
     #[test]
     fn idle_sibling_records_are_ignored() {
-        let (mut board, spec) = board4();
+        let mut board = board4();
         // Sibling 1 published full utilization long ago but is idle now.
         board.publish(CoreId(1), 1.0, SimTime::ZERO);
-        let s = board.chipshare(&spec, CoreId(0), 1.0, |c| c != CoreId(0));
+        let s = board.chipshare(CoreId(0), 1.0, |c| c != CoreId(0));
         assert_eq!(s, 1.0, "stale idle sibling must not dilute the share");
     }
 
     #[test]
     fn partial_utilizations_follow_equation_3() {
-        let (mut board, spec) = board4();
+        let mut board = board4();
         board.publish(CoreId(1), 0.5, SimTime::ZERO);
         board.publish(CoreId(2), 0.25, SimTime::ZERO);
-        let s = board.chipshare(&spec, CoreId(0), 0.8, |c| c == CoreId(3));
+        let s = board.chipshare(CoreId(0), 0.8, |c| c == CoreId(3));
         let expected = 0.8 / (1.0 + 0.5 + 0.25);
         assert!((s - expected).abs() < 1e-12);
     }
@@ -133,30 +145,31 @@ mod tests {
     #[test]
     fn only_same_chip_siblings_count() {
         // Woodcrest: cores 0,1 on chip 0; cores 2,3 on chip 1.
-        let spec = MachineSpec::woodcrest();
-        let mut board = SampleBoard::new(4);
+        let mut board = SampleBoard::new(&MachineSpec::woodcrest());
         board.publish(CoreId(2), 1.0, SimTime::ZERO);
         board.publish(CoreId(3), 1.0, SimTime::ZERO);
-        let s = board.chipshare(&spec, CoreId(0), 1.0, |_| false);
+        let s = board.chipshare(CoreId(0), 1.0, |_| false);
         assert_eq!(s, 1.0, "other-chip cores must not affect this chip's share");
+        let s = board.chipshare(CoreId(3), 1.0, |_| false);
+        assert_eq!(s, 0.5, "core 3's sibling on chip 1 is core 2");
     }
 
     #[test]
     fn publish_clamps_utilization() {
-        let (mut board, _spec) = board4();
+        let mut board = board4();
         board.publish(CoreId(0), 7.5, SimTime::ZERO);
         assert_eq!(board.record(CoreId(0)).core_util, 1.0);
     }
 
     #[test]
     fn shares_sum_to_at_most_one_per_chip() {
-        let (mut board, spec) = board4();
+        let mut board = board4();
         let utils = [0.9, 0.6, 0.3, 0.0];
         for (c, u) in utils.iter().enumerate() {
             board.publish(CoreId(c), *u, SimTime::ZERO);
         }
         let total: f64 = (0..4)
-            .map(|c| board.chipshare(&spec, CoreId(c), utils[c], |s| utils[s.0] == 0.0))
+            .map(|c| board.chipshare(CoreId(c), utils[c], |s| utils[s.0] == 0.0))
             .sum();
         assert!(total <= 1.0 + 1e-9, "shares must not over-attribute: {total}");
     }

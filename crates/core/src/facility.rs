@@ -423,9 +423,7 @@ impl FacilityState {
         let mut metrics = MetricVector::from_counters(&delta);
         self.board.publish(core, metrics.core, now);
         let idle_check = self.config.sibling_idle_check;
-        metrics.chipshare = self
-            .board
-            .chipshare(&self.spec, core, metrics.core, |c| idle_check && api.is_idle(c));
+        metrics.chipshare = self.board.chipshare(core, metrics.core, |c| idle_check && api.is_idle(c));
         let watts = self.model.active_power(&metrics);
         let duty = api.machine.duty_cycle(core).fraction();
         self.containers.attribute(ctx, watts, duty, dt_secs, &delta, now);
@@ -979,7 +977,7 @@ impl PowerContainerFacility {
             spec: spec.clone(),
             model,
             containers: ContainerManager::new(config.retain_records),
-            board: SampleBoard::new(cores),
+            board: SampleBoard::new(spec),
             cores: vec![CoreSampler::default(); cores],
             model_trace: TraceRing::new(TRACE_SLOT, config.trace_capacity),
             metrics_trace: TraceRing::new(TRACE_SLOT, config.trace_capacity),

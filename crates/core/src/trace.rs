@@ -112,6 +112,25 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
         t.as_nanos() / self.slot.as_nanos()
     }
 
+    /// [`TraceRing::slot_of`] for a write. Nearly every write lands in
+    /// the newest slot or the one after it, which the ring finds from
+    /// the newest slot's start without dividing.
+    fn slot_of_write(&self, t: SimTime) -> u64 {
+        if !self.values.is_empty() {
+            let newest = self.base + self.values.len() as u64 - 1;
+            let slot_ns = self.slot.as_nanos();
+            if let Some(into) = t.as_nanos().checked_sub(newest * slot_ns) {
+                if into < slot_ns {
+                    return newest;
+                }
+                if into - slot_ns < slot_ns {
+                    return newest + 1;
+                }
+            }
+        }
+        self.slot_of(t)
+    }
+
     /// Accumulates `value · dt` into the slot containing `t` (typically
     /// the *end* of the sampled interval; sampling periods are much
     /// shorter than slots, so the approximation is tight).
@@ -119,7 +138,7 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
         if self.capacity == 0 {
             return;
         }
-        let idx = self.slot_of(t.saturating_sub_for_slot(self.slot));
+        let idx = self.slot_of_write(t.saturating_sub_for_slot(self.slot));
         let cursor = self.cursor.get_mut();
         // Growing forward turns the slots from here on from absent to
         // empty, which changes what a query over them returns.
@@ -581,6 +600,41 @@ mod tests {
                     (fast_v - ref_v).abs() < 1e-9 && (fast_s - ref_s).abs() < 1e-12,
                     "step {step}: cursor ({fast_v}, {fast_s}) vs walk ({ref_v}, {ref_s})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn write_slot_matches_division() {
+        // Writes in order, into the next slot, across gaps, far back and
+        // before evicted history, on rings of two slot lengths: the slot
+        // found from the newest one always equals the quotient.
+        for slot_ns in [1_000_000u64, 7] {
+            let mut r: TraceRing<f64> = TraceRing::new(SimDuration::from_nanos(slot_ns), 16);
+            let t = |ns: u64| SimTime::from_nanos(ns);
+            assert_eq!(r.slot_of_write(t(5 * slot_ns)), 5, "empty ring");
+            let mut state = 0x2545F4914F6CDD1Du64;
+            let mut now = 0u64;
+            for step in 0..2_000u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                now += match step % 5 {
+                    0 => 0,
+                    1 => state % slot_ns,
+                    2 => slot_ns - 1 + state % 3,
+                    3 => state % (2 * slot_ns + 2),
+                    _ => state % (40 * slot_ns),
+                };
+                let back = now.saturating_sub(state % (30 * slot_ns));
+                for ns in [now, now + 1, back, now + 2 * slot_ns - 1, now + 2 * slot_ns] {
+                    assert_eq!(
+                        r.slot_of_write(t(ns)),
+                        r.slot_of(t(ns)),
+                        "slot {slot_ns} ns, t {ns} ns"
+                    );
+                }
+                r.add(t(now), 1.0, SimDuration::from_nanos(1));
             }
         }
     }

@@ -43,21 +43,37 @@ const BANK_BUSY_W: f64 = 8.0 + 2.0 * 3.0 + 5.6;
 
 proptest! {
     /// Eq. 3 chip shares are in [0, 1] and sum to at most ~1 per chip for
-    /// any utilization pattern.
+    /// any utilization pattern, on every machine, and each equals the
+    /// sum over the core's chip siblings that `MachineSpec` spells out,
+    /// bit for bit.
     #[test]
     fn chipshare_bounded_and_conserving(
-        utils in prop::collection::vec(0.0f64..=1.0, 4),
-        idle in prop::collection::vec(any::<bool>(), 4),
+        spec in prop::sample::select(vec![
+            MachineSpec::sandybridge(),
+            MachineSpec::woodcrest(),
+            MachineSpec::westmere(),
+        ]),
+        utils in prop::collection::vec(0.0f64..=1.0, 12),
+        idle in prop::collection::vec(any::<bool>(), 12),
     ) {
-        let spec = MachineSpec::sandybridge();
-        let mut board = SampleBoard::new(4);
+        let cores = spec.total_cores();
+        let (utils, idle) = (&utils[..cores], &idle[..cores]);
+        let mut board = SampleBoard::new(&spec);
         for (c, &u) in utils.iter().enumerate() {
             board.publish(CoreId(c), u, SimTime::ZERO);
         }
         let mut total = 0.0;
         for (c, &u) in utils.iter().enumerate() {
-            let share = board.chipshare(&spec, CoreId(c), u, |s| idle[s.0]);
+            let share = board.chipshare(CoreId(c), u, |s| idle[s.0]);
             prop_assert!((0.0..=1.0).contains(&share));
+            let mut siblings = 0.0;
+            for s in spec.cores_of(spec.chip_of(c)) {
+                if s != c && !idle[s] {
+                    siblings += utils[s];
+                }
+            }
+            let eq3 = (u / (1.0 + siblings)).clamp(0.0, 1.0);
+            prop_assert_eq!(share.to_bits(), eq3.to_bits(), "core {} of {}", c, spec.name);
             total += share;
         }
         // With the idle-sibling correction the shares can over-count only
@@ -65,12 +81,12 @@ proptest! {
         // the idle-masking effect.
         let awake: f64 = utils
             .iter()
-            .zip(&idle)
+            .zip(idle)
             .filter(|(_, &i)| !i)
             .map(|(u, _)| *u)
             .sum();
         if awake > 0.0 {
-            prop_assert!(total <= 4.0, "share total {total}");
+            prop_assert!(total <= cores as f64, "share total {total}");
         }
     }
 

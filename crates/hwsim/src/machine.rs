@@ -15,6 +15,9 @@ pub struct CoreId(pub usize);
 
 #[derive(Debug, Clone)]
 struct CoreState {
+    /// The chip this core sits on, kept so the per-event rate lookup
+    /// needs no division.
+    chip: usize,
     running: Option<ActivityProfile>,
     duty: DutyCycle,
     counters: CounterBlock,
@@ -25,8 +28,9 @@ struct CoreState {
 }
 
 impl CoreState {
-    fn new() -> CoreState {
+    fn new(chip: crate::ChipId) -> CoreState {
         CoreState {
+            chip: chip.0,
             running: None,
             duty: DutyCycle::FULL,
             counters: CounterBlock::default(),
@@ -142,7 +146,9 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine at time zero.
     pub fn new(spec: MachineSpec, seed: u64) -> Machine {
-        let cores = (0..spec.total_cores()).map(|_| CoreState::new()).collect();
+        let cores = (0..spec.total_cores())
+            .map(|c| CoreState::new(spec.chip_of(c)))
+            .collect();
         let meters = spec.meters.iter().cloned().map(MeterState::new).collect();
         Machine {
             cores,
@@ -257,10 +263,8 @@ impl Machine {
     /// The rate at which `core` executes non-halt cycles, in GHz,
     /// combining nominal frequency, chip DVFS, and duty-cycle modulation.
     pub fn effective_rate_ghz(&self, core: CoreId) -> f64 {
-        let chip = self.spec.chip_of(core.0);
-        self.spec.freq_ghz
-            * self.chip_freq[chip.0].fraction()
-            * self.cores[core.0].duty.fraction()
+        let c = &self.cores[core.0];
+        self.spec.freq_ghz * self.chip_freq[c.chip].fraction() * c.duty.fraction()
     }
 
     /// Cumulative hardware counters for `core`.
@@ -291,23 +295,42 @@ impl Machine {
         c.pmu_count = 0.0;
     }
 
-    /// Wall-clock time until `core`'s PMU threshold is reached, given its
-    /// current profile and duty cycle. `None` when the PMU is disarmed or
-    /// the core is halted (non-halt cycles stop accumulating, matching the
-    /// paper's interrupt-suppression-when-idle behaviour).
-    pub fn time_until_pmu(&self, core: CoreId) -> Option<SimDuration> {
+    /// Wall-clock time until `core` has executed `cycles` further
+    /// non-halt cycles (a compute op's remaining work; `None` for no such
+    /// bound) or reached its PMU threshold, whichever comes first, given
+    /// its current profile and duty cycle: the deadline of the core's
+    /// next tick. The PMU bound counts only while the PMU is armed and
+    /// the core is busy (non-halt cycles stop accumulating on a halted
+    /// core, matching the paper's interrupt-suppression-when-idle
+    /// behaviour). `None` when neither bound applies or the core runs
+    /// no cycles at all.
+    ///
+    /// Both bounds are converted at the same rate, and dividing by a
+    /// positive rate and [`SimDuration::covering_nanos`] are both
+    /// monotone, so converting the smaller cycle count alone gives the
+    /// nearer of the two deadlines bit for bit with one division.
+    pub fn time_until_cycles_or_pmu(
+        &self,
+        core: CoreId,
+        cycles: Option<f64>,
+    ) -> Option<SimDuration> {
         let c = &self.cores[core.0];
-        let threshold = c.pmu_threshold?;
-        c.running?;
-        let remaining = (threshold - c.pmu_count).max(0.0);
+        let pmu = match (c.pmu_threshold, c.running) {
+            (Some(threshold), Some(_)) => Some((threshold - c.pmu_count).max(0.0)),
+            _ => None,
+        };
+        let nearest = match (cycles, pmu) {
+            (Some(a), Some(b)) => a.min(b),
+            (a, b) => a.or(b)?,
+        };
         let cycles_per_ns = self.effective_rate_ghz(core);
         if cycles_per_ns <= 0.0 {
             return None;
         }
         // Round up to whole nanoseconds (and at least one) so a scheduled
-        // deadline always advances simulated time past the threshold; a
+        // deadline always advances simulated time past the bound; a
         // zero-length deadline would fire without the counter moving.
-        Some(SimDuration::covering_nanos(remaining / cycles_per_ns))
+        Some(SimDuration::covering_nanos(nearest / cycles_per_ns))
     }
 
     /// `true` if `core`'s PMU has reached its threshold.
@@ -692,7 +715,7 @@ mod tests {
         let mut m = machine();
         m.set_running(CoreId(0), Some(ActivityProfile::cpu_spin()));
         m.set_pmu_threshold(CoreId(0), Some(3.1e6)); // 1 ms at full duty
-        let dt = m.time_until_pmu(CoreId(0)).unwrap();
+        let dt = m.time_until_cycles_or_pmu(CoreId(0), None).unwrap();
         assert!((dt.as_millis_f64() - 1.0).abs() < 1e-6);
         m.advance_to(SimTime::ZERO + dt);
         assert!(m.pmu_expired(CoreId(0)));
@@ -704,7 +727,7 @@ mod tests {
     fn pmu_halted_core_never_fires() {
         let mut m = machine();
         m.set_pmu_threshold(CoreId(0), Some(1000.0));
-        assert_eq!(m.time_until_pmu(CoreId(0)), None);
+        assert_eq!(m.time_until_cycles_or_pmu(CoreId(0), None), None);
         m.advance_to(SimTime::from_millis(10));
         assert!(!m.pmu_expired(CoreId(0)));
     }
@@ -715,7 +738,7 @@ mod tests {
         m.set_running(CoreId(0), Some(ActivityProfile::cpu_spin()));
         m.set_pmu_threshold(CoreId(0), Some(3.1e6));
         m.set_duty_cycle(CoreId(0), DutyCycle::new(2).unwrap());
-        let dt = m.time_until_pmu(CoreId(0)).unwrap();
+        let dt = m.time_until_cycles_or_pmu(CoreId(0), None).unwrap();
         assert!((dt.as_millis_f64() - 4.0).abs() < 1e-6);
     }
 

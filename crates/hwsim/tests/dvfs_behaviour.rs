@@ -90,7 +90,7 @@ fn dvfs_is_per_chip_on_multisocket_machines() {
 fn pmu_deadline_respects_dvfs() {
     let mut m = busy_machine(FreqScale::new(0.5));
     m.set_pmu_threshold(CoreId(0), Some(3.1e6));
-    let d = m.time_until_pmu(CoreId(0)).unwrap();
+    let d = m.time_until_cycles_or_pmu(CoreId(0), None).unwrap();
     // Half frequency → twice the wall time for the same cycle budget.
     assert!((d.as_millis_f64() - 2.0).abs() < 1e-6, "deadline {d}");
     m.advance_to(SimTime::ZERO + d);

@@ -111,10 +111,62 @@ proptest! {
         m.set_running(CoreId(0), Some(profile));
         m.set_duty_cycle(CoreId(0), DutyCycle::new(duty).expect("valid"));
         m.set_pmu_threshold(CoreId(0), Some(threshold));
-        let d = m.time_until_pmu(CoreId(0)).expect("armed and busy");
+        let d = m.time_until_cycles_or_pmu(CoreId(0), None).expect("armed and busy");
         prop_assert!(d.as_nanos() >= 1);
         m.advance_to(SimTime::ZERO + d);
         prop_assert!(m.pmu_expired(CoreId(0)), "threshold not reached after deadline");
+    }
+
+    /// The one-division tick deadline equals the nearer of the compute
+    /// and PMU deadlines, each converted on its own, bit for bit: on
+    /// every machine, at every DVFS point and duty level, with the PMU
+    /// armed or not and part of its budget already spent, and with or
+    /// without a compute bound.
+    #[test]
+    fn tick_deadline_is_the_nearer_of_both_bounds(
+        spec in prop::sample::select(vec![
+            MachineSpec::sandybridge(),
+            MachineSpec::woodcrest(),
+            MachineSpec::westmere(),
+        ]),
+        core in 0usize..12,
+        freq in prop::sample::select(vec![0.5, 0.65, 0.8, 0.95, 1.0]),
+        duty in 1u8..=8,
+        busy in any::<bool>(),
+        threshold in prop_oneof![
+            Just(None),
+            (1.0f64..1e8).prop_map(Some),
+        ],
+        spent in prop_oneof![Just(0.0), 0.0f64..2e8],
+        cycles in prop_oneof![
+            Just(None),
+            Just(Some(0.0)),
+            (0.0f64..1e8).prop_map(Some),
+            (1e8f64..1e22).prop_map(Some),
+        ],
+    ) {
+        let mut m = Machine::new(spec, 3);
+        let core = CoreId(core % m.spec().total_cores());
+        // Only the core's own chip runs at `freq`; any other stays nominal.
+        let scale = hwsim::FreqScale::new(freq).expect("valid");
+        let duty = DutyCycle::new(duty).expect("valid");
+        m.set_chip_freq(m.spec().chip_of(core.0), scale);
+        m.set_duty_cycle(core, duty);
+        m.set_running(core, busy.then(ActivityProfile::cpu_spin));
+        m.set_pmu_threshold(core, threshold);
+        m.inject_events(core, &hwsim::CounterBlock { nonhalt_cycles: spent, ..Default::default() });
+        // The two conversions the kernel made before, one per bound.
+        let rate = m.spec().freq_ghz * scale.fraction() * duty.fraction();
+        let compute = cycles.map(|c| SimDuration::covering_nanos(c / rate));
+        let pmu = match threshold {
+            Some(t) if busy => Some(SimDuration::covering_nanos((t - spent).max(0.0) / rate)),
+            _ => None,
+        };
+        let nearer = match (compute, pmu) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        prop_assert_eq!(m.time_until_cycles_or_pmu(core, cycles), nearer);
     }
 }
 

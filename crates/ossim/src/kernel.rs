@@ -871,17 +871,15 @@ impl Kernel {
             return; // idle cores need no tick
         };
         let mut t = self.quantum_end[core.0];
-        if let Some(Pending::Compute { remaining, .. }) = &self.tasks[tid.0 as usize].pending {
-            let rate = self.machine.effective_rate_ghz(core); // cycles per ns
-            let done = self.now() + SimDuration::covering_nanos(remaining / rate);
-            if done < t {
-                t = done;
-            }
-        }
-        if let Some(d) = self.machine.time_until_pmu(core) {
-            let pmu = self.now() + d;
-            if pmu < t {
-                t = pmu;
+        // The nearer of compute completion and PMU overflow.
+        let remaining = match self.tasks[tid.0 as usize].pending {
+            Some(Pending::Compute { remaining, .. }) => Some(remaining),
+            _ => None,
+        };
+        if let Some(d) = self.machine.time_until_cycles_or_pmu(core, remaining) {
+            let due = self.now() + d;
+            if due < t {
+                t = due;
             }
         }
         if t != SimTime::MAX {

@@ -5,12 +5,19 @@
 //! deliveries and wake-ups — but push and pop them at a high rate, many
 //! at the instant currently being drained (a core tick fires and its
 //! handler schedules follow-up work at the same instant). The queue is
-//! therefore one `Vec` kept sorted latest-first: the next event is the
-//! last element, so a pop is `Vec::pop`, and a push binary-searches its
-//! slot. No operation scans linearly and no entry carries a sequence
-//! number.
+//! therefore one `Vec` kept sorted earliest-first, with the room of
+//! popped entries left at its front: a pop moves an index, a push later
+//! than everything pending appends, and any other push binary-searches
+//! its slot and shifts the shorter side, into that room when it lies
+//! nearer the front. No operation scans linearly and no entry carries a
+//! sequence number.
 
 use crate::SimTime;
+
+/// A push drops the queue's popped room once it spans at least this many
+/// entries and at least as many as are pending, so the room costs O(1)
+/// amortized moves and never outgrows the pending events by much.
+const ROOM: usize = 32;
 
 /// A priority queue of `(SimTime, E)` pairs that pops events in
 /// non-decreasing timestamp order.
@@ -19,14 +26,17 @@ use crate::SimTime;
 /// (FIFO), which keeps discrete-event simulations deterministic even when
 /// many subsystems schedule work for the same instant.
 ///
-/// Internally the entries are sorted by timestamp, latest first. A push
-/// goes in front of every entry at its own timestamp (after every later
-/// one), found by binary search; a pop takes the last entry. Among equal
-/// timestamps the oldest push therefore sits last and pops first, so
-/// push position alone carries the FIFO tie-break. A pop moves nothing;
-/// a push shifts only the entries that pop before it — in a same-instant
-/// cascade, the few still pending at that instant — so only a push later
-/// than everything pending shifts the whole (short) `Vec`.
+/// Internally the pending entries are sorted by timestamp, earliest
+/// first, behind the room popped entries left. A push goes behind every
+/// entry at its own timestamp (in front of every later one); a pop takes
+/// the first pending entry. Among equal timestamps the oldest push
+/// therefore sits in front and pops first, so push position alone
+/// carries the FIFO tie-break. A pop moves nothing, and neither does a
+/// push at or after the latest pending timestamp, which appends, nor one
+/// before the earliest, which takes the room the last pop left. Any
+/// other push shifts the entries on its shorter side by one. Events are
+/// small `Copy` handles (a kernel event is 16 bytes), so a pop copies its
+/// entry out and leaves the slot as room.
 ///
 /// # Example
 ///
@@ -43,42 +53,75 @@ use crate::SimTime;
 /// assert_eq!(q.pop().unwrap().1, "b");
 /// assert!(q.pop().is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct EventQueue<E> {
-    /// Pending events, latest timestamp first; equal timestamps newest
-    /// push first. The next event to pop is the last element.
+    /// Popped room, then the pending events from `head` on, earliest
+    /// timestamp first; equal timestamps oldest push first.
     entries: Vec<(SimTime, E)>,
+    /// Index of the next event to pop.
+    head: usize,
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> EventQueue<E> {
-        EventQueue { entries: Vec::new() }
+        EventQueue {
+            entries: Vec::new(),
+            head: 0,
+        }
     }
 
     /// Schedules `event` to fire at `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        // Every pending entry was pushed earlier, so the new one sorts
-        // after all entries at its timestamp: it goes right behind the
-        // strictly later ones.
-        let slot = self.entries.partition_point(|&(t, _)| t > at);
-        self.entries.insert(slot, (at, event));
+        if self.head == self.entries.len() {
+            self.entries.clear();
+            self.head = 0;
+        } else if self.head >= ROOM && 2 * self.head >= self.entries.len() {
+            self.entries.drain(..self.head);
+            self.head = 0;
+        }
+        let pending = &self.entries[self.head..];
+        if pending.last().is_none_or(|&(t, _)| t <= at) {
+            // At or after every pending event, as nearly every core tick
+            // in calibration is.
+            self.entries.push((at, event));
+        } else if self.head > 0 && pending[0].0 > at {
+            // Before every pending event: into the room the last pop left.
+            self.head -= 1;
+            self.entries[self.head] = (at, event);
+        } else {
+            // Every pending entry was pushed earlier, so the new one
+            // sorts after all entries at its timestamp: it goes right in
+            // front of the strictly later ones.
+            let slot = self.head + pending.partition_point(|&(t, _)| t <= at);
+            if self.head > 0 && slot - self.head <= self.entries.len() - slot {
+                self.entries.copy_within(self.head..slot, self.head - 1);
+                self.head -= 1;
+                self.entries[slot - 1] = (at, event);
+            } else {
+                self.entries.insert(slot, (at, event));
+            }
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.entries.pop()
+        let next = *self.entries.get(self.head)?;
+        self.head += 1;
+        Some(next)
     }
 
     /// Removes and returns the earliest event if its timestamp is at or
     /// before `t_end`. A fused `peek_time` + `pop` for simulation run
     /// loops.
     pub fn pop_if_at_or_before(&mut self, t_end: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? > t_end {
+        let next = *self.entries.get(self.head)?;
+        if next.0 > t_end {
             return None;
         }
-        self.entries.pop()
+        self.head += 1;
+        Some(next)
     }
 
     /// Removes and returns every event with a timestamp at or before `t`,
@@ -94,32 +137,39 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.entries.last().map(|&(t, _)| t)
+        self.entries.get(self.head).map(|&(t, _)| t)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.head
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.head == self.entries.len()
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.head = 0;
     }
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: std::fmt::Debug> std::fmt::Debug for EventQueue<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.entries[self.head..]).finish()
+    }
+}
+
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> EventQueue<E> {
         EventQueue::new()
     }
 }
 
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
+impl<E: Copy> Extend<(SimTime, E)> for EventQueue<E> {
     fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
         for (at, event) in iter {
             self.push(at, event);
@@ -127,7 +177,7 @@ impl<E> Extend<(SimTime, E)> for EventQueue<E> {
     }
 }
 
-impl<E> FromIterator<(SimTime, E)> for EventQueue<E> {
+impl<E: Copy> FromIterator<(SimTime, E)> for EventQueue<E> {
     fn from_iter<I: IntoIterator<Item = (SimTime, E)>>(iter: I) -> EventQueue<E> {
         let mut q = EventQueue::new();
         q.extend(iter);
@@ -264,6 +314,53 @@ mod tests {
         assert_eq!(events, vec![1, 10, 2, 3]);
         assert!(drained.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn pushes_before_a_far_timer_keep_the_room_bounded() {
+        // A sleeper far in the future and four cores ticking in front of
+        // it: every push lands between pending events, nothing appends,
+        // and the popped room is still dropped as it grows.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_secs(3600), u64::MAX);
+        for core in 0..4 {
+            q.push(SimTime::from_micros(core), core);
+        }
+        for i in 4..100_000u64 {
+            let (t, core) = q.pop().expect("a tick is pending");
+            assert_eq!(t, SimTime::from_micros(i - 4));
+            assert_eq!(core, (i - 4) % 4);
+            q.push(SimTime::from_micros(i), i % 4);
+            assert!(
+                q.entries.len() <= 2 * ROOM + q.len(),
+                "room grew to {}",
+                q.entries.len()
+            );
+        }
+        assert_eq!(q.len(), 5);
+        assert_eq!(
+            q.entries.last(),
+            Some(&(SimTime::from_secs(3600), u64::MAX))
+        );
+    }
+
+    #[test]
+    fn pushes_near_the_front_shift_into_the_room() {
+        let ms = SimTime::from_millis;
+        let mut q = EventQueue::new();
+        for i in 0..8 {
+            q.push(ms(10 + i), i);
+        }
+        assert_eq!(q.pop(), Some((ms(10), 0)));
+        assert_eq!(q.pop(), Some((ms(11), 1)));
+        // Behind the front entry, before the rest: shifts one entry left.
+        q.push(ms(12), 100);
+        // Before every pending entry: takes the room.
+        q.push(ms(5), 101);
+        // Near the back: shifts the later entries right.
+        q.push(ms(16), 102);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![101, 2, 100, 3, 4, 5, 6, 102, 7]);
     }
 
     #[test]

@@ -147,3 +147,67 @@ proptest! {
         }
     }
 }
+
+/// Non-negative nanosecond or cycle counts, weighted to the edges of
+/// [`SimDuration::covering_nanos`]: zero, subnormals, the neighbours of
+/// 2^53 (where every larger `f64` is integral), the neighbours of 2^64
+/// (where the cast to `u64` saturates), values far past it, infinity,
+/// and the ordinary range of a tick deadline.
+fn edge_nanos() -> impl Strategy<Value = f64> {
+    let near = |x: f64| {
+        (-2_000i64..=2_000).prop_map(move |k| f64::from_bits((x.to_bits() as i64 + k) as u64))
+    };
+    prop_oneof![
+        Just(0.0),
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        near((1u64 << 53) as f64),
+        near(u64::MAX as f64),
+        1e20f64..1e300,
+        Just(f64::MAX),
+        Just(f64::INFINITY),
+        0.0f64..1e7,
+        1e7f64..1e16,
+    ]
+}
+
+/// Finite positive rates, from subnormal through ordinary clock rates
+/// in GHz to the largest `f64`.
+fn edge_rate() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (1u64..1 << 52).prop_map(f64::from_bits),
+        Just(f64::MIN_POSITIVE),
+        1e-300f64..1e-3,
+        0.1f64..10.0,
+        1e3f64..1e300,
+        Just(f64::MAX),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Dividing by a positive rate and `covering_nanos` are both
+    /// monotone, so the deadline of the nearer of two cycle counts is
+    /// the nearer of their two deadlines, bit for bit: one division
+    /// instead of two. `b` is drawn independently or as a close
+    /// neighbour of `a`, so both orders and near-ties occur.
+    #[test]
+    fn covering_nanos_of_the_smaller_count_is_the_nearer_deadline(
+        a in edge_nanos(),
+        b in edge_nanos(),
+        step in prop_oneof![Just(None), (-3i64..=3).prop_map(Some)],
+        rate in edge_rate(),
+    ) {
+        let b = match step {
+            Some(k) => f64::from_bits((a.to_bits() as i64 + k).max(0) as u64),
+            None => b,
+        };
+        prop_assume!(b >= 0.0);
+        let cover = SimDuration::covering_nanos;
+        prop_assert_eq!(
+            cover(a.min(b) / rate),
+            cover(a / rate).min(cover(b / rate)),
+            "a = {:e}, b = {:e}, rate = {:e}", a, b, rate
+        );
+    }
+}

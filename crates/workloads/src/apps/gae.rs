@@ -16,9 +16,11 @@
 
 use crate::apps::{AppEnv, ServerApp, WorkloadKind};
 use crate::driver::{scaled_compute, spawn_pool};
-use hwsim::ActivityProfile;
+use hwsim::{ActivityProfile, MachineSpec};
 use ossim::{FnProgram, Kernel, Op, SocketId};
 use simkern::{SimDuration, SimRng};
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Request label of the synthetic power virus in [`GaeHybrid`].
 pub const POWER_VIRUS_LABEL: u32 = 100;
@@ -51,31 +53,28 @@ pub(crate) fn virus_profile() -> ActivityProfile {
     ActivityProfile::new(0.90, 0.10, 0.95, 1.00)
 }
 
-fn request_ops(
-    spec: &hwsim::MachineSpec,
-    label: u32,
-) -> Vec<Op> {
+fn request_ops(spec: &MachineSpec, label: u32, ops: &mut VecDeque<Op>) {
     match label {
-        POWER_VIRUS_LABEL => vec![scaled_compute(spec, VIRUS_CYCLES, virus_profile())],
-        1 => vec![
+        POWER_VIRUS_LABEL => ops.push_back(scaled_compute(spec, VIRUS_CYCLES, virus_profile())),
+        1 => ops.extend([
             scaled_compute(spec, WRITE_CYCLES.0, write_profile()),
             Op::DiskIo { bytes: 120_000 },
             scaled_compute(spec, WRITE_CYCLES.1, write_profile()),
             Op::NetIo { bytes: 4_000 },
-        ],
-        _ => vec![
+        ]),
+        _ => ops.extend([
             scaled_compute(spec, READ_CYCLES, read_profile()),
             Op::NetIo { bytes: 8_000 },
-        ],
+        ]),
     }
 }
 
-fn spawn_gae_background(kernel: &mut Kernel, env: &AppEnv) {
+fn spawn_gae_background(kernel: &mut Kernel, spec: &Rc<MachineSpec>) {
     // The GAE runtime's untagged housekeeping: bursts of JVM work with no
     // request context, sized to roughly a third of active power at peak.
-    let tasks = (env.spec.total_cores() * 3 / 4).max(2);
+    let tasks = (spec.total_cores() * 3 / 4).max(2);
     for i in 0..tasks {
-        let spec = env.spec.clone();
+        let spec = Rc::clone(spec);
         let mut computing = false;
         let phase_ms = 3 + 2 * (i as u64 % 4);
         kernel.spawn(
@@ -93,11 +92,11 @@ fn spawn_gae_background(kernel: &mut Kernel, env: &AppEnv) {
 }
 
 fn setup_gae(kernel: &mut Kernel, env: &AppEnv) -> Vec<SocketId> {
-    spawn_gae_background(kernel, env);
-    let spec = env.spec.clone();
+    let spec = Rc::new(env.spec.clone());
+    spawn_gae_background(kernel, &spec);
     spawn_pool(kernel, env.workers, &env.stats, env.notify, move |_w| {
-        let spec = spec.clone();
-        Box::new(move |label, _pc| request_ops(&spec, label))
+        let spec = Rc::clone(&spec);
+        Box::new(move |label, _pc, ops| request_ops(&spec, label, ops))
     })
 }
 

@@ -11,6 +11,7 @@ use crate::driver::{scaled_compute, spawn_pool};
 use hwsim::ActivityProfile;
 use ossim::{Kernel, Op, SocketId};
 use simkern::SimRng;
+use std::rc::Rc;
 
 /// Cycle cost per key label on the reference machine.
 const KEY_CYCLES: [f64; 3] = [4.5e6, 10.0e6, 27.0e6];
@@ -42,14 +43,14 @@ impl ServerApp for RsaCrypto {
     }
 
     fn setup(&self, kernel: &mut Kernel, env: &AppEnv) -> Vec<SocketId> {
-        let spec = env.spec.clone();
+        let spec = Rc::new(env.spec.clone());
         spawn_pool(kernel, env.workers, &env.stats, env.notify, move |_w| {
-            let spec = spec.clone();
-            Box::new(move |label, _pc| {
-                vec![
+            let spec = Rc::clone(&spec);
+            Box::new(move |label, _pc, ops| {
+                ops.extend([
                     scaled_compute(&spec, RsaCrypto::cycles_for(label), RsaCrypto::profile()),
                     Op::NetIo { bytes: 2_000 },
-                ]
+                ]);
             })
         })
     }

@@ -10,6 +10,7 @@ use crate::driver::{scaled_compute, spawn_pool};
 use hwsim::ActivityProfile;
 use ossim::{Kernel, Op, SocketId};
 use simkern::SimRng;
+use std::rc::Rc;
 
 /// Median query cost on the reference machine.
 const MEDIAN_CYCLES: f64 = 16.0e6;
@@ -38,17 +39,17 @@ impl ServerApp for Solr {
     }
 
     fn setup(&self, kernel: &mut Kernel, env: &AppEnv) -> Vec<SocketId> {
-        let spec = env.spec.clone();
+        let spec = Rc::new(env.spec.clone());
         spawn_pool(kernel, env.workers, &env.stats, env.notify, move |_w| {
-            let spec = spec.clone();
-            Box::new(move |_label, pc| {
+            let spec = Rc::clone(&spec);
+            Box::new(move |_label, pc, ops| {
                 let cycles = (MEDIAN_CYCLES
                     * pc.rng.log_normal(0.0, SIGMA))
                 .clamp(1.5e6, 250.0e6);
-                vec![
+                ops.extend([
                     scaled_compute(&spec, cycles, Solr::profile()),
                     Op::NetIo { bytes: 20_000 },
-                ]
+                ]);
             })
         })
     }

@@ -12,6 +12,7 @@ use crate::driver::{scaled_compute, spawn_pool};
 use hwsim::ActivityProfile;
 use ossim::{Kernel, SocketId};
 use simkern::SimRng;
+use std::rc::Rc;
 
 /// One request's busy cycles (~100 ms at 3.1 GHz).
 const REQUEST_CYCLES: f64 = 310.0e6;
@@ -33,11 +34,11 @@ impl ServerApp for Stress {
     }
 
     fn setup(&self, kernel: &mut Kernel, env: &AppEnv) -> Vec<SocketId> {
-        let spec = env.spec.clone();
+        let spec = Rc::new(env.spec.clone());
         spawn_pool(kernel, env.workers, &env.stats, env.notify, move |_w| {
-            let spec = spec.clone();
-            Box::new(move |_label, _pc| {
-                vec![scaled_compute(&spec, REQUEST_CYCLES, ActivityProfile::stress())]
+            let spec = Rc::clone(&spec);
+            Box::new(move |_label, _pc, ops| {
+                ops.push_back(scaled_compute(&spec, REQUEST_CYCLES, ActivityProfile::stress()));
             })
         })
     }

@@ -20,6 +20,7 @@ use crate::driver::{scaled_compute, spawn_pool};
 use hwsim::ActivityProfile;
 use ossim::{Kernel, Op, ProcCtx, Program, Resume, ScriptProgram, SocketId};
 use simkern::SimRng;
+use std::rc::Rc;
 
 /// Number of distinct problem sets.
 pub const PROBLEM_SETS: u32 = 3000;
@@ -74,7 +75,7 @@ impl WeBWorK {
 /// replies to the per-worker reply socket named in the payload.
 struct MysqlThread {
     rx: SocketId,
-    spec: hwsim::MachineSpec,
+    spec: Rc<hwsim::MachineSpec>,
     reply_to: Option<SocketId>,
     phase: MysqlPhase,
 }
@@ -116,22 +117,22 @@ impl ServerApp for WeBWorK {
     }
 
     fn setup(&self, kernel: &mut Kernel, env: &AppEnv) -> Vec<SocketId> {
-        let spec = env.spec.clone();
+        let spec = Rc::new(env.spec.clone());
         // One shared MySQL inbox; every httpd worker sends into it.
         let (mysql_tx, mysql_rx) = kernel.new_socket_pair();
         kernel.spawn(
             Box::new(MysqlThread {
                 rx: mysql_rx,
-                spec: spec.clone(),
+                spec: Rc::clone(&spec),
                 reply_to: None,
                 phase: MysqlPhase::Await,
             }),
             None,
         );
         spawn_pool(kernel, env.workers, &env.stats, env.notify, move |_w| {
-            let spec = spec.clone();
+            let spec = Rc::clone(&spec);
             let mut reply_pair: Option<(SocketId, SocketId)> = None;
-            Box::new(move |label, pc| {
+            Box::new(move |label, pc, ops| {
                 // Each worker keeps one persistent reply connection from
                 // MySQL (created lazily on first request).
                 let (reply_tx, reply_rx) =
@@ -160,7 +161,7 @@ impl ServerApp for WeBWorK {
                     },
                     Op::WaitChild,
                 ]));
-                vec![
+                ops.extend([
                     // PHP parses and prepares the problem.
                     scaled_compute(&spec, d * 7.0e6, WeBWorK::php_profile()),
                     // Query the database; the context tag rides the message.
@@ -174,7 +175,7 @@ impl ServerApp for WeBWorK {
                     Op::DiskIo { bytes: 40_000 },
                     scaled_compute(&spec, d * 4.0e6, WeBWorK::php_profile()),
                     Op::NetIo { bytes: 30_000 },
-                ]
+                ]);
             })
         })
     }

@@ -19,6 +19,7 @@ use power_containers::{
 };
 use simkern::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 // What each calibration run reads, and why it stops where it does.
 //
@@ -153,8 +154,9 @@ fn measure_idle(spec: &MachineSpec, seed: u64) -> HashMap<&'static str, f64> {
 
 /// Spawns `k` endless load tasks for a microbenchmark.
 fn spawn_bench_tasks(kernel: &mut Kernel, bench: Microbench, k: usize, spec: &MachineSpec) {
+    let spec = Rc::new(spec.clone());
     for i in 0..k {
-        let spec = spec.clone();
+        let spec = Rc::clone(&spec);
         let program: Box<dyn ossim::Program> = match bench {
             Microbench::Disk => Box::new(FnProgram::new(move |_pc| {
                 if i % 2 == 0 {

@@ -97,8 +97,11 @@ pub fn spawn_driver(kernel: &mut Kernel, mut env: DriverEnv) {
 }
 
 /// The per-request behaviour of a pool worker: given the request label
-/// and a [`ProcCtx`], produce the op sequence that serves the request.
-pub type RequestOps = Box<dyn FnMut(u32, &mut ProcCtx<'_>) -> Vec<Op>>;
+/// and a [`ProcCtx`], push the op sequence that serves the request, in
+/// order, onto the worker's op queue (empty when called). The queue keeps
+/// its room from one request to the next, so serving a request allocates
+/// nothing for it.
+pub type RequestOps = Box<dyn FnMut(u32, &mut ProcCtx<'_>, &mut VecDeque<Op>)>;
 
 enum WorkerPhase {
     AwaitRequest,
@@ -157,7 +160,7 @@ impl Program for PoolWorker {
                     // A request arrived; build and start its op sequence.
                     self.req_payload = pc.last_msg.map(|m| m.payload).unwrap_or(0);
                     let label = self.req_payload as u32;
-                    self.queue = (self.make_ops)(label, pc).into();
+                    (self.make_ops)(label, pc, &mut self.queue);
                     self.phase = WorkerPhase::Working;
                     self.queue.pop_front().unwrap_or(Op::Exit)
                 } else {
@@ -330,11 +333,11 @@ mod tests {
     fn pool_serves_requests_and_records_completions() {
         let mut k = kernel();
         let stats = Rc::new(RefCell::new(RunStats::new()));
-        let spec = k.machine().spec().clone();
+        let spec = Rc::new(k.machine().spec().clone());
         let inboxes = spawn_pool(&mut k, 2, &stats, None, |_w| {
-            let spec = spec.clone();
-            Box::new(move |_label, _pc: &mut ProcCtx<'_>| {
-                vec![scaled_compute(&spec, 3.1e6, ActivityProfile::high_ipc())]
+            let spec = Rc::clone(&spec);
+            Box::new(move |_label, _pc, ops| {
+                ops.push_back(scaled_compute(&spec, 3.1e6, ActivityProfile::high_ipc()));
             })
         });
         spawn_driver(
@@ -365,8 +368,11 @@ mod tests {
         let mut k = kernel();
         let stats = Rc::new(RefCell::new(RunStats::new()));
         let inboxes = spawn_pool(&mut k, 1, &stats, None, |_w| {
-            Box::new(move |_label, _pc: &mut ProcCtx<'_>| {
-                vec![Op::Compute { cycles: 1e6, profile: ActivityProfile::cpu_spin() }]
+            Box::new(move |_label, _pc, ops| {
+                ops.push_back(Op::Compute {
+                    cycles: 1e6,
+                    profile: ActivityProfile::cpu_spin(),
+                });
             })
         });
         spawn_driver(

@@ -275,8 +275,8 @@ mod tests {
             Kernel::new(Machine::new(MachineSpec::sandybridge(), 4), KernelConfig::default());
         let stats = Rc::new(RefCell::new(RunStats::new()));
         let inboxes = spawn_pool(&mut kernel, 8, &stats, None, |_w| {
-            Box::new(|_label, _pc| {
-                vec![Op::Compute { cycles: 1e6, profile: ActivityProfile::cpu_spin() }]
+            Box::new(|_label, _pc, ops| {
+                ops.push_back(Op::Compute { cycles: 1e6, profile: ActivityProfile::cpu_spin() });
             })
         });
         spawn_trace_driver(

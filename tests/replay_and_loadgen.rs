@@ -17,11 +17,11 @@ fn run_trace(trace: RequestTrace, seed: u64) -> Vec<(u64, u64)> {
     );
     let stats = Rc::new(RefCell::new(RunStats::new()));
     let inboxes = spawn_pool(&mut kernel, 8, &stats, None, |_w| {
-        Box::new(|label, _pc| {
-            vec![Op::Compute {
+        Box::new(|label, _pc, ops| {
+            ops.push_back(Op::Compute {
                 cycles: 2e6 * (label as f64 + 1.0),
                 profile: ActivityProfile::cache_heavy(),
-            }]
+            });
         })
     });
     spawn_trace_driver(
