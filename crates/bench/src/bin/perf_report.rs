@@ -25,21 +25,20 @@
 //! of three cluster cells (`pc_bench::footprint_cells`, public API only)
 //! with a counting global allocator that counts inside that section and
 //! nowhere else. The counts are deterministic for a given build, so they
-//! are recorded exactly, next to the same cells counted by the same
-//! driver on the build before the dispatcher kept only live serials and
-//! the fleet's end-of-run accounting and rebooted nodes' meter polls
-//! stopped keeping buffers sized by the run's history.
-//!
-//! The footprint section also counts each machine's seed-42
-//! calibration the same way, next to this report's counts on the build
-//! before calibration runs stopped at their last read window.
+//! are recorded exactly. The calibration footprint section counts each
+//! machine's seed-42 calibration the same way.
 //!
 //! The work section records the exact work counts of
 //! `pc_bench::work_ledger`: kernel events popped, by kind, and machine
 //! segments integrated, for each machine's seed-42 calibration and each
-//! footprint cell, next to the counts on that same build before. The
-//! counters are compiled in only with the `work-counts` feature, so the
-//! report needs it:
+//! footprint cell.
+//!
+//! Every entry of those three sections also carries `before_*` fields:
+//! the same entry's counts in the report at the `--out` path that this
+//! run replaces (0 for an entry that report lacks), so a regenerated
+//! report shows what changed since the last one. The work counters are
+//! compiled in only with the `work-counts` feature, so the report needs
+//! it:
 //!
 //! ```text
 //! cargo run --release -p pc-bench --features work-counts --bin perf_report
@@ -64,7 +63,7 @@ use power_containers::{
     PowerModel, Recalibrator, RegimeKey, FEATURES,
 };
 use serde::Serialize;
-use simkern::work::WorkCounts;
+use serde_json::Value;
 use simkern::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -339,8 +338,7 @@ struct FootprintCount {
     /// Live heap once the cell's call has returned: what its outcome
     /// holds.
     live_after_bytes: u64,
-    /// The same counts for the same cell on the build named at
-    /// [`FOOTPRINT_BEFORE`].
+    /// The same counts in the report this one replaced.
     before_allocations: u64,
     before_bytes_allocated: u64,
     before_peak_live_bytes: u64,
@@ -355,7 +353,7 @@ struct CalibrationFootprint {
     allocations: u64,
     bytes_allocated: u64,
     peak_live_bytes: u64,
-    /// The same counts on the build named at [`CALIBRATION_BEFORE`].
+    /// The same counts in the report this one replaced.
     before_allocations: u64,
     before_bytes_allocated: u64,
     before_peak_live_bytes: u64,
@@ -371,7 +369,7 @@ struct WorkCount {
     wakes: u64,
     events: u64,
     segments: u64,
-    /// The same counts on the build named at [`WORK_BEFORE`].
+    /// The same counts in the report this one replaced.
     before_core_ticks: u64,
     before_delivers: u64,
     before_wakes: u64,
@@ -1040,33 +1038,26 @@ fn autoscale_overhead(ctx: &RunCtx) -> AutoscaleOverhead {
     }
 }
 
-/// `[allocations, bytes_allocated, peak_live_bytes, live_after_bytes]`
-/// of each footprint cell, counted by this driver on the build before
-/// the dispatcher kept only live serials, the end-of-run per-request
-/// accounting moved to dense slabs, and rebooted nodes stopped
-/// collecting their meter backlog into a fresh `Vec` per poll and
-/// keeping its room afterwards.
-const FOOTPRINT_BEFORE: [(&str, [u64; 4]); 3] = [
-    ("chipshare_fleet", [24_643, 5_225_268, 1_942_320, 2_064]),
-    ("diurnal_elastic", [20_728, 4_742_936, 1_432_248, 2_960]),
-    ("chaos_pipeline", [634_944, 668_546_069, 10_998_272, 290_797]),
-];
+/// The counts of the entry of `section` whose `key` reads `name` in
+/// `before`, the report being replaced, by field; 0 where it has none.
+fn recorded<'a>(
+    before: &'a Value,
+    section: &str,
+    key: &str,
+    name: &str,
+) -> impl Fn(&str) -> u64 + 'a {
+    let entry =
+        before[section].as_array().and_then(|es| es.iter().find(|e| e[key].as_str() == Some(name)));
+    move |field| entry.and_then(|e| e[field].as_u64()).unwrap_or(0)
+}
 
-fn footprint() -> Vec<FootprintCount> {
+fn footprint(before: &Value) -> Vec<FootprintCount> {
     pc_bench::footprint_cells(FOOTPRINT_REQUESTS)
         .iter()
         .map(|cell| {
             let (outcome, [allocations, bytes_allocated, peak_live_bytes, live_after_bytes]) =
                 count_heap(|| cell.run());
-            let [
-                before_allocations,
-                before_bytes_allocated,
-                before_peak_live_bytes,
-                before_live_after_bytes,
-            ] = FOOTPRINT_BEFORE
-                .iter()
-                .find(|(name, _)| *name == cell.name)
-                .map_or([0; 4], |(_, counts)| *counts);
+            let was = recorded(before, "footprint", "cell", cell.name);
             FootprintCount {
                 cell: cell.name.to_string(),
                 simulated_s: cell.cfg.duration.as_secs_f64(),
@@ -1075,70 +1066,41 @@ fn footprint() -> Vec<FootprintCount> {
                 bytes_allocated,
                 peak_live_bytes,
                 live_after_bytes,
-                before_allocations,
-                before_bytes_allocated,
-                before_peak_live_bytes,
-                before_live_after_bytes,
-                peak_live_ratio: peak_live_bytes as f64 / before_peak_live_bytes.max(1) as f64,
+                before_allocations: was("allocations"),
+                before_bytes_allocated: was("bytes_allocated"),
+                before_peak_live_bytes: was("peak_live_bytes"),
+                before_live_after_bytes: was("live_after_bytes"),
+                peak_live_ratio: peak_live_bytes as f64 / was("peak_live_bytes").max(1) as f64,
             }
         })
         .collect()
 }
 
-/// `[allocations, bytes_allocated, peak_live_bytes]` of each machine's
-/// seed-42 calibration, counted by this report on the build before
-/// calibration runs stopped at their last read window.
-const CALIBRATION_BEFORE: [(&str, [u64; 3]); 3] = [
-    ("woodcrest", [1_673, 57_030_812, 1_026_684]),
-    ("westmere", [2_003, 57_190_844, 1_034_044]),
-    ("sandybridge", [2_025, 75_911_972, 2_099_976]),
-];
-
-fn calibration_footprint() -> Vec<CalibrationFootprint> {
+fn calibration_footprint(before: &Value) -> Vec<CalibrationFootprint> {
     pc_bench::machines()
         .iter()
         .map(|spec| {
             let (_, [allocations, bytes_allocated, peak_live_bytes, _]) =
                 count_heap(|| workloads::calibrate_machine(spec, CALIBRATION_SEED));
-            let [before_allocations, before_bytes_allocated, before_peak_live_bytes] =
-                CALIBRATION_BEFORE
-                    .iter()
-                    .find(|(name, _)| *name == spec.name)
-                    .map_or([0; 3], |(_, counts)| *counts);
+            let was = recorded(before, "calibration_footprint", "machine", spec.name);
             CalibrationFootprint {
                 machine: spec.name.to_string(),
                 allocations,
                 bytes_allocated,
                 peak_live_bytes,
-                before_allocations,
-                before_bytes_allocated,
-                before_peak_live_bytes,
+                before_allocations: was("allocations"),
+                before_bytes_allocated: was("bytes_allocated"),
+                before_peak_live_bytes: was("peak_live_bytes"),
             }
         })
         .collect()
 }
 
-/// `[core_ticks, delivers, wakes, segments]` of each work-ledger entry,
-/// counted on the build before calibration runs stopped at their last
-/// read window.
-const WORK_BEFORE: [(&str, [u64; 4]); 6] = [
-    ("calibration.woodcrest", [316_544, 0, 18_594, 148_207]),
-    ("calibration.westmere", [1_424_601, 0, 18_594, 272_529]),
-    ("calibration.sandybridge", [512_420, 0, 18_594, 327_407]),
-    ("footprint.chipshare_fleet", [368_798, 40_147, 41_209, 497_372]),
-    ("footprint.diurnal_elastic", [175_325, 32_573, 26_274, 265_292]),
-    ("footprint.chaos_pipeline", [1_237_509, 158_034, 130_247, 2_447_354]),
-];
-
-fn work() -> Vec<WorkCount> {
+fn work(before: &Value) -> Vec<WorkCount> {
     pc_bench::work_ledger()
         .into_iter()
         .map(|(name, w)| {
-            let [core_ticks, delivers, wakes, segments] = WORK_BEFORE
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or([0; 4], |(_, counts)| *counts);
-            let before = WorkCounts { core_ticks, delivers, wakes, segments };
+            let was = recorded(before, "work", "name", &name);
             WorkCount {
                 name,
                 core_ticks: w.core_ticks,
@@ -1146,11 +1108,11 @@ fn work() -> Vec<WorkCount> {
                 wakes: w.wakes,
                 events: w.events(),
                 segments: w.segments,
-                before_core_ticks: before.core_ticks,
-                before_delivers: before.delivers,
-                before_wakes: before.wakes,
-                before_events: before.events(),
-                before_segments: before.segments,
+                before_core_ticks: was("core_ticks"),
+                before_delivers: was("delivers"),
+                before_wakes: was("wakes"),
+                before_events: was("events"),
+                before_segments: was("segments"),
             }
         })
         .collect()
@@ -1197,6 +1159,11 @@ fn main() {
         .unwrap_or_else(|| {
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json")
         });
+    // The report being replaced: its counts become the `before_*` fields.
+    let before: Value = std::fs::read_to_string(&out)
+        .ok()
+        .and_then(|text| serde_json::from_str(&text).ok())
+        .unwrap_or(Value::Null);
     // The end-to-end cells load their calibrations from (or cache them
     // in) the harness results directory.
     let results_dir = std::env::var_os("PC_RESULTS_DIR")
@@ -1219,17 +1186,17 @@ fn main() {
         obs_overhead: obs_overhead(&ctx),
         sched_overhead: sched_overhead(&ctx),
         autoscale_overhead: autoscale_overhead(&ctx),
-        footprint: footprint(),
-        calibration_footprint: calibration_footprint(),
-        work: work(),
+        footprint: footprint(&before),
+        calibration_footprint: calibration_footprint(&before),
+        work: work(&before),
         harness: Harness {
             run_all_serial_before_s: arg_secs(&args, "--run-all-before"),
             run_all_serial_after_s: arg_secs(&args, "--run-all-after"),
             run_all_jobs4_s: arg_secs(&args, "--run-all-jobs4"),
             run_all_jobs: arg_count(&args, "--run-all-jobs"),
-            note: "harness times are wall-clock runs of `run_all` at full scale; \
-                   the before run predates fault_sweep (~14 s of the after total), \
-                   so the like-for-like serial speedup is larger than the raw ratio; \
+            note: "harness times are wall-clock runs of `run_all` at full scale, \
+                   passed in with --run-all-before, --run-all-after, --run-all-jobs4 \
+                   and --run-all-jobs (null when not given); \
                    --jobs speedup requires multiple hardware threads \
                    (see host.cpus_available)"
                 .to_string(),

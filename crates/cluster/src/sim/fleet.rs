@@ -17,6 +17,7 @@ use analysis::stats::Summary;
 use hwsim::{plan_node_faults, DutyCycle, MachineSpec};
 use ossim::{ContextId, Segment};
 use simkern::{SimDuration, SimTime};
+use workloads::tally::{self, AutoscaleDigest, ObsDigest, Tally};
 use workloads::{Arrival, MachineCalibration, OpenLoopGen, ServerApp, TrafficGen};
 
 /// The dispatcher's trace track.
@@ -1017,8 +1018,8 @@ impl<'a, 'p> Fleet<'a, 'p> {
     }
 
     /// Closes the books: folds the per-node metrics into the main sink,
-    /// reports to the experiment harness ledgers, and assembles the
-    /// outcome.
+    /// assembles the outcome, and notes the run in the calling thread's
+    /// `workloads::tally`.
     fn finish(mut self, end: SimTime) -> ClusterOutcome {
         let cfg = self.bp.cfg;
         // Fold each node's private metrics registry (facility counters,
@@ -1029,7 +1030,6 @@ impl<'a, 'p> Fleet<'a, 'p> {
                 cfg.telemetry.absorb(&node.tele);
             }
         }
-        self.report_to_harness();
         // Nodes still active (or draining) at the end accrue uptime
         // through `end`; a fixed fleet therefore reads exactly the run
         // duration per node.
@@ -1067,41 +1067,32 @@ impl<'a, 'p> Fleet<'a, 'p> {
         out.autoscale_evals = self.elastic.as_ref().map_or(0, |el| el.scaler.evals());
         let provenance = self.provenance();
         let obs = self.obs.take().map(|o| Box::new(o.finish(provenance)));
-        if let Some(o) = obs.as_ref() {
-            workloads::note_obs(workloads::ObsDigest {
+        let degrade =
+            self.nodes.iter().map(Node::degrade_stats).fold(Default::default(), |a, d| a + d);
+        let out = &self.out;
+        tally::note(Tally {
+            degrade: Some(degrade),
+            retried: out.retried,
+            shed: out.dropped,
+            requests: out.dispatched,
+            obs: obs.as_ref().map(|o| ObsDigest {
                 alerts: o.report.alerts.len() as u64,
                 p99_j_per_req: o
                     .report
                     .sketches
                     .get("energy_j_per_req/fleet")
-                    .map(|s| s.quantile(0.99))
-                    .unwrap_or(0.0),
-            });
-        }
+                    .map_or(0.0, |s| s.quantile(0.99)),
+            }),
+            autoscale: AutoscaleDigest {
+                scale_outs: out.scale_outs,
+                scale_ins: out.scale_ins,
+                upgrades: out.upgrades,
+                brownout_engagements: out.brownout_engagements,
+                shed_optional: out.shed[ShedReason::BrownoutOptional.index()],
+            },
+        });
         self.out.obs = obs;
         self.out
-    }
-
-    /// Reports the run's degradation decisions, offered requests and
-    /// elasticity digest to the experiment harness ledgers.
-    fn report_to_harness(&self) {
-        let out = &self.out;
-        let mut degrade = self
-            .nodes
-            .iter()
-            .map(Node::degrade_stats)
-            .fold(power_containers::DegradeStats::default(), |acc, d| acc + d);
-        degrade.requests_retried += out.retried;
-        degrade.requests_shed += out.dropped;
-        workloads::note_degrade(degrade);
-        workloads::note_requests(out.dispatched);
-        workloads::note_autoscale(workloads::AutoscaleDigest {
-            scale_outs: out.scale_outs,
-            scale_ins: out.scale_ins,
-            upgrades: out.upgrades,
-            brownout_engagements: out.brownout_engagements,
-            shed_optional: out.shed[ShedReason::BrownoutOptional.index()],
-        });
     }
 
     /// The comprehensive per-app energy accounting, resolved through

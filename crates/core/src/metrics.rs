@@ -163,14 +163,6 @@ pub struct DegradeStats {
     /// Times the last-good model exceeded its staleness bound and the
     /// recalibrator was reset to a clean accumulation window.
     pub stale_model_resets: u64,
-    /// Cluster requests re-dispatched after a per-hop timeout or a node
-    /// crash (recovery actions, not attribution degradations — excluded
-    /// from [`DegradeStats::total`]).
-    pub requests_retried: u64,
-    /// Cluster requests shed by admission control or given up after
-    /// exhausting their retry budget (also excluded from
-    /// [`DegradeStats::total`]).
-    pub requests_shed: u64,
     /// Model-drift detections: the estimate-vs-meter CUSUM tripped its
     /// threshold (adaptation triggers, not degradations — excluded from
     /// [`DegradeStats::total`]).
@@ -188,10 +180,7 @@ pub struct DegradeStats {
 }
 
 impl DegradeStats {
-    /// Total *attribution* degradation decisions of any kind. Cluster
-    /// recovery actions ([`DegradeStats::requests_retried`],
-    /// [`DegradeStats::requests_shed`]) are deliberate request-plane
-    /// behavior and are reported separately.
+    /// Total *attribution* degradation decisions of any kind.
     pub fn total(&self) -> u64 {
         self.samples_rejected
             + self.meter_gaps
@@ -256,8 +245,6 @@ impl Add for DegradeStats {
             refits_rejected: self.refits_rejected + o.refits_rejected,
             refit_fallbacks: self.refit_fallbacks + o.refit_fallbacks,
             stale_model_resets: self.stale_model_resets + o.stale_model_resets,
-            requests_retried: self.requests_retried + o.requests_retried,
-            requests_shed: self.requests_shed + o.requests_shed,
             drift_events: self.drift_events + o.drift_events,
             drift_retrains: self.drift_retrains + o.drift_retrains,
             model_switches: self.model_switches + o.model_switches,
@@ -296,19 +283,6 @@ mod tests {
         assert_eq!(sum.meter_gaps, 5);
         assert_eq!(sum.stale_model_resets, 4);
         assert_eq!(sum.total(), a.total() + b.total());
-    }
-
-    #[test]
-    fn recovery_counters_sum_but_stay_out_of_total() {
-        let a = DegradeStats { requests_retried: 3, meter_gaps: 1, ..DegradeStats::default() };
-        let b = DegradeStats { requests_shed: 5, requests_retried: 2, ..DegradeStats::default() };
-        let sum = a + b;
-        assert_eq!(sum.requests_retried, 5);
-        assert_eq!(sum.requests_shed, 5);
-        // Recovery actions are request-plane behavior, not attribution
-        // degradations: a run that only retried/shed still reads clean.
-        assert_eq!(sum.total(), 1);
-        assert!(DegradeStats { requests_shed: 9, ..DegradeStats::default() }.is_clean());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   job count.
 //! * `--obs` — run every cluster experiment with the always-on
 //!   observability plane (streaming sketches + energy-SLO burn-rate
-//!   monitors); the summary table gains p99 energy-per-request and
-//!   alert columns fed from the obs ledger.
+//!   monitors); the summary table's p99 energy-per-request and alert
+//!   columns then read each experiment's obs digests.
 //! * `--sched rr|priority|cfs` — boot every experiment kernel with the
 //!   named scheduling policy (default `rr`, the paper's round-robin).
 //!   Calibration always runs round-robin so the shared calibration
@@ -29,8 +29,11 @@
 //! run another configuration. Records go to `PC_RESULTS_DIR` when set,
 //! else to the checkout's `results/`.
 //!
-//! Per-experiment status, wall time and graceful-degradation decisions
-//! are collected into a summary table; the process exits non-zero if any
+//! Per-experiment status, wall time and what the experiment's runs noted
+//! in their thread's `workloads::tally` (requests offered, graceful
+//! degradation, retries and sheds, drift, obs and elasticity digests)
+//! are collected into a summary table; a failed experiment's row shows
+//! `-` in the tally's columns. The process exits non-zero if any
 //! experiment failed.
 
 use experiments::output::{Table, DEFAULT_RESULTS_DIR};
@@ -39,6 +42,7 @@ use experiments::runner::{self, RunCtx};
 use experiments::Scale;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use workloads::tally::{self, Tally};
 
 /// Exits with status 2 after naming what was wrong with the command line.
 fn usage_error(msg: &str) -> ! {
@@ -90,6 +94,50 @@ fn parse_args(
     (ctx, only)
 }
 
+/// The summary columns after the wall time, rendered from what the
+/// experiment's runs noted: simulated requests offered per wall-clock
+/// second (a report column only; no wall-clock value enters any result
+/// record), the facility's degradation decisions with the cluster's
+/// retries and sheds and the drift counters, the obs digest, and the
+/// completed resizes (outs/ins, with upgrade pairs noted) with the
+/// brownout-ladder climbs and optional sheds. A column no run reported
+/// reads `-`.
+fn tally_columns(wall_s: f64, t: &Tally) -> Vec<String> {
+    let dash = || "-".to_string();
+    let mut cols = vec![if t.requests > 0 && wall_s > 0.0 {
+        format!("{:.0}", t.requests as f64 / wall_s)
+    } else {
+        dash()
+    }];
+    cols.extend(match t.degrade {
+        None => [dash(), dash(), dash(), dash()],
+        Some(d) => [
+            if d.is_clean() { "clean".to_string() } else { format!("{} decisions", d.total()) },
+            t.retried.to_string(),
+            t.shed.to_string(),
+            d.drift_column(),
+        ],
+    });
+    cols.extend(match t.obs {
+        None => [dash(), dash()],
+        Some(o) => [format!("{:.4}", o.p99_j_per_req), o.alerts.to_string()],
+    });
+    let a = t.autoscale;
+    cols.extend(if a.is_empty() {
+        [dash(), dash()]
+    } else {
+        [
+            if a.upgrades > 0 {
+                format!("{}/{} ({} upg)", a.scale_outs, a.scale_ins, a.upgrades)
+            } else {
+                format!("{}/{}", a.scale_outs, a.scale_ins)
+            },
+            format!("{} ({} shed)", a.brownout_engagements, a.shed_optional),
+        ]
+    });
+    cols
+}
+
 fn main() {
     let results_dir = std::env::var_os("PC_RESULTS_DIR")
         .filter(|d| !d.is_empty())
@@ -107,7 +155,6 @@ fn main() {
             }
         }
     }
-    workloads::reset_degrade_ledger();
     let selected: Vec<&Experiment> = EXPERIMENTS
         .iter()
         .filter(|e| only.as_ref().is_none_or(|o| o.iter().any(|x| x == e.name)))
@@ -120,31 +167,18 @@ fn main() {
     let tasks: Vec<_> = selected
         .iter()
         .map(|e| {
-            move || -> Duration {
-                // Harness runs on this worker thread (and the sweep cells
-                // it fans out, which inherit this scope) fold their
-                // DegradeStats under the experiment's name.
-                let _scope = workloads::DegradeScope::enter(e.name);
+            move || -> (Duration, Tally) {
+                // What a failed task left on this worker describes runs
+                // whose record was never written: drop it.
+                tally::take();
                 let t = Instant::now();
                 (e.run)(ctx);
-                t.elapsed()
+                (t.elapsed(), tally::take())
             }
         })
         .collect();
     let outcomes = runner::run_parallel(ctx.jobs, tasks);
     let total = t0.elapsed();
-    // Graceful-degradation decisions per experiment, harvested from the
-    // ledger every harness run reports into (satellite of the telemetry
-    // work: DegradeStats surface in the status table, not only in
-    // individual experiment records).
-    let degraded: std::collections::BTreeMap<String, power_containers::DegradeStats> =
-        workloads::degrade_ledger().into_iter().collect();
-    let requests: std::collections::BTreeMap<String, u64> =
-        workloads::request_ledger().into_iter().collect();
-    let obs: std::collections::BTreeMap<String, workloads::ObsDigest> =
-        workloads::obs_ledger().into_iter().collect();
-    let autoscale: std::collections::BTreeMap<String, workloads::AutoscaleDigest> =
-        workloads::autoscale_ledger().into_iter().collect();
     let mut table = Table::new([
         "experiment",
         "status",
@@ -161,80 +195,18 @@ fn main() {
     ]);
     let mut failed = 0usize;
     for (e, outcome) in selected.iter().zip(&outcomes) {
-        let name = &e.name;
-        let (deg, retried, shed, drift) = match degraded.get(*name) {
-            None => ("-".to_string(), "-".to_string(), "-".to_string(), "-".to_string()),
-            Some(d) => (
-                if d.is_clean() { "clean".to_string() } else { format!("{} decisions", d.total()) },
-                d.requests_retried.to_string(),
-                d.requests_shed.to_string(),
-                d.drift_column(),
-            ),
-        };
-        let (p99_j, alerts) = match obs.get(*name) {
-            None => ("-".to_string(), "-".to_string()),
-            Some(o) => (format!("{:.4}", o.p99_j_per_req), o.alerts.to_string()),
-        };
-        // Elasticity columns: completed resizes (outs/ins, with upgrade
-        // pairs noted) and brownout-ladder climbs + optional sheds.
-        let (resizes, brownout) = match autoscale.get(*name) {
-            None => ("-".to_string(), "-".to_string()),
-            Some(a) => (
-                if a.upgrades > 0 {
-                    format!("{}/{} ({} upg)", a.scale_outs, a.scale_ins, a.upgrades)
-                } else {
-                    format!("{}/{}", a.scale_outs, a.scale_ins)
-                },
-                format!("{} ({} shed)", a.brownout_engagements, a.shed_optional),
-            ),
-        };
-        match outcome {
-            Ok(wall) => {
-                // Simulated requests pushed through per wall-clock
-                // second — the experiment's end-to-end throughput (a
-                // report column only; no wall-clock value enters any
-                // result record).
-                let rps = match requests.get(*name) {
-                    Some(&r) if wall.as_secs_f64() > 0.0 => {
-                        format!("{:.0}", r as f64 / wall.as_secs_f64())
-                    }
-                    _ => "-".to_string(),
-                };
-                table.row([
-                    name.to_string(),
-                    "ok".to_string(),
-                    format!("{wall:.2?}"),
-                    rps,
-                    deg,
-                    retried,
-                    shed,
-                    drift,
-                    p99_j,
-                    alerts,
-                    resizes,
-                    brownout,
-                ]);
-            }
+        let (status, wall, t) = match outcome {
+            Ok((wall, t)) => ("ok", format!("{wall:.2?}"), Some((wall.as_secs_f64(), t))),
             Err(msg) => {
                 failed += 1;
                 let mut msg = msg.replace('\n', " ");
                 msg.truncate(60);
-                table.row([
-                    name.to_string(),
-                    "FAILED".to_string(),
-                    msg,
-                    "-".to_string(),
-                    deg,
-                    retried,
-                    shed,
-                    drift,
-                    p99_j,
-                    alerts,
-                    resizes,
-                    brownout,
-                ]);
+                ("FAILED", msg, None)
             }
-        }
+        };
+        let mut row = vec![e.name.to_string(), status.to_string(), wall];
+        row.extend(t.map_or_else(|| vec!["-".to_string(); 9], |(secs, t)| tally_columns(secs, t)));
+        table.row(row);
     }
     println!();
     println!(

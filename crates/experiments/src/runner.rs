@@ -31,6 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use workloads::tally;
 
 /// Everything one harness run is configured with.
 #[derive(Debug, Clone)]
@@ -234,7 +235,9 @@ pub fn slug(s: &str) -> String {
 /// threads and returns each task's output **in input order**. A
 /// panicking task yields `Err(panic message)` in its slot; the other
 /// tasks keep running. With `jobs <= 1` the tasks run inline on the
-/// caller's thread, in order.
+/// caller's thread, in order. Either way the runs the tasks note in
+/// their thread's [`workloads::tally`] end up in the caller's: each
+/// worker adds its tally to the caller's when it ends.
 pub fn run_parallel<T, F>(jobs: usize, tasks: Vec<F>) -> Vec<Result<T, String>>
 where
     T: Send,
@@ -246,12 +249,7 @@ where
     let results: Vec<Mutex<Option<Result<T, String>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    // Worker threads inherit the caller's degrade-ledger scope, so a
-    // sweep experiment's cells report under the experiment's name no
-    // matter which thread runs them.
-    let scope = workloads::current_degrade_scope();
     let work = || {
-        let _guard = scope.as_deref().map(workloads::DegradeScope::enter);
         loop {
             let i = next.fetch_add(1, Ordering::SeqCst);
             if i >= n {
@@ -274,8 +272,16 @@ where
         work();
     } else {
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(work);
+            let workers: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        work();
+                        tally::take()
+                    })
+                })
+                .collect();
+            for w in workers {
+                tally::note(w.join().expect("a worker catches its tasks' panics"));
             }
         });
     }
@@ -311,6 +317,26 @@ mod tests {
             let out = run_parallel(jobs, tasks.clone());
             let values: Vec<i32> = out.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(values, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn the_tasks_notes_reach_the_callers_tally() {
+        for jobs in [1, 2, 7] {
+            tally::take();
+            // Task `i` notes 2^i requests, so the sum shows each note
+            // arrived exactly once; task 5 panics after its note.
+            let tasks: Vec<_> = (0..12)
+                .map(|i| {
+                    move || {
+                        tally::note(tally::Tally { requests: 1 << i, ..Default::default() });
+                        assert_ne!(i, 5, "task five exploded after its note");
+                    }
+                })
+                .collect();
+            let out = run_parallel(jobs, tasks);
+            assert!(out[5].as_ref().unwrap_err().contains("exploded"));
+            assert_eq!(tally::take().requests, (1 << 12) - 1, "jobs {jobs}");
         }
     }
 

@@ -4,8 +4,10 @@
 //! Each experiment test runs the quick scale twice, at `--jobs 1` and
 //! `--jobs 4`, each into its own traced sandbox, and checks that
 //! 1. the record and every exported artifact (traces, obs reports,
-//!    folded provenance) are byte-identical between the two runs
-//!    (skipped for experiments whose record holds host time);
+//!    folded provenance) are byte-identical between the two runs, and
+//!    the runs' tallies (`workloads::tally`, what `run_all`'s summary
+//!    columns show) are equal (skipped for experiments whose record
+//!    holds host time);
 //! 2. every top-level boolean verdict of the quick record is true;
 //! 3. a traced experiment exports one `.jsonl` + `.trace.json` pair per
 //!    traced cell and matches its `ci/` goldens.
@@ -38,17 +40,20 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 use telemetry::obs::{AlertKind, ObsReport};
+use workloads::tally::{self, Tally};
 use workloads::WorkloadKind;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci");
 
-/// Runs `e` at quick scale with `jobs` workers into a fresh traced sandbox.
-fn quick_run(e: &Experiment, jobs: usize) -> Sandbox {
+/// Runs `e` at quick scale with `jobs` workers into a fresh traced
+/// sandbox, with what its runs noted in the calling thread's tally.
+fn quick_run(e: &Experiment, jobs: usize) -> (Sandbox, Tally) {
     let mut sandbox = Sandbox::new(Scale::Quick);
     sandbox.ctx.jobs = jobs;
     sandbox.ctx.trace_dir = Some(sandbox.traces());
+    tally::take();
     (e.run)(&sandbox.ctx);
-    sandbox
+    (sandbox, tally::take())
 }
 
 fn check_golden(name: &str, actual: &str) {
@@ -69,7 +74,7 @@ fn check_golden(name: &str, actual: &str) {
 
 /// The conformance check of one registered experiment.
 fn conform(e: &Experiment) {
-    let serial = quick_run(e, 1);
+    let (serial, serial_tally) = quick_run(e, 1);
     let files = serial.outputs();
     let records: Vec<&String> =
         files.iter().filter(|k| !k.contains('/') && k.ends_with(".json")).collect();
@@ -83,7 +88,8 @@ fn conform(e: &Experiment) {
         }
     }
     if e.deterministic {
-        let fanned = quick_run(e, 4);
+        let (fanned, fanned_tally) = quick_run(e, 4);
+        assert_eq!(serial_tally, fanned_tally, "{}: --jobs 1 and 4 tallied different runs", e.name);
         assert_eq!(files, fanned.outputs(), "{}: --jobs 1 and 4 wrote different files", e.name);
         for name in &files {
             let same = serial.read(name) == fanned.read(name);

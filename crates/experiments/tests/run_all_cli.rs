@@ -1,7 +1,8 @@
 //! The `run_all` command line: flags reach the experiments through the
-//! one parser that builds a `RunCtx`, and a malformed command line exits
-//! 2 before any experiment runs. (Determinism at any `--jobs` count is
-//! the conformance test's job, experiment by experiment.)
+//! one parser that builds a `RunCtx`, the summary table reads the same
+//! at any `--jobs` count, and a malformed command line exits 2 before
+//! any experiment runs. (Determinism of the records at any `--jobs`
+//! count is the conformance test's job, experiment by experiment.)
 
 use experiments::registry;
 use experiments::runner::Sandbox;
@@ -46,6 +47,49 @@ fn run_all_writes_what_the_equivalent_ctx_writes() {
     for name in &files {
         assert!(cli.read(name) == lib.read(name), "{name} differs between run_all and the library");
     }
+}
+
+/// The summary's tally columns read the same at `--jobs 1` and
+/// `--jobs 2`: every worker's runs count towards the experiment that
+/// fanned them out. With `--obs` the three experiments fill every
+/// column but drift (`-` on all three at quick scale): fig02 a harness
+/// run's degradation, obs_sweep retries, sheds and alerts, diurnal_sweep
+/// resizes and brownouts.
+#[test]
+fn summary_rows_do_not_depend_on_jobs() {
+    let rows = |jobs: &str| -> Vec<Vec<String>> {
+        let sandbox = Sandbox::new(Scale::Quick);
+        let only = "fig02,obs_sweep,diurnal_sweep";
+        let out = run_all(
+            &sandbox.ctx.results_dir,
+            &["--quick", "--only", only, "--obs", "--jobs", jobs],
+        );
+        assert!(out.status.success(), "run_all failed: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).expect("UTF-8 stdout");
+        let table = stdout.split("== run_all summary").nth(1).expect("a summary table");
+        // Past the title and the header with its rule; cells are two
+        // spaces apart and hold no double space.
+        let rows = table.lines().skip(3).take_while(|l| !l.is_empty());
+        rows.map(|l| {
+            let mut cells: Vec<String> =
+                l.split("  ").map(str::trim).filter(|c| !c.is_empty()).map(String::from).collect();
+            assert_eq!(cells.len(), 12, "a summary row has twelve cells: {l}");
+            // Wall time and req/s are wall-clock readings.
+            cells[2].clear();
+            cells[3].clear();
+            cells
+        })
+        .collect()
+    };
+    let serial = rows("1");
+    assert_eq!(
+        serial.iter().map(|r| r[..2].join(" ")).collect::<Vec<_>>(),
+        ["fig02 ok", "obs_sweep ok", "diurnal_sweep ok"]
+    );
+    for col in [4, 5, 6, 8, 9, 10, 11] {
+        assert!(serial.iter().any(|r| r[col] != "-"), "column {col} is `-` on every row");
+    }
+    assert_eq!(serial, rows("2"), "--jobs 1 and 2 summarize differently");
 }
 
 #[test]

@@ -5,6 +5,7 @@ use crate::apps::{AppEnv, ServerApp, WorkloadKind};
 use crate::calibration::MachineCalibration;
 use crate::driver::{spawn_driver, ClosedLoopDriver, CtxAlloc, DriverEnv};
 use crate::stats::RunStats;
+use crate::tally::{self, Tally};
 use hwsim::MachineSpec;
 use ossim::{Kernel, KernelConfig};
 use power_containers::{Approach, ConditioningPolicy, FacilityConfig, FacilityState};
@@ -193,7 +194,8 @@ pub fn offered_rate(app: &dyn ServerApp, spec: &MachineSpec, load: LoadLevel) ->
 
 /// A run that has been assembled but not yet executed: the experiment may
 /// add extra drivers or instrumentation before calling
-/// [`PreparedRun::run`] (or stepping [`PreparedRun::kernel`] manually).
+/// [`PreparedRun::run`] (or stepping [`PreparedRun::kernel`] manually,
+/// then calling [`PreparedRun::finish`]).
 pub struct PreparedRun {
     /// The assembled kernel (facility installed, app + driver spawned).
     pub kernel: Kernel,
@@ -214,22 +216,13 @@ pub struct PreparedRun {
 impl PreparedRun {
     /// Runs to the configured duration and returns the outcome.
     pub fn run(mut self) -> RunOutcome {
-        let end = SimTime::ZERO + self.duration;
-        self.kernel.run_until(end);
-        let outcome = RunOutcome {
-            kernel: self.kernel,
-            facility: self.facility,
-            stats: self.stats,
-            end,
-            offered_rate: self.offered_rate,
-        };
-        crate::degrade::note_degrade(outcome.degrade_stats());
-        crate::degrade::note_requests(outcome.stats.borrow().issued());
-        outcome
+        self.kernel.run_until(SimTime::ZERO + self.duration);
+        self.finish()
     }
 
     /// Converts an already-stepped run into an outcome at its current
-    /// time.
+    /// time, and notes its degradation decisions and offered requests
+    /// in the calling thread's [`tally`].
     pub fn finish(self) -> RunOutcome {
         let end = self.kernel.now();
         let outcome = RunOutcome {
@@ -239,8 +232,11 @@ impl PreparedRun {
             end,
             offered_rate: self.offered_rate,
         };
-        crate::degrade::note_degrade(outcome.degrade_stats());
-        crate::degrade::note_requests(outcome.stats.borrow().issued());
+        tally::note(Tally {
+            degrade: Some(outcome.degrade_stats()),
+            requests: outcome.stats.borrow().issued(),
+            ..Tally::default()
+        });
         outcome
     }
 }
